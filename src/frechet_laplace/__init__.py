@@ -49,7 +49,6 @@ from .meijer import (
     MeijerSpec,
     build_laplace_closed_form,
     meijer_g_m0,
-    meijer_g_m0_derivative,
 )
 from .mellin import (
     ContourConfig,
@@ -57,7 +56,6 @@ from .mellin import (
     delta_list,
     frechet_mellin_image,
     laplace_via_mellin,
-    mellin_frechet,
 )
 from .numerics import (
     EvalResult,
@@ -76,10 +74,9 @@ __all__ = [
     "find_maximum",
     "QuadratureConfig", "EvalResult", "log_gamma", "integrate_semi_infinite",
     "bessel_k1",
-    "ContourConfig", "MellinFunction", "mellin_frechet", "frechet_mellin_image",
+    "ContourConfig", "MellinFunction", "frechet_mellin_image",
     "delta_list", "laplace_via_mellin",
-    "MeijerSpec", "LaplaceClosedForm", "meijer_g_m0", "meijer_g_m0_derivative",
-    "build_laplace_closed_form",
+    "MeijerSpec", "LaplaceClosedForm", "meijer_g_m0", "build_laplace_closed_form",
     "Method", "LaplaceQuery", "laplace_frechet", "laplace_frechet_oracle",
     "laplace_symmetry_check", "laplace_frechet_bessel",
     "FrechetKernelParams", "TransformTarget", "frechet_kernel",

@@ -77,21 +77,20 @@ def _cmd_laplace(args) -> int:
     return 0
 
 
+# Laplace-transform figures: p grid spacing, its upper end (from p = 0.01),
+# the number of curves l = 1..n, and their common k.
+_LAPLACE_FIGURES = {
+    "fig1": (np.linspace, 10.0, 4, 4),
+    "fig2": (np.geomspace, 100.0, 3, 1),
+}
+
+
 def _figure_rows(figure_id: str, points: int):
-    if figure_id == "fig1":
-        header = ["p"] + [f"L_l{l}_k4" for l in range(1, 5)]
-        ps = np.linspace(0.01, 10.0, points)
-        shapes = [RationalShape(l, 4) for l in range(1, 5)]
-        for p in ps:
-            row = [float(p)] + [
-                laplace_frechet(LaplaceQuery(s, float(p), Method.AUTO)).value
-                for s in shapes]
-            yield header, row
-    elif figure_id == "fig2":
-        header = ["p"] + [f"L_l{l}_k1" for l in range(1, 4)]
-        ps = np.geomspace(0.01, 100.0, points)
-        shapes = [RationalShape(l, 1) for l in range(1, 4)]
-        for p in ps:
+    if figure_id in _LAPLACE_FIGURES:
+        spacing, p_max, curves, k = _LAPLACE_FIGURES[figure_id]
+        header = ["p"] + [f"L_l{l}_k{k}" for l in range(1, curves + 1)]
+        shapes = [RationalShape(l, k) for l in range(1, curves + 1)]
+        for p in spacing(0.01, p_max, points):
             row = [float(p)] + [
                 laplace_frechet(LaplaceQuery(s, float(p), Method.AUTO)).value
                 for s in shapes]

@@ -80,8 +80,8 @@ def _exp_or_zero(log_value: float) -> float:
 
 def frechet_pdf(shape: Shape, x: float) -> float:
     """Density gamma x^{-(1+gamma)} exp(-x^{-gamma}); 0 at x = 0 by the limit."""
-    if x < 0:
-        raise DomainError("frechet_pdf requires x >= 0")
+    if not 0 <= x < math.inf:
+        raise DomainError("frechet_pdf requires finite x >= 0")
     if x == 0.0:
         return 0.0
     g = shape.gamma

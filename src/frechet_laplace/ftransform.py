@@ -72,10 +72,7 @@ def frechet_transform_quadrature(target: TransformTarget, gamma: Shape, x: float
     def integrand(t):
         if t <= 0.0:
             return 0.0
-        damp = -t * u
-        if damp < -745.0:
-            return 0.0
-        return front * t * math.exp(damp) * target.f(t)
+        return front * t * math.exp(-t * u) * target.f(t)
 
     return integrate_semi_infinite(integrand, 0.0, cfg, split=x ** g)
 
@@ -104,8 +101,7 @@ def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape, x: floa
         def laplace(v):
             nonlocal evaluations, converged, quad_err
             res = integrate_semi_infinite(
-                lambda t: math.exp(-v * t) * target.f(t) if v * t < 745.0 else 0.0,
-                0.0, cfg)
+                lambda t: math.exp(-v * t) * target.f(t), 0.0, cfg)
             evaluations += res.evaluations
             converged = converged and res.converged
             quad_err = max(quad_err, res.err_estimate)

@@ -44,8 +44,8 @@ class LaplaceQuery:
     method: Method = Method.AUTO
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise DomainError(f"Laplace variable must be positive, got {self.p}")
+        if not 0 < self.p < math.inf:
+            raise DomainError(f"Laplace variable must be finite and positive, got {self.p}")
 
 
 def _meijer_path(shape: RationalShape, p: float,
@@ -91,8 +91,8 @@ def laplace_frechet_oracle(shape: Shape, p: float,
     int_0^inf exp(-u - p u^{-1/gamma}) du, which is smooth and positive with
     no singularity left at the origin (the exponent diverges to -inf there).
     """
-    if p < 0:
-        raise DomainError("laplace_frechet_oracle requires p >= 0")
+    if not 0 <= p < math.inf:
+        raise DomainError("laplace_frechet_oracle requires finite p >= 0")
     if p == 0.0:
         return EvalResult(value=1.0, err_estimate=0.0, evaluations=0, converged=True)
     inv_gamma = 1.0 / shape.gamma
@@ -100,8 +100,7 @@ def laplace_frechet_oracle(shape: Shape, p: float,
     def integrand(u):
         if u <= 0.0:
             return 0.0
-        exponent = -u - p * u ** (-inv_gamma)
-        return math.exp(exponent) if exponent > -745.0 else 0.0
+        return math.exp(-u - p * u ** (-inv_gamma))
 
     return integrate_semi_infinite(integrand, 0.0, cfg)
 

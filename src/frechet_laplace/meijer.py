@@ -19,18 +19,15 @@ from scipy.optimize import minimize_scalar
 
 from .distributions import RationalShape
 from .errors import ContourError, DomainError
-from .mellin import ContourConfig, delta_list, mellin_barnes_integral, _real_result
+from .mellin import ContourConfig, contour_integral, delta_list
 from .numerics import EvalResult, log_gamma
 
 __all__ = [
     "MeijerSpec",
     "LaplaceClosedForm",
     "meijer_g_m0",
-    "meijer_g_m0_derivative",
     "build_laplace_closed_form",
 ]
-
-_UNDERFLOW_PEAK = 1e-300
 
 
 @dataclass(frozen=True)
@@ -50,30 +47,6 @@ class MeijerSpec:
     @property
     def m(self) -> int:
         return len(self.b)
-
-
-def _contour_values(spec: MeijerSpec, z: float, c: float):
-    log_z = math.log(z)
-
-    def values(tau):
-        s = c + 1j * tau
-        acc = log_gamma(spec.b[0] + s)
-        for bj in spec.b[1:]:
-            acc = acc + log_gamma(bj + s)
-        # products of gammas assembled in log space; exp only once
-        return np.exp(acc - s * log_z)
-
-    return values, log_z
-
-
-def _validated_abscissa(spec: MeijerSpec, z: float, cfg: ContourConfig) -> float:
-    if not z > 0:
-        raise DomainError("meijer_g requires z > 0")
-    c = cfg.abscissa
-    if not c > -min(spec.b):
-        raise ContourError(
-            f"abscissa {c} does not separate poles: need c > {-min(spec.b)}")
-    return c
 
 
 def _saddle_abscissa(spec: MeijerSpec, z: float) -> float:
@@ -108,45 +81,28 @@ def meijer_g_m0(spec: MeijerSpec, z: float, cfg: ContourConfig | None = None) ->
     abscissa exactly (Cauchy's theorem makes the result independent of any
     valid choice, which the shift-invariance tests exercise).
 
-    Large z drives the whole integrand under the binary64 floor; the
-    transforms computed here decay super-algebraically there, so an exact
-    underflow is benign and reported as a converged zero.
+    Large z drives the whole integrand under the binary64 floor, where
+    contour_integral reports a converged zero.
     """
+    if not 0 < z < math.inf:
+        raise DomainError("meijer_g requires finite z > 0")
     if cfg is None:
-        if not z > 0:
-            raise DomainError("meijer_g requires z > 0")
-        cfg = ContourConfig(abscissa=_saddle_abscissa(spec, z))
-    c = _validated_abscissa(spec, z, cfg)
-    values, log_z = _contour_values(spec, z, c)
-    raw, err, n_eval, ok, peak = mellin_barnes_integral(values, cfg,
-                                                        oscillation=abs(log_z))
-    if peak < _UNDERFLOW_PEAK:
-        return EvalResult(value=0.0, err_estimate=0.0, evaluations=n_eval,
-                          converged=True)
-    return _real_result(raw, err, n_eval, ok)
+        c = _saddle_abscissa(spec, z)
+    else:
+        c = cfg.abscissa
+        if not c > -min(spec.b):
+            raise ContourError(
+                f"abscissa {c} does not separate poles: need c > {-min(spec.b)}")
+    log_z = math.log(z)
 
+    def integrand(s):
+        acc = log_gamma(spec.b[0] + s)
+        for bj in spec.b[1:]:
+            acc = acc + log_gamma(bj + s)
+        # products of gammas assembled in log space; exp only once
+        return np.exp(acc - s * log_z)
 
-def meijer_g_m0_derivative(spec: MeijerSpec, z: float,
-                           cfg: ContourConfig | None = None) -> EvalResult:
-    """d/dz of meijer_g_m0: differentiation under the contour integral brings
-    down a factor -s/z, leaving the same gamma product."""
-    if cfg is None:
-        if not z > 0:
-            raise DomainError("meijer_g requires z > 0")
-        cfg = ContourConfig(abscissa=_saddle_abscissa(spec, z))
-    c = _validated_abscissa(spec, z, cfg)
-    values, log_z = _contour_values(spec, z, c)
-
-    def d_values(tau):
-        s = c + 1j * tau
-        return values(tau) * (-s / z)
-
-    raw, err, n_eval, ok, peak = mellin_barnes_integral(d_values, cfg,
-                                                        oscillation=abs(log_z))
-    if peak < _UNDERFLOW_PEAK:
-        return EvalResult(value=0.0, err_estimate=0.0, evaluations=n_eval,
-                          converged=True)
-    return _real_result(raw, err, n_eval, ok)
+    return contour_integral(integrand, c, abs(log_z))
 
 
 @dataclass(frozen=True)
@@ -164,10 +120,15 @@ class LaplaceClosedForm:
 
     def argument(self, p: float) -> float:
         """Map the Laplace variable to the G-function argument p^l/(k^k l^l)."""
-        if not p > 0:
-            raise DomainError("Laplace variable must be positive")
+        if not 0 < p < math.inf:
+            raise DomainError("Laplace variable must be finite and positive")
         l, k = self.shape.l, self.shape.k
-        return p ** l / (k ** k * l ** l)
+        try:
+            return p ** l / (k ** k * l ** l)
+        except OverflowError:
+            raise DomainError(
+                f"G-function argument p^{l}/({k}^{k} {l}^{l}) at p = {p} "
+                "overflows binary64") from None
 
 
 def build_laplace_closed_form(shape: RationalShape) -> LaplaceClosedForm:

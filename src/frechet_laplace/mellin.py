@@ -2,10 +2,13 @@
 the Delta parameter-list builder, and a generic Laplace-from-Mellin operator
 realized by numerical integration along a vertical contour.
 
-The workhorse is mellin_barnes_integral, a truncated trapezoidal rule on the
-line Re(s) = c. Vertical Mellin-Barnes integrands built from gamma products
-decay like exp(-m pi |tau| / 2) (m gamma factors), so the trapezoidal rule
-converges geometrically once the oscillation of z^{-i tau} is resolved.
+The one contour engine is contour_integral: every vertical-contour integral
+of the library (the Meijer G functions and laplace_via_mellin) goes through
+it. Its workhorse is mellin_barnes_integral, a truncated trapezoidal rule on
+the line Re(s) = c. Vertical Mellin-Barnes integrands built from gamma
+products decay like exp(-m pi |tau| / 2) (m gamma factors), so the
+trapezoidal rule converges geometrically once the oscillation of z^{-i tau}
+is resolved.
 """
 
 from __future__ import annotations
@@ -17,27 +20,39 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .distributions import RationalShape
-from .errors import ContourError, DomainError, NonConvergence, PoleError
+from .errors import ContourError, DomainError, NonConvergence
 from .numerics import EvalResult, log_gamma
 
 __all__ = [
     "ContourConfig",
     "MellinFunction",
-    "mellin_frechet",
     "frechet_mellin_image",
     "delta_list",
     "laplace_via_mellin",
     "mellin_barnes_integral",
+    "contour_integral",
 ]
 
 _TWO_PI = 2.0 * math.pi
 _SMALL_P_GUARD = 1e-6
 _MAX_TRUNCATION = 4096.0
+# Trapezoid controls: the coarsest step, the number of step halvings, the
+# edge-to-peak ratio that ends window doubling, and the relative agreement of
+# two successive estimates that counts as converged.
+_INITIAL_STEP = 0.05
+_MAX_HALVINGS = 8
+_TRUNCATION_TOL = 1e-16
+_TARGET_REL_TOL = 1e-10
+# An integrand peak below this has underflowed along the whole line.
+_UNDERFLOW_PEAK = 1e-300
+# Largest imaginary part, relative to the real part, that still counts as
+# roundoff of a real integral.
+_IM_REL_BOUND = 1e-10
 
 
 @dataclass(frozen=True)
 class ContourConfig:
-    """Controls for the vertical-contour quadrature.
+    """Placement of the vertical integration contour.
 
     abscissa is the real part c of the integration line; it must separate the
     integrand poles (all poles of the Frechet-path integrands lie at
@@ -45,16 +60,6 @@ class ContourConfig:
     """
 
     abscissa: float = 0.5
-    initial_step: float = 0.05
-    max_halvings: int = 8
-    truncation_tol: float = 1e-16
-    target_rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (self.initial_step > 0 and self.truncation_tol > 0 and self.target_rel_tol > 0):
-            raise ValueError("step and tolerances must be positive")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -85,20 +90,10 @@ def delta_list(k: int, a: float) -> list[float]:
     return [(a + j) / k for j in range(k)]
 
 
-def mellin_frechet(shape: RationalShape, s: complex) -> complex:
-    """Mellin transform of Fr(l, k, x) at s: Gamma(1 + k(1-s)/l).
-
-    Valid on the strip Re(s) < 1 + l/k; the normalization moment sits at
-    s = 1 where the value is exactly 1.
-    """
-    arg = 1.0 + (shape.k / shape.l) * (1.0 - complex(s))
-    if arg.imag == 0.0 and arg.real <= 0.0 and arg.real == math.floor(arg.real):
-        raise PoleError(f"Mellin image has a pole at s = {s}")
-    return np.exp(log_gamma(arg))
-
-
 def frechet_mellin_image(shape: RationalShape) -> MellinFunction:
-    """Package mellin_frechet as a MellinFunction ready for inversion."""
+    """Mellin image of Fr(l, k, x) as a MellinFunction ready for inversion:
+    s -> Gamma(1 + k(1-s)/l) on the strip Re(s) < 1 + l/k. The normalization
+    moment sits at s = 1, where the value is exactly 1."""
     ratio = shape.k / shape.l
 
     def image(s):
@@ -107,25 +102,26 @@ def frechet_mellin_image(shape: RationalShape) -> MellinFunction:
     return MellinFunction(f_star=image, domain_strip=(-math.inf, 1.0 + shape.gamma))
 
 
-def mellin_barnes_integral(values_fn, cfg: ContourConfig,
+def mellin_barnes_integral(values_fn,
                            oscillation: float = 0.0) -> tuple[complex, float, int, bool, float]:
     """Trapezoidal evaluation of (1/2 pi) * integral of h(tau) d tau over the
     real line, where h(tau) is the contour integrand on Re(s) = c.
 
     Truncation: the window [-T, T] is doubled until the integrand magnitude
-    at the edges falls below truncation_tol times the running peak, so the
+    at the edges falls below _TRUNCATION_TOL times the running peak, so the
     discarded tails are negligible relative to the sum.
 
-    Refinement: starting from initial_step (shrunk when the caller reports a
+    Refinement: starting from _INITIAL_STEP (shrunk when the caller reports a
     fast oscillation exp(-i tau log z), which needs 2 pi / step to exceed the
-    oscillation rate plus a fixed decay margin), the step is halved, reusing
-    previous evaluations, until two successive estimates agree to
-    target_rel_tol. The difference of the last two estimates is the error
-    estimate; geometric convergence makes it conservative.
+    oscillation rate plus a fixed decay margin), the step is halved up to
+    _MAX_HALVINGS times, reusing previous evaluations, until two successive
+    estimates agree to _TARGET_REL_TOL. The difference of the last two
+    estimates is the error estimate; geometric convergence makes it
+    conservative.
 
     Returns (value, err_estimate, evaluations, converged, peak_magnitude).
     """
-    step = min(cfg.initial_step, _TWO_PI / (80.0 + abs(oscillation)))
+    step = min(_INITIAL_STEP, _TWO_PI / (80.0 + abs(oscillation)))
     half_width = 16.0
     evaluations = 0
     while True:
@@ -137,7 +133,7 @@ def mellin_barnes_integral(values_fn, cfg: ContourConfig,
         if peak == 0.0:
             return 0.0 + 0.0j, 0.0, evaluations, True, 0.0
         edge = max(abs(vals[0]), abs(vals[-1]))
-        if edge <= cfg.truncation_tol * peak:
+        if edge <= _TRUNCATION_TOL * peak:
             break
         if half_width >= _MAX_TRUNCATION:
             raise NonConvergence(
@@ -147,7 +143,7 @@ def mellin_barnes_integral(values_fn, cfg: ContourConfig,
     estimate = step * complex(np.sum(vals))
     err = abs(estimate)
     converged = False
-    for _ in range(cfg.max_halvings):
+    for _ in range(_MAX_HALVINGS):
         mids = tau[:-1] + 0.5 * step
         mid_vals = values_fn(mids)
         evaluations += mids.size
@@ -162,23 +158,35 @@ def mellin_barnes_integral(values_fn, cfg: ContourConfig,
         tau, vals, estimate, step = merged_tau, merged_vals, refined, 0.5 * step
         # halving below the summation roundoff floor cannot improve anything
         noise_floor = 2e-16 * step * float(np.abs(vals).sum())
-        if err <= max(cfg.target_rel_tol * abs(estimate), noise_floor):
+        if err <= max(_TARGET_REL_TOL * abs(estimate), noise_floor):
             converged = True
             break
 
     return estimate / _TWO_PI, err / _TWO_PI, evaluations, converged, peak
 
 
-def _real_result(raw: complex, err: float, evaluations: int, converged: bool,
-                 rel_im_bound: float = 1e-10) -> EvalResult:
-    # Conjugate symmetry of the integrand makes the exact integral real; the
-    # leftover imaginary part is a numerical residue, checked then discarded.
+def contour_integral(integrand, c: float, oscillation: float) -> EvalResult:
+    """(1/2 pi i) * integral of integrand(s) ds along the line s = c + i tau.
+
+    integrand takes a complex ndarray of contour points. oscillation is the
+    rate |log z| of the factor z^{-s}, which sets the largest step.
+
+    A whole integrand below the binary64 floor (peak under 1e-300) is
+    reported as a converged zero: the transforms evaluated here decay
+    super-algebraically there. Conjugate symmetry of the integrand makes the
+    exact integral real; the leftover imaginary part is a numerical residue,
+    checked against the real part and then discarded.
+    """
+    raw, err, n_eval, ok, peak = mellin_barnes_integral(
+        lambda tau: integrand(c + 1j * tau), oscillation=oscillation)
+    if peak < _UNDERFLOW_PEAK:
+        return EvalResult(value=0.0, err_estimate=0.0, evaluations=n_eval,
+                          converged=True)
     im = abs(raw.imag)
-    scale = max(abs(raw.real), 1e-300)
-    if im > rel_im_bound * scale:
-        converged = False
-    return EvalResult(value=raw.real, err_estimate=err, evaluations=evaluations,
-                      converged=converged, im_residue=im)
+    if im > _IM_REL_BOUND * max(abs(raw.real), 1e-300):
+        ok = False
+    return EvalResult(value=raw.real, err_estimate=err, evaluations=n_eval,
+                      converged=ok, im_residue=im)
 
 
 def laplace_via_mellin(mf: MellinFunction, p: float,
@@ -190,10 +198,9 @@ def laplace_via_mellin(mf: MellinFunction, p: float,
     p^{-c} factor degrades the conditioning, so the p -> 0 limit f*(1) (the
     total integral of f) is returned instead whenever s = 1 lies in the strip.
     """
-    if not p > 0:
-        raise DomainError("laplace_via_mellin requires p > 0")
-    cfg = cfg or ContourConfig()
-    c = cfg.abscissa
+    if not 0 < p < math.inf:
+        raise DomainError("laplace_via_mellin requires finite p > 0")
+    c = (cfg or ContourConfig()).abscissa
     if not c > 0:
         raise ContourError(f"contour abscissa must be positive, got {c}")
     if not mf.contains(1.0 - c):
@@ -207,11 +214,7 @@ def laplace_via_mellin(mf: MellinFunction, p: float,
 
     log_p = math.log(p)
 
-    def integrand(tau):
-        s = c + 1j * tau
-        image_vals = np.asarray(mf.f_star(1.0 - s))
-        return image_vals * np.exp(log_gamma(s) - s * log_p)
+    def integrand(s):
+        return np.asarray(mf.f_star(1.0 - s)) * np.exp(log_gamma(s) - s * log_p)
 
-    raw, err, n_eval, ok, _ = mellin_barnes_integral(integrand, cfg,
-                                                     oscillation=abs(log_p))
-    return _real_result(raw, err, n_eval, ok)
+    return contour_integral(integrand, c, abs(log_p))

@@ -55,6 +55,10 @@ class TestFrechetPdf:
         with pytest.raises(DomainError):
             frechet_pdf(Shape(1.0), -0.5)
 
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            frechet_pdf(Shape(1.0), math.nan)
+
     @pytest.mark.parametrize("g", [1.0 / 3.0, 0.5, 1.0, 2.0, 3.0])
     def test_normalization(self, g):
         total = quad_over_halfline(lambda x: frechet_pdf(Shape(g), x))

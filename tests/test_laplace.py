@@ -81,6 +81,8 @@ class TestLaplaceFrechet:
             LaplaceQuery(RationalShape(1, 1), 0.0)
         with pytest.raises(DomainError):
             LaplaceQuery(RationalShape(1, 1), -2.0)
+        with pytest.raises(DomainError):
+            LaplaceQuery(RationalShape(1, 1), math.inf, Method.MEIJER_G)
 
 
 class TestOracle:
@@ -102,6 +104,10 @@ class TestOracle:
     def test_negative_p_rejected(self):
         with pytest.raises(DomainError):
             laplace_frechet_oracle(Shape(1.0), -1.0)
+
+    def test_nan_p_rejected(self):
+        with pytest.raises(DomainError):
+            laplace_frechet_oracle(Shape(1.0), math.nan)
 
 
 class TestSymmetryLaw:

@@ -5,9 +5,10 @@ import pytest
 
 from frechet_laplace.distributions import RationalShape, Shape
 from frechet_laplace.errors import ContourError, DomainError
-from frechet_laplace.laplace import laplace_frechet_oracle
+from frechet_laplace.laplace import (LaplaceQuery, Method, laplace_frechet,
+                                     laplace_frechet_oracle)
 from frechet_laplace.meijer import (MeijerSpec, build_laplace_closed_form,
-                                    meijer_g_m0, meijer_g_m0_derivative)
+                                    meijer_g_m0)
 from frechet_laplace.mellin import ContourConfig
 
 TWO_K1_OF_2 = 0.27973176363304486  # 2 K1(2), from the series oracle
@@ -54,6 +55,8 @@ class TestMeijerGm0:
     def test_argument_domain(self):
         with pytest.raises(DomainError):
             meijer_g_m0(MeijerSpec([0.0]), 0.0)
+        with pytest.raises(DomainError):
+            meijer_g_m0(MeijerSpec([0.0]), math.inf)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
@@ -92,29 +95,13 @@ class TestBuildLaplaceClosedForm:
         with pytest.raises(DomainError):
             form.argument(0.0)
 
-
-class TestDerivative:
-    def test_exponential_derivative(self):
-        res = meijer_g_m0_derivative(MeijerSpec([0.0]), 1.0)
-        assert abs(res.value + math.exp(-1.0)) <= 1e-10 * math.exp(-1.0)
-
-    def test_matches_finite_difference(self):
-        spec = MeijerSpec([0.0, 0.5, 1.0])
-        z, h = 0.25, 1e-5
-        exact = meijer_g_m0_derivative(spec, z).value
-        fd = (meijer_g_m0(spec, z + h).value - meijer_g_m0(spec, z - h).value) / (2 * h)
-        assert abs(exact - fd) <= 1e-7 * abs(exact)
-
-    def test_nonpositive_for_transform_specs(self):
-        # Laplace transforms of densities are completely monotone
-        seen = set()
-        for shape in ALL_SHAPES:
-            form = build_laplace_closed_form(shape)
-            if form.spec.b in seen:
-                continue
-            seen.add(form.spec.b)
-            for z in np.geomspace(1e-3, 10.0, 12):
-                assert meijer_g_m0_derivative(form.spec, float(z)).value <= 1e-12
+    @pytest.mark.parametrize("l,k,p", [(1, 200, 1.0), (3, 4, 1e300)])
+    def test_argument_overflow_is_domain_error(self, l, k, p):
+        # k^k l^l too large for a float, or p^l past the binary64 range
+        with pytest.raises(DomainError):
+            build_laplace_closed_form(RationalShape(l, k)).argument(p)
+        with pytest.raises(DomainError):
+            laplace_frechet(LaplaceQuery(RationalShape(l, k), p, Method.MEIJER_G))
 
 
 class TestClosedFormFamily:

@@ -8,9 +8,9 @@ import pytest
 from frechet_laplace.distributions import RationalShape, Shape, frechet_pdf
 from frechet_laplace.errors import ContourError, DomainError, PoleError
 from frechet_laplace.laplace import laplace_frechet_oracle
-from frechet_laplace.mellin import (ContourConfig, MellinFunction, delta_list,
-                                    frechet_mellin_image, laplace_via_mellin,
-                                    mellin_frechet)
+from frechet_laplace.mellin import (ContourConfig, MellinFunction,
+                                    contour_integral, delta_list,
+                                    frechet_mellin_image, laplace_via_mellin)
 from frechet_laplace.numerics import integrate_semi_infinite, log_gamma
 
 TWO_K1_OF_2 = 0.27973176363304486  # 2 K1(2), from the series oracle
@@ -57,17 +57,18 @@ class TestDeltaList:
 
 class TestMellinFrechet:
     def test_normalization_moment(self):
-        assert mellin_frechet(RationalShape(1, 1), 1.0) == pytest.approx(1.0, rel=1e-14)
+        image = frechet_mellin_image(RationalShape(1, 1))
+        assert image.f_star(1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_gamma_identity_for_unit_shape(self):
         # at shape 1 the image at 1 - mu is Gamma(1 + mu)
         for mu in (0.3, 1.0, 2.5):
-            value = mellin_frechet(RationalShape(1, 1), 1.0 - mu)
+            value = frechet_mellin_image(RationalShape(1, 1)).f_star(1.0 - mu)
             assert math.isclose(value.real, math.gamma(1.0 + mu), rel_tol=1e-13)
 
     def test_half_shape_against_quadrature(self):
         s = 0.7
-        closed = mellin_frechet(RationalShape(1, 2), s)
+        closed = frechet_mellin_image(RationalShape(1, 2)).f_star(s)
         assert math.isclose(closed.real, math.gamma(1.6), rel_tol=1e-13)
         shape = Shape(0.5)
         quad = integrate_semi_infinite(
@@ -77,7 +78,7 @@ class TestMellinFrechet:
     def test_pole_rejected(self):
         # argument 1 + k(1-s)/l hits 0 at s = 1 + l/k
         with pytest.raises(PoleError):
-            mellin_frechet(RationalShape(1, 1), 2.0)
+            frechet_mellin_image(RationalShape(1, 1)).f_star(2.0)
 
     def test_image_strip(self):
         img = frechet_mellin_image(RationalShape(2, 3))
@@ -130,7 +131,32 @@ class TestLaplaceViaMellin:
     def test_p_domain(self):
         with pytest.raises(DomainError):
             laplace_via_mellin(exp_mellin_image(), 0.0)
+        with pytest.raises(DomainError):
+            laplace_via_mellin(exp_mellin_image(), math.inf)
 
     def test_strip_validation(self):
         with pytest.raises(ValueError):
             MellinFunction(f_star=lambda s: s, domain_strip=(2.0, 1.0))
+
+
+class TestContourIntegral:
+    # On s = c + i tau, exp((s - c)^2) = exp(-tau^2), whose integral over
+    # d tau / (2 pi) is 1 / (2 sqrt(pi)).
+    C = 0.7
+
+    def test_real_gaussian(self):
+        res = contour_integral(lambda s: np.exp((s - self.C) ** 2), self.C, 0.0)
+        assert abs(res.value - 0.5 / math.sqrt(math.pi)) <= 1e-13
+        assert res.converged
+        assert res.im_residue <= 1e-15
+
+    def test_imaginary_integral_not_converged(self):
+        res = contour_integral(lambda s: 1j * np.exp((s - self.C) ** 2), self.C, 0.0)
+        assert not res.converged
+        assert res.im_residue == pytest.approx(0.5 / math.sqrt(math.pi), rel=1e-13)
+
+    def test_underflow_is_converged_zero(self):
+        res = contour_integral(lambda s: 1e-305 * np.exp((s - self.C) ** 2), self.C, 0.0)
+        assert res.value == 0.0
+        assert res.err_estimate == 0.0
+        assert res.converged
