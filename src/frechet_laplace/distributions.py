@@ -109,12 +109,24 @@ def frechet_quantile(shape: Shape, q: float) -> float:
     return (-math.log(q)) ** (-1.0 / shape.gamma)
 
 
+def _gamma_ratio(a: float, b: float) -> float:
+    """Gamma(a) / Gamma(b) for a, b > 0, as a finite float or DomainError."""
+    try:
+        value = math.gamma(a) / math.gamma(b)
+    except OverflowError:  # one gamma overflowed alone; the ratio may still fit
+        log_value = math.lgamma(a) - math.lgamma(b)
+        value = math.exp(log_value) if log_value < 709.78 else math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"moment Gamma({a}) / Gamma({b}) overflows binary64")
+    return value
+
+
 def frechet_moment(shape: Shape, mu: float) -> float:
     """Power moment E[X^mu] = Gamma(1 - mu/gamma), finite only for mu < gamma."""
     g = shape.gamma
     if not mu < g:
         raise DivergentMoment(f"Frechet moment diverges for mu >= gamma ({mu} >= {g})")
-    return math.gamma(1.0 - mu / g)
+    return _gamma_ratio(1.0 - mu / g, 1.0)
 
 
 def levy_pdf_half(x: float) -> float:
@@ -136,7 +148,7 @@ def levy_moment(idx: LevyIndex, mu: float) -> float:
     a = idx.alpha
     if not mu < a:
         raise DivergentMoment(f"Levy moment diverges for mu >= alpha ({mu} >= {a})")
-    return math.gamma(1.0 - mu / a) / math.gamma(1.0 - mu)
+    return _gamma_ratio(1.0 - mu / a, 1.0 - mu)
 
 
 def levy_asymptotic(idx: LevyIndex, t: float) -> float:

@@ -33,8 +33,8 @@ class FrechetKernelParams:
     t: float
 
     def __post_init__(self):
-        if not (self.x > 0 and self.t > 0):
-            raise DomainError("kernel arguments x and t must be positive")
+        if not (0 < self.x < math.inf and 0 < self.t < math.inf):
+            raise DomainError("kernel arguments x and t must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ def frechet_transform_quadrature(target: TransformTarget, gamma: Shape, x: float
     adaptive quadrature, split at t = x^gamma where the kernel mass sits."""
     if target.f is None:
         raise MissingLaplace("quadrature transform needs the function itself")
-    if not x > 0:
-        raise DomainError("transform argument x must be positive")
+    if not 0 < x < math.inf:
+        raise DomainError("transform argument x must be finite and positive")
     g = gamma.gamma
     u = x ** (-g)
     front = g * x ** (-(1.0 + g))
@@ -87,8 +87,8 @@ def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape, x: floa
     otherwise builds L[f] by quadrature. Two difference widths (h and 2h)
     give a Richardson-style error estimate.
     """
-    if not x > 0:
-        raise DomainError("transform argument x must be positive")
+    if not 0 < x < math.inf:
+        raise DomainError("transform argument x must be finite and positive")
     g = gamma.gamma
     u = x ** (-g)
 
@@ -139,8 +139,8 @@ def frechet_transform_frechet_half(gamma: Shape, x: float,
     valid for any gamma > 0. min(b) = -1/2 pushes the pole-separation
     condition to c > 1/2; any explicit config must respect that.
     """
-    if not x > 0:
-        raise DomainError("transform argument x must be positive")
+    if not 0 < x < math.inf:
+        raise DomainError("transform argument x must be finite and positive")
     g = gamma.gamma
     z = x ** (-g) / 4.0
     res = meijer_g_m0(_HALF_SPEC, z, cfg)

@@ -121,7 +121,7 @@ def laplace_symmetry_check(shape: RationalShape, p: float,
 def laplace_frechet_bessel(p: float) -> float:
     """The gamma = 1 special case in standard special functions:
     L[Fr(1, 1, x); p] = 2 sqrt(p) K1(2 sqrt(p))."""
-    if not p > 0:
-        raise DomainError("laplace_frechet_bessel requires p > 0")
+    if not 0 < p < math.inf:
+        raise DomainError("laplace_frechet_bessel requires finite p > 0")
     root = 2.0 * math.sqrt(p)
     return root * bessel_k1(root)

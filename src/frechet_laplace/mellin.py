@@ -4,11 +4,9 @@ realized by numerical integration along a vertical contour.
 
 The one contour engine is contour_integral: every vertical-contour integral
 of the library (the Meijer G functions and laplace_via_mellin) goes through
-it. Its workhorse is mellin_barnes_integral, a truncated trapezoidal rule on
-the line Re(s) = c. Vertical Mellin-Barnes integrands built from gamma
-products decay like exp(-m pi |tau| / 2) (m gamma factors), so the
-trapezoidal rule converges geometrically once the oscillation of z^{-i tau}
-is resolved.
+it. It is a truncated trapezoidal rule on the line Re(s) = c, evaluated in
+one pass (mellin_barnes_integral) with its step and window fixed in advance
+from the integrand's strip of analyticity and its decay up the line.
 """
 
 from __future__ import annotations
@@ -35,15 +33,19 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _SMALL_P_GUARD = 1e-6
-_MAX_TRUNCATION = 4096.0
-# Trapezoid controls: the coarsest step, the number of step halvings, the
-# edge-to-peak ratio that ends window doubling, and the relative agreement of
-# two successive estimates that counts as converged.
-_INITIAL_STEP = 0.05
-_MAX_HALVINGS = 8
+# Trapezoid controls: the window ladder tau = 1.25^j (up to 3.85e3), the
+# edge-to-centre ratio that ends the window, the agreement of S_h and S_2h
+# that counts as converged, and a node's relative roundoff per unit of |log|.
+_LADDER = 1.25 ** np.arange(38)
 _TRUNCATION_TOL = 1e-16
 _TARGET_REL_TOL = 1e-10
-# An integrand peak below this has underflowed along the whole line.
+_ROUNDOFF = 2e-16
+# K in the step h = pi a / (K + log R). If the strip edges carry at most R times
+# the integral M of |F| on the line, the trapezoid error is below 2 R M /
+# (exp(2 pi a / h) - 1) (Trefethen & Weideman, SIAM Rev. 56 (2014), Thm 5.1):
+# 2 exp(-K) M for S_2h, which this K puts at _ROUNDOFF * M, and less for S_h.
+_STRIP_BUDGET = math.log(2.0 / _ROUNDOFF)
+# An integrand below this at the abscissa has underflowed along the whole line.
 _UNDERFLOW_PEAK = 1e-300
 # Largest imaginary part, relative to the real part, that still counts as
 # roundoff of a real integral.
@@ -102,91 +104,70 @@ def frechet_mellin_image(shape: RationalShape) -> MellinFunction:
     return MellinFunction(f_star=image, domain_strip=(-math.inf, 1.0 + shape.gamma))
 
 
-def mellin_barnes_integral(values_fn,
-                           oscillation: float = 0.0) -> tuple[complex, float, int, bool, float]:
-    """Trapezoidal evaluation of (1/2 pi) * integral of h(tau) d tau over the
-    real line, where h(tau) is the contour integrand on Re(s) = c.
+def mellin_barnes_integral(values_fn, step: float,
+                           half_width: float) -> tuple[complex, float, int, bool, float]:
+    """Trapezoidal evaluation of (1/2 pi) * integral of F(c + i tau) d tau
+    over the real line, in one pass over the nodes tau = k * step,
+    |tau| <= half_width (rounded up to an even count a side, so every other
+    node forms the grid of the coarse sum S_2h).
 
-    Truncation: the window [-T, T] is doubled until the integrand magnitude
-    at the edges falls below _TRUNCATION_TOL times the running peak, so the
-    discarded tails are negligible relative to the sum.
-
-    Refinement: starting from _INITIAL_STEP (shrunk when the caller reports a
-    fast oscillation exp(-i tau log z), which needs 2 pi / step to exceed the
-    oscillation rate plus a fixed decay margin), the step is halved up to
-    _MAX_HALVINGS times, reusing previous evaluations, until two successive
-    estimates agree to _TARGET_REL_TOL. The difference of the last two
-    estimates is the error estimate; geometric convergence makes it
-    conservative.
+    Each integrand here is exp(E) of a log-space sum E = log|F| + i (phase
+    unwound from the centre node), so a node carries a roundoff of about
+    _ROUNDOFF (1 + |E|) |F|; their sum is the noise floor. The value is
+    converged when |S_h - S_2h| is below the floor or _TARGET_REL_TOL of it;
+    the error estimate is the larger of the two (the difference can read 0).
 
     Returns (value, err_estimate, evaluations, converged, peak_magnitude).
     """
-    step = min(_INITIAL_STEP, _TWO_PI / (80.0 + abs(oscillation)))
-    half_width = 16.0
-    evaluations = 0
-    while True:
-        n_half = int(math.ceil(half_width / step))
-        tau = (np.arange(2 * n_half + 1) - n_half) * step
-        vals = values_fn(tau)
-        evaluations += tau.size
-        peak = float(np.abs(vals).max())
-        if peak == 0.0:
-            return 0.0 + 0.0j, 0.0, evaluations, True, 0.0
-        edge = max(abs(vals[0]), abs(vals[-1]))
-        if edge <= _TRUNCATION_TOL * peak:
-            break
-        if half_width >= _MAX_TRUNCATION:
-            raise NonConvergence(
-                f"contour integrand not decayed at |tau| = {half_width}")
-        half_width *= 2.0
-
+    n_half = 2 * math.ceil(half_width / (2.0 * step))
+    vals = values_fn((np.arange(2 * n_half + 1) - n_half) * step)
+    magnitudes = np.abs(vals)
     estimate = step * complex(np.sum(vals))
-    err = abs(estimate)
-    converged = False
-    for _ in range(_MAX_HALVINGS):
-        mids = tau[:-1] + 0.5 * step
-        mid_vals = values_fn(mids)
-        evaluations += mids.size
-        refined = 0.5 * estimate + 0.5 * step * complex(np.sum(mid_vals))
-        err = abs(refined - estimate)
-        merged_tau = np.empty(tau.size + mids.size)
-        merged_tau[0::2] = tau
-        merged_tau[1::2] = mids
-        merged_vals = np.empty(vals.size + mid_vals.size, dtype=complex)
-        merged_vals[0::2] = vals
-        merged_vals[1::2] = mid_vals
-        tau, vals, estimate, step = merged_tau, merged_vals, refined, 0.5 * step
-        # halving below the summation roundoff floor cannot improve anything
-        noise_floor = 2e-16 * step * float(np.abs(vals).sum())
-        if err <= max(_TARGET_REL_TOL * abs(estimate), noise_floor):
-            converged = True
-            break
-
-    return estimate / _TWO_PI, err / _TWO_PI, evaluations, converged, peak
+    diff = abs(estimate - 2.0 * step * complex(np.sum(vals[0::2])))
+    phase = np.unwrap(np.angle(vals))
+    exponent = np.abs(np.log(np.maximum(magnitudes, _UNDERFLOW_PEAK))
+                      + 1j * (phase - phase[n_half]))
+    noise_floor = _ROUNDOFF * step * float(np.sum(magnitudes * (1.0 + exponent)))
+    converged = diff <= max(_TARGET_REL_TOL * abs(estimate), noise_floor)
+    return (estimate / _TWO_PI, max(diff, noise_floor) / _TWO_PI, vals.size,
+            bool(converged), float(magnitudes.max()))
 
 
-def contour_integral(integrand, c: float, oscillation: float) -> EvalResult:
+def contour_integral(integrand, c: float, pole_distance: float) -> EvalResult:
     """(1/2 pi i) * integral of integrand(s) ds along the line s = c + i tau.
 
-    integrand takes a complex ndarray of contour points. oscillation is the
-    rate |log z| of the factor z^{-s}, which sets the largest step.
+    integrand maps a complex ndarray of points to values F, is analytic
+    within pole_distance of the line (math.inf if entire) and satisfies
+    F(conj s) = conj F(s), so the integral is real and |F| even in tau.
 
-    A whole integrand below the binary64 floor (peak under 1e-300) is
-    reported as a converged zero: the transforms evaluated here decay
-    super-algebraically there. Conjugate symmetry of the integrand makes the
-    exact integral real; the leftover imaginary part is a numerical residue,
-    checked against the real part and then discarded.
+    One probe call fixes the trapezoid: F at s = c and at the strip edges
+    c -+ a, a = min(0.9 pole_distance, 1), give R = max |F(c -+ a)| / |F(c)|
+    and the step pi a / (K + log R) (see _STRIP_BUDGET); the window is the
+    first rung of _LADDER up the line where |F| <= _TRUNCATION_TOL |F(c)|.
+
+    |F(c)| below 1e-300 is a converged zero: the transforms evaluated here
+    decay super-algebraically there. The imaginary part of the sum is
+    roundoff, checked against the real part and then discarded.
     """
-    raw, err, n_eval, ok, peak = mellin_barnes_integral(
-        lambda tau: integrand(c + 1j * tau), oscillation=oscillation)
-    if peak < _UNDERFLOW_PEAK:
-        return EvalResult(value=0.0, err_estimate=0.0, evaluations=n_eval,
+    a = min(0.9 * pole_distance, 1.0)
+    probe = np.abs(integrand(c + np.concatenate(([0.0, -a, a], 1j * _LADDER))))
+    if not np.isfinite(probe).all():
+        raise NonConvergence(f"contour integrand not finite on the probe at c = {c}")
+    centre = probe[0]
+    if centre < _UNDERFLOW_PEAK:
+        return EvalResult(value=0.0, err_estimate=0.0, evaluations=probe.size,
                           converged=True)
+    decayed = np.flatnonzero(probe[3:] <= _TRUNCATION_TOL * centre)
+    if decayed.size == 0:
+        raise NonConvergence(f"contour integrand not decayed at |tau| = {_LADDER[-1]:.4g}")
+    step = math.pi * a / (_STRIP_BUDGET + math.log(max(probe[1], probe[2], centre) / centre))
+    raw, err, n_grid, ok, _ = mellin_barnes_integral(
+        lambda tau: integrand(c + 1j * tau), step, _LADDER[decayed[0]])
     im = abs(raw.imag)
     if im > _IM_REL_BOUND * max(abs(raw.real), 1e-300):
         ok = False
-    return EvalResult(value=raw.real, err_estimate=err, evaluations=n_eval,
-                      converged=ok, im_residue=im)
+    return EvalResult(value=raw.real, err_estimate=err,
+                      evaluations=probe.size + n_grid, converged=ok, im_residue=im)
 
 
 def laplace_via_mellin(mf: MellinFunction, p: float,
@@ -217,4 +198,6 @@ def laplace_via_mellin(mf: MellinFunction, p: float,
     def integrand(s):
         return np.asarray(mf.f_star(1.0 - s)) * np.exp(log_gamma(s) - s * log_p)
 
-    return contour_integral(integrand, c, abs(log_p))
+    # nearest poles: Gamma(s) at 0, f*(1 - s) at 1 - sigma_max and 1 - sigma_min
+    lo, hi = mf.domain_strip
+    return contour_integral(integrand, c, min(c - max(0.0, 1.0 - hi), 1.0 - lo - c))

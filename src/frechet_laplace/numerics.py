@@ -176,8 +176,8 @@ def bessel_k1(z: float) -> float:
     Evaluated with this module's own quadrature; deliberately independent of
     the Mellin-Barnes path so the two can cross-validate each other.
     """
-    if not z > 0:
-        raise DomainError("bessel_k1 requires z > 0")
+    if not 0 < z < math.inf:
+        raise DomainError("bessel_k1 requires finite z > 0")
 
     # exp underflows to 0.0 by itself; integrate_semi_infinite maps the cosh
     # overflow past t ~ 710 to 0.

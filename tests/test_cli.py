@@ -144,6 +144,16 @@ class TestMomentCommand:
         assert code == 0
         assert math.isclose(float(out), 2.0, rel_tol=1e-14)
 
+    @pytest.mark.parametrize("argv", [
+        ["moment", "frechet", "--gamma", "1", "--mu", "-200"],
+        ["moment", "levy", "--alpha", "0.5", "--mu", "-200"],
+    ])
+    def test_overflow_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "overflows binary64" in err
+
 
 class TestTransformCommand:
     def test_levy_composition(self, capsys):

@@ -146,6 +146,15 @@ class TestFrechetMoment:
         with pytest.raises(DivergentMoment):
             frechet_moment(Shape(g), mu)
 
+    def test_overflow_is_domain_error(self):
+        # Gamma(201) is past the binary64 range
+        with pytest.raises(DomainError, match="overflows binary64"):
+            frechet_moment(Shape(1.0), -200.0)
+
+    def test_infinite_order_rejected(self):
+        with pytest.raises(DomainError):
+            frechet_moment(Shape(1.0), -math.inf)
+
 
 class TestLevyHalf:
     def test_origin_limit(self):
@@ -184,6 +193,20 @@ class TestLevyMoment:
     def test_divergent(self):
         with pytest.raises(DivergentMoment):
             levy_moment(LevyIndex(0.5), 0.5)
+
+    def test_overflow_is_domain_error(self):
+        # Gamma(401) / Gamma(201) is about 1e493
+        with pytest.raises(DomainError, match="overflows binary64"):
+            levy_moment(LevyIndex(0.5), -200.0)
+
+    def test_ratio_in_range_despite_gamma_overflow(self):
+        # Gamma(201) overflows on its own; Gamma(201) / Gamma(101) = 200! / 100!
+        expected = math.exp(math.lgamma(201.0) - math.lgamma(101.0))
+        assert math.isclose(levy_moment(LevyIndex(0.5), -100.0), expected, rel_tol=1e-13)
+
+    def test_infinite_order_rejected(self):
+        with pytest.raises(DomainError):
+            levy_moment(LevyIndex(0.5), -math.inf)
 
 
 class TestLevyAsymptotic:

@@ -42,6 +42,12 @@ class TestKernel:
         with pytest.raises(DomainError):
             FrechetKernelParams(Shape(1.0), 1.0, -1.0)
 
+    def test_infinite_arguments_rejected(self):
+        with pytest.raises(DomainError):
+            FrechetKernelParams(Shape(1.0), math.inf, 1.0)
+        with pytest.raises(DomainError):
+            FrechetKernelParams(Shape(1.0), 1.0, math.inf)
+
 
 class TestQuadraturePath:
     def test_constant_function(self):
@@ -67,6 +73,11 @@ class TestQuadraturePath:
         with pytest.raises(MissingLaplace):
             frechet_transform_quadrature(TransformTarget(laplace_of_f=lambda u: 1.0),
                                          Shape(1.0), 1.0)
+
+    def test_infinite_x_rejected(self):
+        with pytest.raises(DomainError):
+            frechet_transform_quadrature(TransformTarget(f=lambda t: math.exp(-t)),
+                                         Shape(1.0), math.inf)
 
 
 class TestViaLaplacePath:
@@ -101,6 +112,12 @@ class TestViaLaplacePath:
     def test_missing_both_paths(self):
         with pytest.raises(MissingLaplace):
             frechet_transform_via_laplace(TransformTarget(), Shape(1.0), 1.0)
+
+    def test_infinite_x_rejected(self):
+        # the derivative at u = 0 would read as a converged 0.0
+        with pytest.raises(DomainError):
+            frechet_transform_via_laplace(TransformTarget(f=lambda t: math.exp(-t)),
+                                          Shape(1.0), math.inf)
 
 
 class TestLevyClosedForm:
@@ -151,3 +168,10 @@ class TestHalfClosedForm:
     def test_domain(self):
         with pytest.raises(DomainError):
             frechet_transform_frechet_half(Shape(1.0), 0.0)
+
+    def test_tiny_g_argument_is_cheap(self):
+        # z = x^{-gamma} / 4 = 2.5e-301 is beyond the contour's reach
+        # (converged=False), but the cost of finding that out stays bounded
+        res = frechet_transform_frechet_half(Shape(1.0), 1e300)
+        assert math.isfinite(res.value)
+        assert res.evaluations < 10_000

@@ -156,3 +156,8 @@ class TestBesselSpecialCase:
     def test_domain(self):
         with pytest.raises(DomainError):
             laplace_frechet_bessel(0.0)
+
+    def test_infinite_p_rejected(self):
+        # bessel_k1(inf) = 0 times an infinite prefactor would be NaN
+        with pytest.raises(DomainError):
+            laplace_frechet_bessel(math.inf)

@@ -113,3 +113,21 @@ class TestClosedFormFamily:
                 for p in grid]
         assert all(0.0 < v <= 1.0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+class TestMpmathOracle:
+    # A third, independent route: mpmath's Meijer G at 30 digits. The
+    # contour error estimate must bound the actual error, up to a fixed
+    # safety factor and the binary64 rounding of the value itself.
+    @pytest.mark.parametrize("l,k", [(1, 1), (1, 2), (2, 3), (3, 4), (4, 1), (1, 4),
+                                     (7, 5), (1, 30)])
+    @pytest.mark.parametrize("p", [0.01, 0.1, 1.0, 10.0])
+    def test_error_estimate_bounds_actual_error(self, l, k, p):
+        mpmath = pytest.importorskip("mpmath")
+        form = build_laplace_closed_form(RationalShape(l, k))
+        z = form.argument(p)
+        res = meijer_g_m0(form.spec, z)
+        with mpmath.workdps(30):
+            ref = float(mpmath.meijerg([[], []], [list(form.spec.b), []], z))
+        assert res.converged
+        assert abs(res.value - ref) <= 10.0 * res.err_estimate + 4e-16 * abs(ref)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from frechet_laplace.distributions import RationalShape, Shape, frechet_pdf
-from frechet_laplace.errors import ContourError, DomainError, PoleError
+from frechet_laplace.errors import ContourError, DomainError, NonConvergence, PoleError
 from frechet_laplace.laplace import laplace_frechet_oracle
 from frechet_laplace.mellin import (ContourConfig, MellinFunction,
                                     contour_integral, delta_list,
@@ -145,18 +145,23 @@ class TestContourIntegral:
     C = 0.7
 
     def test_real_gaussian(self):
-        res = contour_integral(lambda s: np.exp((s - self.C) ** 2), self.C, 0.0)
+        res = contour_integral(lambda s: np.exp((s - self.C) ** 2), self.C, math.inf)
         assert abs(res.value - 0.5 / math.sqrt(math.pi)) <= 1e-13
         assert res.converged
         assert res.im_residue <= 1e-15
 
     def test_imaginary_integral_not_converged(self):
-        res = contour_integral(lambda s: 1j * np.exp((s - self.C) ** 2), self.C, 0.0)
+        res = contour_integral(lambda s: 1j * np.exp((s - self.C) ** 2), self.C, math.inf)
         assert not res.converged
         assert res.im_residue == pytest.approx(0.5 / math.sqrt(math.pi), rel=1e-13)
 
     def test_underflow_is_converged_zero(self):
-        res = contour_integral(lambda s: 1e-305 * np.exp((s - self.C) ** 2), self.C, 0.0)
+        res = contour_integral(lambda s: 1e-305 * np.exp((s - self.C) ** 2), self.C, math.inf)
         assert res.value == 0.0
         assert res.err_estimate == 0.0
         assert res.converged
+
+    def test_nonfinite_integrand_raises(self):
+        with pytest.raises(NonConvergence):
+            contour_integral(lambda s: np.full(np.shape(s), np.inf, dtype=complex),
+                             self.C, math.inf)

@@ -168,3 +168,7 @@ class TestBesselK1:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             bessel_k1(bad)
+
+    def test_infinite_argument_rejected(self):
+        with pytest.raises(DomainError):
+            bessel_k1(math.inf)
