@@ -9,6 +9,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import RationalShape, Shape
 from .errors import DomainError
 from .meijer import build_laplace_closed_form, meijer_g_m0
@@ -90,19 +92,34 @@ def laplace_frechet_oracle(shape: Shape, p: float,
     The substitution u = x^{-gamma} turns the defining integral into
     int_0^inf exp(-u - p u^{-1/gamma}) du, which is smooth and positive with
     no singularity left at the origin (the exponent diverges to -inf there).
+    For gamma < 1 the term p u^{-1/gamma} would vary on a log scale of 1/gamma,
+    so the integral is taken over w = u^{1/gamma} instead,
+    int_0^inf gamma w^{gamma-1} exp(-w^gamma - p/w) dw, where both exponent
+    terms vary on a unit log scale. The quadrature is centred on the saddle
+    of the exponent, or on 1 if that lies lower: for large p the mass is a
+    narrow peak there.
     """
     if not 0 <= p < math.inf:
         raise DomainError("laplace_frechet_oracle requires finite p >= 0")
     if p == 0.0:
         return EvalResult(value=1.0, err_estimate=0.0, evaluations=0, converged=True)
-    inv_gamma = 1.0 / shape.gamma
+    g = shape.gamma
+    if g >= 1.0:
+        inv_gamma = 1.0 / g
 
-    def integrand(u):
-        if u <= 0.0:
-            return 0.0
-        return math.exp(-u - p * u ** (-inv_gamma))
+        def integrand(u):
+            return np.exp(-u - p * u ** -inv_gamma)
 
-    return integrate_semi_infinite(integrand, 0.0, cfg)
+        saddle = (p / g) ** (g / (1.0 + g))
+    else:
+        log_g = math.log(g)
+
+        def integrand(w):
+            log_w = np.log(w)
+            return np.exp(log_g + (g - 1.0) * log_w - np.exp(g * log_w) - p / w)
+
+        saddle = (p / g) ** (1.0 / (1.0 + g))
+    return integrate_semi_infinite(integrand, 0.0, cfg, scale=max(saddle, 1.0))
 
 
 def laplace_symmetry_check(shape: RationalShape, p: float,

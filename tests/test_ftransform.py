@@ -31,9 +31,9 @@ class TestKernel:
 
     @pytest.mark.parametrize("g,t", [(1.0, 2.0), (0.5, 0.5)])
     def test_normalized_in_x(self, g, t):
-        total = integrate_semi_infinite(
-            lambda x: frechet_kernel(FrechetKernelParams(Shape(g), x, t))
-            if x > 0 else 0.0, 0.0)
+        total = integrate_semi_infinite(np.vectorize(
+            lambda x: frechet_kernel(FrechetKernelParams(Shape(g), x, t)),
+            otypes=[float]), 0.0)
         assert abs(total.value - 1.0) <= 1e-10
 
     def test_validation(self):
@@ -80,6 +80,22 @@ class TestQuadraturePath:
                                          Shape(1.0), math.inf)
 
 
+class TestQuadratureMpmath:
+    # The transform of exp(-t) through the gamma = 1 kernel is
+    # 1/(x^2 (1 + 1/x)^2) = 1/(x + 1)^2; its mass sits at t ~ 1, far below
+    # the kernel's t ~ x. The error estimate must bound the actual error, up
+    # to a fixed safety factor and the binary64 rounding of the value.
+    @pytest.mark.parametrize("x", [1e2, 1e5, 1e7])
+    def test_error_estimate_bounds_actual_error(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        res = frechet_transform_quadrature(TransformTarget(f=lambda t: math.exp(-t)),
+                                           Shape(1.0), x)
+        with mpmath.workdps(30):
+            ref = float(1 / (mpmath.mpf(x) + 1) ** 2)
+        assert res.converged
+        assert abs(res.value - ref) <= 10.0 * res.err_estimate + 4e-16 * abs(ref)
+
+
 class TestViaLaplacePath:
     def test_exponential_with_closed_form(self):
         # L[exp(-t)](u) = 1/(1+u); derivative at u = 1 gives value 1/4
@@ -113,6 +129,37 @@ class TestViaLaplacePath:
         with pytest.raises(MissingLaplace):
             frechet_transform_via_laplace(TransformTarget(), Shape(1.0), 1.0)
 
+    def test_small_u_keeps_difference_points_positive(self):
+        # u = x^{-gamma} = 1e-7 lies below 2e-6, the width of the wider
+        # difference at its floor; a Laplace transform need not exist at u <= 0
+        seen = []
+
+        def laplace(u):
+            seen.append(u)
+            return 1.0 / (1.0 + u)
+
+        x = 1e7
+        res = frechet_transform_via_laplace(TransformTarget(laplace_of_f=laplace),
+                                            Shape(1.0), x)
+        exact = 1.0 / (x * x * (1.0 + 1.0 / x) ** 2)
+        assert min(seen) > 0.0
+        assert res.converged
+        assert abs(res.value - exact) <= 1e-6 * exact
+
+    def test_underflowing_u_rejected(self):
+        # u = x^{-gamma} = 1e-900 is 0.0 in binary64, and so would be h
+        with pytest.raises(DomainError):
+            frechet_transform_via_laplace(
+                TransformTarget(laplace_of_f=lambda u: 1.0 / (1.0 + u)), Shape(3.0), 1e300)
+
+    def test_transform_defined_only_for_positive_u(self):
+        # exp(-sqrt(u)) = L[levy_pdf_half](u); at u < 0 math.sqrt raised a
+        # raw ValueError
+        target = TransformTarget(laplace_of_f=lambda u: math.exp(-math.sqrt(u)))
+        res = frechet_transform_via_laplace(target, Shape(1.0), 1e7)
+        assert math.isfinite(res.value)
+        assert abs(res.value - frechet_pdf(Shape(0.5), 1e7)) <= 2.0 * res.err_estimate
+
     def test_infinite_x_rejected(self):
         # the derivative at u = 0 would read as a converged 0.0
         with pytest.raises(DomainError):
@@ -134,9 +181,9 @@ class TestLevyClosedForm:
                 assert abs(quad.value - closed) <= 1e-8
 
     def test_normalization(self):
-        total = integrate_semi_infinite(
-            lambda x: frechet_transform_levy(LevyIndex(0.5), Shape(1.0), x)
-            if x > 0 else 0.0, 0.0)
+        total = integrate_semi_infinite(np.vectorize(
+            lambda x: frechet_transform_levy(LevyIndex(0.5), Shape(1.0), x),
+            otypes=[float]), 0.0)
         assert abs(total.value - 1.0) <= 1e-10
 
 
@@ -160,9 +207,9 @@ class TestHalfClosedForm:
         assert 1e-9 < xs[int(np.argmax(vals))] < 1e-5
 
     def test_mass_preserved(self):
-        total = integrate_semi_infinite(
-            lambda x: frechet_transform_frechet_half(Shape(1.0), x).value
-            if x > 0 else 0.0, 0.0)
+        total = integrate_semi_infinite(np.vectorize(
+            lambda x: frechet_transform_frechet_half(Shape(1.0), x).value,
+            otypes=[float]), 0.0)
         assert abs(total.value - 1.0) <= 1e-8
 
     def test_domain(self):
@@ -170,8 +217,23 @@ class TestHalfClosedForm:
             frechet_transform_frechet_half(Shape(1.0), 0.0)
 
     def test_tiny_g_argument_is_cheap(self):
-        # z = x^{-gamma} / 4 = 2.5e-301 is beyond the contour's reach
-        # (converged=False), but the cost of finding that out stays bounded
+        # z = x^{-gamma} / 4 = 2.5e-301 is beyond the contour's reach, but
+        # the cost of the answer stays bounded
         res = frechet_transform_frechet_half(Shape(1.0), 1e300)
         assert math.isfinite(res.value)
         assert res.evaluations < 10_000
+
+    @pytest.mark.parametrize("g", [1.0 / 3.0, 1.0, 3.0])
+    def test_underflowing_value_is_converged_zero(self, g):
+        # the transform decays like x^{-1-gamma/2}: at x = 1e300 it lies
+        # below the smallest subnormal
+        res = frechet_transform_frechet_half(Shape(g), 1e300)
+        assert res.converged
+        assert res.value == 0.0
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-160])
+    def test_small_x_does_not_overflow(self, x):
+        # x^{-(1+gamma)} overflows binary64 there, while G underflows
+        res = frechet_transform_frechet_half(Shape(1.0), x)
+        assert res.converged
+        assert res.value == 0.0

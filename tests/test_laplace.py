@@ -110,6 +110,45 @@ class TestOracle:
             laplace_frechet_oracle(Shape(1.0), math.nan)
 
 
+def mpmath_oracle_integral(mpmath, gamma, p):
+    """int_0^inf exp(-u - p u^{-1/gamma}) du at 40 working digits, in
+    s = log u on the span where the exponent lies within 150 of its peak,
+    by Gauss-Legendre on pieces narrower than the saddle's width and than
+    gamma (the scale of p u^{-1/gamma} in s)."""
+    with mpmath.workdps(40):
+        g, p = mpmath.mpf(gamma), mpmath.mpf(p)
+        u_star = (p / g) ** (g / (1 + g))
+        top = u_star * (1 + g) + 150
+        lo, hi = g * mpmath.log(p / top) - 1, mpmath.log(top)
+        width = min(1, g, 1 / mpmath.sqrt(u_star * (1 + 1 / g)))
+        pieces = mpmath.linspace(lo, hi, int((hi - lo) / width * 4) + 2)
+        return mpmath.quad(lambda s: mpmath.exp(s - mpmath.exp(s) - p * mpmath.exp(-s / g)),
+                           pieces, method="gauss-legendre")
+
+
+# the oracle inputs that QUADPACK got wrong or left unconverged
+ORACLE_QUADPACK_DEFECTS = [(2.2109803022429606, 0.00012436407299591009),
+                           (2.0272198301822915, 0.1737428718976487),
+                           (3.0208541317800681, 0.00044846865214826951),
+                           (4.2364205068481224, 0.016181765991428801),
+                           (0.40942889506850444, 19.975876058391336)]
+
+
+class TestOracleMpmath:
+    # A third route for the quadrature oracle: an mpmath integral to 30
+    # digits. The error estimate must bound the actual error, up to a fixed
+    # safety factor and the binary64 rounding of the value itself.
+    @pytest.mark.parametrize("gamma,p", ORACLE_QUADPACK_DEFECTS
+                             + [(g, p) for g in (0.1, 0.5, 1.0, 2.5, 5.0, 10.0)
+                                for p in (1e-6, 1e-3, 1.0, 20.0, 1e3)])
+    def test_error_estimate_bounds_actual_error(self, gamma, p):
+        mpmath = pytest.importorskip("mpmath")
+        res = laplace_frechet_oracle(Shape(gamma), p)
+        ref = float(mpmath_oracle_integral(mpmath, gamma, p))
+        assert res.converged
+        assert abs(res.value - ref) <= 10.0 * res.err_estimate + 4e-16 * abs(ref)
+
+
 class TestSymmetryLaw:
     def test_half_shape(self):
         lhs, rhs = laplace_symmetry_check(RationalShape(1, 2), 2.0)

@@ -71,8 +71,8 @@ class TestMellinFrechet:
         closed = frechet_mellin_image(RationalShape(1, 2)).f_star(s)
         assert math.isclose(closed.real, math.gamma(1.6), rel_tol=1e-13)
         shape = Shape(0.5)
-        quad = integrate_semi_infinite(
-            lambda x: x ** (s - 1.0) * frechet_pdf(shape, x) if x > 0 else 0.0, 0.0)
+        quad = integrate_semi_infinite(np.vectorize(
+            lambda x: x ** (s - 1.0) * frechet_pdf(shape, x), otypes=[float]), 0.0)
         assert abs(closed.real - quad.value) <= 1e-9 * abs(closed.real)
 
     def test_pole_rejected(self):
