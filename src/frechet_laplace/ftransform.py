@@ -48,16 +48,41 @@ class TransformTarget:
     laplace_of_f: Optional[Callable] = None
 
 
+def _power(x: float, y: float) -> float:
+    """x ** y, with DomainError where it overflows binary64."""
+    try:
+        return x ** y
+    except OverflowError:
+        raise DomainError(f"{x} ** {y} overflows binary64") from None
+
+
+def _kernel(g: float, x: float):
+    """t -> sigma_gamma(x, t) = gamma t x^{-(1+gamma)} exp(-t x^{-gamma}) on a
+    float or an ndarray of t. Where x^{-(1+gamma)} overflows or is subnormal,
+    the kernel is formed as (gamma / x) (t u) exp(-t u), u = x^{-gamma}, which
+    keeps full precision; DomainError where u itself overflows."""
+    u = _power(x, -g)
+    try:
+        front = g * x ** (-(1.0 + g))
+    except OverflowError:
+        front = math.inf
+    if not sys.float_info.min <= front < math.inf:
+        ratio = g / x
+        return lambda t: ratio * (t * u) * np.exp(-t * u)
+    return lambda t: front * t * np.exp(-t * u)
+
+
 def frechet_kernel(params: FrechetKernelParams) -> float:
     """Kernel sigma_gamma(x, t) = gamma t x^{-(1+gamma)} exp(-t x^{-gamma});
     as a function of x it is the Frechet density rescaled by t^{1/gamma}."""
-    g = params.gamma.gamma
-    x, t = params.x, params.t
-    neg_power = -g * math.log(x)
-    if neg_power > 709.0:
-        return 0.0
-    log_val = math.log(g) + math.log(t) - (1.0 + g) * math.log(x) - t * math.exp(neg_power)
-    return math.exp(log_val) if log_val > -745.0 else 0.0
+    return float(_kernel(params.gamma.gamma, params.x)(params.t))
+
+
+# Richardson tolerance of the closed-form derivative: with the step h = 1e-6 u
+# the difference quotient's roundoff, eps |L| / h, is about 1e-10 of |d_h| for
+# a smooth L; an estimate above sqrt(eps) is truncation the step did not
+# resolve (a singular derivative near u, or h = u/4 forced by a small u).
+_DIFF_REL_TOL = math.sqrt(sys.float_info.epsilon)
 
 
 def _on_nodes(f):
@@ -79,20 +104,19 @@ def _on_nodes(f):
 def frechet_transform_quadrature(target: TransformTarget, gamma: Shape, x: float,
                                  cfg: QuadratureConfig | None = None) -> EvalResult:
     """Transform bar_f(gamma, x) = int_0^inf sigma_gamma(x, t) f(t) dt by
-    quadrature centred at t = x^gamma, where the kernel mass sits."""
+    quadrature centred at t = x^gamma, where the kernel mass sits.
+
+    DomainError where x^gamma or x^{-gamma} overflows: f cannot be sampled
+    where the kernel mass sits."""
     if target.f is None:
         raise MissingLaplace("quadrature transform needs the function itself")
     if not 0 < x < math.inf:
         raise DomainError("transform argument x must be finite and positive")
     g = gamma.gamma
-    u = x ** (-g)
-    front = g * x ** (-(1.0 + g))
+    kernel = _kernel(g, x)
     f = _on_nodes(target.f)
-
-    def integrand(t):
-        return front * t * np.exp(-t * u) * f(t)
-
-    return integrate_semi_infinite(integrand, 0.0, cfg, scale=x ** g)
+    return integrate_semi_infinite(lambda t: kernel(t) * f(t), 0.0, cfg,
+                                   scale=_power(x, g))
 
 
 def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape, x: float,
@@ -104,12 +128,14 @@ def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape, x: floa
     Uses the closed-form Laplace transform when the target carries one,
     otherwise builds L[f] by quadrature. Two difference widths (h and 2h)
     give a Richardson-style error estimate; h stays below u/4, so that no
-    difference point reaches u <= 0.
+    difference point reaches u <= 0. With a closed form the result is
+    converged only while that estimate is within sqrt(eps) of |d_h|.
+    DomainError where u = x^{-gamma} overflows or underflows.
     """
     if not 0 < x < math.inf:
         raise DomainError("transform argument x must be finite and positive")
     g = gamma.gamma
-    u = x ** (-g)
+    u = _power(x, -g)
     if u == 0.0:
         raise DomainError(f"x^-gamma underflows binary64 at x = {x}")
 
@@ -132,13 +158,17 @@ def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape, x: floa
     else:
         raise MissingLaplace("target provides neither f nor its Laplace transform")
 
+    # bar_f = -(gamma / x) u L'(u): u L'(u) comes from differences scaled by
+    # u / h (at most 1e6), so no factor overflows or underflows on its own
     h = min(max(1e-6, 1e-6 * u), u / 4.0)
-    d_h = (laplace(u + h) - laplace(u - h)) / (2.0 * h)
-    d_2h = (laplace(u + 2.0 * h) - laplace(u - 2.0 * h)) / (4.0 * h)
-    front = -g * x ** (-(1.0 + g))
-    value = front * d_h
-    err = abs(front) * (abs(d_h - d_2h) / 3.0 + quad_err / h)
-    return EvalResult(value=value, err_estimate=err,
+    w = u / h
+    d_h = (laplace(u + h) - laplace(u - h)) * (0.5 * w)
+    d_2h = (laplace(u + 2.0 * h) - laplace(u - 2.0 * h)) * (0.25 * w)
+    richardson = abs(d_h - d_2h) / 3.0
+    if target.laplace_of_f is not None:
+        converged = richardson <= _DIFF_REL_TOL * abs(d_h)
+    rate = g / x
+    return EvalResult(value=-rate * d_h, err_estimate=rate * (richardson + w * quad_err),
                       evaluations=evaluations + 4, converged=converged)
 
 
@@ -149,7 +179,7 @@ def frechet_transform_levy(alpha: LevyIndex, gamma: Shape, x: float) -> float:
     return frechet_pdf(composed, x)
 
 
-_HALF_SPEC = MeijerSpec([-0.5, 0.0, 0.0])
+_HALF_SPEC = MeijerSpec(groups=((2, -1.0), (1, 0.0)))
 # On the line Re s = c, |Gamma(sigma + i tau)| <= Gamma(sigma) (1 + tau^2 /
 # sigma^2)^{-1/2}, so |G^{3,0}_{0,3}(z | -1/2, 0, 0)| <= z^{-c} Gamma(c - 1/2)
 # Gamma(c)^2 c / pi. c = 0.6 keeps the bound within x^{0.1 gamma} of the

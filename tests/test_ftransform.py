@@ -15,6 +15,13 @@ from frechet_laplace.ftransform import (FrechetKernelParams, TransformTarget,
 from frechet_laplace.numerics import integrate_semi_infinite
 
 HALF_FRECHET_TARGET = TransformTarget(f=lambda t: frechet_pdf(Shape(0.5), t))
+EXP_TARGET = TransformTarget(f=lambda t: math.exp(-t), laplace_of_f=lambda u: 1.0 / (1.0 + u))
+
+
+def exp_transform(g, x):
+    """Transform of exp(-t): gamma x^{-(1+gamma)} / (1 + x^{-gamma})^2, in logs."""
+    log_u = -g * math.log(x)
+    return g * math.exp(-math.log(x) + log_u - 2.0 * math.log1p(math.exp(log_u)))
 
 
 class TestKernel:
@@ -78,6 +85,29 @@ class TestQuadraturePath:
         with pytest.raises(DomainError):
             frechet_transform_quadrature(TransformTarget(f=lambda t: math.exp(-t)),
                                          Shape(1.0), math.inf)
+
+    def test_overflowing_u_is_domain_error(self):
+        # u = x^{-gamma} = 1e900: the kernel mass sits at t = 1e-900
+        with pytest.raises(DomainError):
+            frechet_transform_quadrature(EXP_TARGET, Shape(3.0), 1e-300)
+
+    def test_overflowing_scale_is_domain_error(self):
+        # x^gamma = 1e900: f cannot be sampled where the kernel mass sits
+        with pytest.raises(DomainError):
+            frechet_transform_quadrature(EXP_TARGET, Shape(3.0), 1e300)
+
+    def test_overflowing_prefactor_keeps_value(self):
+        # x^{-(1+gamma)} = 1e400 overflows, the transform 3e-200 does not
+        res = frechet_transform_quadrature(EXP_TARGET, Shape(3.0), 1e-100)
+        assert res.converged
+        assert abs(res.value - exp_transform(3.0, 1e-100)) <= 1e-10 * 3e-200
+
+    def test_subnormal_prefactor_keeps_precision(self):
+        # x^{-2} = 1e-320 is subnormal; the transform of 1 is gamma x^{gamma-1} = 1
+        res = frechet_transform_quadrature(TransformTarget(f=lambda t: 1.0),
+                                           Shape(1.0), 1e160)
+        assert res.converged
+        assert abs(res.value - 1.0) <= 1e-12
 
 
 class TestQuadratureMpmath:
@@ -159,6 +189,25 @@ class TestViaLaplacePath:
         res = frechet_transform_via_laplace(target, Shape(1.0), 1e7)
         assert math.isfinite(res.value)
         assert abs(res.value - frechet_pdf(Shape(0.5), 1e7)) <= 2.0 * res.err_estimate
+
+    def test_singular_derivative_not_converged(self):
+        # h = u/4 straddles the sqrt(u) singularity of the derivative: the
+        # value is 0.8% off, and the Richardson estimate says so
+        target = TransformTarget(laplace_of_f=lambda u: math.exp(-math.sqrt(u)))
+        res = frechet_transform_via_laplace(target, Shape(1.0), 1e7)
+        assert not res.converged
+
+    def test_overflowing_u_is_domain_error(self):
+        # u = x^{-gamma} = 1e900 is no float: L cannot be evaluated there
+        with pytest.raises(DomainError):
+            frechet_transform_via_laplace(EXP_TARGET, Shape(3.0), 1e-300)
+
+    def test_overflowing_prefactor_keeps_value(self):
+        # x^{-(1+gamma)} = 1e400 and L'(u) = 1e-600 are no floats; the
+        # transform 3e-200 is
+        res = frechet_transform_via_laplace(EXP_TARGET, Shape(3.0), 1e-100)
+        assert res.converged
+        assert abs(res.value - exp_transform(3.0, 1e-100)) <= 1e-8 * 3e-200
 
     def test_infinite_x_rejected(self):
         # the derivative at u = 0 would read as a converged 0.0

@@ -7,6 +7,8 @@ from frechet_laplace.distributions import RationalShape, Shape
 from frechet_laplace.errors import ContourError, DomainError
 from frechet_laplace.laplace import (LaplaceQuery, Method, laplace_frechet,
                                      laplace_frechet_oracle)
+from frechet_laplace import meijer
+from frechet_laplace.ftransform import _HALF_SPEC
 from frechet_laplace.meijer import (MeijerSpec, build_laplace_closed_form,
                                     meijer_g_m0)
 from frechet_laplace.mellin import ContourConfig
@@ -63,6 +65,69 @@ class TestMeijerGm0:
             MeijerSpec([])
         with pytest.raises(DomainError):
             MeijerSpec([math.inf])
+
+    def test_group_validation(self):
+        for groups in [((0, 1.0),), ((2.0, 1.0),), ((2, math.nan),)]:
+            with pytest.raises(DomainError):
+                MeijerSpec(groups=groups)
+
+    def test_b_derived_from_groups(self):
+        assert MeijerSpec([0.5, 1.0]).groups == ((1, 0.5), (1, 1.0))
+        assert MeijerSpec([0.0], groups=((2, 1),)).b == (0.0, 0.5, 1.0)
+        spec = MeijerSpec(groups=((3, 1), (2, 0)))
+        assert spec.b == pytest.approx([1.0 / 3.0, 2.0 / 3.0, 1.0, 0.0, 0.5])
+        assert spec.m == 5
+        assert _HALF_SPEC.b == (-0.5, 0.0, 0.0)
+
+
+# Each run Delta(n, a) collapses to one gamma factor by Gauss's multiplication
+# formula; the grouped spec must agree with the same b list taken one entry at
+# a time. At the roundoff floor the two forms round differently (the collapsed
+# log-space sum carries terms n|s| log(n|s|), larger than the |E| of the node
+# value the floor is read from), so the estimates take the same fixed safety
+# factor as the mpmath tests.
+GROUPED_SPECS = ([(f"l{s.l}k{s.k}", s) for s in ALL_SHAPES]
+                 + [(f"l{l}k{k}", RationalShape(l, k))
+                    for l, k in ((7, 5), (13, 11), (1, 30), (30, 1))])
+
+
+class TestGaussCollapse:
+    @pytest.mark.parametrize("shape", [s for _, s in GROUPED_SPECS],
+                             ids=[name for name, _ in GROUPED_SPECS])
+    def test_closed_form_groups_match_flat_list(self, shape):
+        form = build_laplace_closed_form(shape)
+        assert form.spec.groups == ((shape.k, 1.0), (shape.l, 0.0))
+        flat = MeijerSpec(form.spec.b)
+        for p in (0.01, 0.1, 1.0, 10.0, 20.0):
+            z = form.argument(p)
+            grouped, single = meijer_g_m0(form.spec, z), meijer_g_m0(flat, z)
+            assert (abs(grouped.value - single.value)
+                    <= 10.0 * (grouped.err_estimate + single.err_estimate))
+
+    @pytest.mark.parametrize("z", [1e-3, 0.1, 1.0, 10.0, 100.0])
+    def test_half_spec_matches_flat_list(self, z):
+        grouped = meijer_g_m0(_HALF_SPEC, z)
+        single = meijer_g_m0(MeijerSpec([-0.5, 0.0, 0.0]), z)
+        assert grouped.converged and single.converged
+        assert (abs(grouped.value - single.value)
+                <= 10.0 * (grouped.err_estimate + single.err_estimate))
+
+    @pytest.mark.parametrize("l,k", [(1, 1), (30, 1)])
+    def test_two_log_gamma_calls_per_integral(self, l, k, monkeypatch):
+        # one call on the probe, one on the grid, whatever m = k + l is
+        calls, original = [], meijer.log_gamma
+
+        def counting(s):
+            calls.append(np.shape(s))
+            return original(s)
+
+        monkeypatch.setattr(meijer, "log_gamma", counting)
+        form = build_laplace_closed_form(RationalShape(l, k))
+        assert form.spec.m in (2, 31)
+        res = meijer_g_m0(form.spec, form.argument(1.0))
+        assert res.converged
+        assert len(calls) == 2
+        assert all(shape[0] == 2 for shape in calls)
 
 
 class TestBuildLaplaceClosedForm:
