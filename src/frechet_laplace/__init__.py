@@ -10,10 +10,12 @@ from .distributions import (
     Shape,
     find_maximum,
     frechet_cdf,
+    frechet_mode,
     frechet_moment,
     frechet_pdf,
     frechet_quantile,
     levy_asymptotic,
+    levy_asymptotic_mode,
     levy_asymptotic_rescaled,
     levy_moment,
     levy_pdf_half,
@@ -51,7 +53,6 @@ from .meijer import (
     meijer_g_m0,
 )
 from .mellin import (
-    ContourConfig,
     MellinFunction,
     delta_list,
     frechet_mellin_image,
@@ -59,7 +60,6 @@ from .mellin import (
 )
 from .numerics import (
     EvalResult,
-    QuadratureConfig,
     bessel_k1,
     integrate_semi_infinite,
     log_gamma,
@@ -71,10 +71,10 @@ __all__ = [
     "Shape", "RationalShape", "LevyIndex",
     "frechet_pdf", "frechet_cdf", "frechet_quantile", "frechet_moment",
     "levy_pdf_half", "levy_moment", "levy_asymptotic", "levy_asymptotic_rescaled",
-    "find_maximum",
-    "QuadratureConfig", "EvalResult", "log_gamma", "integrate_semi_infinite",
+    "frechet_mode", "levy_asymptotic_mode", "find_maximum",
+    "EvalResult", "log_gamma", "integrate_semi_infinite",
     "bessel_k1",
-    "ContourConfig", "MellinFunction", "frechet_mellin_image",
+    "MellinFunction", "frechet_mellin_image",
     "delta_list", "laplace_via_mellin",
     "MeijerSpec", "LaplaceClosedForm", "meijer_g_m0", "build_laplace_closed_form",
     "Method", "LaplaceQuery", "laplace_frechet", "laplace_frechet_oracle",

@@ -9,15 +9,15 @@ for binary64, byte-identical across runs given identical flags).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
 from . import selfcheck
-from .distributions import (LevyIndex, RationalShape, Shape, find_maximum,
+from .distributions import (LevyIndex, RationalShape, Shape, frechet_mode,
                             frechet_moment, frechet_pdf, levy_asymptotic,
-                            levy_asymptotic_rescaled, levy_moment)
+                            levy_asymptotic_mode, levy_asymptotic_rescaled,
+                            levy_moment)
 from .errors import (DivergentMoment, DomainError, FrechetLaplaceError,
                      NonConvergence)
 from .ftransform import frechet_transform_frechet_half, frechet_transform_levy
@@ -50,7 +50,7 @@ def _cmd_laplace(args) -> int:
         shape = RationalShape(args.l, args.k)
         if not args.p > 0:
             raise DomainError(f"p must be positive, got {args.p}")
-    except (DomainError, FrechetLaplaceError) as exc:
+    except FrechetLaplaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("usage: frechet-laplace laplace --l L --k K --p P [--method M]",
               file=sys.stderr)
@@ -106,11 +106,8 @@ def _figure_rows(figure_id: str, points: int):
                   "reduced_asym_alpha_1_2", "reduced_frechet_gamma_1",
                   "reduced_asym_alpha_1_4", "reduced_frechet_gamma_1_3"]
         pairs = [(LevyIndex(0.5), Shape(1.0)), (LevyIndex(0.25), Shape(1.0 / 3.0))]
-        peaks = []
-        for alpha, gam in pairs:
-            ga_max = find_maximum(lambda t: levy_asymptotic(alpha, t), x_init=0.25)[1]
-            fr_max = find_maximum(lambda u: frechet_pdf(gam, u), x_init=0.5)[1]
-            peaks.append((ga_max, fr_max))
+        peaks = [(levy_asymptotic(alpha, levy_asymptotic_mode(alpha)),
+                  frechet_pdf(gam, frechet_mode(gam))) for alpha, gam in pairs]
         for i in range(1, points + 1):
             x = 3.0 * i / points
             row = [x]
@@ -182,11 +179,7 @@ def _cmd_selfcheck(args) -> int:
         for name in selfcheck.list_checks():
             print(name)
         return 0
-    profile = args.profile or os.environ.get("FRECHET_LAPLACE_PROFILE", "default")
-    if profile not in selfcheck.PROFILES:
-        print(f"error: unknown profile {profile!r}", file=sys.stderr)
-        return 1
-    ok = selfcheck.run_checks(profile)
+    ok = selfcheck.run_checks()
     print("all checks passed" if ok else "some checks FAILED")
     return 0 if ok else 2
 
@@ -227,7 +220,6 @@ def _build_parser() -> _Parser:
     p_tr.set_defaults(fn=_cmd_transform)
 
     p_check = sub.add_parser("selfcheck", help="run the built-in invariant suite")
-    p_check.add_argument("--profile", choices=sorted(selfcheck.PROFILES))
     p_check.add_argument("--list", action="store_true",
                          help="print check names without running")
     p_check.set_defaults(fn=_cmd_selfcheck)

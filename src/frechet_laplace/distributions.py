@@ -21,6 +21,8 @@ __all__ = [
     "levy_moment",
     "levy_asymptotic",
     "levy_asymptotic_rescaled",
+    "frechet_mode",
+    "levy_asymptotic_mode",
     "find_maximum",
 ]
 
@@ -190,6 +192,23 @@ def levy_asymptotic_rescaled(shape: Shape, x: float) -> float:
     return levy_asymptotic(LevyIndex(alpha), t)
 
 
+def frechet_mode(shape: Shape) -> float:
+    """Mode (gamma / (1+gamma))^{1/gamma} of the Frechet density, where
+    d/dx log Fr = (gamma x^{-gamma} - 1 - gamma) / x vanishes."""
+    g = shape.gamma
+    return (g / (1.0 + g)) ** (1.0 / g)
+
+
+def levy_asymptotic_mode(idx: LevyIndex) -> float:
+    """Mode (A beta / q)^{1/beta} of levy_asymptotic ~ t^{-q} exp(-A t^{-beta}),
+    beta = alpha/(1-alpha), q = (2-alpha)/(2-2 alpha), A = (1-alpha) alpha^beta."""
+    a = idx.alpha
+    beta = a / (1.0 - a)
+    q = (2.0 - a) / (2.0 - 2.0 * a)
+    amp = (1.0 - a) * a ** beta
+    return (amp * beta / q) ** (1.0 / beta)
+
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -197,8 +216,8 @@ def find_maximum(f, x_init: float = 1.0, arg_tol: float = 1e-10) -> tuple[float,
     """Locate the maximum of a unimodal positive function on (0, inf).
 
     Brackets the mode by geometric expansion from x_init, then runs a
-    golden-section search down to arg_tol in the argument. Used to build the
-    reduced (peak-normalized) curves.
+    golden-section search down to arg_tol in the argument. The tests use it
+    as the oracle of the closed-form modes that normalize fig4's curves.
     """
     a, b, c = x_init / 2.0, x_init, x_init * 2.0
     fa, fb, fc = f(a), f(b), f(c)

@@ -15,8 +15,7 @@ import numpy as np
 from .distributions import LevyIndex, Shape, frechet_pdf
 from .errors import DomainError, MissingLaplace
 from .meijer import MeijerSpec, meijer_g_m0
-from .mellin import ContourConfig
-from .numerics import EvalResult, QuadratureConfig, integrate_semi_infinite
+from .numerics import EvalResult, integrate_semi_infinite
 
 __all__ = [
     "FrechetKernelParams",
@@ -101,8 +100,7 @@ def _on_nodes(f):
     return values
 
 
-def frechet_transform_quadrature(target: TransformTarget, gamma: Shape, x: float,
-                                 cfg: QuadratureConfig | None = None) -> EvalResult:
+def frechet_transform_quadrature(target: TransformTarget, gamma: Shape, x: float) -> EvalResult:
     """Transform bar_f(gamma, x) = int_0^inf sigma_gamma(x, t) f(t) dt by
     quadrature centred at t = x^gamma, where the kernel mass sits.
 
@@ -115,12 +113,12 @@ def frechet_transform_quadrature(target: TransformTarget, gamma: Shape, x: float
     g = gamma.gamma
     kernel = _kernel(g, x)
     f = _on_nodes(target.f)
-    return integrate_semi_infinite(lambda t: kernel(t) * f(t), 0.0, cfg,
+    return integrate_semi_infinite(lambda t: kernel(t) * f(t), 0.0,
                                    scale=_power(x, g))
 
 
-def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape, x: float,
-                                  cfg: QuadratureConfig | None = None) -> EvalResult:
+def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape,
+                                  x: float) -> EvalResult:
     """Transform through the derivative identity
     bar_f(gamma, x) = -gamma x^{-(1+gamma)} dL[f]/du at u = x^{-gamma},
     with a central difference for the derivative.
@@ -129,8 +127,10 @@ def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape, x: floa
     otherwise builds L[f] by quadrature. Two difference widths (h and 2h)
     give a Richardson-style error estimate; h stays below u/4, so that no
     difference point reaches u <= 0. With a closed form the result is
-    converged only while that estimate is within sqrt(eps) of |d_h|.
-    DomainError where u = x^{-gamma} overflows or underflows.
+    converged only while that estimate is within sqrt(eps) of |d_h|; the
+    error estimate adds d_h's roundoff, eps (|L(u+h)| + |L(u-h)|) u/(2h).
+    DomainError where x^{-gamma} overflows or underflows, or, for a quadrature
+    L[f], where its scale x^gamma overflows.
     """
     if not 0 < x < math.inf:
         raise DomainError("transform argument x must be finite and positive")
@@ -149,8 +149,8 @@ def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape, x: floa
 
         def laplace(v):
             nonlocal evaluations, converged, quad_err
-            res = integrate_semi_infinite(lambda t: np.exp(-v * t) * f(t), 0.0, cfg,
-                                          scale=x ** g)
+            res = integrate_semi_infinite(lambda t: np.exp(-v * t) * f(t), 0.0,
+                                          scale=_power(x, g))
             evaluations += res.evaluations
             converged = converged and res.converged
             quad_err = max(quad_err, res.err_estimate)
@@ -162,13 +162,16 @@ def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape, x: floa
     # u / h (at most 1e6), so no factor overflows or underflows on its own
     h = min(max(1e-6, 1e-6 * u), u / 4.0)
     w = u / h
-    d_h = (laplace(u + h) - laplace(u - h)) * (0.5 * w)
+    above, below = laplace(u + h), laplace(u - h)
+    d_h = (above - below) * (0.5 * w)
     d_2h = (laplace(u + 2.0 * h) - laplace(u - 2.0 * h)) * (0.25 * w)
     richardson = abs(d_h - d_2h) / 3.0
     if target.laplace_of_f is not None:
         converged = richardson <= _DIFF_REL_TOL * abs(d_h)
+    roundoff = sys.float_info.epsilon * (abs(above) + abs(below)) * (0.5 * w)
     rate = g / x
-    return EvalResult(value=-rate * d_h, err_estimate=rate * (richardson + w * quad_err),
+    return EvalResult(value=-rate * d_h,
+                      err_estimate=rate * (richardson + w * quad_err + roundoff),
                       evaluations=evaluations + 4, converged=converged)
 
 
@@ -193,15 +196,14 @@ _LOG_UNDERFLOW = -1075.0 * math.log(2.0)
 _LOG_OVERFLOW = math.log(sys.float_info.max)
 
 
-def frechet_transform_frechet_half(gamma: Shape, x: float,
-                                   cfg: ContourConfig | None = None) -> EvalResult:
+def frechet_transform_frechet_half(gamma: Shape, x: float) -> EvalResult:
     """Closed form of the transform of Fr(1/2, t):
 
         (gamma / (4 sqrt(pi))) x^{-(1+gamma)}
             * G^{3,0}_{0,3}(x^{-gamma}/4 | -1/2, 0, 0)
 
     valid for any gamma > 0. min(b) = -1/2 pushes the pole-separation
-    condition to c > 1/2; any explicit config must respect that.
+    condition to c > 1/2.
 
     The result is a converged 0.0 without a contour integral where it
     underflows: at large x, where a bound on the magnitude of the product
@@ -218,7 +220,7 @@ def frechet_transform_frechet_half(gamma: Shape, x: float,
     if (log_front - _HALF_BOUND_C * log_z + _LOG_HALF_BOUND < _LOG_UNDERFLOW
             or log_z > _LOG_OVERFLOW - 2.0):
         return EvalResult(value=0.0, err_estimate=0.0, evaluations=0, converged=True)
-    res = meijer_g_m0(_HALF_SPEC, x ** (-g) / 4.0, cfg)
+    res = meijer_g_m0(_HALF_SPEC, x ** (-g) / 4.0)
     if log_front < _LOG_OVERFLOW - 1.0:
         front = g / (4.0 * math.sqrt(math.pi)) * x ** (-(1.0 + g))
 

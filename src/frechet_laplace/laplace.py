@@ -14,8 +14,7 @@ import numpy as np
 from .distributions import RationalShape, Shape
 from .errors import DomainError
 from .meijer import build_laplace_closed_form, meijer_g_m0
-from .mellin import ContourConfig
-from .numerics import EvalResult, QuadratureConfig, bessel_k1, integrate_semi_infinite
+from .numerics import EvalResult, bessel_k1, integrate_semi_infinite
 
 __all__ = [
     "Method",
@@ -50,10 +49,9 @@ class LaplaceQuery:
             raise DomainError(f"Laplace variable must be finite and positive, got {self.p}")
 
 
-def _meijer_path(shape: RationalShape, p: float,
-                 cfg: ContourConfig | None) -> EvalResult:
+def _meijer_path(shape: RationalShape, p: float) -> EvalResult:
     form = build_laplace_closed_form(shape)
-    res = meijer_g_m0(form.spec, form.argument(p), cfg)
+    res = meijer_g_m0(form.spec, form.argument(p))
     return EvalResult(value=form.prefactor * res.value,
                       err_estimate=form.prefactor * res.err_estimate,
                       evaluations=res.evaluations,
@@ -61,9 +59,7 @@ def _meijer_path(shape: RationalShape, p: float,
                       im_residue=form.prefactor * res.im_residue)
 
 
-def laplace_frechet(query: LaplaceQuery,
-                    contour_cfg: ContourConfig | None = None,
-                    quad_cfg: QuadratureConfig | None = None) -> EvalResult:
+def laplace_frechet(query: LaplaceQuery) -> EvalResult:
     """Evaluate L[Fr(l, k, x); p].
 
     MEIJER_G uses the closed form through the contour quadrature; QUADRATURE
@@ -73,20 +69,19 @@ def laplace_frechet(query: LaplaceQuery,
     """
     method = query.method
     if method is Method.QUADRATURE:
-        return laplace_frechet_oracle(query.shape.as_shape(), query.p, quad_cfg)
+        return laplace_frechet_oracle(query.shape.as_shape(), query.p)
     if method is Method.MEIJER_G:
-        return _meijer_path(query.shape, query.p, contour_cfg)
+        return _meijer_path(query.shape, query.p)
 
     if query.p < _AUTO_QUADRATURE_BELOW:
-        return laplace_frechet_oracle(query.shape.as_shape(), query.p, quad_cfg)
-    res = _meijer_path(query.shape, query.p, contour_cfg)
+        return laplace_frechet_oracle(query.shape.as_shape(), query.p)
+    res = _meijer_path(query.shape, query.p)
     if res.value <= _NOISE_FLOOR or not res.converged:
-        return laplace_frechet_oracle(query.shape.as_shape(), query.p, quad_cfg)
+        return laplace_frechet_oracle(query.shape.as_shape(), query.p)
     return res
 
 
-def laplace_frechet_oracle(shape: Shape, p: float,
-                           cfg: QuadratureConfig | None = None) -> EvalResult:
+def laplace_frechet_oracle(shape: Shape, p: float) -> EvalResult:
     """Direct quadrature of the Laplace transform for any real shape.
 
     The substitution u = x^{-gamma} turns the defining integral into
@@ -119,19 +114,18 @@ def laplace_frechet_oracle(shape: Shape, p: float,
             return np.exp(log_g + (g - 1.0) * log_w - np.exp(g * log_w) - p / w)
 
         saddle = (p / g) ** (1.0 / (1.0 + g))
-    return integrate_semi_infinite(integrand, 0.0, cfg, scale=max(saddle, 1.0))
+    return integrate_semi_infinite(integrand, 0.0, scale=max(saddle, 1.0))
 
 
-def laplace_symmetry_check(shape: RationalShape, p: float,
-                           cfg: ContourConfig | None = None) -> tuple[float, float]:
+def laplace_symmetry_check(shape: RationalShape, p: float) -> tuple[float, float]:
     """Both sides of the transmutation law
     L[Fr(l, k, x); p] = L[Fr(k, l, x); p^{l/k}], each assembled from its own
     Meijer parameter list. The caller asserts agreement."""
     if not p > 0:
         raise DomainError("laplace_symmetry_check requires p > 0")
-    lhs = _meijer_path(shape, p, cfg)
+    lhs = _meijer_path(shape, p)
     swapped = shape.swapped()
-    rhs = _meijer_path(swapped, p ** (shape.l / shape.k), cfg)
+    rhs = _meijer_path(swapped, p ** (shape.l / shape.k))
     return lhs.value, rhs.value
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .distributions import RationalShape
 from .errors import ContourError, DomainError
-from .mellin import ContourConfig, contour_integral, delta_list
+from .mellin import contour_integral, delta_list
 from .numerics import EvalResult, log_gamma
 
 __all__ = [
@@ -91,15 +91,15 @@ def _saddle_abscissa(spec: MeijerSpec, z: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def meijer_g_m0(spec: MeijerSpec, z: float, cfg: ContourConfig | None = None) -> EvalResult:
+def meijer_g_m0(spec: MeijerSpec, z: float, c: float | None = None) -> EvalResult:
     """G^{m,0}_{0,m}(z | b) = (1/2 pi i) int prod_j Gamma(b_j + s) z^{-s} ds
     along Re(s) = c with c > -min(b_j).
 
-    With no explicit config the contour is placed at the saddle abscissa,
-    which keeps full relative accuracy even where the function has decayed
-    far below the fixed-abscissa integrand peak. An explicit config pins the
-    abscissa exactly (Cauchy's theorem makes the result independent of any
-    valid choice, which the shift-invariance tests exercise).
+    With c = None the contour is placed at the saddle abscissa, which keeps
+    full relative accuracy even where the function has decayed far below the
+    fixed-abscissa integrand peak. An explicit abscissa pins the contour
+    exactly (Cauchy's theorem makes the result independent of any valid
+    choice, which the shift-invariance tests exercise).
 
     The integrand is one log_gamma call on the (runs x nodes) array n s + a,
     plus the multiplication formula's constant and linear term, in log space.
@@ -108,13 +108,11 @@ def meijer_g_m0(spec: MeijerSpec, z: float, cfg: ContourConfig | None = None) ->
     """
     if not 0 < z < math.inf:
         raise DomainError("meijer_g requires finite z > 0")
-    if cfg is None:
+    if c is None:
         c = _saddle_abscissa(spec, z)
-    else:
-        c = cfg.abscissa
-        if not c > -min(spec.b):
-            raise ContourError(
-                f"abscissa {c} does not separate poles: need c > {-min(spec.b)}")
+    elif not c > -min(spec.b):
+        raise ContourError(
+            f"abscissa {c} does not separate poles: need c > {-min(spec.b)}")
     n, a = np.hsplit(np.array(spec.groups, dtype=float), 2)
     const = float(np.sum(0.5 * (n - 1.0) * math.log(2.0 * math.pi) + (0.5 - a) * np.log(n)))
     slope = float(np.sum(n * np.log(n))) + math.log(z)

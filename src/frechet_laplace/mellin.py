@@ -22,7 +22,6 @@ from .errors import ContourError, DomainError, NonConvergence
 from .numerics import EvalResult, log_gamma
 
 __all__ = [
-    "ContourConfig",
     "MellinFunction",
     "frechet_mellin_image",
     "delta_list",
@@ -53,18 +52,6 @@ _IM_REL_BOUND = 1e-10
 
 
 @dataclass(frozen=True)
-class ContourConfig:
-    """Placement of the vertical integration contour.
-
-    abscissa is the real part c of the integration line; it must separate the
-    integrand poles (all poles of the Frechet-path integrands lie at
-    Re(s) <= 0, so any c > 0 works there and 0.5 is the balanced default).
-    """
-
-    abscissa: float = 0.5
-
-
-@dataclass(frozen=True)
 class MellinFunction:
     """A Mellin image s -> f*(s) together with its strip of validity.
 
@@ -78,7 +65,7 @@ class MellinFunction:
     def __post_init__(self):
         lo, hi = self.domain_strip
         if not lo < hi:
-            raise ValueError("domain strip must satisfy sigma_min < sigma_max")
+            raise DomainError("domain strip must satisfy sigma_min < sigma_max")
 
     def contains(self, sigma: float) -> bool:
         lo, hi = self.domain_strip
@@ -170,18 +157,19 @@ def contour_integral(integrand, c: float, pole_distance: float) -> EvalResult:
                       evaluations=probe.size + n_grid, converged=ok, im_residue=im)
 
 
-def laplace_via_mellin(mf: MellinFunction, p: float,
-                       cfg: ContourConfig | None = None) -> EvalResult:
+def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResult:
     """Laplace transform of f at p > 0 from its Mellin image, through
     L[f](p) = (1/2 pi i) * integral of p^{-s} f*(1-s) Gamma(s) ds on Re(s) = c.
 
-    Requires c > 0 with 1 - c inside the image strip. For p below 1e-6 the
+    Requires c > 0 with 1 - c inside the image strip. The Frechet images put
+    no pole of the integrand right of Re(s) = 0, so 0.5 is a balanced default;
+    by Cauchy's theorem any valid c gives the same value, which the
+    shift-invariance checks exercise. For p below 1e-6 the
     p^{-c} factor degrades the conditioning, so the p -> 0 limit f*(1) (the
     total integral of f) is returned instead whenever s = 1 lies in the strip.
     """
     if not 0 < p < math.inf:
         raise DomainError("laplace_via_mellin requires finite p > 0")
-    c = (cfg or ContourConfig()).abscissa
     if not c > 0:
         raise ContourError(f"contour abscissa must be positive, got {c}")
     if not mf.contains(1.0 - c):

@@ -16,26 +16,11 @@ import numpy as np
 from .errors import DomainError, PoleError
 
 __all__ = [
-    "QuadratureConfig",
     "EvalResult",
     "log_gamma",
     "integrate_semi_infinite",
     "bessel_k1",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances of the real-axis integrator: an absolute one (off by
-    default; the roundoff floor covers integrals that cancel to zero) and a
-    relative one."""
-
-    abs_tol: float = 0.0
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (self.abs_tol >= 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be nonnegative, rel_tol positive")
 
 
 @dataclass
@@ -138,10 +123,12 @@ _SIGNIFICANT = 1e-18
 _ROUNDOFF = 2e-16
 _PHI_ROUNDOFF = _ROUNDOFF * (1.0 + 0.5 * math.pi * np.abs(np.sinh(_T)))
 _TINY = 2.0 ** -1074
+# Relative agreement of S_h and S_2h that ends the refinement; the roundoff
+# floor covers integrals that cancel to zero.
+_REL_TOL = 1e-10
 
 
-def integrate_semi_infinite(f, lower: float, cfg: QuadratureConfig | None = None,
-                            scale: float = 1.0) -> EvalResult:
+def integrate_semi_infinite(f, lower: float, scale: float = 1.0) -> EvalResult:
     """Integrate f over (lower, infinity) by the exp-sinh trapezoid
     u = lower + scale exp((pi/2) sinh t); scale is where the mass sits.
 
@@ -150,17 +137,17 @@ def integrate_semi_infinite(f, lower: float, cfg: QuadratureConfig | None = None
     nonzero, finite and above 1e-18 of the largest, widened by one coarse
     step on each side. The window is then summed at step 1/32, and the step
     halved, reusing the old nodes, until |S_h - S_2h| is within
-    rel_tol |S_h|, abs_tol or the roundoff floor of the nodes; the error
+    1e-10 |S_h| or the roundoff floor of the nodes; the error
     estimate is the larger of the difference and that floor. A non-finite
     term inside the window makes the result converged=False; it is never
     counted as zero silently. Terms outside the window are dropped, and an f
     that is 0 on every coarse node gives a converged 0.0.
 
     Never raises on a tolerance miss: the result carries converged=False.
+    DomainError unless scale is finite and positive.
     """
-    cfg = cfg or QuadratureConfig()
     if not 0 < scale < math.inf:
-        raise ValueError("scale must be finite and positive")
+        raise DomainError("scale must be finite and positive")
 
     def terms(nodes: slice):
         # f du/dt / scale on a slice of the lattice, non-finite terms set to
@@ -211,7 +198,7 @@ def integrate_semi_infinite(f, lower: float, cfg: QuadratureConfig | None = None
             magnitude = h * size
             floor = (h * spread + edge
                      + _ROUNDOFF * abs(math.log(max(scale * magnitude, _TINY))) * magnitude)
-            tol = max(cfg.abs_tol / scale, cfg.rel_tol * abs(estimate), floor)
+            tol = max(_REL_TOL * abs(estimate), floor)
             if diff <= tol or level == _MAX_LEVELS:
                 break
             level += 1

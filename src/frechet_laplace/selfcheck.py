@@ -5,7 +5,6 @@ pass of every module's core invariant, sized to finish in well under a minute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,26 +17,17 @@ from .ftransform import (TransformTarget, frechet_transform_frechet_half,
 from .laplace import (LaplaceQuery, Method, laplace_frechet,
                       laplace_frechet_bessel, laplace_frechet_oracle,
                       laplace_symmetry_check)
-from .mellin import ContourConfig, frechet_mellin_image, laplace_via_mellin
+from .mellin import frechet_mellin_image, laplace_via_mellin
 from .meijer import MeijerSpec, meijer_g_m0
 from .numerics import bessel_k1, integrate_semi_infinite, log_gamma
 
-__all__ = ["Profile", "PROFILES", "list_checks", "run_checks"]
+__all__ = ["list_checks", "run_checks"]
+
+# Meijer path vs quadrature oracle, relative to max(1, |L|)
+_CROSS_PATH_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Profile:
-    name: str
-    cross_path_tol: float
-
-
-PROFILES = {
-    "default": Profile("default", 1e-8),
-    "strict": Profile("strict", 1e-9),
-}
-
-
-def _check_gamma_multiplication(profile):
+def _check_gamma_multiplication():
     rng = np.random.default_rng(7)
     worst = 0.0
     for n in (2, 3, 4):
@@ -50,14 +40,14 @@ def _check_gamma_multiplication(profile):
     return worst <= 1e-12, f"worst rel dev {worst:.2e}"
 
 
-def _check_gamma_recurrence(profile):
+def _check_gamma_recurrence():
     rng = np.random.default_rng(11)
     z = rng.uniform(0.1, 5.0, 100) + 1j * rng.uniform(-5.0, 5.0, 100)
     dev = np.abs(log_gamma(z + 1.0) - log_gamma(z) - np.log(z))
     return float(dev.max()) <= 1e-13, f"max |residual| {float(dev.max()):.2e}"
 
 
-def _check_pdf_normalization(profile):
+def _check_pdf_normalization():
     worst = 0.0
     for g in (1.0 / 3.0, 1.0, 2.0):
         pdf = np.vectorize(lambda u: frechet_pdf(Shape(g), u), otypes=[float])
@@ -66,7 +56,7 @@ def _check_pdf_normalization(profile):
     return worst <= 1e-10, f"worst |int pdf - 1| {worst:.2e}"
 
 
-def _check_cdf_quantile_roundtrip(profile):
+def _check_cdf_quantile_roundtrip():
     worst = 0.0
     for g in (0.5, 1.0, 3.0):
         for x in (0.3, 1.0, 5.0):
@@ -75,7 +65,7 @@ def _check_cdf_quantile_roundtrip(profile):
     return worst <= 1e-12, f"worst roundtrip rel dev {worst:.2e}"
 
 
-def _check_bessel_k1(profile):
+def _check_bessel_k1():
     zs = np.linspace(0.05, 50.0, 120)
     vals = [bessel_k1(z) for z in zs]
     monotone = all(a > b > 0 for a, b in zip(vals, vals[1:]))
@@ -83,7 +73,7 @@ def _check_bessel_k1(profile):
     return monotone and small <= 1e-3, f"z*K1(z)-1 at 1e-3: {small:.2e}"
 
 
-def _check_meijer_exponential(profile):
+def _check_meijer_exponential():
     spec = MeijerSpec([0.0])
     worst = 0.0
     for z in np.linspace(0.01, 20.0, 25):
@@ -92,7 +82,7 @@ def _check_meijer_exponential(profile):
     return worst <= 1e-10, f"worst rel dev from exp {worst:.2e}"
 
 
-def _check_bessel_case(profile):
+def _check_bessel_case():
     worst = 0.0
     for p in np.geomspace(0.05, 10.0, 12):
         a = laplace_frechet(LaplaceQuery(RationalShape(1, 1), float(p), Method.MEIJER_G)).value
@@ -101,18 +91,17 @@ def _check_bessel_case(profile):
     return worst <= 1e-9, f"worst rel dev {worst:.2e}"
 
 
-def _check_cross_path(profile):
-    tol = profile.cross_path_tol
+def _check_cross_path():
     worst = 0.0
     for (l, k) in ((1, 2), (2, 3), (3, 1), (3, 4)):
         for p in (0.1, 1.0, 5.0):
             a = laplace_frechet(LaplaceQuery(RationalShape(l, k), p, Method.MEIJER_G)).value
             b = laplace_frechet_oracle(Shape(l / k), p).value
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    return worst <= tol, f"worst dev {worst:.2e} (tol {tol:.0e})"
+    return worst <= _CROSS_PATH_TOL, f"worst dev {worst:.2e} (tol {_CROSS_PATH_TOL:.0e})"
 
 
-def _check_symmetry_law(profile):
+def _check_symmetry_law():
     worst = 0.0
     for (l, k) in ((1, 2), (2, 3), (3, 4)):
         for p in (0.5, 1.0, 2.0, 5.0):
@@ -121,16 +110,16 @@ def _check_symmetry_law(profile):
     return worst <= 1e-9, f"worst rel dev {worst:.2e}"
 
 
-def _check_contour_shift(profile):
+def _check_contour_shift():
     vals = []
     img = frechet_mellin_image(RationalShape(2, 3))
     for c in (0.3, 0.5, 1.0, 1.5):
-        vals.append(laplace_via_mellin(img, 1.0, ContourConfig(abscissa=c)).value)
+        vals.append(laplace_via_mellin(img, 1.0, c).value)
     spread = (max(vals) - min(vals)) / abs(vals[0])
     return spread <= 1e-9, f"relative spread {spread:.2e}"
 
 
-def _check_levy_laplace_pin(profile):
+def _check_levy_laplace_pin():
     pdf = np.vectorize(levy_pdf_half, otypes=[float])
     worst = 0.0
     for p in (0.5, 1.0, 4.0):
@@ -139,7 +128,7 @@ def _check_levy_laplace_pin(profile):
     return worst <= 1e-9, f"worst |dev from exp(-sqrt p)| {worst:.2e}"
 
 
-def _check_levy_transform(profile):
+def _check_levy_transform():
     target = TransformTarget(f=levy_pdf_half)
     worst = 0.0
     for g in (0.5, 1.0, 2.0):
@@ -150,7 +139,7 @@ def _check_levy_transform(profile):
     return worst <= 1e-8, f"worst |dev| {worst:.2e}"
 
 
-def _check_half_closed_form(profile):
+def _check_half_closed_form():
     target = TransformTarget(f=lambda u: frechet_pdf(Shape(0.5), u))
     worst = 0.0
     for g in (1.0 / 3.0, 1.0):
@@ -161,7 +150,7 @@ def _check_half_closed_form(profile):
     return worst <= 1e-6, f"worst |dev| {worst:.2e}"
 
 
-def _check_rescaled_asymptotic(profile):
+def _check_rescaled_asymptotic():
     worst = 0.0
     for (g, x) in ((1.0, 0.5), (1.0 / 3.0, 1.0), (2.0, 0.7)):
         lhs = levy_asymptotic_rescaled(Shape(g), x)
@@ -193,12 +182,11 @@ def list_checks() -> list[str]:
     return [name for name, _ in _CHECKS]
 
 
-def run_checks(profile_name: str = "default", report=print) -> bool:
+def run_checks(report=print) -> bool:
     """Run every check; report a PASS/FAIL line per check; True iff all pass."""
-    profile = PROFILES[profile_name]
     all_ok = True
     for name, fn in _CHECKS:
-        ok, detail = fn(profile)
+        ok, detail = fn()
         all_ok = all_ok and ok
         report(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
     return all_ok

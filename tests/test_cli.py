@@ -181,8 +181,3 @@ class TestSelfcheckCommand:
         code, out, _ = run(capsys, ["selfcheck"])
         assert code == 0
         assert "FAIL" not in out
-
-    def test_env_profile(self, capsys, monkeypatch):
-        monkeypatch.setenv("FRECHET_LAPLACE_PROFILE", "strict")
-        code, out, _ = run(capsys, ["selfcheck"])
-        assert code == 0

@@ -5,8 +5,9 @@ import pytest
 
 from frechet_laplace.distributions import (LevyIndex, RationalShape, Shape,
                                            find_maximum, frechet_cdf,
-                                           frechet_moment, frechet_pdf,
-                                           frechet_quantile, levy_asymptotic,
+                                           frechet_mode, frechet_moment,
+                                           frechet_pdf, frechet_quantile,
+                                           levy_asymptotic, levy_asymptotic_mode,
                                            levy_asymptotic_rescaled,
                                            levy_moment, levy_pdf_half)
 from frechet_laplace.errors import DivergentMoment, DomainError
@@ -265,3 +266,19 @@ class TestLevyAsymptoticRescaled:
     def test_domain(self):
         with pytest.raises(DomainError):
             levy_asymptotic_rescaled(Shape(1.0), -1.0)
+
+
+class TestClosedFormModes:
+    # fig4's two (alpha, gamma) pairs; golden-section search is the oracle.
+    # Near a flat peak the densities carry a few 1e-16 of evaluation noise,
+    # so the searched peak may read up to that much above the closed form's.
+    @pytest.mark.parametrize("alpha, g", [(0.5, 1.0), (0.25, 1.0 / 3.0)])
+    def test_peaks_match_golden_section(self, alpha, g):
+        for density, mode, x_init in (
+                (lambda t: levy_asymptotic(LevyIndex(alpha), t),
+                 levy_asymptotic_mode(LevyIndex(alpha)), 0.25),
+                (lambda u: frechet_pdf(Shape(g), u), frechet_mode(Shape(g)), 0.5)):
+            peak = density(mode)
+            x_star, searched = find_maximum(density, x_init=x_init)
+            assert abs(x_star - mode) <= 1e-7 * mode
+            assert abs(peak - searched) <= 1e-15 * peak

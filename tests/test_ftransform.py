@@ -155,6 +155,17 @@ class TestViaLaplacePath:
         b = frechet_transform_via_laplace(target, Shape(g), x)
         assert abs(a.value - b.value) <= 1e-6
 
+    @pytest.mark.parametrize("g", [1.0 / 3.0, 1.0, 3.0])
+    @pytest.mark.parametrize("x", [1e-60, 0.01, 0.5, 1.0, 10.0, 1e5])
+    def test_err_estimate_covers_difference_roundoff(self, g, x):
+        # d_h and d_2h can agree to the last bit while both carry the
+        # roundoff of L(u -+ h) amplified by u/h; the estimate must cover it
+        res = frechet_transform_via_laplace(
+            TransformTarget(laplace_of_f=lambda u: 1.0 / (1.0 + u)), Shape(g), x)
+        u = x ** -g
+        exact = (g / x) * u / (1.0 + u) / (1.0 + u)
+        assert abs(res.value - exact) <= res.err_estimate
+
     def test_missing_both_paths(self):
         with pytest.raises(MissingLaplace):
             frechet_transform_via_laplace(TransformTarget(), Shape(1.0), 1.0)
@@ -208,6 +219,13 @@ class TestViaLaplacePath:
         res = frechet_transform_via_laplace(EXP_TARGET, Shape(3.0), 1e-100)
         assert res.converged
         assert abs(res.value - exp_transform(3.0, 1e-100)) <= 1e-8 * 3e-200
+
+    def test_overflowing_quadrature_scale_is_domain_error(self):
+        # x^-gamma = 1e-310 is subnormal, so u passes; the quadrature that
+        # builds L[f] would be centred at x^gamma = 1e310, which is no float
+        with pytest.raises(DomainError):
+            frechet_transform_via_laplace(TransformTarget(f=lambda t: math.exp(-t)),
+                                          Shape(2.0), 1e155)
 
     def test_infinite_x_rejected(self):
         # the derivative at u = 0 would read as a converged 0.0

@@ -9,7 +9,7 @@ from frechet_laplace.laplace import (LaplaceQuery, Method, laplace_frechet,
                                      laplace_frechet_bessel,
                                      laplace_frechet_oracle,
                                      laplace_symmetry_check)
-from frechet_laplace.meijer import build_laplace_closed_form
+from frechet_laplace.meijer import build_laplace_closed_form, meijer_g_m0
 
 TWO_K1_OF_2 = 0.27973176363304486  # 2 K1(2), from the series oracle
 
@@ -69,12 +69,12 @@ class TestLaplaceFrechet:
         assert abs(res.value - TWO_K1_OF_2) <= 1e-10
 
     def test_explicit_contour_config(self):
-        from frechet_laplace.mellin import ContourConfig
-        res = laplace_frechet(LaplaceQuery(RationalShape(1, 2), 1.0, Method.MEIJER_G),
-                              contour_cfg=ContourConfig(abscissa=0.8))
+        form = build_laplace_closed_form(RationalShape(1, 2))
+        res = meijer_g_m0(form.spec, form.argument(1.0), c=0.8)
+        value = form.prefactor * res.value
         oracle = laplace_frechet_oracle(Shape(0.5), 1.0)
-        assert abs(res.value - oracle.value) <= 1e-8 * abs(oracle.value)
-        assert res.im_residue <= 1e-10 * abs(res.value)
+        assert abs(value - oracle.value) <= 1e-8 * abs(oracle.value)
+        assert form.prefactor * res.im_residue <= 1e-10 * abs(value)
 
     def test_query_validation(self):
         with pytest.raises(DomainError):

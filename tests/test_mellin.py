@@ -8,8 +8,7 @@ import pytest
 from frechet_laplace.distributions import RationalShape, Shape, frechet_pdf
 from frechet_laplace.errors import ContourError, DomainError, NonConvergence, PoleError
 from frechet_laplace.laplace import laplace_frechet_oracle
-from frechet_laplace.mellin import (ContourConfig, MellinFunction,
-                                    contour_integral, delta_list,
+from frechet_laplace.mellin import (MellinFunction, contour_integral, delta_list,
                                     frechet_mellin_image, laplace_via_mellin)
 from frechet_laplace.numerics import integrate_semi_infinite, log_gamma
 
@@ -103,7 +102,7 @@ class TestLaplaceViaMellin:
 
     def test_contour_shift_invariance(self):
         img = frechet_mellin_image(RationalShape(2, 3))
-        values = [laplace_via_mellin(img, 1.0, ContourConfig(abscissa=c)).value
+        values = [laplace_via_mellin(img, 1.0, c).value
                   for c in (0.3, 0.5, 1.0, 1.5)]
         for a in values:
             for b in values:
@@ -121,12 +120,12 @@ class TestLaplaceViaMellin:
 
     def test_abscissa_must_be_positive(self):
         with pytest.raises(ContourError):
-            laplace_via_mellin(exp_mellin_image(), 1.0, ContourConfig(abscissa=-0.2))
+            laplace_via_mellin(exp_mellin_image(), 1.0, -0.2)
 
     def test_abscissa_must_respect_strip(self):
         # exp image strip is (0, inf): need 1 - c > 0
         with pytest.raises(ContourError):
-            laplace_via_mellin(exp_mellin_image(), 1.0, ContourConfig(abscissa=1.5))
+            laplace_via_mellin(exp_mellin_image(), 1.0, 1.5)
 
     def test_p_domain(self):
         with pytest.raises(DomainError):
@@ -135,7 +134,7 @@ class TestLaplaceViaMellin:
             laplace_via_mellin(exp_mellin_image(), math.inf)
 
     def test_strip_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             MellinFunction(f_star=lambda s: s, domain_strip=(2.0, 1.0))
 
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from frechet_laplace.errors import DomainError, PoleError
-from frechet_laplace.numerics import (QuadratureConfig, bessel_k1,
-                                      integrate_semi_infinite, log_gamma)
+from frechet_laplace.numerics import bessel_k1, integrate_semi_infinite, log_gamma
 
 # Ascending-series oracle for K1, independent of both the quadrature and the
 # contour machinery:
@@ -149,14 +148,14 @@ class TestIntegrateSemiInfinite:
         assert res.value == 0.0
 
     def test_converged_respects_tolerance_contract(self):
-        cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10)
-        res = integrate_semi_infinite(lambda x: np.exp(-x), 0.0, cfg)
+        res = integrate_semi_infinite(lambda x: np.exp(-x), 0.0)
         if res.converged:
-            assert res.err_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+            assert res.err_estimate <= 1e-10 * abs(res.value)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=-1.0)
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_scale_validation(self, scale):
+        with pytest.raises(DomainError):
+            integrate_semi_infinite(lambda x: np.exp(-x), 0.0, scale=scale)
 
 
 class TestBesselK1:

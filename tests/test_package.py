@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +22,16 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_trace_targets_resolve():
+    # the benchmark's --trace 1 rebinds these functions by name; a rename or
+    # deletion in the library must fail here rather than in the benchmark
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unresolved = [(mod, fn) for mod, fn, _, _ in tracing.TARGETS
+                  if not callable(getattr(importlib.import_module(f"frechet_laplace.{mod}"),
+                                          fn, None))]
+    assert tracing.TARGETS and unresolved == []
