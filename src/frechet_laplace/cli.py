@@ -18,8 +18,7 @@ from .distributions import (LevyIndex, RationalShape, Shape, frechet_mode,
                             frechet_moment, frechet_pdf, levy_asymptotic,
                             levy_asymptotic_mode, levy_asymptotic_rescaled,
                             levy_moment)
-from .errors import (DivergentMoment, DomainError, FrechetLaplaceError,
-                     NonConvergence)
+from .errors import DivergentMoment, DomainError, FrechetLaplaceError
 from .ftransform import frechet_transform_frechet_half, frechet_transform_levy
 from .laplace import LaplaceQuery, Method, laplace_frechet
 
@@ -150,27 +149,20 @@ def _cmd_moment(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f"valid moment orders: -inf < mu < {bound}", file=sys.stderr)
         return 1
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     print(_fmt(value))
     return 0
 
 
 def _cmd_transform(args) -> int:
-    try:
-        if args.kind == "levy":
-            value = frechet_transform_levy(LevyIndex(args.alpha),
-                                           Shape(args.gamma), args.x)
-            print(_fmt(value))
-        else:
-            res = frechet_transform_frechet_half(Shape(args.gamma), args.x)
-            print(_fmt(res.value))
-            if not res.converged:
-                return 2
-    except (DomainError, NonConvergence) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.kind == "levy":
+        value = frechet_transform_levy(LevyIndex(args.alpha),
+                                       Shape(args.gamma), args.x)
+        print(_fmt(value))
+    else:
+        res = frechet_transform_frechet_half(Shape(args.gamma), args.x)
+        print(_fmt(res.value))
+        if not res.converged:
+            return 2
     return 0
 
 

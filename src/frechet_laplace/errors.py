@@ -26,4 +26,4 @@ class ContourError(FrechetLaplaceError):
 
 
 class MissingLaplace(FrechetLaplaceError):
-    """Neither a closed-form Laplace transform nor an integrable function was supplied."""
+    """The transform target lacks the input the chosen route needs."""

@@ -121,16 +121,15 @@ def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape,
                                   x: float) -> EvalResult:
     """Transform through the derivative identity
     bar_f(gamma, x) = -gamma x^{-(1+gamma)} dL[f]/du at u = x^{-gamma},
-    with a central difference for the derivative.
+    with a central difference of the target's closed-form Laplace transform.
 
-    Uses the closed-form Laplace transform when the target carries one,
-    otherwise builds L[f] by quadrature. Two difference widths (h and 2h)
-    give a Richardson-style error estimate; h stays below u/4, so that no
-    difference point reaches u <= 0. With a closed form the result is
-    converged only while that estimate is within sqrt(eps) of |d_h|; the
+    Two difference widths (h and 2h) give a Richardson-style error estimate;
+    h stays below u/4, so that no difference point reaches u <= 0. The result
+    is converged only while that estimate is within sqrt(eps) of |d_h|; the
     error estimate adds d_h's roundoff, eps (|L(u+h)| + |L(u-h)|) u/(2h).
-    DomainError where x^{-gamma} overflows or underflows, or, for a quadrature
-    L[f], where its scale x^gamma overflows.
+    DomainError where x^{-gamma} overflows or underflows; MissingLaplace for
+    a target without laplace_of_f, whose transform frechet_transform_quadrature
+    takes from f directly.
     """
     if not 0 < x < math.inf:
         raise DomainError("transform argument x must be finite and positive")
@@ -138,25 +137,10 @@ def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape,
     u = _power(x, -g)
     if u == 0.0:
         raise DomainError(f"x^-gamma underflows binary64 at x = {x}")
-
-    evaluations = 0
-    converged = True
-    quad_err = 0.0
-    if target.laplace_of_f is not None:
-        laplace = target.laplace_of_f
-    elif target.f is not None:
-        f = _on_nodes(target.f)
-
-        def laplace(v):
-            nonlocal evaluations, converged, quad_err
-            res = integrate_semi_infinite(lambda t: np.exp(-v * t) * f(t), 0.0,
-                                          scale=_power(x, g))
-            evaluations += res.evaluations
-            converged = converged and res.converged
-            quad_err = max(quad_err, res.err_estimate)
-            return res.value
-    else:
-        raise MissingLaplace("target provides neither f nor its Laplace transform")
+    laplace = target.laplace_of_f
+    if laplace is None:
+        raise MissingLaplace("the Laplace-derivative transform needs laplace_of_f; "
+                             "use frechet_transform_quadrature for a target with only f")
 
     # bar_f = -(gamma / x) u L'(u): u L'(u) comes from differences scaled by
     # u / h (at most 1e6), so no factor overflows or underflows on its own
@@ -166,13 +150,12 @@ def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape,
     d_h = (above - below) * (0.5 * w)
     d_2h = (laplace(u + 2.0 * h) - laplace(u - 2.0 * h)) * (0.25 * w)
     richardson = abs(d_h - d_2h) / 3.0
-    if target.laplace_of_f is not None:
-        converged = richardson <= _DIFF_REL_TOL * abs(d_h)
+    converged = richardson <= _DIFF_REL_TOL * abs(d_h)
     roundoff = sys.float_info.epsilon * (abs(above) + abs(below)) * (0.5 * w)
     rate = g / x
     return EvalResult(value=-rate * d_h,
-                      err_estimate=rate * (richardson + w * quad_err + roundoff),
-                      evaluations=evaluations + 4, converged=converged)
+                      err_estimate=rate * (richardson + roundoff),
+                      evaluations=4, converged=converged)
 
 
 def frechet_transform_levy(alpha: LevyIndex, gamma: Shape, x: float) -> float:

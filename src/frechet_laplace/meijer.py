@@ -110,9 +110,9 @@ def meijer_g_m0(spec: MeijerSpec, z: float, c: float | None = None) -> EvalResul
         raise DomainError("meijer_g requires finite z > 0")
     if c is None:
         c = _saddle_abscissa(spec, z)
-    elif not c > -min(spec.b):
+    elif not -min(spec.b) < c < math.inf:
         raise ContourError(
-            f"abscissa {c} does not separate poles: need c > {-min(spec.b)}")
+            f"abscissa {c} does not separate poles: need {-min(spec.b)} < c < inf")
     n, a = np.hsplit(np.array(spec.groups, dtype=float), 2)
     const = float(np.sum(0.5 * (n - 1.0) * math.log(2.0 * math.pi) + (0.5 - a) * np.log(n)))
     slope = float(np.sum(n * np.log(n))) + math.log(z)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import RationalShape
 from .errors import ContourError, DomainError, NonConvergence
-from .numerics import EvalResult, log_gamma
+from .numerics import _REL_TOL, _ROUNDOFF, EvalResult, log_gamma
 
 __all__ = [
     "MellinFunction",
@@ -31,14 +31,12 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_SMALL_P_GUARD = 1e-6
-# Trapezoid controls: the window ladder tau = 1.25^j (up to 3.85e3), the
-# edge-to-centre ratio that ends the window, the agreement of S_h and S_2h
-# that counts as converged, and a node's relative roundoff per unit of |log|.
+# Trapezoid controls: the window ladder tau = 1.25^j (up to 3.85e3) and the
+# edge-to-centre ratio that ends the window. The agreement of S_h and S_2h
+# that counts as converged (_REL_TOL) and a node's relative roundoff per unit
+# of |log| (_ROUNDOFF) are the quadrature's own.
 _LADDER = 1.25 ** np.arange(38)
 _TRUNCATION_TOL = 1e-16
-_TARGET_REL_TOL = 1e-10
-_ROUNDOFF = 2e-16
 # K in the step h = pi a / (K + log R). If the strip edges carry at most R times
 # the integral M of |F| on the line, the trapezoid error is below 2 R M /
 # (exp(2 pi a / h) - 1) (Trefethen & Weideman, SIAM Rev. 56 (2014), Thm 5.1):
@@ -92,7 +90,7 @@ def frechet_mellin_image(shape: RationalShape) -> MellinFunction:
 
 
 def mellin_barnes_integral(values_fn, step: float,
-                           half_width: float) -> tuple[complex, float, int, bool, float]:
+                           half_width: float) -> tuple[complex, float, int, bool]:
     """Trapezoidal evaluation of (1/2 pi) * integral of F(c + i tau) d tau
     over the real line, in one pass over the nodes tau = k * step,
     |tau| <= half_width (rounded up to an even count a side, so every other
@@ -101,10 +99,10 @@ def mellin_barnes_integral(values_fn, step: float,
     Each integrand here is exp(E) of a log-space sum E = log|F| + i (phase
     unwound from the centre node), so a node carries a roundoff of about
     _ROUNDOFF (1 + |E|) |F|; their sum is the noise floor. The value is
-    converged when |S_h - S_2h| is below the floor or _TARGET_REL_TOL of it;
+    converged when |S_h - S_2h| is below the floor or _REL_TOL of it;
     the error estimate is the larger of the two (the difference can read 0).
 
-    Returns (value, err_estimate, evaluations, converged, peak_magnitude).
+    Returns (value, err_estimate, evaluations, converged).
     """
     n_half = 2 * math.ceil(half_width / (2.0 * step))
     vals = values_fn((np.arange(2 * n_half + 1) - n_half) * step)
@@ -115,9 +113,9 @@ def mellin_barnes_integral(values_fn, step: float,
     exponent = np.abs(np.log(np.maximum(magnitudes, _UNDERFLOW_PEAK))
                       + 1j * (phase - phase[n_half]))
     noise_floor = _ROUNDOFF * step * float(np.sum(magnitudes * (1.0 + exponent)))
-    converged = diff <= max(_TARGET_REL_TOL * abs(estimate), noise_floor)
+    converged = diff <= max(_REL_TOL * abs(estimate), noise_floor)
     return (estimate / _TWO_PI, max(diff, noise_floor) / _TWO_PI, vals.size,
-            bool(converged), float(magnitudes.max()))
+            bool(converged))
 
 
 def contour_integral(integrand, c: float, pole_distance: float) -> EvalResult:
@@ -148,7 +146,7 @@ def contour_integral(integrand, c: float, pole_distance: float) -> EvalResult:
     if decayed.size == 0:
         raise NonConvergence(f"contour integrand not decayed at |tau| = {_LADDER[-1]:.4g}")
     step = math.pi * a / (_STRIP_BUDGET + math.log(max(probe[1], probe[2], centre) / centre))
-    raw, err, n_grid, ok, _ = mellin_barnes_integral(
+    raw, err, n_grid, ok = mellin_barnes_integral(
         lambda tau: integrand(c + 1j * tau), step, _LADDER[decayed[0]])
     im = abs(raw.imag)
     if im > _IM_REL_BOUND * max(abs(raw.real), 1e-300):
@@ -164,9 +162,9 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
     Requires c > 0 with 1 - c inside the image strip. The Frechet images put
     no pole of the integrand right of Re(s) = 0, so 0.5 is a balanced default;
     by Cauchy's theorem any valid c gives the same value, which the
-    shift-invariance checks exercise. For p below 1e-6 the
-    p^{-c} factor degrades the conditioning, so the p -> 0 limit f*(1) (the
-    total integral of f) is returned instead whenever s = 1 lies in the strip.
+    shift-invariance checks exercise. Every p is integrated; as p -> 0 the
+    accuracy falls, and where the sum misses its tolerance (gamma = 1/10 at
+    p = 1e-12, every Frechet image at p = 1e-30) it carries converged=False.
     """
     if not 0 < p < math.inf:
         raise DomainError("laplace_via_mellin requires finite p > 0")
@@ -175,11 +173,6 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
     if not mf.contains(1.0 - c):
         raise ContourError(
             f"1 - c = {1.0 - c} falls outside the image strip {mf.domain_strip}")
-
-    if p < _SMALL_P_GUARD and mf.contains(1.0):
-        limit = complex(np.asarray(mf.f_star(np.array([1.0 + 0.0j]))).ravel()[0])
-        return EvalResult(value=limit.real, err_estimate=abs(limit.imag),
-                          evaluations=1, converged=True, im_residue=abs(limit.imag))
 
     log_p = math.log(p)
 

@@ -119,7 +119,8 @@ _SIGNIFICANT = 1e-18
 # exponents it carries: phi in u and its weight, and, for an integrand
 # evaluated as exp of a log-space sum, that sum, for which the log of the
 # integral's magnitude stands in. The subnormal spacing bounds the absolute
-# rounding of any value of f.
+# rounding of any value of f. The contour trapezoid in mellin uses the same
+# _ROUNDOFF and _REL_TOL.
 _ROUNDOFF = 2e-16
 _PHI_ROUNDOFF = _ROUNDOFF * (1.0 + 0.5 * math.pi * np.abs(np.sinh(_T)))
 _TINY = 2.0 ** -1074
@@ -144,8 +145,10 @@ def integrate_semi_infinite(f, lower: float, scale: float = 1.0) -> EvalResult:
     that is 0 on every coarse node gives a converged 0.0.
 
     Never raises on a tolerance miss: the result carries converged=False.
-    DomainError unless scale is finite and positive.
+    DomainError unless lower is finite and scale finite and positive.
     """
+    if not math.isfinite(lower):
+        raise DomainError("lower limit must be finite")
     if not 0 < scale < math.inf:
         raise DomainError("scale must be finite and positive")
 

@@ -168,6 +168,16 @@ class TestTransformCommand:
         assert code == 0
         assert math.isclose(float(out), 0.15004596450516383, rel_tol=1e-8)
 
+    @pytest.mark.parametrize("argv", [
+        ["levy", "--alpha", "1.5", "--gamma", "1", "--x", "1"],
+        ["frechet-half", "--gamma", "1", "--x", "-1"],
+    ])
+    def test_domain_error_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, ["transform"] + argv)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
 
 class TestSelfcheckCommand:
     def test_list(self, capsys):

@@ -52,6 +52,8 @@ class TestMeijerGm0:
     def test_abscissa_validation(self):
         with pytest.raises(ContourError):
             meijer_g_m0(MeijerSpec([-0.5, 0.0, 0.0]), 1.0, 0.4)
+        with pytest.raises(ContourError):
+            meijer_g_m0(MeijerSpec([0.0]), 1.0, c=math.inf)
 
     def test_argument_domain(self):
         with pytest.raises(DomainError):

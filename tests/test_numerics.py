@@ -157,6 +157,11 @@ class TestIntegrateSemiInfinite:
         with pytest.raises(DomainError):
             integrate_semi_infinite(lambda x: np.exp(-x), 0.0, scale=scale)
 
+    @pytest.mark.parametrize("lower", [math.nan, math.inf, -math.inf])
+    def test_lower_validation(self, lower):
+        with pytest.raises(DomainError):
+            integrate_semi_infinite(lambda x: np.exp(-x), lower)
+
 
 class TestBesselK1:
     def test_small_argument_limit(self):
