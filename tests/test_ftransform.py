@@ -134,7 +134,7 @@ class TestViaLaplacePath:
         res = frechet_transform_via_laplace(target, Shape(1.0), 1.0)
         assert abs(res.value - 0.25) <= 1e-8
 
-    def test_function_without_closed_form_is_missing_laplace(self):
+    def test_exponential_without_closed_form(self):
         # an f-only target belongs to frechet_transform_quadrature
         with pytest.raises(MissingLaplace, match="frechet_transform_quadrature"):
             frechet_transform_via_laplace(TransformTarget(f=lambda t: math.exp(-t)),
