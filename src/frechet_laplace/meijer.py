@@ -60,7 +60,7 @@ class MeijerSpec:
         return sum(n for n, _ in self.groups)
 
 
-def _saddle_abscissa(spec: MeijerSpec, z: float) -> float:
+def _saddle_abscissa(spec: MeijerSpec, z: float, b_min: float) -> float:
     """Abscissa minimizing the integrand magnitude on the real axis.
 
     On the real axis the integrand is exp(phi(c)) with, one term per run,
@@ -68,15 +68,15 @@ def _saddle_abscissa(spec: MeijerSpec, z: float) -> float:
     convex in c; placing the contour at its minimum keeps the alternating
     contour sum on the scale of the result, which is what bounds the
     roundoff for very large or very small z. A quarter-unit margin keeps the
-    pole at -min(b_j) far enough from the line that the trapezoid step stays
-    moderate, and every n_g c + a_g at least 1/4.
+    pole at -b_min = -min(b_j) far enough from the line that the trapezoid
+    step stays moderate, and every n_g c + a_g at least 1/4.
 
     Bisection on phi'(c) finds it to 1e-2 (relative above c = 1), in plain
     floats: psi is a central difference of math.lgamma, good to about 1e-9.
     """
     log_z = math.log(z)
     slope = sum(n * math.log(n) for n, _ in spec.groups) + log_z
-    lo = -min(spec.b) + 0.25
+    lo = -b_min + 0.25
     hi = max(lo + 3.0, 2.0 * math.exp(max(log_z, 0.0) / spec.m))
     while hi - lo > 1e-2 * max(1.0, lo):
         mid = 0.5 * (lo + hi)
@@ -103,24 +103,38 @@ def meijer_g_m0(spec: MeijerSpec, z: float, c: float | None = None) -> EvalResul
 
     The integrand is one log_gamma call on the (runs x nodes) array n s + a,
     plus the multiplication formula's constant and linear term, in log space.
+    Its parameters are real, so F(conj s) = conj F(s); every step of it
+    (n s + a, log_gamma, the sum over runs, s * slope, exp) keeps that
+    symmetry bit for bit. The contour grid c + i tau, tau = j h with
+    |j| <= N, is its own conjugate reversed, so F is evaluated on the upper
+    half only and the lower half is its mirror: the same values, at half the
+    log_gamma work. Any other node array (the probe) is evaluated directly.
     Large z drives the whole integrand under the binary64 floor, where
     contour_integral reports a converged zero.
     """
     if not 0 < z < math.inf:
         raise DomainError("meijer_g requires finite z > 0")
+    b_min = min(spec.b)
     if c is None:
-        c = _saddle_abscissa(spec, z)
-    elif not -min(spec.b) < c < math.inf:
+        c = _saddle_abscissa(spec, z, b_min)
+    elif not -b_min < c < math.inf:
         raise ContourError(
-            f"abscissa {c} does not separate poles: need {-min(spec.b)} < c < inf")
-    n, a = np.hsplit(np.array(spec.groups, dtype=float), 2)
+            f"abscissa {c} does not separate poles: need {-b_min} < c < inf")
+    groups = np.array(spec.groups, dtype=float)
+    n, a = groups[:, :1], groups[:, 1:]
     const = float(np.sum(0.5 * (n - 1.0) * math.log(2.0 * math.pi) + (0.5 - a) * np.log(n)))
     slope = float(np.sum(n * np.log(n))) + math.log(z)
 
-    def integrand(s):
+    def values(s):
         return np.exp(log_gamma(n * s + a).sum(axis=0) + const - s * slope)
 
-    return contour_integral(integrand, c, c + min(spec.b))
+    def integrand(s):
+        if s.size % 2 and np.array_equal(s[::-1], s.conj()):
+            upper = values(s[s.size // 2:])
+            return np.concatenate((upper[:0:-1].conj(), upper))
+        return values(s)
+
+    return contour_integral(integrand, c, c + b_min)
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,12 @@ def _log_gamma_array(z: np.ndarray) -> np.ndarray:
         shift[low] -= np.log(zz[low])
         zz[low] += 1.0
     series = np.full_like(zz, _LANCZOS_C[0])
+    zm1 = zz - 1.0
+    term = np.empty_like(zz)
     for k in range(1, len(_LANCZOS_C)):
-        series += _LANCZOS_C[k] / (zz - 1.0 + k)
+        np.add(zm1, k, out=term)
+        np.divide(_LANCZOS_C[k], term, out=term)
+        series += term
     w = zz + (_LANCZOS_G - 0.5)
     return _HALF_LOG_2PI + (zz - 0.5) * np.log(w) - w + np.log(series) + shift
 

@@ -131,6 +131,66 @@ class TestGaussCollapse:
         assert all(shape[0] == 2 for shape in calls)
 
 
+def _integrand_and_abscissa(monkeypatch, spec, z):
+    # the integrand meijer_g_m0 hands to the contour engine, and its abscissa
+    captured = []
+    monkeypatch.setattr(meijer, "contour_integral",
+                        lambda integrand, c, pole_distance: captured.append((integrand, c)))
+    meijer_g_m0(spec, z)
+    return captured[0]
+
+
+def _count_log_gamma(monkeypatch):
+    shapes, original = [], meijer.log_gamma
+
+    def counting(s):
+        shapes.append(np.shape(s))
+        return original(s)
+
+    monkeypatch.setattr(meijer, "log_gamma", counting)
+    return shapes
+
+
+# The contour grid c + i tau, tau = j h with |j| <= N, is its own conjugate
+# reversed, so the integrand evaluates the upper half and mirrors it. That
+# must give the very values of a direct evaluation, bit for bit.
+class TestConjugateMirror:
+    @pytest.mark.parametrize("l,k,p", [(1, 1, 1.0), (3, 4, 0.1), (30, 1, 20.0),
+                                       (13, 11, 1.0)])
+    def test_symmetric_grid_equals_halves(self, l, k, p, monkeypatch):
+        form = build_laplace_closed_form(RationalShape(l, k))
+        integrand, c = _integrand_and_abscissa(monkeypatch, form.spec, form.argument(p))
+        tau = (np.arange(401) - 200) * 0.37
+        mirrored = integrand(c + 1j * tau)
+        # neither half is its own conjugate reversed: both take the direct path
+        lower, upper = integrand(c + 1j * tau[:200]), integrand(c + 1j * tau[200:])
+        assert mirrored.tobytes() == np.concatenate((lower, upper)).tobytes()
+
+    def test_other_node_arrays_take_the_direct_path(self, monkeypatch):
+        form = build_laplace_closed_form(RationalShape(1, 1))
+        integrand, c = _integrand_and_abscissa(monkeypatch, form.spec, form.argument(1.0))
+        shapes = _count_log_gamma(monkeypatch)
+        a = 0.9
+        probe = c + np.concatenate(([0.0, -a, a], 1j * 1.25 ** np.arange(38)))
+        even = c + 1j * (np.arange(10) - 4.5)
+        skewed = c + 1j * (np.arange(11) - 5.0)
+        skewed[0] += 1e-9
+        for s in (probe, even, skewed):
+            integrand(s)
+        assert shapes == [(2, 41), (2, 10), (2, 11)]
+
+    def test_grid_evaluates_upper_half_only(self, monkeypatch):
+        # (1, 1) at p = 1 takes 41 probe nodes and a 377-node grid, as it did
+        # before the mirror; log_gamma now sees the probe and n_half + 1 nodes
+        shapes = _count_log_gamma(monkeypatch)
+        form = build_laplace_closed_form(RationalShape(1, 1))
+        res = meijer_g_m0(form.spec, form.argument(1.0))
+        assert res.converged and res.value == pytest.approx(TWO_K1_OF_2, rel=1e-15)
+        assert res.evaluations == 418
+        n_half = (res.evaluations - 41 - 1) // 2
+        assert shapes == [(2, 41), (2, n_half + 1)]
+
+
 class TestBuildLaplaceClosedForm:
     def test_unit_shape(self):
         form = build_laplace_closed_form(RationalShape(1, 1))

@@ -84,6 +84,19 @@ class TestLogGamma:
         for z in [-2.3 + 1.0j, -0.4 - 2.2j, -7.6 + 0.3j]:
             assert abs(log_gamma(z + 1) - log_gamma(z) - np.log(complex(z))) < 1e-12
 
+    def test_conjugate_symmetry_is_bitwise(self):
+        # The Meijer integrand evaluates the upper half of its contour grid
+        # and mirrors it; that is exact only while log Gamma(conj z) equals
+        # conj log Gamma(z) bit for bit, on the (runs x nodes) arrays it gets,
+        # left of Re z = 1/2 (the shift loop) and far up the line.
+        rng = np.random.default_rng(20261018)
+        shape = (3, 500)
+        re = rng.uniform(-30.0, 40.0, shape)
+        im = 10.0 ** rng.uniform(-3.0, 3.0, shape) * rng.choice([-1.0, 1.0], shape)
+        z = re + 1j * im
+        assert (z.real < 0.5).any() and np.abs(z.imag).max() > 900.0
+        assert np.array_equal(log_gamma(z.conj()), log_gamma(z).conj())
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, -3.0, -17.0])
     def test_pole_rejected(self, bad):
         with pytest.raises(PoleError):
