@@ -191,8 +191,8 @@ def frechet_transform_frechet_half(gamma: Shape, x: float) -> EvalResult:
     The result is a converged 0.0 without a contour integral where it
     underflows: at large x, where a bound on the magnitude of the product
     lies below binary64 underflow, and at small x, where z overflows and G
-    decays like exp(-3 z^{1/3}). Where only the prefactor overflows, the
-    product is formed in log space.
+    decays like exp(-3 z^{1/3}). Where the prefactor alone overflows or
+    underflows, the product is formed in log space.
     """
     if not 0 < x < math.inf:
         raise DomainError("transform argument x must be finite and positive")
@@ -204,7 +204,7 @@ def frechet_transform_frechet_half(gamma: Shape, x: float) -> EvalResult:
             or log_z > _LOG_OVERFLOW - 2.0):
         return EvalResult(value=0.0, err_estimate=0.0, evaluations=0, converged=True)
     res = meijer_g_m0(_HALF_SPEC, x ** (-g) / 4.0)
-    if log_front < _LOG_OVERFLOW - 1.0:
+    if abs(log_front) < _LOG_OVERFLOW - 1.0:
         front = g / (4.0 * math.sqrt(math.pi)) * x ** (-(1.0 + g))
 
         def times_front(v):

@@ -14,7 +14,7 @@ import numpy as np
 from .distributions import RationalShape, Shape
 from .errors import DomainError
 from .meijer import build_laplace_closed_form, meijer_g_m0
-from .numerics import EvalResult, bessel_k1, integrate_semi_infinite
+from .numerics import _REL_TOL, EvalResult, bessel_k1, integrate_semi_infinite
 
 __all__ = [
     "Method",
@@ -64,8 +64,10 @@ def laplace_frechet(query: LaplaceQuery) -> EvalResult:
 
     MEIJER_G uses the closed form through the contour quadrature; QUADRATURE
     uses the direct oracle; AUTO picks the closed form for p >= 1e-6, falls
-    back to the oracle below that (where the contour conditioning degrades)
-    and whenever the closed-form value drowns in the contour noise floor.
+    back to the oracle below that (where the contour conditioning degrades),
+    whenever the closed-form value drowns in the contour noise floor, and
+    whenever its error estimate exceeds the quadrature's relative tolerance
+    1e-10 of it.
     """
     method = query.method
     if method is Method.QUADRATURE:
@@ -76,7 +78,8 @@ def laplace_frechet(query: LaplaceQuery) -> EvalResult:
     if query.p < _AUTO_QUADRATURE_BELOW:
         return laplace_frechet_oracle(query.shape.as_shape(), query.p)
     res = _meijer_path(query.shape, query.p)
-    if res.value <= _NOISE_FLOOR or not res.converged:
+    if (res.value <= _NOISE_FLOOR or not res.converged
+            or res.err_estimate > _REL_TOL * abs(res.value)):
         return laplace_frechet_oracle(query.shape.as_shape(), query.p)
     return res
 

@@ -8,7 +8,8 @@ into one gamma factor:
 prod_{j<n} Gamma(s + (a+j)/n) = (2 pi)^{(n-1)/2} n^{1/2-a-ns} Gamma(ns + a).
 The Frechet lists Delta(k,1) + Delta(l,0) hold 0 and 1, so their poles are
 double from s = -1 down; the simple ones in (-1, 0] would allow a residue
-shift, but the vertical contour here stays right of every pole.
+shift, but the contour here leaves every pole on its left: a parabola that
+opens to the left from its vertex c > -min(b_j).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _saddle_abscissa(spec: MeijerSpec, z: float, b_min: float) -> float:
     convex in c; placing the contour at its minimum keeps the alternating
     contour sum on the scale of the result, which is what bounds the
     roundoff for very large or very small z. A quarter-unit margin keeps the
-    pole at -b_min = -min(b_j) far enough from the line that the trapezoid
+    pole at -b_min = -min(b_j) far enough from the vertex that the trapezoid
     step stays moderate, and every n_g c + a_g at least 1/4.
 
     Bisection on phi'(c) finds it to 1e-2 (relative above c = 1), in plain
@@ -93,24 +94,28 @@ def _saddle_abscissa(spec: MeijerSpec, z: float, b_min: float) -> float:
 
 def meijer_g_m0(spec: MeijerSpec, z: float, c: float | None = None) -> EvalResult:
     """G^{m,0}_{0,m}(z | b) = (1/2 pi i) int prod_j Gamma(b_j + s) z^{-s} ds
-    along Re(s) = c with c > -min(b_j).
+    along contour_integral's parabola s(u) = c - mu u^2 + i u, which opens to
+    the left from its vertex c > -min(b_j) and so leaves every pole on its
+    left; the gamma factors decay super-exponentially along it.
 
-    With c = None the contour is placed at the saddle abscissa, which keeps
+    With c = None the vertex is placed at the saddle abscissa, which keeps
     full relative accuracy even where the function has decayed far below the
-    fixed-abscissa integrand peak. An explicit abscissa pins the contour
+    fixed-abscissa integrand peak. An explicit abscissa pins the vertex
     exactly (Cauchy's theorem makes the result independent of any valid
     choice, which the shift-invariance tests exercise).
 
     The integrand is one log_gamma call on the (runs x nodes) array n s + a,
     plus the multiplication formula's constant and linear term, in log space.
-    Its parameters are real, so F(conj s) = conj F(s); every step of it
-    (n s + a, log_gamma, the sum over runs, s * slope, exp) keeps that
-    symmetry bit for bit. The contour grid c + i tau, tau = j h with
-    |j| <= N, is its own conjugate reversed, so F is evaluated on the upper
-    half only and the lower half is its mirror: the same values, at half the
-    log_gamma work. Any other node array (the probe) is evaluated directly.
-    Large z drives the whole integrand under the binary64 floor, where
-    contour_integral reports a converged zero.
+    Its real-axis log-magnitude, from which the engine sets step and window,
+    is the same sum in plain floats (math.lgamma), with no log_gamma call.
+    The parameters are real, so F(conj s) = conj F(s); every step of the
+    integrand (n s + a, log_gamma, the sum over runs, s * slope, exp) keeps
+    that symmetry bit for bit. The contour grid s(u), u = j h with |j| <= N,
+    is its own conjugate reversed, so F is evaluated on the upper half only
+    and the lower half is its mirror: the same values, at half the log_gamma
+    work. Any other node array (the nodes a window extension adds) is
+    evaluated directly. Large z drives the whole integrand under the binary64
+    floor, where contour_integral reports a converged zero.
     """
     if not 0 < z < math.inf:
         raise DomainError("meijer_g requires finite z > 0")
@@ -134,7 +139,11 @@ def meijer_g_m0(spec: MeijerSpec, z: float, c: float | None = None) -> EvalResul
             return np.concatenate((upper[:0:-1].conj(), upper))
         return values(s)
 
-    return contour_integral(integrand, c, c + b_min)
+    def log_abs_real(x):
+        return np.array([sum(math.lgamma(rn * v + ra) for rn, ra in spec.groups)
+                         + const - v * slope for v in x.tolist()])
+
+    return contour_integral(integrand, log_abs_real, c, (c + b_min, math.inf))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 """Mellin-transform layer: the closed-form Mellin image of the Frechet law,
 the Delta parameter-list builder, and a generic Laplace-from-Mellin operator
-realized by numerical integration along a vertical contour.
+realized by numerical Mellin-Barnes integration.
 
-The one contour engine is contour_integral: every vertical-contour integral
-of the library (the Meijer G functions and laplace_via_mellin) goes through
-it. It is a truncated trapezoidal rule on the line Re(s) = c, evaluated in
-one pass (mellin_barnes_integral) with its step and window fixed in advance
-from the integrand's strip of analyticity and its decay up the line.
+The one contour engine is contour_integral: every Mellin-Barnes integral of
+the library (the Meijer G functions and laplace_via_mellin) goes through it.
+It is a truncated trapezoidal rule on the left-opening parabola
+s(u) = c - mu u^2 + i u, which leaves the poles on the real axis to its left
+and reaches where the gamma factors decay super-exponentially. Its step and
+window are fixed in advance from plain-float values of log|F| on the real
+axis (the strip of analyticity and the curvature at the vertex), so the
+integrand is evaluated in one pass (mellin_barnes_integral), extended only
+where the edge terms have not decayed.
 """
 
 from __future__ import annotations
@@ -31,18 +35,35 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# Trapezoid controls: the window ladder tau = 1.25^j (up to 3.85e3) and the
-# edge-to-centre ratio that ends the window. The agreement of S_h and S_2h
-# that counts as converged (_REL_TOL) and a node's relative roundoff per unit
-# of |log| (_ROUNDOFF) are the quadrature's own.
-_LADDER = 1.25 ** np.arange(38)
+# Trapezoid controls. The agreement of S_h and S_2h that counts as converged
+# (_REL_TOL) and a node's relative roundoff per unit of |log| (_ROUNDOFF) are
+# the quadrature's own.
+# The window ends where a term is below _TRUNCATION_TOL of the centre term.
 _TRUNCATION_TOL = 1e-16
+# Near the vertex |F(s(u))| ~ |F(c)| exp(-phi''(c) u^2 / 2), phi = log|F| on
+# the real axis; that Gaussian falls to _TRUNCATION_TOL at
+# sqrt(2 log(1/_TRUNCATION_TOL) / phi''), and the window is _WINDOW_MARGIN
+# times that. An edge term above the tolerance doubles the window, up to
+# |u| = _WINDOW_LIMIT.
+_WINDOW_MARGIN = 1.6
+_WINDOW_LIMIT = 3.85e3
 # K in the step h = pi a / (K + log R). If the strip edges carry at most R times
-# the integral M of |F| on the line, the trapezoid error is below 2 R M /
+# the integral M of |F| on the path, the trapezoid error is below 2 R M /
 # (exp(2 pi a / h) - 1) (Trefethen & Weideman, SIAM Rev. 56 (2014), Thm 5.1):
 # 2 exp(-K) M for S_2h, which this K puts at _ROUNDOFF * M, and less for S_h.
 _STRIP_BUDGET = math.log(2.0 / _ROUNDOFF)
-# An integrand below this at the abscissa has underflowed along the whole line.
+# The strip half-width a is the best, by that h, of min(0.9 v, 1) 2^j for
+# j < _WIDTHS, where v is where the path first meets a pole (see
+# contour_integral), and a <= max(1, c). A wider strip pays where c is large
+# and the integrand is smooth on the scale sqrt(c); the cap keeps 1 - 2 mu a
+# >= 0.2, past which the image of a strip edge runs close along the poles and
+# R, read on the real axis, would understate it.
+_WIDTHS = 7
+# The parabola's curvature is mu = _MU_SCALE / max(1, c). Along it z^{-s}
+# grows like exp(mu u^2 log z); the saddle c grows with log z, so the 1/c
+# keeps that growth bounded, where a fixed mu loses 1e-8 to 1e-6 at p = 20.
+_MU_SCALE = 0.4
+# An integrand below this at the vertex has underflowed along the whole path.
 _UNDERFLOW_PEAK = 1e-300
 # Largest imaginary part, relative to the real part, that still counts as
 # roundoff of a real integral.
@@ -91,14 +112,18 @@ def frechet_mellin_image(shape: RationalShape) -> MellinFunction:
 
 def mellin_barnes_integral(values_fn, step: float,
                            half_width: float) -> tuple[complex, float, int, bool]:
-    """Trapezoidal evaluation of (1/2 pi) * integral of F(c + i tau) d tau
-    over the real line, in one pass over the nodes tau = k * step,
-    |tau| <= half_width (rounded up to an even count a side, so every other
-    node forms the grid of the coarse sum S_2h).
+    """Trapezoidal evaluation of (1/2 pi) * integral of G(u) du over the real
+    line, on the nodes u = k * step, |u| <= half_width (rounded up to an even
+    count a side, so every other node forms the grid of the coarse sum S_2h).
 
-    Each integrand here is exp(E) of a log-space sum E = log|F| + i (phase
+    values_fn maps an ndarray of u to G(u). While an edge term exceeds
+    _TRUNCATION_TOL of the centre term the window doubles, and only the
+    added nodes are evaluated; a term that is not finite, or a window past
+    |u| = _WINDOW_LIMIT, raises NonConvergence.
+
+    Each integrand here is exp(E) of a log-space sum E = log|G| + i (phase
     unwound from the centre node), so a node carries a roundoff of about
-    _ROUNDOFF (1 + |E|) |F|; their sum is the noise floor. The value is
+    _ROUNDOFF (1 + |E|) |G|; their sum is the noise floor. The value is
     converged when |S_h - S_2h| is below the floor or _REL_TOL of it;
     the error estimate is the larger of the two (the difference can read 0).
 
@@ -106,6 +131,18 @@ def mellin_barnes_integral(values_fn, step: float,
     """
     n_half = 2 * math.ceil(half_width / (2.0 * step))
     vals = values_fn((np.arange(2 * n_half + 1) - n_half) * step)
+    while True:
+        if not np.isfinite(vals).all():
+            raise NonConvergence(
+                f"contour integrand not finite within |u| <= {n_half * step:.4g}")
+        if max(abs(vals[0]), abs(vals[-1])) <= _TRUNCATION_TOL * abs(vals[n_half]):
+            break
+        if n_half * step >= _WINDOW_LIMIT:
+            raise NonConvergence(f"contour integrand not decayed at |u| = {n_half * step:.4g}")
+        added = np.arange(n_half + 1, 2 * n_half + 1)
+        new = values_fn(np.concatenate((-added[::-1], added)) * step)
+        vals = np.concatenate((new[:n_half], vals, new[n_half:]))
+        n_half *= 2
     magnitudes = np.abs(vals)
     estimate = step * complex(np.sum(vals))
     diff = abs(estimate - 2.0 * step * complex(np.sum(vals[0::2])))
@@ -118,49 +155,85 @@ def mellin_barnes_integral(values_fn, step: float,
             bool(converged))
 
 
-def contour_integral(integrand, c: float, pole_distance: float) -> EvalResult:
-    """(1/2 pi i) * integral of integrand(s) ds along the line s = c + i tau.
+def contour_integral(integrand, log_abs_real, c: float,
+                     poles: tuple[float, float]) -> EvalResult:
+    """(1/2 pi i) * integral of integrand(s) ds along the parabola
+    s(u) = c - mu u^2 + i u, u real, which opens to the left.
 
-    integrand maps a complex ndarray of points to values F, is analytic
-    within pole_distance of the line (math.inf if entire) and satisfies
-    F(conj s) = conj F(s), so the integral is real and |F| even in tau.
+    integrand maps a complex ndarray of points to values F, with F(conj s) =
+    conj F(s), so the integral is real. Its singularities lie on the real
+    axis, the nearest at distances poles = (left, right) from c (math.inf
+    for none). log_abs_real maps a float ndarray of real points between them
+    to log|F|.
 
-    One probe call fixes the trapezoid: F at s = c and at the strip edges
-    c -+ a, a = min(0.9 pole_distance, 1), give R = max |F(c -+ a)| / |F(c)|
-    and the step pi a / (K + log R) (see _STRIP_BUDGET); the window is the
-    first rung of _LADDER up the line where |F| <= _TRUNCATION_TOL |F(c)|.
+    With no singularity right of c, F is taken to decay super-exponentially
+    to the left, as products of Gamma(n s + a) do, and mu = _MU_SCALE /
+    max(1, c) (Weideman & Trefethen, Math. Comp. 76 (2007) 1341). Otherwise
+    F need not decay there (Gamma(s) Gamma(1 - s) does not), and mu = 0: the
+    vertical line. The trapezoid sums F(s(u)) (1 + 2 i mu u) = F s'(u) / i at
+    u = j h. Step and window come from one log_abs_real call, before any
+    complex evaluation:
+    - strip: the path at u = i v meets the real axis at c + mu v^2 - v, so a
+      pole at distance d on the left at v = 2d / (1 + sqrt(1 - 4 mu d)), or
+      1 / (2 mu) if 4 mu d >= 1 (on the line, v = d).
+    - step: u = +-i a maps to the real points c -+ a + mu a^2, whose
+      |F s'/i| over |F(c)| gives R, and h = pi a / (K + log R), the
+      largest over the candidate widths a (see _WIDTHS).
+    - window: see _WINDOW_MARGIN, with phi'' a central second difference.
 
-    |F(c)| below 1e-300 is a converged zero: the transforms evaluated here
-    decay super-algebraically there. The imaginary part of the sum is
-    roundoff, checked against the real part and then discarded.
+    |F(c)| below 1e-300 is a converged zero without any complex evaluation:
+    the transforms evaluated here decay super-algebraically there. The
+    imaginary part of the sum is roundoff, checked against the real part
+    and then discarded.
     """
-    a = min(0.9 * pole_distance, 1.0)
-    probe = np.abs(integrand(c + np.concatenate(([0.0, -a, a], 1j * _LADDER))))
-    if not np.isfinite(probe).all():
-        raise NonConvergence(f"contour integrand not finite on the probe at c = {c}")
-    centre = probe[0]
-    if centre < _UNDERFLOW_PEAK:
-        return EvalResult(value=0.0, err_estimate=0.0, evaluations=probe.size,
-                          converged=True)
-    decayed = np.flatnonzero(probe[3:] <= _TRUNCATION_TOL * centre)
-    if decayed.size == 0:
-        raise NonConvergence(f"contour integrand not decayed at |tau| = {_LADDER[-1]:.4g}")
-    step = math.pi * a / (_STRIP_BUDGET + math.log(max(probe[1], probe[2], centre) / centre))
-    raw, err, n_grid, ok = mellin_barnes_integral(
-        lambda tau: integrand(c + 1j * tau), step, _LADDER[decayed[0]])
+    left, right = poles
+    if right < math.inf:
+        mu, reach = 0.0, min(left, right)
+    else:
+        mu = _MU_SCALE / max(1.0, c)
+        if 4.0 * mu * left < 1.0:
+            reach = 2.0 * left / (1.0 + math.sqrt(1.0 - 4.0 * mu * left))
+        else:
+            reach = 0.5 / mu
+    widths = [min(0.9 * reach, 1.0)]
+    while len(widths) < _WIDTHS and 2.0 * widths[-1] <= min(0.9 * reach, max(1.0, c)):
+        widths.append(2.0 * widths[-1])
+    eps = 0.1 * widths[0]
+    phi = log_abs_real(np.array([c, c - eps, c + eps] + [c - w + mu * w * w for w in widths]
+                                + [c + w + mu * w * w for w in widths])).tolist()
+    if not all(v < math.inf for v in phi):
+        raise NonConvergence(f"contour integrand not finite on the real axis near c = {c}")
+    centre = phi[0]
+    if centre < math.log(_UNDERFLOW_PEAK):
+        return EvalResult(value=0.0, err_estimate=0.0, evaluations=0, converged=True)
+    n_w = len(widths)
+    step = max(math.pi * w / (_STRIP_BUDGET - centre + max(
+        centre, phi_l + math.log(1.0 - 2.0 * mu * w), phi_r + math.log1p(2.0 * mu * w)))
+        for w, phi_l, phi_r in zip(widths, phi[3:3 + n_w], phi[3 + n_w:]))
+    phi2 = (phi[1] - 2.0 * centre + phi[2]) / (eps * eps)
+    window = (_WINDOW_MARGIN * math.sqrt(-2.0 * math.log(_TRUNCATION_TOL) / phi2)
+              if phi2 > 0.0 else widths[0])
+
+    def path_values(u):
+        return integrand(c - mu * u * u + 1j * u) * (1.0 + 2j * mu * u)
+
+    raw, err, n_grid, ok = mellin_barnes_integral(path_values, step, window)
     im = abs(raw.imag)
     if im > _IM_REL_BOUND * max(abs(raw.real), 1e-300):
         ok = False
-    return EvalResult(value=raw.real, err_estimate=err,
-                      evaluations=probe.size + n_grid, converged=ok, im_residue=im)
+    return EvalResult(value=raw.real, err_estimate=err, evaluations=n_grid,
+                      converged=ok, im_residue=im)
 
 
 def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResult:
     """Laplace transform of f at p > 0 from its Mellin image, through
-    L[f](p) = (1/2 pi i) * integral of p^{-s} f*(1-s) Gamma(s) ds on Re(s) = c.
+    L[f](p) = (1/2 pi i) * integral of p^{-s} f*(1-s) Gamma(s) ds along a
+    path through c that separates the poles left and right of it.
 
     Requires c > 0 with 1 - c inside the image strip. The Frechet images put
-    no pole of the integrand right of Re(s) = 0, so 0.5 is a balanced default;
+    no pole of the integrand right of Re(s) = 0, so 0.5 is a balanced default
+    and the path is contour_integral's parabola; an image whose strip is
+    bounded on the left (a pole of f*(1 - s) right of c) takes the line.
     by Cauchy's theorem any valid c gives the same value, which the
     shift-invariance checks exercise. Every p is integrated; as p -> 0 the
     accuracy falls, and where the sum misses its tolerance (gamma = 1/10 at
@@ -179,6 +252,12 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
     def integrand(s):
         return np.asarray(mf.f_star(1.0 - s)) * np.exp(log_gamma(s) - s * log_p)
 
-    # nearest poles: Gamma(s) at 0, f*(1 - s) at 1 - sigma_max and 1 - sigma_min
+    def log_abs_real(x):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(integrand(x + 0j)))
+
+    # nearest poles: Gamma(s) at 0 and f*(1 - s) at 1 - sigma_max on the
+    # left, f*(1 - s) at 1 - sigma_min on the right
     lo, hi = mf.domain_strip
-    return contour_integral(integrand, c, min(c - max(0.0, 1.0 - hi), 1.0 - lo - c))
+    return contour_integral(integrand, log_abs_real, c,
+                            (c - max(0.0, 1.0 - hi), 1.0 - lo - c))

@@ -35,9 +35,9 @@ class EvalResult:
 
 
 # Lanczos rational approximation (g = 607/128, 15 terms). Accurate to a few
-# ulp for Re(z) >= 1/2; arguments left of that line are raised by the exact
-# recurrence log Gamma(z) = log Gamma(z+1) - Log(z), which preserves the
-# principal branch on the plane cut along the negative real axis.
+# ulp for Re(z) >= 1/2; arguments left of that line take the reflection
+# formula log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z), whose
+# last term is the Lanczos sum at 1 - z.
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_C = np.array([
     0.99999999999999709182,
@@ -57,17 +57,27 @@ _LANCZOS_C = np.array([
     0.36899182659531622704e-5,
 ])
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
+
+
+def _log_sin_pi(t: np.ndarray) -> np.ndarray:
+    """log sin(pi t) for Im t >= 0, as -i pi t + log((e^{2 pi i t} - 1) / 2i):
+    |e^{2 pi i t}| <= 1 there, so nothing overflows, and the logarithm's
+    argument stays in the closed upper half-plane, off the cut of log.
+    e^{2 pi i t} - 1 is formed from t less its nearest integer as
+    expm1(x) cos y - 2 sin^2(y / 2) + i e^x sin y, x + iy = 2 pi i (t - n),
+    which keeps full relative accuracy next to the poles."""
+    x = -2.0 * math.pi * t.imag
+    y = 2.0 * math.pi * (t.real - np.round(t.real))
+    half = np.sin(0.5 * y)
+    re = np.expm1(x) * np.cos(y) - 2.0 * half * half
+    im = np.exp(x) * np.sin(y)
+    return -1j * math.pi * t + np.log(0.5 * im - 0.5j * re)
 
 
 def _log_gamma_array(z: np.ndarray) -> np.ndarray:
-    zz = z.astype(complex, copy=True)
-    shift = np.zeros_like(zz)
-    while True:
-        low = zz.real < 0.5
-        if not low.any():
-            break
-        shift[low] -= np.log(zz[low])
-        zz[low] += 1.0
+    low = z.real < 0.5
+    zz = np.where(low, 1.0 - z, z)
     series = np.full_like(zz, _LANCZOS_C[0])
     zm1 = zz - 1.0
     term = np.empty_like(zz)
@@ -76,7 +86,16 @@ def _log_gamma_array(z: np.ndarray) -> np.ndarray:
         np.divide(_LANCZOS_C[k], term, out=term)
         series += term
     w = zz + (_LANCZOS_G - 0.5)
-    return _HALF_LOG_2PI + (zz - 0.5) * np.log(w) - w + np.log(series) + shift
+    out = _HALF_LOG_2PI + (zz - 0.5) * np.log(w) - w + np.log(series)
+    if low.any():
+        # lower half-plane (signed zero included) by conjugation, so that
+        # log Gamma(conj z) = conj log Gamma(z) bit for bit
+        t = z[low]
+        lower = np.signbit(t.imag)
+        upper_t = np.where(lower, t.conj(), t)
+        reflected = _LOG_PI - _log_sin_pi(upper_t)
+        out[low] = np.where(lower, reflected.conj(), reflected) - out[low]
+    return out
 
 
 def log_gamma(s):
@@ -92,7 +111,7 @@ def log_gamma(s):
     on_pole = (arr.imag == 0.0) & (arr.real <= 0.0) & (arr.real == np.floor(arr.real))
     if on_pole.any():
         raise PoleError(f"log_gamma pole at nonpositive integer {arr[on_pole].flat[0]}")
-    out = _log_gamma_array(arr)
+    out = _log_gamma_array(arr.ravel()).reshape(arr.shape)
     if np.isscalar(s) or arr.ndim == 0:
         return complex(out)
     return out

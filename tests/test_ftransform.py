@@ -292,6 +292,15 @@ class TestHalfClosedForm:
         assert res.converged
         assert res.value == 0.0
 
+    @pytest.mark.parametrize("x", [1e170, 1e200, 1e230])
+    def test_underflowing_prefactor_keeps_error_estimate(self, x):
+        # x^{-2} underflows binary64 there, while G at z = 1/(4x) is huge
+        # contour noise; the product, formed in log space, must carry an
+        # err_estimate that covers its distance from the value, about
+        # Gamma(3/2) x^{-3/2}
+        res = frechet_transform_frechet_half(Shape(1.0), x)
+        assert abs(res.value - math.gamma(1.5) * x ** -1.5) <= res.err_estimate
+
     @pytest.mark.parametrize("x", [1e-300, 1e-160])
     def test_small_x_does_not_overflow(self, x):
         # x^{-(1+gamma)} overflows binary64 there, while G underflows

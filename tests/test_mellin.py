@@ -150,28 +150,45 @@ class TestLaplaceViaMellin:
 
 
 class TestContourIntegral:
-    # On s = c + i tau, exp((s - c)^2) = exp(-tau^2), whose integral over
-    # d tau / (2 pi) is 1 / (2 sqrt(pi)).
-    C = 0.7
+    # Gamma(s) X^{-s} has its poles at 0, -1, ..., left of Re s = C, and its
+    # contour integral is exp(-X).
+    C, X = 0.7, 1.3
+    POLES = (C, math.inf)
 
-    def test_real_gaussian(self):
-        res = contour_integral(lambda s: np.exp((s - self.C) ** 2), self.C, math.inf)
-        assert abs(res.value - 0.5 / math.sqrt(math.pi)) <= 1e-13
+    def gamma_power(self, s):
+        return np.exp(log_gamma(s) - s * math.log(self.X))
+
+    def log_abs_gamma_power(self, x):
+        return np.array([math.lgamma(v) - v * math.log(self.X) for v in x])
+
+    def test_real_value(self):
+        res = contour_integral(self.gamma_power, self.log_abs_gamma_power, self.C, self.POLES)
+        assert abs(res.value - math.exp(-self.X)) <= 1e-13
         assert res.converged
         assert res.im_residue <= 1e-15
 
     def test_imaginary_integral_not_converged(self):
-        res = contour_integral(lambda s: 1j * np.exp((s - self.C) ** 2), self.C, math.inf)
+        res = contour_integral(lambda s: 1j * self.gamma_power(s), self.log_abs_gamma_power,
+                               self.C, self.POLES)
         assert not res.converged
-        assert res.im_residue == pytest.approx(0.5 / math.sqrt(math.pi), rel=1e-13)
+        assert res.im_residue == pytest.approx(math.exp(-self.X), rel=1e-13)
 
     def test_underflow_is_converged_zero(self):
-        res = contour_integral(lambda s: 1e-305 * np.exp((s - self.C) ** 2), self.C, math.inf)
+        res = contour_integral(lambda s: 1e-305 * self.gamma_power(s),
+                               lambda x: self.log_abs_gamma_power(x) + math.log(1e-305),
+                               self.C, self.POLES)
         assert res.value == 0.0
         assert res.err_estimate == 0.0
         assert res.converged
 
     def test_nonfinite_integrand_raises(self):
-        with pytest.raises(NonConvergence):
-            contour_integral(lambda s: np.full(np.shape(s), np.inf, dtype=complex),
-                             self.C, math.inf)
+        def infinite(s):
+            return np.full(np.shape(s), np.inf, dtype=complex)
+
+        # not finite on the real axis, where step and window are set
+        with pytest.raises(NonConvergence, match="not finite"):
+            contour_integral(infinite, lambda x: np.full(np.shape(x), np.inf), self.C, self.POLES)
+        # finite there, but not on the path
+        with pytest.raises(NonConvergence, match="not finite"):
+            contour_integral(lambda s: np.full(np.shape(s), np.nan, dtype=complex),
+                             self.log_abs_gamma_power, self.C, self.POLES)

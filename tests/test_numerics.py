@@ -88,7 +88,7 @@ class TestLogGamma:
         # The Meijer integrand evaluates the upper half of its contour grid
         # and mirrors it; that is exact only while log Gamma(conj z) equals
         # conj log Gamma(z) bit for bit, on the (runs x nodes) arrays it gets,
-        # left of Re z = 1/2 (the shift loop) and far up the line.
+        # left of Re z = 1/2 (the reflection formula) and far up the line.
         rng = np.random.default_rng(20261018)
         shape = (3, 500)
         re = rng.uniform(-30.0, 40.0, shape)
@@ -96,6 +96,43 @@ class TestLogGamma:
         z = re + 1j * im
         assert (z.real < 0.5).any() and np.abs(z.imag).max() > 900.0
         assert np.array_equal(log_gamma(z.conj()), log_gamma(z).conj())
+
+    @staticmethod
+    def _left_half_plane_sample():
+        # Re z in [-400, 1/2] with |Im z| in [1e-6, 1e3], the negative real
+        # axis, and points within 1e-4 of the poles down to -300, either side
+        # of the axis: the reflection formula's domain
+        rng = np.random.default_rng(20261019)
+        n = 600
+        off_axis = (rng.uniform(-400.0, 0.5, n)
+                    + 1j * 10.0 ** rng.uniform(-6.0, 3.0, n) * rng.choice([-1.0, 1.0], n))
+        on_axis = rng.uniform(-400.0, 0.5, 200) + 0j
+        poles = -rng.integers(0, 301, 300).astype(float)
+        near = (poles + 10.0 ** rng.uniform(-12.0, -4.0, 300) * rng.choice([-1.0, 1.0], 300)
+                + 1j * rng.choice([0.0, 1e-9, -1e-6], 300))
+        return np.concatenate((off_axis, on_axis, near))
+
+    def test_reflection_matches_mpmath_principal_branch(self):
+        # the principal branch itself, not just log Gamma mod 2 pi i; on the
+        # negative real axis both take the limit from above
+        mpmath = pytest.importorskip("mpmath")
+        z = self._left_half_plane_sample()
+        got = log_gamma(z)
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.loggamma(mpmath.mpc(v.real, v.imag))) for v in z])
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+
+    def test_reflection_conjugate_symmetry_is_bitwise(self):
+        z = self._left_half_plane_sample()
+        z = z[z.imag != 0.0]
+        assert np.array_equal(log_gamma(z.conj()), log_gamma(z).conj())
+
+    def test_far_left_argument(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = -1e4 + 0.5j
+        with mpmath.workdps(30):
+            ref = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+        assert abs(log_gamma(z) - ref) <= 1e-15 * abs(ref)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, -3.0, -17.0])
     def test_pole_rejected(self, bad):
