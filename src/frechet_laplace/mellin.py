@@ -16,6 +16,7 @@ where the edge terms have not decayed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -52,12 +53,10 @@ _WINDOW_LIMIT = 3.85e3
 # (exp(2 pi a / h) - 1) (Trefethen & Weideman, SIAM Rev. 56 (2014), Thm 5.1):
 # 2 exp(-K) M for S_2h, which this K puts at _ROUNDOFF * M, and less for S_h.
 _STRIP_BUDGET = math.log(2.0 / _ROUNDOFF)
-# The strip half-width a is the best, by that h, of min(0.9 v, 1) 2^j for
-# j < _WIDTHS, where v is where the path first meets a pole (see
-# contour_integral), and a <= max(1, c). A wider strip pays where c is large
-# and the integrand is smooth on the scale sqrt(c); the cap keeps 1 - 2 mu a
-# >= 0.2, past which the image of a strip edge runs close along the poles and
-# R, read on the real axis, would understate it.
+# The strip half-width a is the best, by that h, of min(0.9 v, 1) 2^j <=
+# 0.9 v for j < _WIDTHS, where v is where the path first meets a pole (see
+# contour_integral). A wider strip pays where c is large and the integrand is
+# smooth on the scale sqrt(c).
 _WIDTHS = 7
 # The parabola's curvature is mu = _MU_SCALE / max(1, c). Along it z^{-s}
 # grows like exp(mu u^2 log z); the saddle c grows with log z, so the 1/c
@@ -68,6 +67,9 @@ _UNDERFLOW_PEAK = 1e-300
 # Largest imaginary part, relative to the real part, that still counts as
 # roundoff of a real integral.
 _IM_REL_BOUND = 1e-10
+# Largest noise floor, relative to the value, that still counts as converged:
+# past it cancellation between the nodes has taken more than half the digits.
+_NOISE_REL_BOUND = math.sqrt(sys.float_info.epsilon)
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,9 @@ def mellin_barnes_integral(values_fn, step: float,
     Each integrand here is exp(E) of a log-space sum E = log|G| + i (phase
     unwound from the centre node), so a node carries a roundoff of about
     _ROUNDOFF (1 + |E|) |G|; their sum is the noise floor. The value is
-    converged when |S_h - S_2h| is below the floor or _REL_TOL of it;
-    the error estimate is the larger of the two (the difference can read 0).
+    converged when |S_h - S_2h| is below the floor or _REL_TOL of it, and
+    the floor is below _NOISE_REL_BOUND of it; the error estimate is the
+    larger of the difference and the floor (the difference can read 0).
 
     Returns (value, err_estimate, evaluations, converged).
     """
@@ -150,7 +153,8 @@ def mellin_barnes_integral(values_fn, step: float,
     exponent = np.abs(np.log(np.maximum(magnitudes, _UNDERFLOW_PEAK))
                       + 1j * (phase - phase[n_half]))
     noise_floor = _ROUNDOFF * step * float(np.sum(magnitudes * (1.0 + exponent)))
-    converged = diff <= max(_REL_TOL * abs(estimate), noise_floor)
+    converged = (diff <= max(_REL_TOL * abs(estimate), noise_floor)
+                 and noise_floor <= _NOISE_REL_BOUND * abs(estimate))
     return (estimate / _TWO_PI, max(diff, noise_floor) / _TWO_PI, vals.size,
             bool(converged))
 
@@ -196,7 +200,7 @@ def contour_integral(integrand, log_abs_real, c: float,
         else:
             reach = 0.5 / mu
     widths = [min(0.9 * reach, 1.0)]
-    while len(widths) < _WIDTHS and 2.0 * widths[-1] <= min(0.9 * reach, max(1.0, c)):
+    while len(widths) < _WIDTHS and 2.0 * widths[-1] <= 0.9 * reach:
         widths.append(2.0 * widths[-1])
     eps = 0.1 * widths[0]
     phi = log_abs_real(np.array([c, c - eps, c + eps] + [c - w + mu * w * w for w in widths]

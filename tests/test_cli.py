@@ -168,6 +168,12 @@ class TestTransformCommand:
         assert code == 0
         assert math.isclose(float(out), 0.15004596450516383, rel_tol=1e-8)
 
+    def test_frechet_half_contour_noise_exits_2(self, capsys):
+        # the value there, about 8.9e-301, drowns in contour noise
+        code, _, _ = run(capsys, ["transform", "frechet-half", "--gamma", "1",
+                                  "--x", "1e200"])
+        assert code == 2
+
     @pytest.mark.parametrize("argv", [
         ["levy", "--alpha", "1.5", "--gamma", "1", "--x", "1"],
         ["frechet-half", "--gamma", "1", "--x", "-1"],

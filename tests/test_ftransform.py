@@ -301,6 +301,20 @@ class TestHalfClosedForm:
         res = frechet_transform_frechet_half(Shape(1.0), x)
         assert abs(res.value - math.gamma(1.5) * x ** -1.5) <= res.err_estimate
 
+    @pytest.mark.parametrize("x", [1e10, 1e50, 1e200])
+    def test_large_x_is_accurate_or_unconverged(self, x):
+        # at large x the saddle sits next to the pole of Gamma(s - 1/2) and
+        # the contour sum cancels: a value whose noise floor exceeds sqrt(eps)
+        # of it must not claim convergence (at 1e50 it is 6.5e-4 off, at 1e200
+        # negative)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            big_x = mpmath.mpf(x)
+            ref = float(mpmath.meijerg([[], []], [[-0.5, 0, 0], []], 1 / (4 * big_x))
+                        / (4 * mpmath.sqrt(mpmath.pi) * big_x ** 2))
+        res = frechet_transform_frechet_half(Shape(1.0), x)
+        assert not res.converged or abs(res.value - ref) <= 1e-8 * ref
+
     @pytest.mark.parametrize("x", [1e-300, 1e-160])
     def test_small_x_does_not_overflow(self, x):
         # x^{-(1+gamma)} overflows binary64 there, while G underflows

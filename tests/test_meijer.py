@@ -280,15 +280,38 @@ class TestMpmathOracle:
 
     @pytest.mark.parametrize("l,k,p", [(13, 11, 0.01), (30, 1, 0.01), (30, 1, 0.1)])
     def test_error_estimate_bounds_error_of_known_defects(self, l, k, p):
-        # tiny G arguments, where the saddle sum cancels and the value is off
-        # (converged=False); the estimate must still cover the error
+        # tiny G arguments, where the saddle sum cancels and the value is off;
+        # it must not claim convergence, and the estimate must still cover
+        # the error
         mpmath = pytest.importorskip("mpmath")
         form = build_laplace_closed_form(RationalShape(l, k))
         res = laplace_frechet(LaplaceQuery(RationalShape(l, k), p, Method.MEIJER_G))
         with mpmath.workdps(30):
             ref = float(form.prefactor
                         * mpmath.meijerg([[], []], [list(form.spec.b), []], form.argument(p)))
+        assert not res.converged or abs(res.value - ref) <= 1e-8 * ref
         assert abs(res.value - ref) <= res.err_estimate
+
+    @pytest.mark.parametrize("l,k,p", [(30, 1, 1e-6), (30, 1, 9.761854013421088e-05),
+                                       (13, 11, 9.880209518740524e-06),
+                                       (10, 1, 1.7729297948083514e-06)])
+    def test_contour_noise_is_not_converged(self, l, k, p):
+        # smaller G arguments still: the sum is off by 4% to 1e32 times the
+        # value, and must not claim convergence
+        res = laplace_frechet(LaplaceQuery(RationalShape(l, k), p, Method.MEIJER_G))
+        ref = laplace_frechet_oracle(Shape(l / k), p).value
+        assert not res.converged or abs(res.value - ref) <= 1e-8 * ref
+
+    def test_large_p_takes_a_wide_strip(self):
+        # at p = 5,000 the saddle lies at c ~ 70, where the integrand is
+        # smooth on the scale sqrt(c): strip widths up to 0.9 of the reach
+        # keep the grid to about a hundred nodes (1,917 with a <= 1)
+        p = 5000.0
+        mpmath = pytest.importorskip("mpmath")
+        ref = float(2 * mpmath.sqrt(p) * mpmath.besselk(1, 2 * mpmath.sqrt(p)))
+        res = laplace_frechet(LaplaceQuery(RationalShape(1, 1), p, Method.MEIJER_G))
+        assert res.converged and res.evaluations <= 120
+        assert abs(res.value - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("p", [0.1, 0.45])
     def test_auto_leaves_a_loose_meijer_value(self, p):
