@@ -166,17 +166,6 @@ def frechet_transform_levy(alpha: LevyIndex, gamma: Shape, x: float) -> float:
 
 
 _HALF_SPEC = MeijerSpec(groups=((2, -1.0), (1, 0.0)))
-# On the line Re s = c, |Gamma(sigma + i tau)| <= Gamma(sigma) (1 + tau^2 /
-# sigma^2)^{-1/2}, so |G^{3,0}_{0,3}(z | -1/2, 0, 0)| <= z^{-c} Gamma(c - 1/2)
-# Gamma(c)^2 c / pi. c = 0.6 keeps the bound within x^{0.1 gamma} of the
-# large-x decay x^{-1-gamma/2} of the transform.
-_HALF_BOUND_C = 0.6
-_LOG_HALF_BOUND = math.log(math.gamma(_HALF_BOUND_C - 0.5) * math.gamma(_HALF_BOUND_C) ** 2
-                           * _HALF_BOUND_C / math.pi)
-# logs of half the smallest subnormal (below it a value rounds to 0.0) and
-# of the largest finite binary64
-_LOG_UNDERFLOW = -1075.0 * math.log(2.0)
-_LOG_OVERFLOW = math.log(sys.float_info.max)
 
 
 def frechet_transform_frechet_half(gamma: Shape, x: float) -> EvalResult:
@@ -186,35 +175,13 @@ def frechet_transform_frechet_half(gamma: Shape, x: float) -> EvalResult:
             * G^{3,0}_{0,3}(x^{-gamma}/4 | -1/2, 0, 0)
 
     valid for any gamma > 0. min(b) = -1/2 pushes the pole-separation
-    condition to c > 1/2.
-
-    The result is a converged 0.0 without a contour integral where it
-    underflows: at large x, where a bound on the magnitude of the product
-    lies below binary64 underflow, and at small x, where z overflows and G
-    decays like exp(-3 z^{1/3}). Where the prefactor alone overflows or
-    underflows, the product is formed in log space.
+    condition to c > 1/2. The prefactor and the argument go to meijer_g_m0
+    as logs: either leaves binary64 for large gamma |log x| while the
+    product, about x^{-1-gamma/2} at large x, is still a normal float.
     """
     if not 0 < x < math.inf:
         raise DomainError("transform argument x must be finite and positive")
     g = gamma.gamma
     log_x = math.log(x)
-    log_front = math.log(g / (4.0 * math.sqrt(math.pi))) - (1.0 + g) * log_x
-    log_z = -g * log_x - math.log(4.0)
-    if (log_front - _HALF_BOUND_C * log_z + _LOG_HALF_BOUND < _LOG_UNDERFLOW
-            or log_z > _LOG_OVERFLOW - 2.0):
-        return EvalResult(value=0.0, err_estimate=0.0, evaluations=0, converged=True)
-    res = meijer_g_m0(_HALF_SPEC, x ** (-g) / 4.0)
-    if abs(log_front) < _LOG_OVERFLOW - 1.0:
-        front = g / (4.0 * math.sqrt(math.pi)) * x ** (-(1.0 + g))
-
-        def times_front(v):
-            return front * v
-    else:
-        def times_front(v):
-            return math.copysign(math.exp(math.log(abs(v)) + log_front), v) if v else 0.0
-
-    return EvalResult(value=times_front(res.value),
-                      err_estimate=times_front(res.err_estimate),
-                      evaluations=res.evaluations,
-                      converged=res.converged,
-                      im_residue=times_front(res.im_residue))
+    return meijer_g_m0(_HALF_SPEC, log_z=-g * log_x - math.log(4.0),
+                       log_scale=math.log(g / (4.0 * math.sqrt(math.pi))) - (1.0 + g) * log_x)

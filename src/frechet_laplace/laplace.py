@@ -26,10 +26,6 @@ __all__ = [
 ]
 
 _AUTO_QUADRATURE_BELOW = 1e-6
-# Below this magnitude a Meijer-path value is contour roundoff noise, not a
-# trustworthy transform value; Auto re-evaluates through the quadrature
-# oracle, whose positive integrand keeps the result strictly positive.
-_NOISE_FLOOR = 1e-15
 
 
 class Method(enum.Enum):
@@ -49,14 +45,9 @@ class LaplaceQuery:
             raise DomainError(f"Laplace variable must be finite and positive, got {self.p}")
 
 
-def _meijer_path(shape: RationalShape, p: float) -> EvalResult:
+def _meijer_path(shape: RationalShape, log_p: float) -> EvalResult:
     form = build_laplace_closed_form(shape)
-    res = meijer_g_m0(form.spec, form.argument(p))
-    return EvalResult(value=form.prefactor * res.value,
-                      err_estimate=form.prefactor * res.err_estimate,
-                      evaluations=res.evaluations,
-                      converged=res.converged,
-                      im_residue=form.prefactor * res.im_residue)
+    return meijer_g_m0(form.spec, log_z=form.log_argument(log_p), log_scale=form.log_prefactor)
 
 
 def laplace_frechet(query: LaplaceQuery) -> EvalResult:
@@ -65,20 +56,21 @@ def laplace_frechet(query: LaplaceQuery) -> EvalResult:
     MEIJER_G uses the closed form through the contour quadrature; QUADRATURE
     uses the direct oracle; AUTO picks the closed form for p >= 1e-6, falls
     back to the oracle below that (where the contour conditioning degrades),
-    whenever the closed-form value drowns in the contour noise floor, and
-    whenever its error estimate exceeds the quadrature's relative tolerance
-    1e-10 of it.
+    whenever the closed-form value is not positive (the contour's converged
+    underflow zero, where the oracle's positive integrand keeps a positive
+    value), whenever it is not converged, and whenever its error estimate
+    exceeds the quadrature's relative tolerance 1e-10 of it.
     """
     method = query.method
     if method is Method.QUADRATURE:
         return laplace_frechet_oracle(query.shape.as_shape(), query.p)
     if method is Method.MEIJER_G:
-        return _meijer_path(query.shape, query.p)
+        return _meijer_path(query.shape, math.log(query.p))
 
     if query.p < _AUTO_QUADRATURE_BELOW:
         return laplace_frechet_oracle(query.shape.as_shape(), query.p)
-    res = _meijer_path(query.shape, query.p)
-    if (res.value <= _NOISE_FLOOR or not res.converged
+    res = _meijer_path(query.shape, math.log(query.p))
+    if (res.value <= 0.0 or not res.converged
             or res.err_estimate > _REL_TOL * abs(res.value)):
         return laplace_frechet_oracle(query.shape.as_shape(), query.p)
     return res
@@ -123,12 +115,14 @@ def laplace_frechet_oracle(shape: Shape, p: float) -> EvalResult:
 def laplace_symmetry_check(shape: RationalShape, p: float) -> tuple[float, float]:
     """Both sides of the transmutation law
     L[Fr(l, k, x); p] = L[Fr(k, l, x); p^{l/k}], each assembled from its own
-    Meijer parameter list. The caller asserts agreement."""
-    if not p > 0:
-        raise DomainError("laplace_symmetry_check requires p > 0")
-    lhs = _meijer_path(shape, p)
-    swapped = shape.swapped()
-    rhs = _meijer_path(swapped, p ** (shape.l / shape.k))
+    Meijer parameter list. The swapped variable p^{l/k} is taken as its log,
+    (l/k) log p: it leaves binary64 where neither side does. The caller
+    asserts agreement."""
+    if not 0 < p < math.inf:
+        raise DomainError("laplace_symmetry_check requires finite p > 0")
+    log_p = math.log(p)
+    lhs = _meijer_path(shape, log_p)
+    rhs = _meijer_path(shape.swapped(), shape.l / shape.k * log_p)
     return lhs.value, rhs.value
 
 

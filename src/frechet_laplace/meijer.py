@@ -10,6 +10,11 @@ The Frechet lists Delta(k,1) + Delta(l,0) hold 0 and 1, so their poles are
 double from s = -1 down; the simple ones in (-1, 0] would allow a residue
 shift, but the contour here leaves every pole on its left: a parabola that
 opens to the left from its vertex c > -min(b_j).
+
+Everything runs in log space: meijer_g_m0 takes log z and the log of the
+caller's prefactor, and adds both to the integrand's log-space sum, so the
+closed form's prefactor (2 pi)^{1-(k+l)/2} and argument p^l / (k^k l^l)
+never have to be binary64 numbers on their own.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ class MeijerSpec:
         return sum(n for n, _ in self.groups)
 
 
-def _saddle_abscissa(spec: MeijerSpec, z: float, b_min: float) -> float:
+def _saddle_abscissa(spec: MeijerSpec, log_z: float, b_min: float) -> float:
     """Abscissa minimizing the integrand magnitude on the real axis.
 
     On the real axis the integrand is exp(phi(c)) with, one term per run,
@@ -70,15 +75,17 @@ def _saddle_abscissa(spec: MeijerSpec, z: float, b_min: float) -> float:
     contour sum on the scale of the result, which is what bounds the
     roundoff for very large or very small z. A quarter-unit margin keeps the
     pole at -b_min = -min(b_j) far enough from the vertex that the trapezoid
-    step stays moderate, and every n_g c + a_g at least 1/4.
+    step stays moderate, and every n_g c + a_g at least 1/4. The bracket
+    ends at c = 2 e^300, which keeps it finite: where the saddle lies beyond
+    (log z > 300 m), phi < -0.3 m c at the bracket end, far under the
+    binary64 floor, so the vertex there gives the same converged zero.
 
     Bisection on phi'(c) finds it to 1e-2 (relative above c = 1), in plain
     floats: psi is a central difference of math.lgamma, good to about 1e-9.
     """
-    log_z = math.log(z)
     slope = sum(n * math.log(n) for n, _ in spec.groups) + log_z
     lo = -b_min + 0.25
-    hi = max(lo + 3.0, 2.0 * math.exp(max(log_z, 0.0) / spec.m))
+    hi = max(lo + 3.0, 2.0 * math.exp(min(max(log_z, 0.0) / spec.m, 300.0)))
     while hi - lo > 1e-2 * max(1.0, lo):
         mid = 0.5 * (lo + hi)
         psi = 0.0
@@ -92,11 +99,19 @@ def _saddle_abscissa(spec: MeijerSpec, z: float, b_min: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def meijer_g_m0(spec: MeijerSpec, z: float, c: float | None = None) -> EvalResult:
-    """G^{m,0}_{0,m}(z | b) = (1/2 pi i) int prod_j Gamma(b_j + s) z^{-s} ds
+def meijer_g_m0(spec: MeijerSpec, *, log_z: float, c: float | None = None,
+                log_scale: float = 0.0) -> EvalResult:
+    """e^log_scale G^{m,0}_{0,m}(z | b), with z = e^log_z, as
+    (1/2 pi i) int e^log_scale prod_j Gamma(b_j + s) z^{-s} ds
     along contour_integral's parabola s(u) = c - mu u^2 + i u, which opens to
     the left from its vertex c > -min(b_j) and so leaves every pole on its
     left; the gamma factors decay super-exponentially along it.
+
+    The argument and the caller's prefactor e^log_scale enter as logs, so
+    neither has to be a binary64 on its own: the integrand is a log-space sum
+    until its one exp, and only the product decides the magnitude, in
+    contour_integral: a converged zero where it is below 1e-300 at the
+    vertex, an unconverged result where it is above 1e300.
 
     With c = None the vertex is placed at the saddle abscissa, which keeps
     full relative accuracy even where the function has decayed far below the
@@ -105,30 +120,31 @@ def meijer_g_m0(spec: MeijerSpec, z: float, c: float | None = None) -> EvalResul
     choice, which the shift-invariance tests exercise).
 
     The integrand is one log_gamma call on the (runs x nodes) array n s + a,
-    plus the multiplication formula's constant and linear term, in log space.
-    Its real-axis log-magnitude, from which the engine sets step and window,
-    is the same sum in plain floats (math.lgamma), with no log_gamma call.
+    plus the multiplication formula's constant (with log_scale) and linear
+    term, in log space. Its real-axis log-magnitude, from which the engine
+    sets step and window, is the same sum in plain floats (math.lgamma),
+    with no log_gamma call.
     The parameters are real, so F(conj s) = conj F(s); every step of the
     integrand (n s + a, log_gamma, the sum over runs, s * slope, exp) keeps
     that symmetry bit for bit. The contour grid s(u), u = j h with |j| <= N,
     is its own conjugate reversed, so F is evaluated on the upper half only
     and the lower half is its mirror: the same values, at half the log_gamma
     work. Any other node array (the nodes a window extension adds) is
-    evaluated directly. Large z drives the whole integrand under the binary64
-    floor, where contour_integral reports a converged zero.
+    evaluated directly.
     """
-    if not 0 < z < math.inf:
-        raise DomainError("meijer_g requires finite z > 0")
+    if not (math.isfinite(log_z) and math.isfinite(log_scale)):
+        raise DomainError("meijer_g requires finite log_z and log_scale")
     b_min = min(spec.b)
     if c is None:
-        c = _saddle_abscissa(spec, z, b_min)
+        c = _saddle_abscissa(spec, log_z, b_min)
     elif not -b_min < c < math.inf:
         raise ContourError(
             f"abscissa {c} does not separate poles: need {-b_min} < c < inf")
     groups = np.array(spec.groups, dtype=float)
     n, a = groups[:, :1], groups[:, 1:]
-    const = float(np.sum(0.5 * (n - 1.0) * math.log(2.0 * math.pi) + (0.5 - a) * np.log(n)))
-    slope = float(np.sum(n * np.log(n))) + math.log(z)
+    const = float(np.sum(0.5 * (n - 1.0) * math.log(2.0 * math.pi)
+                         + (0.5 - a) * np.log(n))) + log_scale
+    slope = float(np.sum(n * np.log(n))) + log_z
 
     def values(s):
         return np.exp(log_gamma(n * s + a).sum(axis=0) + const - s * slope)
@@ -152,30 +168,27 @@ class LaplaceClosedForm:
 
         L(p) = prefactor * G^{k+l,0}_{0,k+l}(p^l / (k^k l^l) | Delta(k,1), Delta(l,0))
 
-    with prefactor sqrt(kl) / (2 pi)^{(k+l)/2 - 1}.
+    with prefactor sqrt(kl) / (2 pi)^{(k+l)/2 - 1}. Both the prefactor and
+    the argument leave binary64 long before L does (k = 800 at p = 1), so
+    the form holds their logs, for meijer_g_m0's log_scale and log_z.
     """
 
     shape: RationalShape
-    prefactor: float
+    log_prefactor: float
     spec: MeijerSpec
 
-    def argument(self, p: float) -> float:
-        """Map the Laplace variable to the G-function argument p^l/(k^k l^l)."""
-        if not 0 < p < math.inf:
+    def log_argument(self, log_p: float) -> float:
+        """Map log p to the log of the G-function argument p^l/(k^k l^l)."""
+        if not math.isfinite(log_p):
             raise DomainError("Laplace variable must be finite and positive")
         l, k = self.shape.l, self.shape.k
-        try:
-            return p ** l / (k ** k * l ** l)
-        except OverflowError:
-            raise DomainError(
-                f"G-function argument p^{l}/({k}^{k} {l}^{l}) at p = {p} "
-                "overflows binary64") from None
+        return l * log_p - k * math.log(k) - l * math.log(l)
 
 
 def build_laplace_closed_form(shape: RationalShape) -> LaplaceClosedForm:
-    """Assemble prefactor, parameter list Delta(k,1) + Delta(l,0), and the
-    argument map for the given reduced shape l/k."""
+    """Assemble the log prefactor, the parameter list Delta(k,1) + Delta(l,0),
+    and the argument map for the given reduced shape l/k."""
     l, k = shape.l, shape.k
-    prefactor = math.sqrt(k * l) / (2.0 * math.pi) ** ((k + l) / 2.0 - 1.0)
-    return LaplaceClosedForm(shape=shape, prefactor=prefactor,
+    log_prefactor = 0.5 * math.log(k * l) - ((k + l) / 2.0 - 1.0) * math.log(2.0 * math.pi)
+    return LaplaceClosedForm(shape=shape, log_prefactor=log_prefactor,
                              spec=MeijerSpec(groups=((k, 1.0), (l, 0.0))))

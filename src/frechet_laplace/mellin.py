@@ -62,8 +62,11 @@ _WIDTHS = 7
 # grows like exp(mu u^2 log z); the saddle c grows with log z, so the 1/c
 # keeps that growth bounded, where a fixed mu loses 1e-8 to 1e-6 at p = 20.
 _MU_SCALE = 0.4
-# An integrand below this at the vertex has underflowed along the whole path.
+# An integrand below _UNDERFLOW_PEAK at the vertex has underflowed along the
+# whole path; one above _OVERFLOW_PEAK leaves binary64 in the sum, whose
+# terms the vertex term bounds only up to the node count and |s'(u)|.
 _UNDERFLOW_PEAK = 1e-300
+_OVERFLOW_PEAK = 1e300
 # Largest imaginary part, relative to the real part, that still counts as
 # roundoff of a real integral.
 _IM_REL_BOUND = 1e-10
@@ -186,7 +189,9 @@ def contour_integral(integrand, log_abs_real, c: float,
     - window: see _WINDOW_MARGIN, with phi'' a central second difference.
 
     |F(c)| below 1e-300 is a converged zero without any complex evaluation:
-    the transforms evaluated here decay super-algebraically there. The
+    the transforms evaluated here decay super-algebraically there. Above
+    1e300 the sum cannot be formed: the result is 0.0 with converged=False
+    and an infinite err_estimate, again without a complex evaluation. The
     imaginary part of the sum is roundoff, checked against the real part
     and then discarded.
     """
@@ -210,6 +215,8 @@ def contour_integral(integrand, log_abs_real, c: float,
     centre = phi[0]
     if centre < math.log(_UNDERFLOW_PEAK):
         return EvalResult(value=0.0, err_estimate=0.0, evaluations=0, converged=True)
+    if centre > math.log(_OVERFLOW_PEAK):
+        return EvalResult(value=0.0, err_estimate=math.inf, evaluations=0, converged=False)
     n_w = len(widths)
     step = max(math.pi * w / (_STRIP_BUDGET - centre + max(
         centre, phi_l + math.log(1.0 - 2.0 * mu * w), phi_r + math.log1p(2.0 * mu * w)))

@@ -45,6 +45,16 @@ class TestLaplaceCommand:
         rel = float(lines[2].split("=")[1])
         assert rel <= 1e-8
 
+    @pytest.mark.parametrize("method", ["auto", "meijer"])
+    def test_out_of_range_prefactor_is_a_result(self, capsys, method):
+        # (2 pi)^{(k+l)/2 - 1} = 7.6e318 for k = 800 is no float: the closed
+        # form takes its log, and the command reports a value, not an error
+        code, out, err = run(capsys, ["laplace", "--l", "1", "--k", "800", "--p", "1",
+                                      "--method", method])
+        assert code in (0, 2)
+        assert " value=" in out
+        assert "error" not in err
+
     @pytest.mark.parametrize("argv", [
         ["laplace", "--l", "1", "--p", "1"],              # missing k
         ["laplace", "--l", "0", "--k", "2", "--p", "1"],  # invalid shape

@@ -321,3 +321,51 @@ class TestHalfClosedForm:
         res = frechet_transform_frechet_half(Shape(1.0), x)
         assert res.converged
         assert res.value == 0.0
+
+    def test_huge_argument_is_converged_zero(self):
+        # log z = 2762: the saddle bracket ends at c = 2 e^300, where exp
+        # stays finite and the integrand has long underflowed
+        res = frechet_transform_frechet_half(Shape(4.0), 1e-300)
+        assert res.converged and res.value == 0.0
+
+    @pytest.mark.parametrize("g", [0.3, 1.0, 3.0])
+    def test_sweep_never_raises_and_converged_values_hold(self, g):
+        # x = 1e-300 ... 1e300: the prefactor x^{-(1+gamma)} and z = x^{-gamma}/4
+        # leave binary64 at either end, and z underflowed for gamma = 3 at
+        # x ~ 1.7e107 ... 1e147 before the closed form went to log space
+        mpmath = pytest.importorskip("mpmath")
+        for e in range(-300, 301, 10):
+            x = 10.0 ** e
+            ref, slack = _half_reference(mpmath, g, x)
+            res = frechet_transform_frechet_half(Shape(g), x)
+            assert math.isfinite(res.value)
+            if res.converged and res.value == 0.0:
+                assert ref < 1e-300, (e, ref)
+            elif res.converged:
+                assert abs(res.value - ref) <= 10.0 * res.err_estimate + 4e-16 * ref + slack, e
+
+
+def _half_reference(mpmath, g, x):
+    """The transform of Fr(1/2) at x, and an absolute slack for it.
+
+    Where z^{1/2} |log z| < 1e-17 the leading residue, at s = 1/2,
+    (gamma sqrt(pi) / 2) x^{-1-gamma/2}, is exact in binary64 (the next
+    residues, at s = 0, are O(z^{1/2} log z) of it). Where the bound
+    |G| <= (c/2) z^{-c} Gamma(c - 1/2) Gamma(c)^2 on the line Re s = c, taken at
+    c = max(1, z^{1/3}), puts the transform below 1e-300 the reference is 0
+    with that bound as slack: mpmath.meijerg takes seconds to minutes per point
+    once z > 1e8. Elsewhere it is mpmath.meijerg at 30 digits.
+    """
+    log_x = math.log(x)
+    log_z = -g * log_x - math.log(4.0)
+    log_front = math.log(g / (4.0 * math.sqrt(math.pi))) - (1.0 + g) * log_x
+    if log_z < 0.0 and math.exp(0.5 * log_z) * -log_z < 1e-17:
+        return math.exp(math.log(0.5 * g * math.sqrt(math.pi)) - (1.0 + 0.5 * g) * log_x), 0.0
+    c = max(1.0, math.exp(log_z / 3.0))
+    log_bound = (log_front + math.log(0.5 * c) - c * log_z
+                 + math.lgamma(c - 0.5) + 2.0 * math.lgamma(c))
+    if log_bound < math.log(1e-300):
+        return 0.0, math.exp(log_bound)
+    with mpmath.workdps(30):
+        return float(mpmath.exp(log_front) * mpmath.meijerg(
+            [[], []], [[-0.5, 0, 0], []], mpmath.exp(log_z))), 0.0

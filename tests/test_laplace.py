@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from frechet_laplace import laplace
 from frechet_laplace.distributions import RationalShape, Shape
 from frechet_laplace.errors import DomainError
 from frechet_laplace.laplace import (LaplaceQuery, Method, laplace_frechet,
@@ -44,10 +45,26 @@ class TestLaplaceFrechet:
         assert abs(res.value - 1.0) <= 1e-2
 
     def test_auto_positive_beyond_noise_floor(self):
-        # far in the tail the closed-form value drowns in contour noise;
-        # auto must still return a strictly positive transform
+        # far in the tail the transform is tiny (6.5e-24 at p = 100); auto
+        # must still return a strictly positive value
         res = laplace_frechet(LaplaceQuery(RationalShape(3, 1), 100.0, Method.AUTO))
         assert 0.0 < res.value < 1e-12
+
+    @pytest.mark.parametrize("p", [58.0, 70.0, 85.0, 100.0])
+    def test_auto_keeps_tiny_converged_meijer_value(self, p, monkeypatch):
+        # L < 1e-15 here, and the Meijer value is converged with an estimate
+        # of about 1e-14 of it: AUTO returns it without the oracle
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(laplace, "laplace_frechet_oracle",
+                            lambda *args: pytest.fail("AUTO called the oracle"))
+        res = laplace_frechet(LaplaceQuery(RationalShape(3, 1), p, Method.AUTO))
+        form = build_laplace_closed_form(RationalShape(3, 1))
+        with mpmath.workdps(30):
+            ref = float(mpmath.exp(form.log_prefactor)
+                        * mpmath.meijerg([[], []], [list(form.spec.b), []],
+                                         mpmath.exp(form.log_argument(math.log(p)))))
+        assert res.converged and res.value < 1e-15
+        assert abs(res.value - ref) <= 1e-13 * ref
 
     def test_range(self):
         for p in np.geomspace(0.01, 20.0, 20):
@@ -70,11 +87,11 @@ class TestLaplaceFrechet:
 
     def test_explicit_contour_config(self):
         form = build_laplace_closed_form(RationalShape(1, 2))
-        res = meijer_g_m0(form.spec, form.argument(1.0), c=0.8)
-        value = form.prefactor * res.value
+        res = meijer_g_m0(form.spec, log_z=form.log_argument(0.0), c=0.8,
+                          log_scale=form.log_prefactor)
         oracle = laplace_frechet_oracle(Shape(0.5), 1.0)
-        assert abs(value - oracle.value) <= 1e-8 * abs(oracle.value)
-        assert form.prefactor * res.im_residue <= 1e-10 * abs(value)
+        assert abs(res.value - oracle.value) <= 1e-8 * abs(oracle.value)
+        assert res.im_residue <= 1e-10 * abs(res.value)
 
     def test_query_validation(self):
         with pytest.raises(DomainError):
@@ -160,6 +177,15 @@ class TestSymmetryLaw:
         lhs, rhs = laplace_symmetry_check(RationalShape(l, k), p)
         assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
 
+    @pytest.mark.parametrize("l,k,p", [(3, 1, 1e110), (1, 800, 1.0)])
+    def test_out_of_range_variable(self, l, k, p):
+        # the swapped variable p^{l/k} = 1e330, or the prefactor and argument
+        # of 1/800, leave binary64 where neither side does: the swapped side
+        # takes its variable as (l/k) log p
+        lhs, rhs = laplace_symmetry_check(RationalShape(l, k), p)
+        assert math.isfinite(lhs) and math.isfinite(rhs)
+        assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
+
     def test_involution(self):
         shape = RationalShape(2, 3)
         p = 1.7
@@ -173,8 +199,8 @@ class TestSymmetryLaw:
         # the (3,2) and (2,3) assemblies map p = 1 to the same G argument
         f23 = build_laplace_closed_form(RationalShape(2, 3))
         f32 = build_laplace_closed_form(RationalShape(3, 2))
-        assert math.isclose(f23.argument(1.0), 1.0 / 108.0, rel_tol=1e-15)
-        assert math.isclose(f32.argument(1.0), 1.0 / 108.0, rel_tol=1e-15)
+        assert math.isclose(f23.log_argument(0.0), -math.log(108.0), rel_tol=1e-15)
+        assert math.isclose(f32.log_argument(0.0), -math.log(108.0), rel_tol=1e-15)
         lhs, rhs = laplace_symmetry_check(RationalShape(3, 2), 1.0)
         assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
 
