@@ -134,17 +134,21 @@ def meijer_g_m0(spec: MeijerSpec, *, log_z: float, c: float | None = None,
     """
     if not (math.isfinite(log_z) and math.isfinite(log_scale)):
         raise DomainError("meijer_g requires finite log_z and log_scale")
-    b_min = min(spec.b)
+    # the smallest b_j of a run Delta(n, a) is a / n
+    b_min = min(a / n for n, a in spec.groups)
     if c is None:
         c = _saddle_abscissa(spec, log_z, b_min)
     elif not -b_min < c < math.inf:
         raise ContourError(
             f"abscissa {c} does not separate poles: need {-b_min} < c < inf")
-    groups = np.array(spec.groups, dtype=float)
+    # plain floats, summed in run order
+    log_2pi = math.log(2.0 * math.pi)
+    const = sum(0.5 * (rn - 1.0) * log_2pi + (0.5 - ra) * math.log(rn)
+                for rn, ra in spec.groups) + log_scale
+    slope = sum(rn * math.log(rn) for rn, _ in spec.groups) + log_z
+    # complex, so that n s + a needs no cast
+    groups = np.array(spec.groups, dtype=complex)
     n, a = groups[:, :1], groups[:, 1:]
-    const = float(np.sum(0.5 * (n - 1.0) * math.log(2.0 * math.pi)
-                         + (0.5 - a) * np.log(n))) + log_scale
-    slope = float(np.sum(n * np.log(n))) + log_z
 
     def values(s):
         return np.exp(log_gamma(n * s + a).sum(axis=0) + const - s * slope)
@@ -156,8 +160,13 @@ def meijer_g_m0(spec: MeijerSpec, *, log_z: float, c: float | None = None,
         return values(s)
 
     def log_abs_real(x):
-        return np.array([sum(math.lgamma(rn * v + ra) for rn, ra in spec.groups)
-                         + const - v * slope for v in x.tolist()])
+        out = []
+        for v in x.tolist():
+            total = 0.0
+            for rn, ra in spec.groups:
+                total += math.lgamma(rn * v + ra)
+            out.append(total + const - v * slope)
+        return np.array(out)
 
     return contour_integral(integrand, log_abs_real, c, (c + b_min, math.inf))
 

@@ -136,7 +136,7 @@ def mellin_barnes_integral(values_fn, step: float,
     Returns (value, err_estimate, evaluations, converged).
     """
     n_half = 2 * math.ceil(half_width / (2.0 * step))
-    vals = values_fn((np.arange(2 * n_half + 1) - n_half) * step)
+    vals = values_fn(np.arange(-n_half, n_half + 1) * step)
     while True:
         if not np.isfinite(vals).all():
             raise NonConvergence(
@@ -150,12 +150,22 @@ def mellin_barnes_integral(values_fn, step: float,
         vals = np.concatenate((new[:n_half], vals, new[n_half:]))
         n_half *= 2
     magnitudes = np.abs(vals)
-    estimate = step * complex(np.sum(vals))
-    diff = abs(estimate - 2.0 * step * complex(np.sum(vals[0::2])))
-    phase = np.unwrap(np.angle(vals))
+    estimate = step * complex(vals.sum())
+    diff = abs(estimate - 2.0 * step * complex(vals[0::2].sum()))
+    # np.unwrap's arithmetic, applied where a phase step reaches pi
+    phase = np.angle(vals)
+    turn = phase[1:] - phase[:-1]
+    jumps = np.flatnonzero(np.abs(turn) >= math.pi)
+    if jumps.size:
+        jump = turn[jumps]
+        wrapped = np.mod(jump + math.pi, _TWO_PI) - math.pi
+        wrapped[(wrapped == -math.pi) & (jump > 0.0)] = math.pi
+        correction = np.zeros_like(turn)
+        correction[jumps] = wrapped - jump
+        phase[1:] += correction.cumsum()
     exponent = np.abs(np.log(np.maximum(magnitudes, _UNDERFLOW_PEAK))
                       + 1j * (phase - phase[n_half]))
-    noise_floor = _ROUNDOFF * step * float(np.sum(magnitudes * (1.0 + exponent)))
+    noise_floor = _ROUNDOFF * step * float((magnitudes * (1.0 + exponent)).sum())
     converged = (diff <= max(_REL_TOL * abs(estimate), noise_floor)
                  and noise_floor <= _NOISE_REL_BOUND * abs(estimate))
     return (estimate / _TWO_PI, max(diff, noise_floor) / _TWO_PI, vals.size,

@@ -37,7 +37,12 @@ class EvalResult:
 # Lanczos rational approximation (g = 607/128, 15 terms). Accurate to a few
 # ulp for Re(z) >= 1/2; arguments left of that line take the reflection
 # formula log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z), whose
-# last term is the Lanczos sum at 1 - z.
+# last term is the Lanczos sum at 1 - z. The partial fractions c_k / (z - 1 + k)
+# are one broadcast over a (terms x elements) array whose row 0 holds c_0,
+# and its sum over axis 0 adds the rows in order, as a loop over k would.
+# Arrays go through in blocks of _BLOCK elements: that (15 x 4096) complex
+# array is 1 MB, and the temporaries of a block about 1.4 MB in all, the
+# same for any input size.
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_C = np.array([
     0.99999999999999709182,
@@ -56,6 +61,10 @@ _LANCZOS_C = np.array([
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 ])
+# complex already, so that the broadcast ufuncs need no cast
+_LANCZOS_K = np.arange(1.0, _LANCZOS_C.size, dtype=complex)[:, None]
+_LANCZOS_NUM = _LANCZOS_C[1:, None].astype(complex)
+_BLOCK = 4096
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 
@@ -68,7 +77,7 @@ def _log_sin_pi(t: np.ndarray) -> np.ndarray:
     expm1(x) cos y - 2 sin^2(y / 2) + i e^x sin y, x + iy = 2 pi i (t - n),
     which keeps full relative accuracy next to the poles."""
     x = -2.0 * math.pi * t.imag
-    y = 2.0 * math.pi * (t.real - np.round(t.real))
+    y = 2.0 * math.pi * (t.real - np.rint(t.real))
     half = np.sin(0.5 * y)
     re = np.expm1(x) * np.cos(y) - 2.0 * half * half
     im = np.exp(x) * np.sin(y)
@@ -78,13 +87,12 @@ def _log_sin_pi(t: np.ndarray) -> np.ndarray:
 def _log_gamma_array(z: np.ndarray) -> np.ndarray:
     low = z.real < 0.5
     zz = np.where(low, 1.0 - z, z)
-    series = np.full_like(zz, _LANCZOS_C[0])
-    zm1 = zz - 1.0
-    term = np.empty_like(zz)
-    for k in range(1, len(_LANCZOS_C)):
-        np.add(zm1, k, out=term)
-        np.divide(_LANCZOS_C[k], term, out=term)
-        series += term
+    terms = np.empty((_LANCZOS_C.size, zz.size), dtype=complex)
+    terms[0] = _LANCZOS_C[0]
+    np.add(zz - 1.0, _LANCZOS_K, out=terms[1:])
+    np.divide(_LANCZOS_NUM, terms[1:], out=terms[1:])
+    # numpy would sum a single column pairwise; accumulate keeps the row order
+    series = terms.sum(axis=0) if zz.size > 1 else np.add.accumulate(terms)[-1]
     w = zz + (_LANCZOS_G - 0.5)
     out = _HALF_LOG_2PI + (zz - 0.5) * np.log(w) - w + np.log(series)
     if low.any():
@@ -92,9 +100,13 @@ def _log_gamma_array(z: np.ndarray) -> np.ndarray:
         # log Gamma(conj z) = conj log Gamma(z) bit for bit
         t = z[low]
         lower = np.signbit(t.imag)
-        upper_t = np.where(lower, t.conj(), t)
-        reflected = _LOG_PI - _log_sin_pi(upper_t)
-        out[low] = np.where(lower, reflected.conj(), reflected) - out[low]
+        mirror = lower.any()
+        if mirror:
+            t = np.where(lower, t.conj(), t)
+        reflected = _LOG_PI - _log_sin_pi(t)
+        if mirror:
+            reflected = np.where(lower, reflected.conj(), reflected)
+        out[low] = reflected - out[low]
     return out
 
 
@@ -103,18 +115,27 @@ def log_gamma(s):
 
     Raises PoleError when s is a nonpositive real integer. Relative accuracy
     is a few 1e-16 for moderate arguments, comfortably inside the 1e-13
-    budget the contour integrals rely on.
+    budget the contour integrals rely on. Each element gets the same bits
+    whether it comes alone or in an array of any shape or size. Arrays are
+    evaluated in blocks of 4096 elements, so the temporaries take about
+    1.4 MB beyond the result, whatever the input size.
     """
     arr = np.asarray(s, dtype=complex)
     if not np.isfinite(arr).all():
         raise DomainError("log_gamma requires finite arguments")
-    on_pole = (arr.imag == 0.0) & (arr.real <= 0.0) & (arr.real == np.floor(arr.real))
-    if on_pole.any():
-        raise PoleError(f"log_gamma pole at nonpositive integer {arr[on_pole].flat[0]}")
-    out = _log_gamma_array(arr.ravel()).reshape(arr.shape)
+    flat = arr.ravel()
+    on_axis = flat[flat.imag == 0.0]
+    if on_axis.size:
+        x = on_axis.real
+        on_pole = (x <= 0.0) & (x == np.floor(x))
+        if on_pole.any():
+            raise PoleError(f"log_gamma pole at nonpositive integer {on_axis[on_pole][0]}")
+    out = np.empty_like(flat)
+    for i in range(0, flat.size, _BLOCK):
+        out[i:i + _BLOCK] = _log_gamma_array(flat[i:i + _BLOCK])
     if np.isscalar(s) or arr.ndim == 0:
-        return complex(out)
-    return out
+        return complex(out[0])
+    return out.reshape(arr.shape)
 
 
 # Exp-sinh trapezoid (Takahasi & Mori, Publ. RIMS 9 (1974) 721): the map

@@ -8,9 +8,10 @@ import pytest
 from frechet_laplace.distributions import RationalShape, Shape, frechet_pdf
 from frechet_laplace.errors import ContourError, DomainError, NonConvergence, PoleError
 from frechet_laplace.laplace import laplace_frechet_oracle
-from frechet_laplace.mellin import (MellinFunction, contour_integral, delta_list,
-                                    frechet_mellin_image, laplace_via_mellin)
-from frechet_laplace.numerics import integrate_semi_infinite, log_gamma
+from frechet_laplace.mellin import (_UNDERFLOW_PEAK, MellinFunction, contour_integral,
+                                    delta_list, frechet_mellin_image, laplace_via_mellin,
+                                    mellin_barnes_integral)
+from frechet_laplace.numerics import _ROUNDOFF, integrate_semi_infinite, log_gamma
 
 TWO_K1_OF_2 = 0.27973176363304486  # 2 K1(2), from the series oracle
 
@@ -192,3 +193,71 @@ class TestContourIntegral:
         with pytest.raises(NonConvergence, match="not finite"):
             contour_integral(lambda s: np.full(np.shape(s), np.nan, dtype=complex),
                              self.log_abs_gamma_power, self.C, self.POLES)
+
+
+class TestNoiseFloorPhase:
+    # mellin_barnes_integral unwinds the node phases with np.unwrap's
+    # arithmetic, applied only where a step reaches pi. On synthetic nodes
+    # its err_estimate must equal the np.unwrap formula bit for bit. The
+    # nodes have magnitude 1 for |j| <= 6 and 2^-60 at the edges (exact
+    # scalings, so the designed phase steps survive), and node j = 5
+    # balances S_h against S_2h, so that the estimate is the noise floor.
+    STEP, HALF_WIDTH, N_HALF = 0.5, 4.0, 8
+    BALANCE = 13
+    PI_DOWN = math.nextafter(math.pi, 0.0)
+    PI_UP = math.nextafter(math.pi, 4.0)
+    ULP = PI_UP - math.pi
+
+    @classmethod
+    def reference(cls, vals):
+        """(|S_h - S_2h|, noise floor), the floor from np.unwrap."""
+        magnitudes = np.abs(vals)
+        estimate = cls.STEP * complex(np.sum(vals))
+        diff = abs(estimate - 2.0 * cls.STEP * complex(np.sum(vals[0::2])))
+        phase = np.unwrap(np.angle(vals))
+        exponent = np.abs(np.log(np.maximum(magnitudes, _UNDERFLOW_PEAK))
+                          + 1j * (phase - phase[cls.N_HALF]))
+        return diff, _ROUNDOFF * cls.STEP * float(np.sum(magnitudes * (1.0 + exponent)))
+
+    @classmethod
+    def nodes(cls, units):
+        j = np.arange(-cls.N_HALF, cls.N_HALF + 1)
+        vals = (np.where(np.abs(j) <= 6, 1.0, 2.0 ** -60)
+                * np.resize(np.array(units, dtype=complex), j.size))
+        vals[cls.BALANCE] = 0.0
+        vals[cls.BALANCE] = vals[0::2].sum() - vals[1::2].sum()
+        return vals
+
+    def cases(self):
+        up, down = complex(-1.0, self.ULP), complex(1.0, -self.ULP)
+        return {
+            # angles 0, pi, 0, -pi, pi/2, -pi/2: steps of exactly +-pi
+            "exact_pi": (self.nodes([1, complex(-1, 0.0), 1, complex(-1, -0.0), 1j, -1j, 1]),
+                         {math.pi, -math.pi}),
+            # 0 -> pi - ulp and -ulp -> pi: steps one ulp either side of pi
+            "pi_ulp": (self.nodes([1, up, 1, down, complex(-1, 0.0), down]),
+                       {self.PI_DOWN, self.PI_UP}),
+            "several_wraps": (self.nodes(np.exp(2.5j * np.arange(17))), set()),
+            "no_wrap": (self.nodes(np.exp(0.15j * (np.arange(17) - 8))), set()),
+        }
+
+    @pytest.mark.parametrize("case", ["exact_pi", "pi_ulp", "several_wraps", "no_wrap"])
+    def test_err_estimate_equals_unwrap_formula(self, case):
+        vals, steps = self.cases()[case]
+        turns = np.diff(np.angle(vals))
+        assert steps <= set(turns[:self.BALANCE - 1].tolist())
+        wraps = np.count_nonzero(np.abs(turns) >= math.pi)
+        if case == "several_wraps":
+            assert wraps >= 4
+        if case == "no_wrap":
+            assert wraps == 0
+        diff, floor = self.reference(vals)
+        assert floor > diff
+
+        def values_fn(u):
+            assert u.size == vals.size
+            return vals
+
+        _, err, n, _ = mellin_barnes_integral(values_fn, self.STEP, self.HALF_WIDTH)
+        assert n == vals.size
+        assert err == floor / (2.0 * math.pi)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from frechet_laplace.errors import DomainError, PoleError
+from frechet_laplace import numerics
 from frechet_laplace.numerics import bessel_k1, integrate_semi_infinite, log_gamma
 
 # Ascending-series oracle for K1, independent of both the quadrature and the
@@ -134,10 +135,55 @@ class TestLogGamma:
             ref = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
         assert abs(log_gamma(z) - ref) <= 1e-15 * abs(ref)
 
+    @staticmethod
+    def _assert_array_equals_scalar_calls(z):
+        # raw words, so that a signed zero counts as a difference
+        got = np.asarray(log_gamma(z), dtype=complex)
+        ref = np.array([log_gamma(complex(v)) for v in z.ravel()]).reshape(z.shape)
+        assert got.shape == z.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_meijer_shaped_array_equals_scalar_calls_bitwise(self):
+        # the Lanczos sum is a broadcast over (terms x elements): an element
+        # of a (runs x nodes) array gets the bits of a scalar call, which
+        # numpy would sum pairwise if its lone column were reduced by .sum
+        rng = np.random.default_rng(20261020)
+        z = rng.uniform(-3.0, 6.0, (2, 97)) + 1j * rng.uniform(0.0, 40.0, (2, 97))
+        assert (z.real < 0.5).any() and (z.real >= 0.5).any()
+        self._assert_array_equals_scalar_calls(z)
+
+    def test_array_longer_than_a_block_equals_scalar_calls_bitwise(self):
+        # the last block holds one element
+        rng = np.random.default_rng(20261021)
+        n = numerics._BLOCK + 1
+        z = rng.uniform(-40.0, 60.0, n) + 1j * rng.uniform(-1e3, 1e3, n)
+        self._assert_array_equals_scalar_calls(z)
+
+    def test_mixed_half_planes_equal_scalar_calls_bitwise(self):
+        # both sides of Re z = 1/2, both half-planes and the real axis with
+        # either signed zero, in one array
+        re = [-7.3, -2.5, -0.5, 0.2, 0.49999999999999994, 0.5, 0.7, 3.0, 40.0]
+        im = [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 30.0, -1e3]
+        z = np.array([complex(r, i) for r in re for i in im])
+        z = z[np.random.default_rng(20261022).permutation(z.size)]
+        self._assert_array_equals_scalar_calls(z)
+        self._assert_array_equals_scalar_calls(z.reshape(8, 9))
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, -3.0, -17.0])
     def test_pole_rejected(self, bad):
         with pytest.raises(PoleError):
             log_gamma(bad)
+
+    @pytest.mark.parametrize("pole", [complex(-3.0, 0.0), complex(-3.0, -0.0), complex(0.0, 0.0)])
+    def test_pole_inside_complex_array_rejected(self, pole):
+        z = np.array([[1.5 + 2.0j, 0.25 - 1.0j, 7.0 + 0.0j], [-2.5 + 0.0j, pole, 0.3 + 1e-300j]])
+        with pytest.raises(PoleError):
+            log_gamma(z)
+
+    def test_tiny_imaginary_part_is_not_a_pole(self):
+        z = np.array([-2.0 + 1e-300j, 1.5 + 2.0j, -2.0 - 1e-300j])
+        assert np.isfinite(log_gamma(z)).all()
+        assert math.isfinite(log_gamma(-2.0 + 1e-300j).real)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
