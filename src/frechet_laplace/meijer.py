@@ -109,8 +109,8 @@ def meijer_g_m0(spec: MeijerSpec, *, log_z: float, c: float | None = None,
 
     The argument and the caller's prefactor e^log_scale enter as logs, so
     neither has to be a binary64 on its own: the integrand is a log-space sum
-    until its one exp, and only the product decides the magnitude, in
-    contour_integral: a converged zero where it is below 1e-300 at the
+    that contour_integral takes the exp of, and only the product decides
+    the magnitude there: a converged zero where it is below 1e-300 at the
     vertex, an unconverged result where it is above 1e300.
 
     With c = None the vertex is placed at the saddle abscissa, which keeps
@@ -124,12 +124,12 @@ def meijer_g_m0(spec: MeijerSpec, *, log_z: float, c: float | None = None,
     term, in log space. Its real-axis log-magnitude, from which the engine
     sets step and window, is the same sum in plain floats (math.lgamma),
     with no log_gamma call.
-    The parameters are real, so F(conj s) = conj F(s); every step of the
-    integrand (n s + a, log_gamma, the sum over runs, s * slope, exp) keeps
+    The parameters are real, so log F(conj s) = conj log F(s); every step of
+    the integrand (n s + a, log_gamma, the sum over runs, s * slope) keeps
     that symmetry bit for bit. The contour grid s(u), u = j h with |j| <= N,
-    is its own conjugate reversed, so F is evaluated on the upper half only
-    and the lower half is its mirror: the same values, at half the log_gamma
-    work. Any other node array (the nodes a window extension adds) is
+    is its own conjugate reversed, so log F is evaluated on the upper half
+    only and the lower half is its mirror: the same values, at half the
+    log_gamma work. Any other node array (the nodes a window extension adds) is
     evaluated directly.
     """
     if not (math.isfinite(log_z) and math.isfinite(log_scale)):
@@ -150,14 +150,14 @@ def meijer_g_m0(spec: MeijerSpec, *, log_z: float, c: float | None = None,
     groups = np.array(spec.groups, dtype=complex)
     n, a = groups[:, :1], groups[:, 1:]
 
-    def values(s):
-        return np.exp(log_gamma(n * s + a).sum(axis=0) + const - s * slope)
+    def log_values(s):
+        return log_gamma(n * s + a).sum(axis=0) + const - s * slope
 
     def integrand(s):
         if s.size % 2 and np.array_equal(s[::-1], s.conj()):
-            upper = values(s[s.size // 2:])
+            upper = log_values(s[s.size // 2:])
             return np.concatenate((upper[:0:-1].conj(), upper))
-        return values(s)
+        return log_values(s)
 
     def log_abs_real(x):
         out = []

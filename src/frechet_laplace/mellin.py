@@ -10,7 +10,9 @@ and reaches where the gamma factors decay super-exponentially. Its step and
 window are fixed in advance from plain-float values of log|F| on the real
 axis (the strip of analyticity and the curvature at the vertex), so the
 integrand is evaluated in one pass (mellin_barnes_integral), extended only
-where the edge terms have not decayed.
+where the edge terms have not decayed. Integrands hand the engine log F, a
+log-space sum: the engine takes its exp once per node and sets the noise
+floor from the same logs.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ _IM_REL_BOUND = 1e-10
 # Largest noise floor, relative to the value, that still counts as converged:
 # past it cancellation between the nodes has taken more than half the digits.
 _NOISE_REL_BOUND = math.sqrt(sys.float_info.epsilon)
+# Stand-in for log 0: finite, and 0 after exp whatever moderate terms join it.
+_LOG_ZERO = -1e300
 
 
 @dataclass(frozen=True)
@@ -121,22 +125,22 @@ def mellin_barnes_integral(values_fn, step: float,
     line, on the nodes u = k * step, |u| <= half_width (rounded up to an even
     count a side, so every other node forms the grid of the coarse sum S_2h).
 
-    values_fn maps an ndarray of u to G(u). While an edge term exceeds
-    _TRUNCATION_TOL of the centre term the window doubles, and only the
-    added nodes are evaluated; a term that is not finite, or a window past
-    |u| = _WINDOW_LIMIT, raises NonConvergence.
+    values_fn maps an ndarray of u to the pair (G(u), E(u)), where G is
+    exp(E) times a factor of order one and E the log-space sum it came from.
+    While an edge term exceeds _TRUNCATION_TOL of the centre term the window
+    doubles, and only the added nodes are evaluated; a term that is not
+    finite, or a window past |u| = _WINDOW_LIMIT, raises NonConvergence.
 
-    Each integrand here is exp(E) of a log-space sum E = log|G| + i (phase
-    unwound from the centre node), so a node carries a roundoff of about
-    _ROUNDOFF (1 + |E|) |G|; their sum is the noise floor. The value is
-    converged when |S_h - S_2h| is below the floor or _REL_TOL of it, and
-    the floor is below _NOISE_REL_BOUND of it; the error estimate is the
-    larger of the difference and the floor (the difference can read 0).
+    A node exp(E) carries a roundoff of about _ROUNDOFF (1 + |E|) |G|; their
+    sum is the noise floor. The value is converged when |S_h - S_2h| is
+    below the floor or _REL_TOL of it, and the floor is below
+    _NOISE_REL_BOUND of it; the error estimate is the larger of the
+    difference and the floor (the difference can read 0).
 
     Returns (value, err_estimate, evaluations, converged).
     """
     n_half = 2 * math.ceil(half_width / (2.0 * step))
-    vals = values_fn(np.arange(-n_half, n_half + 1) * step)
+    vals, logs = values_fn(np.arange(-n_half, n_half + 1) * step)
     while True:
         if not np.isfinite(vals).all():
             raise NonConvergence(
@@ -146,26 +150,13 @@ def mellin_barnes_integral(values_fn, step: float,
         if n_half * step >= _WINDOW_LIMIT:
             raise NonConvergence(f"contour integrand not decayed at |u| = {n_half * step:.4g}")
         added = np.arange(n_half + 1, 2 * n_half + 1)
-        new = values_fn(np.concatenate((-added[::-1], added)) * step)
+        new, new_logs = values_fn(np.concatenate((-added[::-1], added)) * step)
         vals = np.concatenate((new[:n_half], vals, new[n_half:]))
+        logs = np.concatenate((new_logs[:n_half], logs, new_logs[n_half:]))
         n_half *= 2
-    magnitudes = np.abs(vals)
     estimate = step * complex(vals.sum())
     diff = abs(estimate - 2.0 * step * complex(vals[0::2].sum()))
-    # np.unwrap's arithmetic, applied where a phase step reaches pi
-    phase = np.angle(vals)
-    turn = phase[1:] - phase[:-1]
-    jumps = np.flatnonzero(np.abs(turn) >= math.pi)
-    if jumps.size:
-        jump = turn[jumps]
-        wrapped = np.mod(jump + math.pi, _TWO_PI) - math.pi
-        wrapped[(wrapped == -math.pi) & (jump > 0.0)] = math.pi
-        correction = np.zeros_like(turn)
-        correction[jumps] = wrapped - jump
-        phase[1:] += correction.cumsum()
-    exponent = np.abs(np.log(np.maximum(magnitudes, _UNDERFLOW_PEAK))
-                      + 1j * (phase - phase[n_half]))
-    noise_floor = _ROUNDOFF * step * float((magnitudes * (1.0 + exponent)).sum())
+    noise_floor = _ROUNDOFF * step * float((np.abs(vals) * (1.0 + np.abs(logs))).sum())
     converged = (diff <= max(_REL_TOL * abs(estimate), noise_floor)
                  and noise_floor <= _NOISE_REL_BOUND * abs(estimate))
     return (estimate / _TWO_PI, max(diff, noise_floor) / _TWO_PI, vals.size,
@@ -177,11 +168,12 @@ def contour_integral(integrand, log_abs_real, c: float,
     """(1/2 pi i) * integral of integrand(s) ds along the parabola
     s(u) = c - mu u^2 + i u, u real, which opens to the left.
 
-    integrand maps a complex ndarray of points to values F, with F(conj s) =
-    conj F(s), so the integral is real. Its singularities lie on the real
-    axis, the nearest at distances poles = (left, right) from c (math.inf
-    for none). log_abs_real maps a float ndarray of real points between them
-    to log|F|.
+    integrand maps a complex ndarray of points to log F, finite, with
+    F(conj s) = conj F(s), so the integral is real. The engine takes exp
+    once per node and reads the log for the noise floor (see
+    mellin_barnes_integral). The singularities of F lie on the real axis, the
+    nearest at distances poles = (left, right) from c (math.inf for none).
+    log_abs_real maps a float ndarray of real points between them to log|F|.
 
     With no singularity right of c, F is taken to decay super-exponentially
     to the left, as products of Gamma(n s + a) do, and mu = _MU_SCALE /
@@ -236,7 +228,8 @@ def contour_integral(integrand, log_abs_real, c: float,
               if phi2 > 0.0 else widths[0])
 
     def path_values(u):
-        return integrand(c - mu * u * u + 1j * u) * (1.0 + 2j * mu * u)
+        logs = integrand(c - mu * u * u + 1j * u)
+        return np.exp(logs) * (1.0 + 2j * mu * u), logs
 
     raw, err, n_grid, ok = mellin_barnes_integral(path_values, step, window)
     im = abs(raw.imag)
@@ -271,11 +264,15 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
     log_p = math.log(p)
 
     def integrand(s):
-        return np.asarray(mf.f_star(1.0 - s)) * np.exp(log_gamma(s) - s * log_p)
+        with np.errstate(divide="ignore"):
+            log_f = np.log(np.asarray(mf.f_star(1.0 - s), dtype=complex))
+        # an image value that underflowed to 0 keeps a finite log, and its
+        # node stays 0
+        np.maximum(log_f.real, _LOG_ZERO, out=log_f.real)
+        return log_f + log_gamma(s) - s * log_p
 
     def log_abs_real(x):
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(integrand(x + 0j)))
+        return integrand(x + 0j).real
 
     # nearest poles: Gamma(s) at 0 and f*(1 - s) at 1 - sigma_max on the
     # left, f*(1 - s) at 1 - sigma_min on the right

@@ -67,21 +67,17 @@ _LANCZOS_NUM = _LANCZOS_C[1:, None].astype(complex)
 _BLOCK = 4096
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
+_TWO_PI_I = 2j * math.pi
 
 
 def _log_sin_pi(t: np.ndarray) -> np.ndarray:
     """log sin(pi t) for Im t >= 0, as -i pi t + log((e^{2 pi i t} - 1) / 2i):
     |e^{2 pi i t}| <= 1 there, so nothing overflows, and the logarithm's
     argument stays in the closed upper half-plane, off the cut of log.
-    e^{2 pi i t} - 1 is formed from t less its nearest integer as
-    expm1(x) cos y - 2 sin^2(y / 2) + i e^x sin y, x + iy = 2 pi i (t - n),
-    which keeps full relative accuracy next to the poles."""
-    x = -2.0 * math.pi * t.imag
-    y = 2.0 * math.pi * (t.real - np.rint(t.real))
-    half = np.sin(0.5 * y)
-    re = np.expm1(x) * np.cos(y) - 2.0 * half * half
-    im = np.exp(x) * np.sin(y)
-    return -1j * math.pi * t + np.log(0.5 * im - 0.5j * re)
+    e^{2 pi i t} - 1 is the complex expm1 of 2 pi i (t - n), n the integer
+    nearest Re t; numpy forms it as expm1(x) cos y - 2 sin^2(y / 2) +
+    i e^x sin y, which keeps full relative accuracy next to the poles."""
+    return -1j * math.pi * t + np.log(-0.5j * np.expm1(_TWO_PI_I * (t - np.rint(t.real))))
 
 
 def _log_gamma_array(z: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ import pytest
 from frechet_laplace.distributions import RationalShape, Shape, frechet_pdf
 from frechet_laplace.errors import ContourError, DomainError, NonConvergence, PoleError
 from frechet_laplace.laplace import laplace_frechet_oracle
-from frechet_laplace.mellin import (_UNDERFLOW_PEAK, MellinFunction, contour_integral,
-                                    delta_list, frechet_mellin_image, laplace_via_mellin,
+from frechet_laplace.mellin import (MellinFunction, contour_integral, delta_list,
+                                    frechet_mellin_image, laplace_via_mellin,
                                     mellin_barnes_integral)
 from frechet_laplace.numerics import _ROUNDOFF, integrate_semi_infinite, log_gamma
 
@@ -130,6 +130,21 @@ class TestLaplaceViaMellin:
             bound = 10.0 * (res.err_estimate + oracle.err_estimate) + 4e-16 * abs(oracle.value)
             assert abs(res.value - oracle.value) <= bound
 
+    def test_image_that_underflows_to_zero(self):
+        # an image value of 0 enters the log-space integrand as a finite log
+        # whose node is 0: Gamma(s) flushed to 0 below 1e-9, which zeroes
+        # about 200 nodes of the window's extension, where the other factor
+        # Gamma(1 - s) is as small
+        def flushed(s):
+            values = np.exp(log_gamma(s))
+            return np.where(np.abs(values) < 1e-9, 0.0, values)
+
+        res = laplace_via_mellin(MellinFunction(f_star=flushed, domain_strip=(0.0, math.inf)),
+                                 1.0)
+        assert abs(res.value - 0.5) <= 1e-12
+        assert res.converged
+        assert math.isfinite(res.err_estimate)
+
     def test_abscissa_must_be_positive(self):
         with pytest.raises(ContourError):
             laplace_via_mellin(exp_mellin_image(), 1.0, -0.2)
@@ -152,30 +167,32 @@ class TestLaplaceViaMellin:
 
 class TestContourIntegral:
     # Gamma(s) X^{-s} has its poles at 0, -1, ..., left of Re s = C, and its
-    # contour integral is exp(-X).
+    # contour integral is exp(-X). Integrands hand the engine log F.
     C, X = 0.7, 1.3
     POLES = (C, math.inf)
 
-    def gamma_power(self, s):
-        return np.exp(log_gamma(s) - s * math.log(self.X))
+    def log_gamma_power(self, s):
+        return log_gamma(s) - s * math.log(self.X)
 
     def log_abs_gamma_power(self, x):
         return np.array([math.lgamma(v) - v * math.log(self.X) for v in x])
 
     def test_real_value(self):
-        res = contour_integral(self.gamma_power, self.log_abs_gamma_power, self.C, self.POLES)
+        res = contour_integral(self.log_gamma_power, self.log_abs_gamma_power, self.C,
+                               self.POLES)
         assert abs(res.value - math.exp(-self.X)) <= 1e-13
         assert res.converged
         assert res.im_residue <= 1e-15
 
     def test_imaginary_integral_not_converged(self):
-        res = contour_integral(lambda s: 1j * self.gamma_power(s), self.log_abs_gamma_power,
-                               self.C, self.POLES)
+        # i F, as log F + i pi / 2
+        res = contour_integral(lambda s: self.log_gamma_power(s) + 0.5j * math.pi,
+                               self.log_abs_gamma_power, self.C, self.POLES)
         assert not res.converged
         assert res.im_residue == pytest.approx(math.exp(-self.X), rel=1e-13)
 
     def test_underflow_is_converged_zero(self):
-        res = contour_integral(lambda s: 1e-305 * self.gamma_power(s),
+        res = contour_integral(lambda s: self.log_gamma_power(s) + math.log(1e-305),
                                lambda x: self.log_abs_gamma_power(x) + math.log(1e-305),
                                self.C, self.POLES)
         assert res.value == 0.0
@@ -196,67 +213,79 @@ class TestContourIntegral:
 
 
 class TestNoiseFloorPhase:
-    # mellin_barnes_integral unwinds the node phases with np.unwrap's
-    # arithmetic, applied only where a step reaches pi. On synthetic nodes
-    # its err_estimate must equal the np.unwrap formula bit for bit. The
-    # nodes have magnitude 1 for |j| <= 6 and 2^-60 at the edges (exact
-    # scalings, so the designed phase steps survive), and node j = 5
-    # balances S_h against S_2h, so that the estimate is the noise floor.
+    # mellin_barnes_integral reads each node's roundoff from the log F the
+    # integrand hands it, phase included, with no unwrapping of node values.
+    # On synthetic nodes its err_estimate must equal the floor formula
+    # eps h sum |G_j| (1 + |log F_j|) bit for bit. The nodes have magnitude 1
+    # for |j| <= 6 and e^-42 at the edges, and node j = 5 balances S_h
+    # against S_2h, so that the estimate is the noise floor.
     STEP, HALF_WIDTH, N_HALF = 0.5, 4.0, 8
     BALANCE = 13
     PI_DOWN = math.nextafter(math.pi, 0.0)
     PI_UP = math.nextafter(math.pi, 4.0)
-    ULP = PI_UP - math.pi
 
     @classmethod
-    def reference(cls, vals):
-        """(|S_h - S_2h|, noise floor), the floor from np.unwrap."""
+    def floor_formula(cls, vals, logs):
+        return _ROUNDOFF * cls.STEP * float((np.abs(vals) * (1.0 + np.abs(logs))).sum())
+
+    @classmethod
+    def unwrap_floor(cls, vals):
+        """The floor as rebuilt from node values with np.unwrap."""
         magnitudes = np.abs(vals)
-        estimate = cls.STEP * complex(np.sum(vals))
-        diff = abs(estimate - 2.0 * cls.STEP * complex(np.sum(vals[0::2])))
         phase = np.unwrap(np.angle(vals))
-        exponent = np.abs(np.log(np.maximum(magnitudes, _UNDERFLOW_PEAK))
-                          + 1j * (phase - phase[cls.N_HALF]))
-        return diff, _ROUNDOFF * cls.STEP * float(np.sum(magnitudes * (1.0 + exponent)))
+        exponent = np.abs(np.log(magnitudes) + 1j * (phase - phase[cls.N_HALF]))
+        return _ROUNDOFF * cls.STEP * float(np.sum(magnitudes * (1.0 + exponent)))
 
     @classmethod
-    def nodes(cls, units):
+    def nodes(cls, phases):
+        """(G, log F) with Im log F_j the given phases, repeated as needed."""
         j = np.arange(-cls.N_HALF, cls.N_HALF + 1)
-        vals = (np.where(np.abs(j) <= 6, 1.0, 2.0 ** -60)
-                * np.resize(np.array(units, dtype=complex), j.size))
+        logs = (np.where(np.abs(j) <= 6, 0.0, -42.0)
+                + 1j * np.resize(np.array(phases, dtype=float), j.size))
+        vals = np.exp(logs)
         vals[cls.BALANCE] = 0.0
         vals[cls.BALANCE] = vals[0::2].sum() - vals[1::2].sum()
-        return vals
+        logs[cls.BALANCE] = np.log(vals[cls.BALANCE])
+        return vals, logs
 
     def cases(self):
-        up, down = complex(-1.0, self.ULP), complex(1.0, -self.ULP)
+        pi = math.pi
         return {
-            # angles 0, pi, 0, -pi, pi/2, -pi/2: steps of exactly +-pi
-            "exact_pi": (self.nodes([1, complex(-1, 0.0), 1, complex(-1, -0.0), 1j, -1j, 1]),
-                         {math.pi, -math.pi}),
-            # 0 -> pi - ulp and -ulp -> pi: steps one ulp either side of pi
-            "pi_ulp": (self.nodes([1, up, 1, down, complex(-1, 0.0), down]),
+            # phase steps of exactly +-pi
+            "exact_pi": (self.nodes([0.0, pi, 0.0, -pi, 0.5 * pi, -0.5 * pi, 0.0]),
+                         {pi, -pi}),
+            # steps one ulp either side of pi
+            "pi_ulp": (self.nodes([0.0, self.PI_DOWN, 0.0, self.PI_UP]),
                        {self.PI_DOWN, self.PI_UP}),
-            "several_wraps": (self.nodes(np.exp(2.5j * np.arange(17))), set()),
-            "no_wrap": (self.nodes(np.exp(0.15j * (np.arange(17) - 8))), set()),
+            "several_wraps": (self.nodes(2.5 * np.arange(17)), set()),
+            "no_wrap": (self.nodes(0.15 * (np.arange(17) - 8)), set()),
+            # log F_j = 4 i j: more than pi per node, which an unwrap of the
+            # node values reads as 4 - 2 pi
+            "fast_phase": (self.nodes(4.0 * (np.arange(17) - 8)), {4.0}),
         }
 
-    @pytest.mark.parametrize("case", ["exact_pi", "pi_ulp", "several_wraps", "no_wrap"])
-    def test_err_estimate_equals_unwrap_formula(self, case):
-        vals, steps = self.cases()[case]
-        turns = np.diff(np.angle(vals))
+    @pytest.mark.parametrize("case", ["exact_pi", "pi_ulp", "several_wraps", "no_wrap",
+                                      "fast_phase"])
+    def test_err_estimate_equals_floor_formula(self, case):
+        (vals, logs), steps = self.cases()[case]
+        turns = np.diff(logs.imag)
         assert steps <= set(turns[:self.BALANCE - 1].tolist())
-        wraps = np.count_nonzero(np.abs(turns) >= math.pi)
+        wraps = np.count_nonzero(np.abs(np.diff(np.angle(vals))) >= math.pi)
         if case == "several_wraps":
             assert wraps >= 4
         if case == "no_wrap":
             assert wraps == 0
-        diff, floor = self.reference(vals)
+        estimate = self.STEP * complex(vals.sum())
+        diff = abs(estimate - 2.0 * self.STEP * complex(vals[0::2].sum()))
+        floor = self.floor_formula(vals, logs)
         assert floor > diff
+        if case == "fast_phase":
+            # the phase counts in full: the unwrap undercounted it
+            assert floor > 1.5 * self.unwrap_floor(vals)
 
         def values_fn(u):
             assert u.size == vals.size
-            return vals
+            return vals, logs
 
         _, err, n, _ = mellin_barnes_integral(values_fn, self.STEP, self.HALF_WIDTH)
         assert n == vals.size
