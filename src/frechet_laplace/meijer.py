@@ -19,6 +19,7 @@ never have to be binary64 numbers on their own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -66,7 +67,7 @@ class MeijerSpec:
         return sum(n for n, _ in self.groups)
 
 
-def _saddle_abscissa(spec: MeijerSpec, log_z: float, b_min: float) -> float:
+def _saddle_abscissa(spec: MeijerSpec, log_z: float, slope: float, b_min: float) -> float:
     """Abscissa minimizing the integrand magnitude on the real axis.
 
     On the real axis the integrand is exp(phi(c)) with, one term per run,
@@ -80,23 +81,47 @@ def _saddle_abscissa(spec: MeijerSpec, log_z: float, b_min: float) -> float:
     (log z > 300 m), phi < -0.3 m c at the bracket end, far under the
     binary64 floor, so the vertex there gives the same converged zero.
 
-    Bisection on phi'(c) finds it to 1e-2 (relative above c = 1), in plain
-    floats: psi is a central difference of math.lgamma, good to about 1e-9.
+    Safeguarded Newton on phi'(c) = sum_g n_g psi(n_g c + a_g) - slope, from
+    z^{1/m} (where phi' ~ m log c - log z), finds it to 1e-2 (relative above
+    c = 1) in plain floats: psi and psi' are central differences of
+    math.lgamma, good to about 1e-9 and 1e-4. Each iterate narrows the
+    bracket by the sign of phi'; a Newton step out of it, or phi'' <= 0,
+    bisects. phi' is concave, so Newton rises to the root from the left;
+    phi' > 0 at the lower end makes that end the result.
     """
-    slope = sum(n * math.log(n) for n, _ in spec.groups) + log_z
-    lo = -b_min + 0.25
-    hi = max(lo + 3.0, 2.0 * math.exp(min(max(log_z, 0.0) / spec.m, 300.0)))
-    while hi - lo > 1e-2 * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        psi = 0.0
+    lo, hi = -b_min + 0.25, 2.0 * math.exp(300.0)
+    c = min(max(math.exp(min(log_z / spec.m, 300.0)), lo), hi)
+    while True:
+        d1, d2 = -slope, 0.0
         for n, a in spec.groups:
-            x = n * mid + a
-            psi += n * (math.lgamma(1.00001 * x) - math.lgamma(0.99999 * x)) / (2e-5 * x)
-        if psi > slope:
-            hi = mid
+            x = n * c + a
+            up, down = math.lgamma(1.00001 * x), math.lgamma(0.99999 * x)
+            d1 += n * (up - down) / (2e-5 * x)
+            d2 += n * n * (up - 2.0 * math.lgamma(x) + down) / (1e-5 * x) ** 2
+        if d1 > 0.0:
+            hi = c
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            lo = c
+        step = c - d1 / d2 if d2 > 0.0 else math.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - c) <= 1e-2 * max(1.0, step):
+            return step
+        c = step
+
+
+@functools.lru_cache(maxsize=256)
+def _spec_constants(spec: MeijerSpec) -> tuple:
+    """What meijer_g_m0 needs of spec alone: b_min, the multiplication
+    formula's constant and sum n log n (plain floats, summed in run order),
+    and the runs' n and a as read-only complex columns (n s + a needs no cast)."""
+    groups = np.array(spec.groups, dtype=complex)
+    groups.flags.writeable = False
+    log_2pi = math.log(2.0 * math.pi)
+    # the smallest b_j of a run Delta(n, a) is a / n
+    return (min(a / n for n, a in spec.groups),
+            sum(0.5 * (n - 1.0) * log_2pi + (0.5 - a) * math.log(n) for n, a in spec.groups),
+            sum(n * math.log(n) for n, _ in spec.groups), groups[:, :1], groups[:, 1:])
 
 
 def meijer_g_m0(spec: MeijerSpec, *, log_z: float, c: float | None = None,
@@ -134,27 +159,19 @@ def meijer_g_m0(spec: MeijerSpec, *, log_z: float, c: float | None = None,
     """
     if not (math.isfinite(log_z) and math.isfinite(log_scale)):
         raise DomainError("meijer_g requires finite log_z and log_scale")
-    # the smallest b_j of a run Delta(n, a) is a / n
-    b_min = min(a / n for n, a in spec.groups)
+    b_min, const, slope, n, a = _spec_constants(spec)
+    const, slope = const + log_scale, slope + log_z
     if c is None:
-        c = _saddle_abscissa(spec, log_z, b_min)
+        c = _saddle_abscissa(spec, log_z, slope, b_min)
     elif not -b_min < c < math.inf:
         raise ContourError(
             f"abscissa {c} does not separate poles: need {-b_min} < c < inf")
-    # plain floats, summed in run order
-    log_2pi = math.log(2.0 * math.pi)
-    const = sum(0.5 * (rn - 1.0) * log_2pi + (0.5 - ra) * math.log(rn)
-                for rn, ra in spec.groups) + log_scale
-    slope = sum(rn * math.log(rn) for rn, _ in spec.groups) + log_z
-    # complex, so that n s + a needs no cast
-    groups = np.array(spec.groups, dtype=complex)
-    n, a = groups[:, :1], groups[:, 1:]
 
     def log_values(s):
-        return log_gamma(n * s + a).sum(axis=0) + const - s * slope
+        return np.add.reduce(log_gamma(n * s + a)) + const - s * slope
 
     def integrand(s):
-        if s.size % 2 and np.array_equal(s[::-1], s.conj()):
+        if s.size % 2 and np.equal(s[::-1], s.conj()).all():
             upper = log_values(s[s.size // 2:])
             return np.concatenate((upper[:0:-1].conj(), upper))
         return log_values(s)
@@ -194,9 +211,10 @@ class LaplaceClosedForm:
         return l * log_p - k * math.log(k) - l * math.log(l)
 
 
+@functools.lru_cache(maxsize=256)
 def build_laplace_closed_form(shape: RationalShape) -> LaplaceClosedForm:
     """Assemble the log prefactor, the parameter list Delta(k,1) + Delta(l,0),
-    and the argument map for the given reduced shape l/k."""
+    and the argument map for the given reduced shape l/k, once per shape."""
     l, k = shape.l, shape.k
     log_prefactor = 0.5 * math.log(k * l) - ((k + l) / 2.0 - 1.0) * math.log(2.0 * math.pi)
     return LaplaceClosedForm(shape=shape, log_prefactor=log_prefactor,

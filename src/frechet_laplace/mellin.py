@@ -248,7 +248,7 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
     no pole of the integrand right of Re(s) = 0, so 0.5 is a balanced default
     and the path is contour_integral's parabola; an image whose strip is
     bounded on the left (a pole of f*(1 - s) right of c) takes the line.
-    by Cauchy's theorem any valid c gives the same value, which the
+    By Cauchy's theorem any valid c gives the same value, which the
     shift-invariance checks exercise. Every p is integrated; as p -> 0 the
     accuracy falls, and where the sum misses its tolerance (gamma = 1/10 at
     p = 1e-12, every Frechet image at p = 1e-30) it carries converged=False.

@@ -70,14 +70,14 @@ _LOG_PI = math.log(math.pi)
 _TWO_PI_I = 2j * math.pi
 
 
-def _log_sin_pi(t: np.ndarray) -> np.ndarray:
+def _log_sin_pi(t: np.ndarray, n: np.ndarray) -> np.ndarray:
     """log sin(pi t) for Im t >= 0, as -i pi t + log((e^{2 pi i t} - 1) / 2i):
     |e^{2 pi i t}| <= 1 there, so nothing overflows, and the logarithm's
     argument stays in the closed upper half-plane, off the cut of log.
     e^{2 pi i t} - 1 is the complex expm1 of 2 pi i (t - n), n the integer
     nearest Re t; numpy forms it as expm1(x) cos y - 2 sin^2(y / 2) +
     i e^x sin y, which keeps full relative accuracy next to the poles."""
-    return -1j * math.pi * t + np.log(-0.5j * np.expm1(_TWO_PI_I * (t - np.rint(t.real))))
+    return -1j * math.pi * t + np.log(-0.5j * np.expm1(_TWO_PI_I * (t - n)))
 
 
 def _log_gamma_array(z: np.ndarray) -> np.ndarray:
@@ -88,18 +88,23 @@ def _log_gamma_array(z: np.ndarray) -> np.ndarray:
     np.add(zz - 1.0, _LANCZOS_K, out=terms[1:])
     np.divide(_LANCZOS_NUM, terms[1:], out=terms[1:])
     # numpy would sum a single column pairwise; accumulate keeps the row order
-    series = terms.sum(axis=0) if zz.size > 1 else np.add.accumulate(terms)[-1]
+    series = np.add.reduce(terms) if zz.size > 1 else np.add.accumulate(terms)[-1]
     w = zz + (_LANCZOS_G - 0.5)
     out = _HALF_LOG_2PI + (zz - 0.5) * np.log(w) - w + np.log(series)
     if low.any():
+        # every pole has Re t < 1/2, and t == rint(Re t) holds at the poles only
+        t = z[low]
+        n = np.rint(t.real)
+        on_pole = t == n
+        if on_pole.any():
+            raise PoleError(f"log_gamma pole at nonpositive integer {t[on_pole][0]}")
         # lower half-plane (signed zero included) by conjugation, so that
         # log Gamma(conj z) = conj log Gamma(z) bit for bit
-        t = z[low]
         lower = np.signbit(t.imag)
         mirror = lower.any()
         if mirror:
             t = np.where(lower, t.conj(), t)
-        reflected = _LOG_PI - _log_sin_pi(t)
+        reflected = _LOG_PI - _log_sin_pi(t, n)
         if mirror:
             reflected = np.where(lower, reflected.conj(), reflected)
         out[low] = reflected - out[low]
@@ -120,16 +125,13 @@ def log_gamma(s):
     if not np.isfinite(arr).all():
         raise DomainError("log_gamma requires finite arguments")
     flat = arr.ravel()
-    on_axis = flat[flat.imag == 0.0]
-    if on_axis.size:
-        x = on_axis.real
-        on_pole = (x <= 0.0) & (x == np.floor(x))
-        if on_pole.any():
-            raise PoleError(f"log_gamma pole at nonpositive integer {on_axis[on_pole][0]}")
-    out = np.empty_like(flat)
-    for i in range(0, flat.size, _BLOCK):
-        out[i:i + _BLOCK] = _log_gamma_array(flat[i:i + _BLOCK])
-    if np.isscalar(s) or arr.ndim == 0:
+    if flat.size <= _BLOCK:
+        out = _log_gamma_array(flat)
+    else:
+        out = np.empty_like(flat)
+        for i in range(0, flat.size, _BLOCK):
+            out[i:i + _BLOCK] = _log_gamma_array(flat[i:i + _BLOCK])
+    if arr.ndim == 0:
         return complex(out[0])
     return out.reshape(arr.shape)
 

@@ -211,6 +211,90 @@ class TestConjugateMirror:
         assert res.evaluations == 4 * n_half + 1
 
 
+# The saddle search against an independent minimiser: the root of
+# phi'(c) = sum_g n_g psi(n_g c + a_g) - slope from mpmath's digamma, by
+# bisection in log c over the search's bracket [-b_min + 1/4, 2 e^300]. The
+# log z sweep runs from -700 m, where the saddle sits on the lower clamp, past
+# the bracket's upper end, which the half transform reaches at x = 1e-300.
+SADDLE_SPECS = ([(name, build_laplace_closed_form(s).spec) for name, s in GROUPED_SPECS]
+                + [("half", _HALF_SPEC)])
+
+
+class TestSaddleAbscissa:
+    @pytest.mark.parametrize("spec", [s for _, s in SADDLE_SPECS],
+                             ids=[name for name, _ in SADDLE_SPECS])
+    def test_matches_digamma_root(self, spec):
+        mpmath = pytest.importorskip("mpmath")
+        b_min = min(a / n for n, a in spec.groups)
+        lo, hi = -b_min + 0.25, 2.0 * math.exp(300.0)
+        n_log_n = sum(n * math.log(n) for n, _ in spec.groups)
+
+        def dphi(log_c, slope):
+            c = mpmath.exp(log_c)
+            return sum(n * mpmath.digamma(n * c + a) for n, a in spec.groups) - slope
+
+        log_zs = np.concatenate((np.linspace(-700.0 * spec.m, 320.0 * spec.m, 52),
+                                 np.linspace(-8.0, 8.0, 17)))
+        with mpmath.workdps(30):
+            for log_z in log_zs.tolist():
+                slope = n_log_n + log_z
+                c = meijer._saddle_abscissa(spec, log_z, slope, b_min)
+                assert math.isfinite(c) and lo <= c <= hi
+                left, right = math.log(lo), math.log(hi)
+                if dphi(left, slope) > 0:
+                    ref = lo
+                elif dphi(right, slope) < 0:
+                    ref = hi
+                else:
+                    while right - left > 1e-9:
+                        mid = 0.5 * (left + right)
+                        if dphi(mid, slope) > 0:
+                            right = mid
+                        else:
+                            left = mid
+                    ref = math.exp(left)
+                assert abs(c - ref) <= 1e-2 * max(1.0, c), (log_z, c, ref)
+
+    def test_huge_argument_stops_at_the_bracket_end(self):
+        # log z = 2762, the half transform at x = 1e-300: phi' < 0 on the
+        # whole bracket, and phi'' (a difference of lgamma near 1e131) must
+        # not stop the search
+        b_min = min(a / n for n, a in _HALF_SPEC.groups)
+        log_z = 2762.0
+        slope = sum(n * math.log(n) for n, _ in _HALF_SPEC.groups) + log_z
+        c = meijer._saddle_abscissa(_HALF_SPEC, log_z, slope, b_min)
+        assert abs(c - 2.0 * math.exp(300.0)) <= 1e-2 * c
+
+
+# Per-shape and per-spec constants are computed once; the memo holds them and
+# never a value.
+class TestConstantsMemo:
+    def test_equal_shapes_share_one_form(self):
+        assert build_laplace_closed_form(RationalShape(2, 4)) is build_laplace_closed_form(
+            RationalShape(1, 2))
+
+    def test_cached_arrays_are_read_only(self):
+        spec = build_laplace_closed_form(RationalShape(2, 3)).spec
+        n, a = meijer._spec_constants(spec)[3:]
+        for column in (n, a):
+            with pytest.raises(ValueError):
+                column[0, 0] = 5.0
+        assert meijer._spec_constants(spec)[3][0, 0] == 3.0
+
+    def test_caches_are_bounded_and_hold_no_values(self):
+        for memo in (build_laplace_closed_form, meijer._spec_constants):
+            assert memo.cache_info().maxsize is not None
+        shape = RationalShape(3, 7)
+        laplace_frechet(LaplaceQuery(shape, 1.0, Method.MEIJER_G))
+        sizes = [memo.cache_info().currsize
+                 for memo in (build_laplace_closed_form, meijer._spec_constants)]
+        values = {laplace_frechet(LaplaceQuery(shape, p, Method.MEIJER_G)).value
+                  for p in (0.1, 0.2, 0.3)}
+        assert len(values) == 3
+        assert [memo.cache_info().currsize
+                for memo in (build_laplace_closed_form, meijer._spec_constants)] == sizes
+
+
 class TestBuildLaplaceClosedForm:
     def test_unit_shape(self):
         form = build_laplace_closed_form(RationalShape(1, 1))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,40 @@ class TestLogGamma:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             log_gamma(complex(math.inf, 0.0))
+
+    # The pole test runs inside the kernel's reflection branch, block by
+    # block, and an input of one block skips the copy loop: these edge cases
+    # keep their results, with no RuntimeWarning on the way.
+    def test_pole_in_a_later_block_rejected(self):
+        z = np.full(numerics._BLOCK + 100, 1.5 + 2.0j)
+        z[numerics._BLOCK + 7], z[numerics._BLOCK + 50] = -7.0, -2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoleError, match=r"\(-7\+0j\)"):
+                log_gamma(z)
+
+    @pytest.mark.parametrize("zero", [complex(0.0, -0.0), -0.0, np.array(-0.0),
+                                      np.array([2.5, complex(-0.0, -0.0)])])
+    def test_signed_zero_is_a_pole(self, zero):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoleError):
+                log_gamma(zero)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_empty_input(self, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = log_gamma(np.zeros(shape))
+        assert out.shape == shape and out.dtype == complex
+
+    @pytest.mark.parametrize("z", [np.array(2.5), np.float64(2.5), 2.5, np.array(-1.5 + 0.5j)])
+    def test_zero_dimensional_input_gives_a_python_complex(self, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = log_gamma(z)
+        assert type(out) is complex
+        assert out == log_gamma(np.array([complex(z)]))[0]
 
 
 class TestIntegrateSemiInfinite:

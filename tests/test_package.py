@@ -73,6 +73,25 @@ def test_benchmark_tracer_reads_every_layer():
     assert metrics["numerics.quad.calls"] == 1
 
 
+@pytest.mark.parametrize("l,k,p", [(1, 1, 1.0), (2, 3, 0.05), (4, 1, 19.8), (1, 30, 3.0)])
+def test_benchmark_tracer_sees_one_log_gamma_per_integral(l, k, p):
+    # the per-layer metrics read log_gamma through its traced name: a MEIJER_G
+    # value on the closed-form grid is one contour integral and one log_gamma
+    # call on the upper half of its nodes, for both runs
+    tracing = _load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        res = laplace_frechet(LaplaceQuery(RationalShape(l, k), p, Method.MEIJER_G))
+    finally:
+        tracer.uninstall()
+    assert res.converged
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["mellin.integrals"] == 1
+    assert metrics["numerics.log_gamma.calls"] == metrics["mellin.integrals"]
+    assert metrics["numerics.log_gamma.elems"] == res.evaluations + 1
+
+
 @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.98])
 @pytest.mark.parametrize("p", [1e-4, 1.0, 10.0])
 def test_benchmark_mellin_reference_matches_oracle(gamma, p):
