@@ -76,10 +76,6 @@ class LevyIndex:
             raise DomainError(f"Levy index must lie in (0, 1), got {self.alpha}")
 
 
-def _exp_or_zero(log_value: float) -> float:
-    return math.exp(log_value) if log_value > -745.0 else 0.0
-
-
 def frechet_pdf(shape: Shape, x: float) -> float:
     """Density gamma x^{-(1+gamma)} exp(-x^{-gamma}); 0 at x = 0 by the limit."""
     if not 0 <= x < math.inf:
@@ -91,7 +87,7 @@ def frechet_pdf(shape: Shape, x: float) -> float:
     neg_power = -g * lx  # log of x^{-gamma}
     if neg_power > 709.0:
         return 0.0
-    return _exp_or_zero(math.log(g) - (1.0 + g) * lx - math.exp(neg_power))
+    return math.exp(math.log(g) - (1.0 + g) * lx - math.exp(neg_power))
 
 
 def frechet_cdf(shape: Shape, x: float) -> float:
@@ -141,7 +137,7 @@ def levy_pdf_half(x: float) -> float:
     if not x > 0:
         raise DomainError("levy_pdf_half requires x > 0")
     log_val = -1.5 * math.log(x) - 0.25 / x - math.log(2.0 * math.sqrt(math.pi))
-    return _exp_or_zero(log_val)
+    return math.exp(log_val)
 
 
 def levy_moment(idx: LevyIndex, mu: float) -> float:
@@ -173,7 +169,7 @@ def levy_asymptotic(idx: LevyIndex, t: float) -> float:
                - 0.5 * math.log(2.0 * math.pi * (1.0 - a))
                - (2.0 - a) / (2.0 - 2.0 * a) * lt
                - tail)
-    return _exp_or_zero(log_val)
+    return math.exp(log_val)
 
 
 def levy_asymptotic_rescaled(shape: Shape, x: float) -> float:

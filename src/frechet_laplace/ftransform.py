@@ -57,18 +57,12 @@ def _power(x: float, y: float) -> float:
 
 def _kernel(g: float, x: float):
     """t -> sigma_gamma(x, t) = gamma t x^{-(1+gamma)} exp(-t x^{-gamma}) on a
-    float or an ndarray of t. Where x^{-(1+gamma)} overflows or is subnormal,
-    the kernel is formed as (gamma / x) (t u) exp(-t u), u = x^{-gamma}, which
-    keeps full precision; DomainError where u itself overflows."""
+    float or an ndarray of t, formed as (gamma / x) (t u) exp(-t u) with
+    u = x^{-gamma}: no factor overflows or goes subnormal on its own where
+    x^{-(1+gamma)} would. DomainError where u itself overflows."""
     u = _power(x, -g)
-    try:
-        front = g * x ** (-(1.0 + g))
-    except OverflowError:
-        front = math.inf
-    if not sys.float_info.min <= front < math.inf:
-        ratio = g / x
-        return lambda t: ratio * (t * u) * np.exp(-t * u)
-    return lambda t: front * t * np.exp(-t * u)
+    ratio = g / x
+    return lambda t: ratio * (t * u) * np.exp(-t * u)
 
 
 def frechet_kernel(params: FrechetKernelParams) -> float:

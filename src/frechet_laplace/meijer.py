@@ -148,14 +148,9 @@ def meijer_g_m0(spec: MeijerSpec, *, log_z: float, c: float | None = None,
     plus the multiplication formula's constant (with log_scale) and linear
     term, in log space. Its real-axis log-magnitude, from which the engine
     sets step and window, is the same sum in plain floats (math.lgamma),
-    with no log_gamma call.
-    The parameters are real, so log F(conj s) = conj log F(s); every step of
-    the integrand (n s + a, log_gamma, the sum over runs, s * slope) keeps
-    that symmetry bit for bit. The contour grid s(u), u = j h with |j| <= N,
-    is its own conjugate reversed, so log F is evaluated on the upper half
-    only and the lower half is its mirror: the same values, at half the
-    log_gamma work. Any other node array (the nodes a window extension adds) is
-    evaluated directly.
+    with no log_gamma call. The parameters are real, so
+    log F(conj s) = conj log F(s), and the engine evaluates the integrand on
+    the upper half of the path only.
     """
     if not (math.isfinite(log_z) and math.isfinite(log_scale)):
         raise DomainError("meijer_g requires finite log_z and log_scale")
@@ -170,12 +165,6 @@ def meijer_g_m0(spec: MeijerSpec, *, log_z: float, c: float | None = None,
     def log_values(s):
         return np.add.reduce(log_gamma(n * s + a)) + const - s * slope
 
-    def integrand(s):
-        if s.size % 2 and np.equal(s[::-1], s.conj()).all():
-            upper = log_values(s[s.size // 2:])
-            return np.concatenate((upper[:0:-1].conj(), upper))
-        return log_values(s)
-
     def log_abs_real(x):
         out = []
         for v in x.tolist():
@@ -185,7 +174,7 @@ def meijer_g_m0(spec: MeijerSpec, *, log_z: float, c: float | None = None,
             out.append(total + const - v * slope)
         return np.array(out)
 
-    return contour_integral(integrand, log_abs_real, c, (c + b_min, math.inf))
+    return contour_integral(log_values, log_abs_real, c, (c + b_min, math.inf))
 
 
 @dataclass(frozen=True)

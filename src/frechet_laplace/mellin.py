@@ -12,7 +12,9 @@ axis (the strip of analyticity and the curvature at the vertex), so the
 integrand is evaluated in one pass (mellin_barnes_integral), extended only
 where the edge terms have not decayed. Integrands hand the engine log F, a
 log-space sum: the engine takes its exp once per node and sets the noise
-floor from the same logs.
+floor from the same logs. Every integrand has real parameters, so
+F(conj s) = conj F(s): the engine evaluates the upper half of the path only
+and counts each node off the real axis twice.
 """
 
 from __future__ import annotations
@@ -69,9 +71,6 @@ _MU_SCALE = 0.4
 # terms the vertex term bounds only up to the node count and |s'(u)|.
 _UNDERFLOW_PEAK = 1e-300
 _OVERFLOW_PEAK = 1e300
-# Largest imaginary part, relative to the real part, that still counts as
-# roundoff of a real integral.
-_IM_REL_BOUND = 1e-10
 # Largest noise floor, relative to the value, that still counts as converged:
 # past it cancellation between the nodes has taken more than half the digits.
 _NOISE_REL_BOUND = math.sqrt(sys.float_info.epsilon)
@@ -120,46 +119,49 @@ def frechet_mellin_image(shape: RationalShape) -> MellinFunction:
 
 
 def mellin_barnes_integral(values_fn, step: float,
-                           half_width: float) -> tuple[complex, float, int, bool]:
+                           half_width: float) -> tuple[float, float, int, bool]:
     """Trapezoidal evaluation of (1/2 pi) * integral of G(u) du over the real
     line, on the nodes u = k * step, |u| <= half_width (rounded up to an even
     count a side, so every other node forms the grid of the coarse sum S_2h).
 
-    values_fn maps an ndarray of u to the pair (G(u), E(u)), where G is
-    exp(E) times a factor of order one and E the log-space sum it came from.
-    While an edge term exceeds _TRUNCATION_TOL of the centre term the window
-    doubles, and only the added nodes are evaluated; a term that is not
-    finite, or a window past |u| = _WINDOW_LIMIT, raises NonConvergence.
+    G(-u) = conj G(u), so values_fn sees only the nodes u >= 0 and the sum is
+    h (G_0 + 2 Re sum_{j>0} G_j), a real number. values_fn maps an ndarray of
+    u >= 0 to the pair (G(u), E(u)), where G is exp(E) times a factor of order
+    one and E the log-space sum it came from. While the edge term exceeds
+    _TRUNCATION_TOL of the centre term the window doubles, and only the added
+    nodes are evaluated; a term that is not finite, or a window past
+    |u| = _WINDOW_LIMIT, raises NonConvergence.
 
     A node exp(E) carries a roundoff of about _ROUNDOFF (1 + |E|) |G|; their
-    sum is the noise floor. The value is converged when |S_h - S_2h| is
-    below the floor or _REL_TOL of it, and the floor is below
+    sum over all 2N + 1 nodes is the noise floor. The value is converged when
+    |S_h - S_2h| is below the floor or _REL_TOL of it, and the floor is below
     _NOISE_REL_BOUND of it; the error estimate is the larger of the
     difference and the floor (the difference can read 0).
 
-    Returns (value, err_estimate, evaluations, converged).
+    Returns (value, err_estimate, evaluations, converged), where evaluations
+    counts the rule's 2N + 1 nodes.
     """
     n_half = 2 * math.ceil(half_width / (2.0 * step))
-    vals, logs = values_fn(np.arange(-n_half, n_half + 1) * step)
+    vals, logs = values_fn(np.arange(n_half + 1) * step)
     while True:
         if not np.isfinite(vals).all():
             raise NonConvergence(
                 f"contour integrand not finite within |u| <= {n_half * step:.4g}")
-        if max(abs(vals[0]), abs(vals[-1])) <= _TRUNCATION_TOL * abs(vals[n_half]):
+        if abs(vals[-1]) <= _TRUNCATION_TOL * abs(vals[0]):
             break
         if n_half * step >= _WINDOW_LIMIT:
             raise NonConvergence(f"contour integrand not decayed at |u| = {n_half * step:.4g}")
-        added = np.arange(n_half + 1, 2 * n_half + 1)
-        new, new_logs = values_fn(np.concatenate((-added[::-1], added)) * step)
-        vals = np.concatenate((new[:n_half], vals, new[n_half:]))
-        logs = np.concatenate((new_logs[:n_half], logs, new_logs[n_half:]))
+        new, new_logs = values_fn(np.arange(n_half + 1, 2 * n_half + 1) * step)
+        vals, logs = np.concatenate((vals, new)), np.concatenate((logs, new_logs))
         n_half *= 2
-    estimate = step * complex(vals.sum())
-    diff = abs(estimate - 2.0 * step * complex(vals[0::2].sum()))
-    noise_floor = _ROUNDOFF * step * float((np.abs(vals) * (1.0 + np.abs(logs))).sum())
+    centre = float(vals[0].real)
+    estimate = step * (centre + 2.0 * float(vals.real[1:].sum()))
+    diff = abs(estimate - 2.0 * step * (centre + 2.0 * float(vals.real[2::2].sum())))
+    terms = np.abs(vals) * (1.0 + np.abs(logs))
+    noise_floor = _ROUNDOFF * step * (float(terms[0]) + 2.0 * float(terms[1:].sum()))
     converged = (diff <= max(_REL_TOL * abs(estimate), noise_floor)
                  and noise_floor <= _NOISE_REL_BOUND * abs(estimate))
-    return (estimate / _TWO_PI, max(diff, noise_floor) / _TWO_PI, vals.size,
+    return (estimate / _TWO_PI, max(diff, noise_floor) / _TWO_PI, 2 * n_half + 1,
             bool(converged))
 
 
@@ -169,9 +171,9 @@ def contour_integral(integrand, log_abs_real, c: float,
     s(u) = c - mu u^2 + i u, u real, which opens to the left.
 
     integrand maps a complex ndarray of points to log F, finite, with
-    F(conj s) = conj F(s), so the integral is real. The engine takes exp
-    once per node and reads the log for the noise floor (see
-    mellin_barnes_integral). The singularities of F lie on the real axis, the
+    F(conj s) = conj F(s), so the integral is real: the engine hands it only
+    the path points with Im s >= 0, takes exp once per node and reads the
+    log for the noise floor (see mellin_barnes_integral). The singularities of F lie on the real axis, the
     nearest at distances poles = (left, right) from c (math.inf for none).
     log_abs_real maps a float ndarray of real points between them to log|F|.
 
@@ -193,9 +195,7 @@ def contour_integral(integrand, log_abs_real, c: float,
     |F(c)| below 1e-300 is a converged zero without any complex evaluation:
     the transforms evaluated here decay super-algebraically there. Above
     1e300 the sum cannot be formed: the result is 0.0 with converged=False
-    and an infinite err_estimate, again without a complex evaluation. The
-    imaginary part of the sum is roundoff, checked against the real part
-    and then discarded.
+    and an infinite err_estimate, again without a complex evaluation.
     """
     left, right = poles
     if right < math.inf:
@@ -231,12 +231,8 @@ def contour_integral(integrand, log_abs_real, c: float,
         logs = integrand(c - mu * u * u + 1j * u)
         return np.exp(logs) * (1.0 + 2j * mu * u), logs
 
-    raw, err, n_grid, ok = mellin_barnes_integral(path_values, step, window)
-    im = abs(raw.imag)
-    if im > _IM_REL_BOUND * max(abs(raw.real), 1e-300):
-        ok = False
-    return EvalResult(value=raw.real, err_estimate=err, evaluations=n_grid,
-                      converged=ok, im_residue=im)
+    value, err, n_grid, ok = mellin_barnes_integral(path_values, step, window)
+    return EvalResult(value=value, err_estimate=err, evaluations=n_grid, converged=ok)
 
 
 def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResult:
@@ -252,6 +248,9 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
     shift-invariance checks exercise. Every p is integrated; as p -> 0 the
     accuracy falls, and where the sum misses its tolerance (gamma = 1/10 at
     p = 1e-12, every Frechet image at p = 1e-30) it carries converged=False.
+    An image that is not real on the real axis, where the engine sets step
+    and window, raises DomainError: the engine's sum over the upper half of
+    the path would not be the integral.
     """
     if not 0 < p < math.inf:
         raise DomainError("laplace_via_mellin requires finite p > 0")
@@ -272,7 +271,16 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
         return log_f + log_gamma(s) - s * log_p
 
     def log_abs_real(x):
-        return integrand(x + 0j).real
+        # an analytic image real on the real axis is its own conjugate
+        # mirror (Schwarz reflection); its log there is real up to a multiple
+        # of i pi and a node's roundoff
+        logs = integrand(x + 0j)
+        phase = logs.imag
+        if (np.abs(phase - math.pi * np.rint(phase / math.pi))
+                > _ROUNDOFF * (1.0 + np.abs(logs))).any():
+            raise DomainError("laplace_via_mellin requires an image that is real "
+                              "on the real axis")
+        return logs.real
 
     # nearest poles: Gamma(s) at 0 and f*(1 - s) at 1 - sigma_max on the
     # left, f*(1 - s) at 1 - sigma_min on the right

@@ -9,7 +9,7 @@ Everything here works in plain binary64; no arbitrary-precision arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class EvalResult:
     err_estimate: float
     evaluations: int
     converged: bool
-    im_residue: float = field(default=0.0)
 
 
 # Lanczos rational approximation (g = 607/128, 15 terms). Accurate to a few

@@ -7,7 +7,9 @@ import pytest
 
 from frechet_laplace.distributions import RationalShape, Shape, frechet_pdf
 from frechet_laplace.errors import ContourError, DomainError, NonConvergence, PoleError
-from frechet_laplace.laplace import laplace_frechet_oracle
+from frechet_laplace import meijer, mellin
+from frechet_laplace.ftransform import frechet_transform_frechet_half
+from frechet_laplace.laplace import LaplaceQuery, Method, laplace_frechet, laplace_frechet_oracle
 from frechet_laplace.mellin import (MellinFunction, contour_integral, delta_list,
                                     frechet_mellin_image, laplace_via_mellin,
                                     mellin_barnes_integral)
@@ -109,10 +111,38 @@ class TestLaplaceViaMellin:
             for b in values:
                 assert abs(a - b) <= 1e-9 * abs(a)
 
-    def test_imaginary_residue_small(self):
+    def test_imaginary_residue_small(self, monkeypatch):
+        # the engine sums the upper half of the path and mirrors it; over both
+        # halves of a symmetric grid on the path (mu = 0.4 at c = 0.5) the
+        # integrand's sum has an imaginary part of roundoff size
+        integrands = []
+        monkeypatch.setattr(mellin, "contour_integral",
+                            lambda integrand, *args: integrands.append(integrand))
         for p in (0.1, 1.0, 7.0):
-            res = laplace_via_mellin(frechet_mellin_image(RationalShape(2, 1)), p)
-            assert res.im_residue <= 1e-10 * abs(res.value)
+            laplace_via_mellin(frechet_mellin_image(RationalShape(2, 1)), p)
+        u = np.linspace(-8.0, 8.0, 161)
+        for integrand in integrands:
+            total = (np.exp(integrand(0.5 - 0.4 * u * u + 1j * u)) * (1.0 + 0.8j * u)).sum()
+            assert abs(total.imag) <= 1e-10 * abs(total.real)
+
+    def test_non_real_image_raises(self):
+        # log F off a multiple of i pi on the real axis: the image is not its
+        # own conjugate mirror, and the upper-half sum would not be the
+        # integral
+        def turned(phase):
+            return MellinFunction(f_star=lambda s: np.exp(log_gamma(s) + 1j * phase),
+                                  domain_strip=(0.0, math.inf))
+
+        for phase in (0.5 * math.pi, 1e-8, -3.0):
+            with pytest.raises(DomainError, match="real on the real axis"):
+                laplace_via_mellin(turned(phase), 1.0)
+        # -Gamma(s), real and negative: log F carries i pi
+        res = laplace_via_mellin(turned(math.pi), 1.0)
+        assert res.converged and abs(res.value + 0.5) <= 1e-12
+        # a non-finite image is the engine's NonConvergence, as before
+        with pytest.raises(NonConvergence, match="not finite"):
+            laplace_via_mellin(MellinFunction(f_star=lambda s: np.full(np.shape(s), np.nan),
+                                              domain_strip=(0.0, math.inf)), 1.0)
 
     @pytest.mark.parametrize("l, k", [(1, 10), (1, 4), (1, 2), (2, 3), (1, 1),
                                       (3, 2), (3, 1), (10, 1)])
@@ -182,14 +212,6 @@ class TestContourIntegral:
                                self.POLES)
         assert abs(res.value - math.exp(-self.X)) <= 1e-13
         assert res.converged
-        assert res.im_residue <= 1e-15
-
-    def test_imaginary_integral_not_converged(self):
-        # i F, as log F + i pi / 2
-        res = contour_integral(lambda s: self.log_gamma_power(s) + 0.5j * math.pi,
-                               self.log_abs_gamma_power, self.C, self.POLES)
-        assert not res.converged
-        assert res.im_residue == pytest.approx(math.exp(-self.X), rel=1e-13)
 
     def test_underflow_is_converged_zero(self):
         res = contour_integral(lambda s: self.log_gamma_power(s) + math.log(1e-305),
@@ -215,36 +237,44 @@ class TestContourIntegral:
 class TestNoiseFloorPhase:
     # mellin_barnes_integral reads each node's roundoff from the log F the
     # integrand hands it, phase included, with no unwrapping of node values.
-    # On synthetic nodes its err_estimate must equal the floor formula
-    # eps h sum |G_j| (1 + |log F_j|) bit for bit. The nodes have magnitude 1
-    # for |j| <= 6 and e^-42 at the edges, and node j = 5 balances S_h
-    # against S_2h, so that the estimate is the noise floor.
-    STEP, HALF_WIDTH, N_HALF = 0.5, 4.0, 8
+    # On synthetic nodes u = j h, j = 0..16 (the engine asks for u >= 0 only
+    # and mirrors the rest), its err_estimate must equal the floor formula
+    # eps h sum |G_j| (1 + |log F_j|) over all 2N + 1 nodes, that is with
+    # weights 1, 2, 2, ..., bit for bit. The nodes have magnitude 1 for
+    # j <= 14 and e^-42 at the edge, G_0 is real, and node j = 13 balances
+    # S_h against S_2h, so that the estimate is the noise floor.
+    STEP, HALF_WIDTH, N_HALF = 0.5, 8.0, 16
     BALANCE = 13
     PI_DOWN = math.nextafter(math.pi, 0.0)
     PI_UP = math.nextafter(math.pi, 4.0)
 
+    @staticmethod
+    def mirrored_sum(terms):
+        return float(terms[0] + 2.0 * terms[1:].sum())
+
     @classmethod
     def floor_formula(cls, vals, logs):
-        return _ROUNDOFF * cls.STEP * float((np.abs(vals) * (1.0 + np.abs(logs))).sum())
+        return _ROUNDOFF * cls.STEP * cls.mirrored_sum(np.abs(vals) * (1.0 + np.abs(logs)))
 
     @classmethod
     def unwrap_floor(cls, vals):
         """The floor as rebuilt from node values with np.unwrap."""
         magnitudes = np.abs(vals)
         phase = np.unwrap(np.angle(vals))
-        exponent = np.abs(np.log(magnitudes) + 1j * (phase - phase[cls.N_HALF]))
-        return _ROUNDOFF * cls.STEP * float(np.sum(magnitudes * (1.0 + exponent)))
+        exponent = np.abs(np.log(magnitudes) + 1j * (phase - phase[0]))
+        return _ROUNDOFF * cls.STEP * cls.mirrored_sum(magnitudes * (1.0 + exponent))
 
     @classmethod
     def nodes(cls, phases):
         """(G, log F) with Im log F_j the given phases, repeated as needed."""
-        j = np.arange(-cls.N_HALF, cls.N_HALF + 1)
-        logs = (np.where(np.abs(j) <= 6, 0.0, -42.0)
+        j = np.arange(cls.N_HALF + 1)
+        logs = (np.where(j <= 14, 0.0, -42.0)
                 + 1j * np.resize(np.array(phases, dtype=float), j.size))
         vals = np.exp(logs)
+        # S_h - S_2h = h (-G_0 + 2 Re sum_odd G_j - 2 Re sum_{even > 0} G_j)
         vals[cls.BALANCE] = 0.0
-        vals[cls.BALANCE] = vals[0::2].sum() - vals[1::2].sum()
+        vals[cls.BALANCE] = 0.5 * vals[0].real + (vals[2::2].real.sum()
+                                                  - vals[1::2].real.sum())
         logs[cls.BALANCE] = np.log(vals[cls.BALANCE])
         return vals, logs
 
@@ -258,16 +288,17 @@ class TestNoiseFloorPhase:
             "pi_ulp": (self.nodes([0.0, self.PI_DOWN, 0.0, self.PI_UP]),
                        {self.PI_DOWN, self.PI_UP}),
             "several_wraps": (self.nodes(2.5 * np.arange(17)), set()),
-            "no_wrap": (self.nodes(0.15 * (np.arange(17) - 8)), set()),
+            "no_wrap": (self.nodes(0.15 * np.arange(17)), set()),
             # log F_j = 4 i j: more than pi per node, which an unwrap of the
             # node values reads as 4 - 2 pi
-            "fast_phase": (self.nodes(4.0 * (np.arange(17) - 8)), {4.0}),
+            "fast_phase": (self.nodes(4.0 * np.arange(17)), {4.0}),
         }
 
     @pytest.mark.parametrize("case", ["exact_pi", "pi_ulp", "several_wraps", "no_wrap",
                                       "fast_phase"])
     def test_err_estimate_equals_floor_formula(self, case):
         (vals, logs), steps = self.cases()[case]
+        assert vals[0].imag == 0.0
         turns = np.diff(logs.imag)
         assert steps <= set(turns[:self.BALANCE - 1].tolist())
         wraps = np.count_nonzero(np.abs(np.diff(np.angle(vals))) >= math.pi)
@@ -275,8 +306,8 @@ class TestNoiseFloorPhase:
             assert wraps >= 4
         if case == "no_wrap":
             assert wraps == 0
-        estimate = self.STEP * complex(vals.sum())
-        diff = abs(estimate - 2.0 * self.STEP * complex(vals[0::2].sum()))
+        estimate = self.STEP * (vals[0].real + 2.0 * vals.real[1:].sum())
+        diff = abs(estimate - 2.0 * self.STEP * (vals[0].real + 2.0 * vals.real[2::2].sum()))
         floor = self.floor_formula(vals, logs)
         assert floor > diff
         if case == "fast_phase":
@@ -284,9 +315,64 @@ class TestNoiseFloorPhase:
             assert floor > 1.5 * self.unwrap_floor(vals)
 
         def values_fn(u):
-            assert u.size == vals.size
+            assert np.array_equal(u, np.arange(self.N_HALF + 1) * self.STEP)
             return vals, logs
 
         _, err, n, _ = mellin_barnes_integral(values_fn, self.STEP, self.HALF_WIDTH)
-        assert n == vals.size
+        assert n == 2 * vals.size - 1
         assert err == floor / (2.0 * math.pi)
+
+
+
+class TestUpperHalfNodes:
+    # Every contour route hands log_gamma, and the caller's image, only path
+    # points with Im s >= 0 (real probe points included): the lower half is
+    # the engine's mirror. evaluations still counts the rule's 2N + 1 nodes.
+    ROUTES = {
+        "closed_form_2_3_p1": lambda: laplace_frechet(
+            LaplaceQuery(RationalShape(2, 3), 1.0, Method.MEIJER_G)),
+        "closed_form_30_1_p20": lambda: laplace_frechet(
+            LaplaceQuery(RationalShape(30, 1), 20.0, Method.MEIJER_G)),
+        "frechet_half": lambda: frechet_transform_frechet_half(Shape(1.0), 2.0),
+    }
+    # laplace_via_mellin on the Frechet image takes the parabola, on the
+    # Gamma(s) image (a strip bounded on the left) the vertical line
+    IMAGES = {
+        "via_mellin_frechet": lambda: frechet_mellin_image(RationalShape(1, 1)),
+        "via_mellin_gamma": exp_mellin_image,
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES) + list(IMAGES))
+    def test_no_point_below_the_real_axis(self, route, monkeypatch):
+        points, in_image = [], [False]
+
+        def spy(original):
+            def log_gamma_spy(s):
+                if not in_image[0]:
+                    points.append(np.asarray(s, dtype=complex).ravel())
+                return original(s)
+            return log_gamma_spy
+
+        for module in (meijer, mellin):
+            monkeypatch.setattr(module, "log_gamma", spy(module.log_gamma))
+
+        if route in self.ROUTES:
+            res = self.ROUTES[route]()
+        else:
+            image = self.IMAGES[route]()
+
+            def f_star(s):
+                # the image sees 1 - s; the log_gamma calls it makes on
+                # those points are not path points
+                points.append(1.0 - np.asarray(s, dtype=complex).ravel())
+                in_image[0] = True
+                try:
+                    return image.f_star(s)
+                finally:
+                    in_image[0] = False
+
+            res = laplace_via_mellin(MellinFunction(f_star, image.domain_strip), 1.0)
+        assert res.converged
+        assert res.evaluations % 2 == 1
+        assert any(p.imag.max() > 0.0 for p in points)
+        assert all(p.imag.min() >= 0.0 for p in points)
