@@ -159,12 +159,16 @@ def levy_asymptotic(idx: LevyIndex, t: float) -> float:
     At alpha = 1/2 this reproduces the exact elementary density, and the
     sqrt(1-alpha) factor is what makes the gamma/(1+gamma) rescaling onto the
     Frechet density an identity rather than merely an approximation.
+    It is 0.0 where the tail's exp overflows: the tail outweighs the rest.
     """
     if not t > 0:
         raise DomainError("levy_asymptotic requires t > 0")
     a = idx.alpha
     lt = math.log(t)
-    tail = (1.0 - a) * a ** (a / (1.0 - a)) * math.exp(-a / (1.0 - a) * lt)
+    try:
+        tail = (1.0 - a) * a ** (a / (1.0 - a)) * math.exp(-a / (1.0 - a) * lt)
+    except OverflowError:
+        return 0.0
     log_val = (math.log(a) / (2.0 - 2.0 * a)
                - 0.5 * math.log(2.0 * math.pi * (1.0 - a))
                - (2.0 - a) / (2.0 - 2.0 * a) * lt

@@ -59,10 +59,12 @@ def _kernel(g: float, x: float):
     """t -> sigma_gamma(x, t) = gamma t x^{-(1+gamma)} exp(-t x^{-gamma}) on a
     float or an ndarray of t, formed as (gamma / x) (t u) exp(-t u) with
     u = x^{-gamma}: no factor overflows or goes subnormal on its own where
-    x^{-(1+gamma)} would. DomainError where u itself overflows."""
+    x^{-(1+gamma)} would; t u is capped at 746, where exp(-t u) is already 0,
+    so an overflowing t u gives 0, not inf * 0. DomainError where u itself
+    overflows."""
     u = _power(x, -g)
     ratio = g / x
-    return lambda t: ratio * (t * u) * np.exp(-t * u)
+    return lambda t: ratio * np.minimum(t * u, 746.0) * np.exp(-t * u)
 
 
 def frechet_kernel(params: FrechetKernelParams) -> float:

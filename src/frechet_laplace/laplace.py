@@ -79,36 +79,29 @@ def laplace_frechet(query: LaplaceQuery) -> EvalResult:
 def laplace_frechet_oracle(shape: Shape, p: float) -> EvalResult:
     """Direct quadrature of the Laplace transform for any real shape.
 
-    The substitution u = x^{-gamma} turns the defining integral into
-    int_0^inf exp(-u - p u^{-1/gamma}) du, which is smooth and positive with
-    no singularity left at the origin (the exponent diverges to -inf there).
-    For gamma < 1 the term p u^{-1/gamma} would vary on a log scale of 1/gamma,
-    so the integral is taken over w = u^{1/gamma} instead,
-    int_0^inf gamma w^{gamma-1} exp(-w^gamma - p/w) dw, where both exponent
-    terms vary on a unit log scale. The quadrature is centred on the saddle
-    of the exponent, or on 1 if that lies lower: for large p the mass is a
-    narrow peak there.
+    With u = x^{-gamma} the defining integral becomes
+    int_0^inf exp(-u - p u^{-1/gamma}) du; integrating by parts against the
+    CDF exp(-x^{-gamma}) and putting y = px gives the same integrand at
+    (1/gamma, p^gamma), int_0^inf exp(-y - p^gamma y^{-gamma}) dy. The oracle
+    takes the pair whose power of the variable lies in [-1, 0): no steep
+    cliff. Both are changes of variables in the defining integral, not the
+    closed form's transmutation law, so the oracle stays independent of the
+    Meijer G route it checks. The quadrature is centred on the saddle of the
+    exponent, or on 1 if that lies lower.
     """
     if not 0 <= p < math.inf:
         raise DomainError("laplace_frechet_oracle requires finite p >= 0")
     if p == 0.0:
         return EvalResult(value=1.0, err_estimate=0.0, evaluations=0, converged=True)
     g = shape.gamma
-    if g >= 1.0:
-        inv_gamma = 1.0 / g
+    if g < 1.0:
+        g, p = 1.0 / g, p ** g
+    inv_gamma = 1.0 / g
 
-        def integrand(u):
-            return np.exp(-u - p * u ** -inv_gamma)
+    def integrand(u):
+        return np.exp(-u - p * u ** -inv_gamma)
 
-        saddle = (p / g) ** (g / (1.0 + g))
-    else:
-        log_g = math.log(g)
-
-        def integrand(w):
-            log_w = np.log(w)
-            return np.exp(log_g + (g - 1.0) * log_w - np.exp(g * log_w) - p / w)
-
-        saddle = (p / g) ** (1.0 / (1.0 + g))
+    saddle = (p / g) ** (g / (1.0 + g))
     return integrate_semi_infinite(integrand, 0.0, scale=max(saddle, 1.0))
 
 

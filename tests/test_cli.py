@@ -55,6 +55,13 @@ class TestLaplaceCommand:
         assert " value=" in out
         assert "error" not in err
 
+    def test_small_shape_converges(self, capsys):
+        # AUTO at gamma = 1/800; reference from mpmath.quad at 30 digits
+        code, out, _ = run(capsys, ["laplace", "--l", "1", "--k", "800", "--p", "1"])
+        assert code == 0
+        value = float(out.split()[1].split("=")[1])
+        assert abs(value - 0.36761400960405952) <= 1e-15
+
     @pytest.mark.parametrize("argv", [
         ["laplace", "--l", "1", "--p", "1"],              # missing k
         ["laplace", "--l", "0", "--k", "2", "--p", "1"],  # invalid shape

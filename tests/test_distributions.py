@@ -227,6 +227,10 @@ class TestLevyAsymptotic:
         with pytest.raises(DomainError):
             levy_asymptotic(LevyIndex(0.5), 0.0)
 
+    def test_tail_factor_beyond_binary64_gives_zero(self):
+        # the tail factor e^{-alpha/(1-alpha) log t} is e^{6200} here
+        assert levy_asymptotic(LevyIndex(0.9), 1e-300) == 0.0
+
 
 class TestLevyAsymptoticRescaled:
     @staticmethod

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ class TestKernel:
             lambda x: frechet_kernel(FrechetKernelParams(Shape(g), x, t)),
             otypes=[float]), 0.0)
         assert abs(total.value - 1.0) <= 1e-10
+
+    def test_overflowing_exponent_gives_zero(self):
+        # t x^{-gamma} = 1e400 overflows: the kernel is 0, not inf * 0
+        params = FrechetKernelParams(Shape(1.0), 1e-200, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frechet_kernel(params) == 0.0
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -165,11 +165,11 @@ class TestOracleMpmath:
         assert abs(res.value - ref) <= 10.0 * res.err_estimate + 4e-16 * abs(ref)
 
 
-# ROADMAP item 5: at gamma <= 1/200 the oracle's err_estimate is far below
-# its actual error. References from mpmath.quad at 30 digits.
-@pytest.mark.xfail(reason="oracle err_estimate understates its error at gamma <= 1/200")
-@pytest.mark.parametrize("gamma,ref", [(1.0 / 200.0, 0.366817754244),
-                                       (1.0 / 800.0, 0.367614009604)])
+# At gamma <= 1/200 the oracle's error estimate must still bound its actual
+# error. References to 17 digits from mpmath.quad at 30 digits over
+# exp(-u - u^{-1/gamma}), with breakpoints across the cliff at u = 1.
+@pytest.mark.parametrize("gamma,ref", [(1.0 / 200.0, 0.36681775424402136),
+                                       (1.0 / 800.0, 0.36761400960405952)])
 def test_small_gamma_error_estimate_bounds_actual_error(gamma, ref):
     res = laplace_frechet_oracle(Shape(gamma), 1.0)
     assert abs(res.value - ref) <= res.err_estimate
