@@ -18,7 +18,7 @@ from .distributions import (LevyIndex, RationalShape, Shape, frechet_mode,
                             frechet_moment, frechet_pdf, levy_asymptotic,
                             levy_asymptotic_mode, levy_asymptotic_rescaled,
                             levy_moment)
-from .errors import DivergentMoment, DomainError, FrechetLaplaceError
+from .errors import DomainError, FrechetLaplaceError
 from .ftransform import frechet_transform_frechet_half, frechet_transform_levy
 from .laplace import LaplaceQuery, Method, laplace_frechet
 
@@ -45,16 +45,7 @@ def _fmt(v: float) -> str:
 
 
 def _cmd_laplace(args) -> int:
-    try:
-        shape = RationalShape(args.l, args.k)
-        if not args.p > 0:
-            raise DomainError(f"p must be positive, got {args.p}")
-    except FrechetLaplaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("usage: frechet-laplace laplace --l L --k K --p P [--method M]",
-              file=sys.stderr)
-        return 1
-
+    shape = RationalShape(args.l, args.k)
     methods = {
         "meijer": [Method.MEIJER_G],
         "quadrature": [Method.QUADRATURE],
@@ -120,8 +111,7 @@ def _figure_rows(figure_id: str, points: int):
 
 def _cmd_figure(args) -> int:
     if args.points < 2:
-        print("error: --points must be >= 2", file=sys.stderr)
-        return 1
+        raise DomainError(f"--points must be >= 2, got {args.points}")
     rows = _figure_rows(args.id, args.points)
     try:
         with open(args.out, "w", newline="\n") as fh:
@@ -139,16 +129,13 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_moment(args) -> int:
-    try:
-        if args.dist == "frechet":
-            value = frechet_moment(Shape(args.gamma), args.mu)
-        else:
-            value = levy_moment(LevyIndex(args.alpha), args.mu)
-    except DivergentMoment as exc:
-        bound = args.gamma if args.dist == "frechet" else args.alpha
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"valid moment orders: -inf < mu < {bound}", file=sys.stderr)
-        return 1
+    name = "gamma" if args.dist == "frechet" else "alpha"
+    if getattr(args, name) is None:
+        args.parser.error(f"moment {args.dist} requires --{name}")
+    if args.dist == "frechet":
+        value = frechet_moment(Shape(args.gamma), args.mu)
+    else:
+        value = levy_moment(LevyIndex(args.alpha), args.mu)
     print(_fmt(value))
     return 0
 
@@ -188,48 +175,45 @@ def _build_parser() -> _Parser:
     p_lap.add_argument("--p", type=float, required=True, help="Laplace variable, > 0")
     p_lap.add_argument("--method", choices=["meijer", "quadrature", "auto", "both"],
                        default="auto")
-    p_lap.set_defaults(fn=_cmd_laplace)
+    p_lap.set_defaults(fn=_cmd_laplace, parser=p_lap)
 
     p_fig = sub.add_parser("figure", help="emit figure data as CSV")
     p_fig.add_argument("--id", choices=sorted(_FIG_RANGES), required=True,
                        help="; ".join(f"{k}: {v}" for k, v in sorted(_FIG_RANGES.items())))
     p_fig.add_argument("--out", required=True, help="output CSV path")
     p_fig.add_argument("--points", type=int, default=400)
-    p_fig.set_defaults(fn=_cmd_figure)
+    p_fig.set_defaults(fn=_cmd_figure, parser=p_fig)
 
     p_mom = sub.add_parser("moment", help="power moments")
     p_mom.add_argument("dist", choices=["frechet", "levy"])
     p_mom.add_argument("--gamma", type=float, help="Frechet shape")
     p_mom.add_argument("--alpha", type=float, help="Levy index")
     p_mom.add_argument("--mu", type=float, required=True, help="moment order")
-    p_mom.set_defaults(fn=_cmd_moment)
+    p_mom.set_defaults(fn=_cmd_moment, parser=p_mom)
 
     p_tr = sub.add_parser("transform", help="Frechet-transform closed forms")
     p_tr.add_argument("kind", choices=["levy", "frechet-half"])
     p_tr.add_argument("--alpha", type=float, default=0.5)
     p_tr.add_argument("--gamma", type=float, required=True)
     p_tr.add_argument("--x", type=float, required=True)
-    p_tr.set_defaults(fn=_cmd_transform)
+    p_tr.set_defaults(fn=_cmd_transform, parser=p_tr)
 
     p_check = sub.add_parser("selfcheck", help="run the built-in invariant suite")
     p_check.add_argument("--list", action="store_true",
                          help="print check names without running")
-    p_check.set_defaults(fn=_cmd_selfcheck)
+    p_check.set_defaults(fn=_cmd_selfcheck, parser=p_check)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "moment":
-        if args.dist == "frechet" and args.gamma is None:
-            parser.error("moment frechet requires --gamma")
-        if args.dist == "levy" and args.alpha is None:
-            parser.error("moment levy requires --alpha")
     try:
         return args.fn(args)
     except FrechetLaplaceError as exc:
+        # the one place a library error becomes exit 1
         print(f"error: {exc}", file=sys.stderr)
+        args.parser.print_usage(sys.stderr)
         return 1
 
 

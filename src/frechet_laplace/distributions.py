@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DivergentMoment, DomainError
+from .numerics import _exp, _power
 
 __all__ = [
     "Shape",
@@ -87,7 +88,7 @@ def frechet_pdf(shape: Shape, x: float) -> float:
     neg_power = -g * lx  # log of x^{-gamma}
     if neg_power > 709.0:
         return 0.0
-    return math.exp(math.log(g) - (1.0 + g) * lx - math.exp(neg_power))
+    return _exp(math.log(g) - (1.0 + g) * lx - math.exp(neg_power))
 
 
 def frechet_cdf(shape: Shape, x: float) -> float:
@@ -104,7 +105,7 @@ def frechet_quantile(shape: Shape, q: float) -> float:
     """Inverse of frechet_cdf: (-ln q)^{-1/gamma} on 0 < q < 1."""
     if not (0.0 < q < 1.0):
         raise DomainError("frechet_quantile requires 0 < q < 1")
-    return (-math.log(q)) ** (-1.0 / shape.gamma)
+    return _power(-math.log(q), -1.0 / shape.gamma)
 
 
 def _gamma_ratio(a: float, b: float) -> float:
@@ -112,8 +113,10 @@ def _gamma_ratio(a: float, b: float) -> float:
     try:
         value = math.gamma(a) / math.gamma(b)
     except OverflowError:  # one gamma overflowed alone; the ratio may still fit
-        log_value = math.lgamma(a) - math.lgamma(b)
-        value = math.exp(log_value) if log_value < 709.78 else math.inf
+        try:
+            value = _exp(math.lgamma(a) - math.lgamma(b))
+        except OverflowError:  # lgamma(a) overflows from a = 2.56e305, the ratio too
+            value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"moment Gamma({a}) / Gamma({b}) overflows binary64")
     return value
@@ -123,7 +126,7 @@ def frechet_moment(shape: Shape, mu: float) -> float:
     """Power moment E[X^mu] = Gamma(1 - mu/gamma), finite only for mu < gamma."""
     g = shape.gamma
     if not mu < g:
-        raise DivergentMoment(f"Frechet moment diverges for mu >= gamma ({mu} >= {g})")
+        raise DivergentMoment(f"valid Frechet moment orders: -inf < mu < {g}, got {mu}")
     return _gamma_ratio(1.0 - mu / g, 1.0)
 
 
@@ -145,7 +148,7 @@ def levy_moment(idx: LevyIndex, mu: float) -> float:
     Gamma(1 - mu/alpha) / Gamma(1 - mu), finite only for mu < alpha."""
     a = idx.alpha
     if not mu < a:
-        raise DivergentMoment(f"Levy moment diverges for mu >= alpha ({mu} >= {a})")
+        raise DivergentMoment(f"valid Levy moment orders: -inf < mu < {a}, got {mu}")
     return _gamma_ratio(1.0 - mu / a, 1.0 - mu)
 
 
@@ -173,7 +176,7 @@ def levy_asymptotic(idx: LevyIndex, t: float) -> float:
                - 0.5 * math.log(2.0 * math.pi * (1.0 - a))
                - (2.0 - a) / (2.0 - 2.0 * a) * lt
                - tail)
-    return math.exp(log_val)
+    return _exp(log_val)
 
 
 def levy_asymptotic_rescaled(shape: Shape, x: float) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 from .distributions import LevyIndex, Shape, frechet_pdf
 from .errors import DomainError, MissingLaplace
 from .meijer import MeijerSpec, meijer_g_m0
-from .numerics import EvalResult, integrate_semi_infinite
+from .numerics import EvalResult, _power, integrate_semi_infinite
 
 __all__ = [
     "FrechetKernelParams",
@@ -47,24 +47,17 @@ class TransformTarget:
     laplace_of_f: Optional[Callable] = None
 
 
-def _power(x: float, y: float) -> float:
-    """x ** y, with DomainError where it overflows binary64."""
-    try:
-        return x ** y
-    except OverflowError:
-        raise DomainError(f"{x} ** {y} overflows binary64") from None
-
-
 def _kernel(g: float, x: float):
     """t -> sigma_gamma(x, t) = gamma t x^{-(1+gamma)} exp(-t x^{-gamma}) on a
-    float or an ndarray of t, formed as (gamma / x) (t u) exp(-t u) with
-    u = x^{-gamma}: no factor overflows or goes subnormal on its own where
-    x^{-(1+gamma)} would; t u is capped at 746, where exp(-t u) is already 0,
-    so an overflowing t u gives 0, not inf * 0. DomainError where u itself
-    overflows."""
+    float or an ndarray of t, formed as (gamma / x) ((t u) exp(-t u)) with
+    u = x^{-gamma}: no factor leaves the normal range where x^{-(1+gamma)}
+    does; t u is capped at 746, where exp(-t u) is already 0, so an overflowing
+    t u gives 0, not inf * 0. DomainError where u or gamma / x overflows."""
     u = _power(x, -g)
     ratio = g / x
-    return lambda t: ratio * np.minimum(t * u, 746.0) * np.exp(-t * u)
+    if ratio == math.inf:
+        raise DomainError(f"gamma / x overflows binary64 at gamma = {g}, x = {x}")
+    return lambda t: ratio * (np.minimum(t * u, 746.0) * np.exp(-t * u))
 
 
 def frechet_kernel(params: FrechetKernelParams) -> float:
@@ -138,8 +131,8 @@ def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape,
         raise MissingLaplace("the Laplace-derivative transform needs laplace_of_f; "
                              "use frechet_transform_quadrature for a target with only f")
 
-    # bar_f = -(gamma / x) u L'(u): u L'(u) comes from differences scaled by
-    # u / h (at most 1e6), so no factor overflows or underflows on its own
+    # bar_f = -gamma u L'(u) / x, u L'(u) from differences scaled by u / h (at
+    # most 1e6): gamma / x, which overflows at a subnormal x, is never formed
     h = min(max(1e-6, 1e-6 * u), u / 4.0)
     w = u / h
     above, below = laplace(u + h), laplace(u - h)
@@ -148,10 +141,11 @@ def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape,
     richardson = abs(d_h - d_2h) / 3.0
     converged = richardson <= _DIFF_REL_TOL * abs(d_h)
     roundoff = sys.float_info.epsilon * (abs(above) + abs(below)) * (0.5 * w)
-    rate = g / x
-    return EvalResult(value=-rate * d_h,
-                      err_estimate=rate * (richardson + roundoff),
-                      evaluations=4, converged=converged)
+    value = -(g * d_h) / x
+    err = (g * (richardson + roundoff)) / x
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise DomainError(f"the transform at gamma = {g}, x = {x} is not a finite float")
+    return EvalResult(value=value, err_estimate=err, evaluations=4, converged=converged)
 
 
 def frechet_transform_levy(alpha: LevyIndex, gamma: Shape, x: float) -> float:

@@ -33,6 +33,23 @@ class EvalResult:
     converged: bool
 
 
+# The binary64-range guard for every power or exp that can overflow.
+def _power(x: float, y: float) -> float:
+    """x ** y, with DomainError where it overflows binary64."""
+    try:
+        return x ** y
+    except OverflowError:
+        raise DomainError(f"{x} ** {y} overflows binary64") from None
+
+
+def _exp(log_value: float) -> float:
+    """exp(log_value), with DomainError where it overflows binary64."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"exp({log_value}) overflows binary64") from None
+
+
 # Lanczos rational approximation (g = 607/128, 15 terms). Accurate to a few
 # ulp for Re(z) >= 1/2; arguments left of that line take the reflection
 # formula log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z), whose
@@ -210,9 +227,10 @@ def integrate_semi_infinite(f, lower: float, scale: float = 1.0) -> EvalResult:
         significant = np.flatnonzero((mags > 0.0) & (mags >= _SIGNIFICANT * mags.max()))
         if significant.size == 0:
             # no term is finite and nonzero: an integral that underflows, or
-            # an f that is nowhere finite (not converged)
+            # an f that is nowhere finite (not converged); the bound is the
+            # subnormal spacing of each term f du/dt over the span of t
             return EvalResult(value=0.0, evaluations=coarse.size,
-                              err_estimate=_TINY * scale * float(_EXP_PHI[-1] - _EXP_PHI[0]),
+                              err_estimate=_TINY * (2.0 * _T_MAX) * scale,
                               converged=bool(finite.all()))
         lo, hi = significant[0], significant[-1]
         if lo > 0 and finite[lo - 1]:

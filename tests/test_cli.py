@@ -194,12 +194,15 @@ class TestTransformCommand:
     @pytest.mark.parametrize("argv", [
         ["levy", "--alpha", "1.5", "--gamma", "1", "--x", "1"],
         ["frechet-half", "--gamma", "1", "--x", "-1"],
+        # Fr(1e-10, 5e-324) is about e^720: no float
+        ["levy", "--alpha", "1e-10", "--gamma", "1", "--x", "5e-324"],
     ])
     def test_domain_error_exits_1(self, capsys, argv):
         code, out, err = run(capsys, ["transform"] + argv)
         assert code == 1
         assert out == ""
         assert "error:" in err
+        assert "usage: frechet-laplace transform" in err
 
 
 class TestSelfcheckCommand:

@@ -51,6 +51,20 @@ class TestKernel:
             warnings.simplefilter("error")
             assert frechet_kernel(params) == 0.0
 
+    def test_huge_rate_keeps_value(self):
+        # gamma / x = 1e307 meets (t u) exp(-t u), not t u alone: the value
+        # 1e307 * 100 e^{-100} is a float, and at t u = 1000 it is 0, not NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = frechet_kernel(FrechetKernelParams(Shape(1.0), 1e-307, 1e-305))
+            assert math.isclose(value, 1e307 * (100.0 * math.exp(-100.0)), rel_tol=1e-13)
+            assert frechet_kernel(FrechetKernelParams(Shape(1.0), 1e-307, 1e-304)) == 0.0
+
+    def test_overflowing_rate_is_domain_error(self):
+        # gamma / x = 1e323 is no float, though x^{-gamma} = 4.4e161 is
+        with pytest.raises(DomainError):
+            frechet_kernel(FrechetKernelParams(Shape(0.5), 5e-324, 1e-170))
+
     def test_validation(self):
         with pytest.raises(DomainError):
             FrechetKernelParams(Shape(1.0), 0.0, 1.0)
@@ -116,6 +130,14 @@ class TestQuadraturePath:
                                            Shape(1.0), 1e160)
         assert res.converged
         assert abs(res.value - 1.0) <= 1e-12
+
+    def test_underflowing_value_has_tiny_estimate(self):
+        # the transform, about 3e-400, underflows to a converged 0.0; the
+        # estimate bounds the terms of the rule in t, not the span of u
+        res = frechet_transform_quadrature(EXP_TARGET, Shape(3.0), 1e100)
+        assert res.converged
+        assert res.value == 0.0
+        assert res.err_estimate <= 1e-22
 
 
 class TestQuadratureMpmath:
@@ -228,6 +250,18 @@ class TestViaLaplacePath:
         res = frechet_transform_via_laplace(EXP_TARGET, Shape(3.0), 1e-100)
         assert res.converged
         assert abs(res.value - exp_transform(3.0, 1e-100)) <= 1e-8 * 3e-200
+
+    def test_overflowing_rate_keeps_value(self):
+        # gamma / x = 5e319 is no float; the transform, about 5.0e159, is
+        res = frechet_transform_via_laplace(EXP_TARGET, Shape(0.5), 1e-320)
+        assert res.converged
+        assert math.isfinite(res.err_estimate)
+        assert abs(res.value - exp_transform(0.5, 1e-320)) <= res.err_estimate
+
+    def test_overflowing_value_is_domain_error(self):
+        # x^{-gamma} = 1.7e3 is a float, the transform, about 2e321, is not
+        with pytest.raises(DomainError):
+            frechet_transform_via_laplace(EXP_TARGET, Shape(0.01), 5e-324)
 
     def test_infinite_x_rejected(self):
         # the derivative at u = 0 would read as a converged 0.0
