@@ -1,6 +1,6 @@
 """Laplace transform of the Frechet distribution for rational shape
-parameters via Meijer G functions evaluated by Mellin-Barnes contour
-quadrature, the Frechet integral transform with its closed-form special
+parameters via Meijer G functions evaluated by their residue series and by
+Mellin-Barnes contour quadrature, the Frechet integral transform with its closed-form special
 cases, and independent quadrature oracles cross-validating every closed form.
 """
 
@@ -51,6 +51,7 @@ from .meijer import (
     MeijerSpec,
     build_laplace_closed_form,
     meijer_g_m0,
+    meijer_g_series,
 )
 from .mellin import (
     MellinFunction,
@@ -76,7 +77,8 @@ __all__ = [
     "bessel_k1",
     "MellinFunction", "frechet_mellin_image",
     "delta_list", "laplace_via_mellin",
-    "MeijerSpec", "LaplaceClosedForm", "meijer_g_m0", "build_laplace_closed_form",
+    "MeijerSpec", "LaplaceClosedForm", "meijer_g_m0", "meijer_g_series",
+    "build_laplace_closed_form",
     "Method", "LaplaceQuery", "laplace_frechet", "laplace_frechet_oracle",
     "laplace_symmetry_check", "laplace_frechet_bessel",
     "FrechetKernelParams", "TransformTarget", "frechet_kernel",

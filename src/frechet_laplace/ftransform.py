@@ -14,8 +14,8 @@ import numpy as np
 
 from .distributions import LevyIndex, Shape, frechet_pdf
 from .errors import DomainError, MissingLaplace
-from .meijer import MeijerSpec, meijer_g_m0
-from .numerics import EvalResult, _power, integrate_semi_infinite
+from .meijer import MeijerSpec, meijer_g_m0, meijer_g_series
+from .numerics import _REL_TOL, EvalResult, _power, integrate_semi_infinite
 
 __all__ = [
     "FrechetKernelParams",
@@ -145,7 +145,8 @@ def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape,
     err = (g * (richardson + roundoff)) / x
     if not (math.isfinite(value) and math.isfinite(err)):
         raise DomainError(f"the transform at gamma = {g}, x = {x} is not a finite float")
-    return EvalResult(value=value, err_estimate=err, evaluations=4, converged=converged)
+    return EvalResult(value=value, err_estimate=err, evaluations=4, converged=converged,
+                      route="difference")
 
 
 def frechet_transform_levy(alpha: LevyIndex, gamma: Shape, x: float) -> float:
@@ -164,14 +165,23 @@ def frechet_transform_frechet_half(gamma: Shape, x: float) -> EvalResult:
         (gamma / (4 sqrt(pi))) x^{-(1+gamma)}
             * G^{3,0}_{0,3}(x^{-gamma}/4 | -1/2, 0, 0)
 
-    valid for any gamma > 0. min(b) = -1/2 pushes the pole-separation
-    condition to c > 1/2. The prefactor and the argument go to meijer_g_m0
-    as logs: either leaves binary64 for large gamma |log x| while the
-    product, about x^{-1-gamma/2} at large x, is still a normal float.
+    valid for any gamma > 0. With the runs Delta(2, -1) + Delta(1, 0) the
+    multiplication formula turns it into
+    gamma x^{-(1+gamma)} (1/2 pi i) int Gamma(2s - 1) Gamma(s) x^{gamma s} ds,
+    which meijer_g_series sums as residues (simple at s = 1/2 - n, double at
+    s = -n). Where the series' estimate is not within 1e-10 of its value
+    (small x, where the terms cancel), meijer_g_m0 integrates the same
+    integrand; min(b) = -1/2 pushes its pole-separation condition to
+    c > 1/2. Both take the prefactor and the argument as logs: either leaves
+    binary64 for large gamma |log x| while the product, about x^{-1-gamma/2}
+    at large x, is still a normal float.
     """
     if not 0 < x < math.inf:
         raise DomainError("transform argument x must be finite and positive")
     g = gamma.gamma
     log_x = math.log(x)
+    res = meijer_g_series(_HALF_SPEC, const=math.log(g) - (1.0 + g) * log_x, slope=-g * log_x)
+    if res.converged and res.err_estimate <= _REL_TOL * abs(res.value):
+        return res
     return meijer_g_m0(_HALF_SPEC, log_z=-g * log_x - math.log(4.0),
                        log_scale=math.log(g / (4.0 * math.sqrt(math.pi))) - (1.0 + g) * log_x)

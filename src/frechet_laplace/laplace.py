@@ -13,7 +13,7 @@ import numpy as np
 
 from .distributions import RationalShape, Shape
 from .errors import DomainError
-from .meijer import build_laplace_closed_form, meijer_g_m0
+from .meijer import build_laplace_closed_form, meijer_g_m0, meijer_g_series
 from .numerics import _REL_TOL, EvalResult, bessel_k1, integrate_semi_infinite
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "laplace_symmetry_check",
     "laplace_frechet_bessel",
 ]
-
-_AUTO_QUADRATURE_BELOW = 1e-6
 
 
 class Method(enum.Enum):
@@ -45,35 +43,41 @@ class LaplaceQuery:
             raise DomainError(f"Laplace variable must be finite and positive, got {self.p}")
 
 
+def _within_tolerance(res: EvalResult) -> bool:
+    return res.converged and res.err_estimate <= _REL_TOL * abs(res.value)
+
+
 def _meijer_path(shape: RationalShape, log_p: float) -> EvalResult:
     form = build_laplace_closed_form(shape)
+    # the prefactor and the multiplication formula's constants cancel:
+    # L(p) = l (1/2 pi i) int Gamma(ks + 1) Gamma(ls) p^{-ls} ds
+    res = meijer_g_series(form.spec, const=math.log(shape.l), slope=shape.l * log_p)
+    if _within_tolerance(res):
+        return res
     return meijer_g_m0(form.spec, log_z=form.log_argument(log_p), log_scale=form.log_prefactor)
 
 
 def laplace_frechet(query: LaplaceQuery) -> EvalResult:
     """Evaluate L[Fr(l, k, x); p].
 
-    MEIJER_G uses the closed form through the contour quadrature; QUADRATURE
-    uses the direct oracle; AUTO picks the closed form for p >= 1e-6, falls
-    back to the oracle below that (where the contour conditioning degrades),
-    whenever the closed-form value is not positive (the contour's converged
-    underflow zero, where the oracle's positive integrand keeps a positive
-    value), whenever it is not converged, and whenever its error estimate
-    exceeds the quadrature's relative tolerance 1e-10 of it.
+    MEIJER_G evaluates the closed form: first by its ascending residue
+    series (meijer_g_series), whose value it returns wherever the series'
+    error estimate is within the quadrature's relative tolerance 1e-10 of
+    it; then, for larger p, where the alternating terms cancel, by the
+    Mellin-Barnes contour (meijer_g_m0). QUADRATURE uses the direct oracle.
+    AUTO takes the MEIJER_G value, and falls back to the oracle wherever
+    that value is not positive (the contour's converged underflow zero,
+    where the oracle's positive integrand keeps a positive value), not
+    converged, or has an error estimate above 1e-10 of it. The route of the
+    value returned is in its EvalResult.
     """
     method = query.method
     if method is Method.QUADRATURE:
         return laplace_frechet_oracle(query.shape.as_shape(), query.p)
-    if method is Method.MEIJER_G:
-        return _meijer_path(query.shape, math.log(query.p))
-
-    if query.p < _AUTO_QUADRATURE_BELOW:
-        return laplace_frechet_oracle(query.shape.as_shape(), query.p)
     res = _meijer_path(query.shape, math.log(query.p))
-    if (res.value <= 0.0 or not res.converged
-            or res.err_estimate > _REL_TOL * abs(res.value)):
-        return laplace_frechet_oracle(query.shape.as_shape(), query.p)
-    return res
+    if method is Method.MEIJER_G or (res.value > 0.0 and _within_tolerance(res)):
+        return res
+    return laplace_frechet_oracle(query.shape.as_shape(), query.p)
 
 
 def laplace_frechet_oracle(shape: Shape, p: float) -> EvalResult:
@@ -92,7 +96,8 @@ def laplace_frechet_oracle(shape: Shape, p: float) -> EvalResult:
     if not 0 <= p < math.inf:
         raise DomainError("laplace_frechet_oracle requires finite p >= 0")
     if p == 0.0:
-        return EvalResult(value=1.0, err_estimate=0.0, evaluations=0, converged=True)
+        return EvalResult(value=1.0, err_estimate=0.0, evaluations=0, converged=True,
+                          route="quadrature")
     g = shape.gamma
     if g < 1.0:
         g, p = 1.0 / g, p ** g

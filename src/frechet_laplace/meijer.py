@@ -6,10 +6,14 @@ The b lists come in runs Delta(n, a) = a/n, ..., (a+n-1)/n, and Gauss's
 multiplication formula collapses each run of the Mellin-Barnes integrand
 into one gamma factor:
 prod_{j<n} Gamma(s + (a+j)/n) = (2 pi)^{(n-1)/2} n^{1/2-a-ns} Gamma(ns + a).
-The Frechet lists Delta(k,1) + Delta(l,0) hold 0 and 1, so their poles are
-double from s = -1 down; the simple ones in (-1, 0] would allow a residue
-shift, but the contour here leaves every pole on its left: a parabola that
-opens to the left from its vertex c > -min(b_j).
+
+Two evaluators share that collapsed integrand. meijer_g_series sums its
+residues (Slater's theorem: the integral closed to the left), for two runs
+with integer a, from a per-spec table of coefficients; its error estimate
+grows as the terms cancel, and it declines where they would leave binary64
+or the table's range. meijer_g_m0 integrates it
+along a parabola that opens to the left from its vertex c > -min(b_j), for
+any spec and any z.
 
 Everything runs in log space: meijer_g_m0 takes log z and the log of the
 caller's prefactor, and adds both to the integrand's log-space sum, so the
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,13 +33,14 @@ import numpy as np
 
 from .distributions import RationalShape
 from .errors import ContourError, DomainError
-from .mellin import contour_integral, delta_list
-from .numerics import EvalResult, log_gamma
+from .mellin import _NOISE_REL_BOUND, contour_integral, delta_list
+from .numerics import _LOG_PI, _TINY, EvalResult, log_gamma
 
 __all__ = [
     "MeijerSpec",
     "LaplaceClosedForm",
     "meijer_g_m0",
+    "meijer_g_series",
     "build_laplace_closed_form",
 ]
 
@@ -175,6 +181,197 @@ def meijer_g_m0(spec: MeijerSpec, *, log_z: float, c: float | None = None,
         return np.array(out)
 
     return contour_integral(log_values, log_abs_real, c, (c + b_min, math.inf))
+
+
+# The residue series. Its table covers every slope up to the one where the
+# envelope of the terms peaks at e^_SERIES_PEAK: past that the terms cancel by
+# more than the 1e-10 a caller accepts. It ends where the envelope, at that
+# slope, has fallen e^_SERIES_DEPTH below the peak.
+_SERIES_PEAK = 25.0
+_SERIES_DEPTH = 60.0
+_EULER_GAMMA = 0.5772156649015329
+_LOG_MAX = math.log(sys.float_info.max)
+_EPS = sys.float_info.epsilon
+
+
+def _log_gamma_rational(num: int, den: int) -> tuple[float, float, float]:
+    """log|Gamma(num/den)|, its sign, and the sum of the magnitudes of the
+    logs it is formed from (the scale of its rounding), for num/den not a
+    pole. Left of 0 by reflection, Gamma(y) = pi / (sin(pi y) Gamma(1 - y)),
+    with the sine's argument reduced exactly to (0, pi/2]: y lies at least
+    1/den from the poles, so its own rounding would cost den ulps there."""
+    if num > 0:
+        value = math.lgamma(num / den)
+        return value, 1.0, abs(value)
+    r = num % (2 * den)
+    q = r % den
+    log_sin = math.log(math.sin(math.pi * min(q, den - q) / den))
+    rest = math.lgamma((den - num) / den)
+    return _LOG_PI - log_sin - rest, 1.0 if r < den else -1.0, _LOG_PI - log_sin + abs(rest)
+
+
+def _digamma(y: float) -> float:
+    # a central difference of math.lgamma, good to about 1e-9
+    return (math.lgamma(1.00001 * y) - math.lgamma(0.99999 * y)) / (2e-5 * y)
+
+
+@dataclass(frozen=True)
+class _SeriesTable:
+    """Residues of exp(const - s slope) Gamma(n1 s + a1) Gamma(n2 s + a2):
+    term j is sign_j exp(log_c_j + const + x_j slope), times -slope for the
+    terms of a double pole's log part. The read-only matrix `sums` turns the
+    column of exp(log_c_j + const + x_j slope) into four sums over the plain
+    terms (rows 0-3) and the same four over the log terms (rows 4-7):
+    signed, weighted by 1 plus the magnitudes of the logs log_c_j is summed
+    from, weighted by |x_j|, and plain. log_c_max and the x range bound
+    every term's log.
+    The tail bound is exp(tail_log + const + tail_x slope)
+    (tail_k0 + tail_k1 |slope|), for every slope up to slope_top."""
+
+    x: np.ndarray
+    log_c: np.ndarray
+    sums: np.ndarray
+    log_c_max: float
+    x_min: float
+    slope_top: float
+    tail_x: float
+    tail_log: float
+    tail_k0: float
+    tail_k1: float
+
+
+@functools.lru_cache(maxsize=256)
+def _series_table(spec: MeijerSpec) -> _SeriesTable:
+    """The residues of the collapsed integrand of a two-run spec, in order of
+    the power x of e^slope they carry, built once per spec in O(terms).
+
+    A pole of run (n, a) sits where n s + a = -i, at x = -s = (a + i)/n; the
+    residue of Gamma there is (-1)^i / (i! n). A simple pole takes the other
+    factor at a rational point (_log_gamma_rational). Where the runs' poles
+    coincide (i, j) the residue is
+    (-1)^(i+j) e^(const + x slope) (n1 psi(i+1) + n2 psi(j+1) - slope) / (i! j! n1 n2),
+    with psi(i+1) = H_i - Euler's gamma from running harmonic sums.
+
+    On |terms| the envelope e^g, g(x) = x slope - lgamma(n1 x - a1 + 1)
+    - lgamma(n2 x - a2 + 1), is concave in x and peaks near
+    x = e^{(slope - sum n log n)/m} at about m x: the table stops where
+    g'(x) < 0 and g(x) <= _SERIES_PEAK - _SERIES_DEPTH at
+    slope_top = sum n log n + m log(_SERIES_PEAK / m). Past the last power X
+    every unit of x holds at most m + 2 poles, each below
+    (pi/2 + (n1 psi + n2 psi + |slope|)/(n1 n2)) e^{const + g(x)}, and
+    g(X + u) <= g(X) + u g'(X): a geometric tail, and smaller at any lower
+    slope by e^{X (slope - slope_top)}.
+
+    DomainError for a spec other than two runs with integer a.
+    """
+    if len(spec.groups) != 2 or not all(a.is_integer() for _, a in spec.groups):
+        raise DomainError("meijer_g_series takes two runs with integer a")
+    (n1, a1), (n2, a2) = spec.groups
+    a1, a2 = int(a1), int(a2)
+    m, d = n1 + n2, n1 * n2
+    slope_top = n1 * math.log(n1) + n2 * math.log(n2) + m * math.log(_SERIES_PEAK / m)
+
+    def envelope(x):
+        u, v = n1 * x - a1 + 1.0, n2 * x - a2 + 1.0
+        return (x * slope_top - math.lgamma(u) - math.lgamma(v),
+                slope_top - n1 * _digamma(u) - n2 * _digamma(v))
+
+    # (x, log|c|, sign, magnitudes of the logs) per term
+    plain, by_slope = [], []
+    i = j = 0
+    h1 = h2 = 0.0
+    while True:
+        p1, p2 = (a1 + i) * n2, (a2 + j) * n1
+        x = min(p1, p2) / d
+        if p1 == p2:
+            log_f = math.lgamma(i + 1.0) + math.lgamma(j + 1.0) + math.log(d)
+            sign = -1.0 if (i + j) % 2 else 1.0
+            psi1, psi2 = n1 * (h1 - _EULER_GAMMA), n2 * (h2 - _EULER_GAMMA)
+            psi = psi1 + psi2
+            if psi != 0.0:
+                plain.append((x, math.log(abs(psi)) - log_f, sign if psi > 0.0 else -sign,
+                              log_f + (abs(psi1) + abs(psi2)) / abs(psi)))
+            by_slope.append((x, -log_f, sign, log_f))
+            i, j = i + 1, j + 1
+            h1, h2 = h1 + 1.0 / i, h2 + 1.0 / j
+        else:
+            if p1 < p2:
+                n, k = n1, i
+                log_g, sign_g, size_g = _log_gamma_rational(a2 * n1 - n2 * (a1 + i), n1)
+                i += 1
+                h1 += 1.0 / i
+            else:
+                n, k = n2, j
+                log_g, sign_g, size_g = _log_gamma_rational(a1 * n2 - n1 * (a2 + j), n2)
+                j += 1
+                h2 += 1.0 / j
+            log_f = math.lgamma(k + 1.0) + math.log(n)
+            plain.append((x, log_g - log_f, (-1.0 if k % 2 else 1.0) * sign_g, size_g + log_f))
+        if n1 * x - a1 + 1.0 > 0.0 and n2 * x - a2 + 1.0 > 0.0:
+            g, dg = envelope(x)
+            if dg < 0.0 and g <= _SERIES_PEAK - _SERIES_DEPTH:
+                break
+
+    xs, log_c, signs, sizes = np.array(plain + by_slope).T
+    rows = np.array([signs, 1.0 + sizes, np.abs(xs), np.ones_like(xs)])
+    is_plain = np.arange(xs.size) < len(plain)
+    sums = np.concatenate((np.where(is_plain, rows, 0.0), np.where(is_plain, 0.0, rows)))
+    for column in (xs, log_c, sums):
+        column.flags.writeable = False
+    rho = math.exp(dg)
+    psi_bound = (n1 * (math.log(n1 * (x + 1.0) - a1 + 1.0) + _EULER_GAMMA)
+                 + n2 * (math.log(n2 * (x + 1.0) - a2 + 1.0) + _EULER_GAMMA))
+    return _SeriesTable(x=xs, log_c=log_c, sums=sums, log_c_max=float(log_c.max()),
+                        x_min=float(xs.min()), slope_top=slope_top, tail_x=x,
+                        tail_log=math.log((m + 2) / (1.0 - rho) ** 2) + g - x * slope_top,
+                        tail_k0=0.5 * math.pi + (psi_bound + m) / d, tail_k1=1.0 / d)
+
+
+def meijer_g_series(spec: MeijerSpec, *, const: float, slope: float) -> EvalResult:
+    """(1/2 pi i) int exp(const - s slope) Gamma(n1 s + a1) Gamma(n2 s + a2) ds,
+    the collapsed integrand of a two-run spec with integer a, as the sum of
+    its residues left of the contour (Slater's theorem; Luke, The Special
+    Functions and Their Approximations (1969) 5.2).
+
+    For G^{m,0}_{0,m}(z) e^log_scale, const is log_scale plus the
+    multiplication formula's constant, and slope is log z + sum n log n; a
+    closed form can pass them with its own constants cancelled analytically.
+
+    One exp over the spec's cached table (_series_table) gives the terms t_j,
+    and one product with its matrix all the sums. err_estimate is
+    2 eps sum |t_j| (1 + sigma_j), sigma_j the magnitudes of the logs t_j is
+    summed from (its table entry, |x_j slope| and |const|), plus the
+    subnormal spacing per term and the bound on the truncated tail;
+    converged when that is within sqrt(eps) of |value|.
+
+    Declines (value 0.0, infinite err_estimate, converged=False) above the
+    table's slope_top, and where a bound on the terms or on the tail would
+    leave binary64: no term is formed there. DomainError for a spec other
+    than two runs with integer a, or a non-finite const or slope.
+    """
+    if not (math.isfinite(const) and math.isfinite(slope)):
+        raise DomainError("meijer_g_series requires finite const and slope")
+    table = _series_table(spec)
+    abs_slope, abs_const = abs(slope), abs(const)
+    log_tail = table.tail_log + const + table.tail_x * slope
+    top = (table.log_c_max + const + max(table.x_min * slope, table.tail_x * slope)
+           + math.log1p(abs_slope))
+    if slope > table.slope_top or max(top, log_tail) > _LOG_MAX:
+        return EvalResult(value=0.0, err_estimate=math.inf, evaluations=0,
+                          converged=False, route="series")
+    terms = table.x * slope
+    terms += table.log_c
+    terms += const
+    np.exp(terms, out=terms)
+    (signed, weighted, by_x, total,
+     signed_log, weighted_log, by_x_log, total_log) = (table.sums @ terms).tolist()
+    value = signed - slope * signed_log
+    roundoff = (weighted + abs_slope * by_x + abs_const * total
+                + abs_slope * (weighted_log + abs_slope * by_x_log + abs_const * total_log))
+    tail = math.exp(log_tail) * (table.tail_k0 + table.tail_k1 * abs_slope)
+    err = 2.0 * _EPS * roundoff + terms.size * _TINY + tail
+    return EvalResult(value=value, err_estimate=err, evaluations=terms.size,
+                      converged=err <= _NOISE_REL_BOUND * abs(value), route="series")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 the Delta parameter-list builder, and a generic Laplace-from-Mellin operator
 realized by numerical Mellin-Barnes integration.
 
-The one contour engine is contour_integral: every Mellin-Barnes integral of
-the library (the Meijer G functions and laplace_via_mellin) goes through it.
+The one contour engine is contour_integral: every Mellin-Barnes integral the
+library integrates numerically (meijer_g_m0 and laplace_via_mellin) goes
+through it.
 It is a truncated trapezoidal rule on the left-opening parabola
 s(u) = c - mu u^2 + i u, which leaves the poles on the real axis to its left
 and reaches where the gamma factors decay super-exponentially. Its step and
@@ -216,9 +217,11 @@ def contour_integral(integrand, log_abs_real, c: float,
         raise NonConvergence(f"contour integrand not finite on the real axis near c = {c}")
     centre = phi[0]
     if centre < math.log(_UNDERFLOW_PEAK):
-        return EvalResult(value=0.0, err_estimate=0.0, evaluations=0, converged=True)
+        return EvalResult(value=0.0, err_estimate=0.0, evaluations=0, converged=True,
+                          route="contour")
     if centre > math.log(_OVERFLOW_PEAK):
-        return EvalResult(value=0.0, err_estimate=math.inf, evaluations=0, converged=False)
+        return EvalResult(value=0.0, err_estimate=math.inf, evaluations=0, converged=False,
+                          route="contour")
     n_w = len(widths)
     step = max(math.pi * w / (_STRIP_BUDGET - centre + max(
         centre, phi_l + math.log(1.0 - 2.0 * mu * w), phi_r + math.log1p(2.0 * mu * w)))
@@ -232,7 +235,8 @@ def contour_integral(integrand, log_abs_real, c: float,
         return np.exp(logs) * (1.0 + 2j * mu * u), logs
 
     value, err, n_grid, ok = mellin_barnes_integral(path_values, step, window)
-    return EvalResult(value=value, err_estimate=err, evaluations=n_grid, converged=ok)
+    return EvalResult(value=value, err_estimate=err, evaluations=n_grid, converged=ok,
+                      route="contour")
 
 
 def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResult:

@@ -25,12 +25,16 @@ __all__ = [
 
 @dataclass
 class EvalResult:
-    """Value plus diagnostics returned by every adaptive evaluation."""
+    """Value plus diagnostics returned by every adaptive evaluation. route
+    names how the value was obtained: "series" (a residue sum), "contour"
+    (a Mellin-Barnes trapezoid), "quadrature" (the exp-sinh rule) or
+    "difference" (a finite difference of a closed form)."""
 
     value: float
     err_estimate: float
     evaluations: int
     converged: bool
+    route: str
 
 
 # The binary64-range guard for every power or exp that can overflow.
@@ -231,7 +235,7 @@ def integrate_semi_infinite(f, lower: float, scale: float = 1.0) -> EvalResult:
             # subnormal spacing of each term f du/dt over the span of t
             return EvalResult(value=0.0, evaluations=coarse.size,
                               err_estimate=_TINY * (2.0 * _T_MAX) * scale,
-                              converged=bool(finite.all()))
+                              converged=bool(finite.all()), route="quadrature")
         lo, hi = significant[0], significant[-1]
         if lo > 0 and finite[lo - 1]:
             lo -= 1
@@ -273,7 +277,8 @@ def integrate_semi_infinite(f, lower: float, scale: float = 1.0) -> EvalResult:
             diff = h * abs(new - total)
             total += new
     return EvalResult(value=scale * estimate, err_estimate=scale * max(diff, floor),
-                      evaluations=evaluations, converged=ok and diff <= tol)
+                      evaluations=evaluations, converged=ok and diff <= tol,
+                      route="quadrature")
 
 
 def bessel_k1(z: float) -> float:

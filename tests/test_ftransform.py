@@ -163,6 +163,7 @@ class TestViaLaplacePath:
                                  laplace_of_f=lambda u: 1.0 / (1.0 + u))
         res = frechet_transform_via_laplace(target, Shape(1.0), 1.0)
         assert abs(res.value - 0.25) <= 1e-8
+        assert res.route == "difference"
 
     def test_exponential_without_closed_form(self):
         # an f-only target belongs to frechet_transform_quadrature
@@ -297,6 +298,7 @@ class TestHalfClosedForm:
         closed = frechet_transform_frechet_half(Shape(g), x)
         quad = frechet_transform_quadrature(HALF_FRECHET_TARGET, Shape(g), x)
         assert abs(closed.value - quad.value) <= 1e-6
+        assert (closed.route, quad.route) == ("series", "quadrature")
 
     def test_single_interior_maximum(self):
         # the essential suppression x^{-gamma/3} grows so slowly for
@@ -356,6 +358,17 @@ class TestHalfClosedForm:
                         / (4 * mpmath.sqrt(mpmath.pi) * big_x ** 2))
         res = frechet_transform_frechet_half(Shape(1.0), x)
         assert not res.converged or abs(res.value - ref) <= 1e-8 * ref
+
+    @pytest.mark.parametrize("g,x", [(1.0, 1e50), (1.0, 1e200), (3.0, 1e120)])
+    def test_large_x_converges_within_estimate(self, g, x):
+        # the residue series converges where the contour sum cancelled (at
+        # 1e50 it was 1e-3 off, at 1e200 and 1e120 negative)
+        mpmath = pytest.importorskip("mpmath")
+        ref, slack = _half_reference(mpmath, g, x)
+        res = frechet_transform_frechet_half(Shape(g), x)
+        assert slack == 0.0
+        assert res.converged and res.route == "series"
+        assert abs(res.value - ref) <= res.err_estimate
 
     @pytest.mark.parametrize("x", [1e-300, 1e-160])
     def test_small_x_does_not_overflow(self, x):

@@ -39,9 +39,10 @@ class TestLaplaceFrechet:
             assert abs(meijer_value(l, k, p) - oracle.value) \
                 <= 1e-8 * max(1.0, abs(oracle.value))
 
-    def test_auto_uses_quadrature_below_threshold(self):
+    def test_auto_converges_at_tiny_p(self):
+        # the residue series needs a few terms there; AUTO returns it
         res = laplace_frechet(LaplaceQuery(RationalShape(1, 1), 1e-7, Method.AUTO))
-        assert res.converged
+        assert res.converged and res.route == "series"
         assert abs(res.value - 1.0) <= 1e-2
 
     def test_auto_positive_beyond_noise_floor(self):
@@ -65,6 +66,15 @@ class TestLaplaceFrechet:
                                          mpmath.exp(form.log_argument(math.log(p)))))
         assert res.converged and res.value < 1e-15
         assert abs(res.value - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("method,p,route", [
+        (Method.MEIJER_G, 1.0, "series"), (Method.MEIJER_G, 50.0, "contour"),
+        (Method.AUTO, 1.0, "series"), (Method.AUTO, 50.0, "contour"),
+        # the contour's converged underflow zero: AUTO takes the oracle
+        (Method.AUTO, 1e6, "quadrature"), (Method.QUADRATURE, 1.0, "quadrature")])
+    def test_route_names_the_value_returned(self, method, p, route):
+        res = laplace_frechet(LaplaceQuery(RationalShape(1, 1), p, method))
+        assert res.converged and res.route == route
 
     def test_range(self):
         for p in np.geomspace(0.01, 20.0, 20):

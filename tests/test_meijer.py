@@ -10,7 +10,7 @@ from frechet_laplace.laplace import (LaplaceQuery, Method, laplace_frechet,
 from frechet_laplace import meijer, mellin
 from frechet_laplace.ftransform import _HALF_SPEC
 from frechet_laplace.meijer import (MeijerSpec, build_laplace_closed_form,
-                                    meijer_g_m0)
+                                    meijer_g_m0, meijer_g_series)
 
 TWO_K1_OF_2 = 0.27973176363304486  # 2 K1(2), from the series oracle
 
@@ -270,17 +270,25 @@ class TestConstantsMemo:
         assert meijer._spec_constants(spec)[3][0, 0] == 3.0
 
     def test_caches_are_bounded_and_hold_no_values(self):
-        for memo in (build_laplace_closed_form, meijer._spec_constants):
+        memos = (build_laplace_closed_form, meijer._spec_constants, meijer._series_table)
+        for memo in memos:
             assert memo.cache_info().maxsize is not None
+        # 3/7 takes the series at small p and the contour at p = 100
         shape = RationalShape(3, 7)
-        laplace_frechet(LaplaceQuery(shape, 1.0, Method.MEIJER_G))
-        sizes = [memo.cache_info().currsize
-                 for memo in (build_laplace_closed_form, meijer._spec_constants)]
-        values = {laplace_frechet(LaplaceQuery(shape, p, Method.MEIJER_G)).value
-                  for p in (0.1, 0.2, 0.3)}
-        assert len(values) == 3
-        assert [memo.cache_info().currsize
-                for memo in (build_laplace_closed_form, meijer._spec_constants)] == sizes
+        for p in (1.0, 100.0):
+            laplace_frechet(LaplaceQuery(shape, p, Method.MEIJER_G))
+        sizes = [memo.cache_info().currsize for memo in memos]
+        results = [laplace_frechet(LaplaceQuery(shape, p, Method.MEIJER_G))
+                   for p in (0.1, 0.2, 0.3, 200.0, 300.0)]
+        assert {res.route for res in results} == {"series", "contour"}
+        assert len({res.value for res in results}) == 5
+        assert [memo.cache_info().currsize for memo in memos] == sizes
+
+    def test_series_table_is_read_only(self):
+        table = meijer._series_table(build_laplace_closed_form(RationalShape(2, 3)).spec)
+        for column in (table.x, table.log_c, table.sums):
+            with pytest.raises(ValueError):
+                column[0] = 5.0
 
 
 class TestBuildLaplaceClosedForm:
@@ -359,28 +367,36 @@ class TestMpmathOracle:
 
     @pytest.mark.parametrize("l,k,p", [(13, 11, 0.01), (30, 1, 0.01), (30, 1, 0.1)])
     def test_error_estimate_bounds_error_of_known_defects(self, l, k, p):
-        # tiny G arguments, where the saddle sum cancels and the value is off;
-        # it must not claim convergence, and the estimate must still cover
-        # the error
+        # tiny G arguments, where the contour's saddle sum cancels and the
+        # value is off; it must not claim convergence, and the estimate must
+        # still cover the error. MEIJER_G takes the residue series there.
         mpmath = pytest.importorskip("mpmath")
         form = build_laplace_closed_form(RationalShape(l, k))
-        res = laplace_frechet(LaplaceQuery(RationalShape(l, k), p, Method.MEIJER_G))
+        res = meijer_g_m0(form.spec, log_z=form.log_argument(math.log(p)),
+                          log_scale=form.log_prefactor)
         with mpmath.workdps(30):
             ref = float(mpmath.exp(form.log_prefactor)
                         * mpmath.meijerg([[], []], [list(form.spec.b), []],
                                          mpmath.exp(form.log_argument(math.log(p)))))
         assert not res.converged or abs(res.value - ref) <= 1e-8 * ref
         assert abs(res.value - ref) <= res.err_estimate
+        closed = laplace_frechet(LaplaceQuery(RationalShape(l, k), p, Method.MEIJER_G))
+        assert closed.converged and abs(closed.value - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("l,k,p", [(30, 1, 1e-6), (30, 1, 9.761854013421088e-05),
                                        (13, 11, 9.880209518740524e-06),
                                        (10, 1, 1.7729297948083514e-06)])
     def test_contour_noise_is_not_converged(self, l, k, p):
-        # smaller G arguments still: the sum is off by 4% to 1e32 times the
-        # value, and must not claim convergence
-        res = laplace_frechet(LaplaceQuery(RationalShape(l, k), p, Method.MEIJER_G))
+        # smaller G arguments still: the contour sum is off by 4% to 1e32
+        # times the value, and must not claim convergence. MEIJER_G takes
+        # the residue series there.
+        form = build_laplace_closed_form(RationalShape(l, k))
+        res = meijer_g_m0(form.spec, log_z=form.log_argument(math.log(p)),
+                          log_scale=form.log_prefactor)
         ref = laplace_frechet_oracle(Shape(l / k), p).value
         assert not res.converged or abs(res.value - ref) <= 1e-8 * ref
+        closed = laplace_frechet(LaplaceQuery(RationalShape(l, k), p, Method.MEIJER_G))
+        assert closed.converged and abs(closed.value - ref) <= 1e-12 * ref
 
     def test_large_p_takes_a_wide_strip(self):
         # at p = 5,000 the saddle lies at c ~ 70, where the integrand is
@@ -389,14 +405,17 @@ class TestMpmathOracle:
         p = 5000.0
         mpmath = pytest.importorskip("mpmath")
         ref = float(2 * mpmath.sqrt(p) * mpmath.besselk(1, 2 * mpmath.sqrt(p)))
-        res = laplace_frechet(LaplaceQuery(RationalShape(1, 1), p, Method.MEIJER_G))
+        form = build_laplace_closed_form(RationalShape(1, 1))
+        res = meijer_g_m0(form.spec, log_z=form.log_argument(math.log(p)),
+                          log_scale=form.log_prefactor)
         assert res.converged and res.evaluations <= 120
         assert abs(res.value - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("p", [0.1, 0.45])
     def test_auto_leaves_a_loose_meijer_value(self, p):
-        # 30/1 at p = 0.45 gives a converged Meijer value whose err_estimate is
-        # 1e-8 of it; AUTO takes the oracle there, as for an unconverged one
+        # the contour gives 30/1 at p = 0.45 a converged value whose
+        # err_estimate is 1e-8 of it; AUTO must not return such a value
+        # (it takes the residue series here)
         mpmath = pytest.importorskip("mpmath")
         form = build_laplace_closed_form(RationalShape(30, 1))
         res = laplace_frechet(LaplaceQuery(RationalShape(30, 1), p, Method.AUTO))
@@ -406,3 +425,99 @@ class TestMpmathOracle:
                                          mpmath.exp(form.log_argument(math.log(p)))))
         assert res.converged and res.err_estimate <= 1e-10 * res.value
         assert abs(res.value - ref) <= 1e-12 * ref
+
+
+def _series_laplace(l, k, p):
+    # the closed form's collapsed integrand: prefactor * G = l (1/2 pi i) int
+    # Gamma(ks + 1) Gamma(ls) p^{-ls} ds
+    shape = RationalShape(l, k)
+    return meijer_g_series(build_laplace_closed_form(shape).spec,
+                           const=math.log(shape.l), slope=shape.l * math.log(p))
+
+
+def _mpmath_laplace(mpmath, l, k, p):
+    """The closed form at 30 digits from l, k and p themselves, so that no
+    binary64 rounding of its log prefactor or log argument enters."""
+    with mpmath.workdps(30):
+        big_p = mpmath.mpf(p)
+        prefactor = mpmath.sqrt(k * l) * (2 * mpmath.pi) ** (1 - mpmath.mpf(k + l) / 2)
+        z = big_p ** l / (mpmath.mpf(k) ** k * mpmath.mpf(l) ** l)
+        b = [mpmath.mpf(1 + j) / k for j in range(k)] + [mpmath.mpf(j) / l for j in range(l)]
+        return prefactor * mpmath.meijerg([[], []], [b, []], z)
+
+
+SERIES_SHAPES = ALL_SHAPES + [RationalShape(7, 5), RationalShape(13, 11)]
+
+
+class TestResidueSeries:
+    # The ascending residue series shares neither log_gamma nor the contour
+    # engine with meijer_g_m0: on p in [0.3, 3] both routes converge, and
+    # they must agree within the sum of their estimates.
+    @pytest.mark.parametrize("shape", SERIES_SHAPES, ids=lambda s: f"l{s.l}k{s.k}")
+    def test_agrees_with_contour(self, shape):
+        form = build_laplace_closed_form(shape)
+        for p in np.geomspace(0.3, 3.0, 9).tolist():
+            series = _series_laplace(shape.l, shape.k, p)
+            contour = meijer_g_m0(form.spec, log_z=form.log_argument(math.log(p)),
+                                  log_scale=form.log_prefactor)
+            assert series.route == "series" and contour.route == "contour"
+            assert series.converged and contour.converged
+            assert (abs(series.value - contour.value)
+                    <= series.err_estimate + contour.err_estimate), p
+
+    # Against 30-digit mpmath the error must stay within the estimate, with
+    # no safety factor: the criterion shapes, 7/5, 13/11, 1/30 and 30/1 at
+    # small and moderate p, and the contour's known defects (13/11 at
+    # p = 0.01, 30/1 at p = 0.01 and 0.1).
+    @pytest.mark.parametrize("l,k,p", [(l, k, p) for l, k in
+                                       ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3),
+                                        (3, 2), (1, 4), (4, 1), (3, 4), (4, 3), (7, 5),
+                                        (13, 11), (1, 30), (30, 1))
+                                       for p in (0.01, 0.3, 1.0, 3.0)]
+                             + [(30, 1, 0.1), (1, 30, 0.5), (4, 1, 1.26), (2, 3, 8.0),
+                                (1, 4, 15.0)])
+    def test_error_within_estimate_against_mpmath(self, l, k, p):
+        mpmath = pytest.importorskip("mpmath")
+        res = _series_laplace(l, k, p)
+        ref = _mpmath_laplace(mpmath, l, k, p)
+        assert res.converged
+        assert abs(mpmath.mpf(res.value) - ref) <= res.err_estimate
+
+    # gamma = 1/200 and 1/800, where (2 pi)^{(k+l)/2 - 1} leaves binary64, and
+    # 800/1, equal to 1/800 at p = 1 by the transmutation law; references from
+    # 30-digit mpmath.quad of the defining integral (tests/test_laplace.py)
+    @pytest.mark.parametrize("l,k,ref", [(1, 200, 0.36681775424402136),
+                                         (1, 800, 0.36761400960405952),
+                                         (800, 1, 0.36761400960405952)])
+    def test_small_and_large_shapes_within_estimate(self, l, k, ref):
+        res = _series_laplace(l, k, 1.0)
+        assert res.converged and res.err_estimate <= 1e-13
+        assert abs(res.value - ref) <= res.err_estimate
+
+    @pytest.mark.parametrize("l,k", [(1, 1), (30, 1), (1, 30), (49, 50), (1, 800), (800, 1)])
+    @pytest.mark.parametrize("log_p", [-745.0, -700.0, 0.0, 300.0, 700.0, 709.0])
+    def test_whole_range_is_a_value_or_a_decline(self, l, k, log_p):
+        # RuntimeWarning is an error in this suite: no term may overflow
+        res = _series_laplace(l, k, math.exp(log_p))
+        assert res.route == "series"
+        if res.converged:
+            assert math.isfinite(res.value) and 0.0 <= res.value <= 1.0 + res.err_estimate
+        else:
+            assert res.value == 0.0 and res.err_estimate == math.inf
+
+    def test_declines_for_large_slope_without_terms(self):
+        res = _series_laplace(1, 1, 1e10)
+        assert (res.value, res.err_estimate, res.evaluations, res.converged) == (
+            0.0, math.inf, 0, False)
+
+    @pytest.mark.parametrize("spec", [MeijerSpec([0.0]), MeijerSpec([0.0, 0.5]),
+                                      MeijerSpec([0.0, 1.0, 2.0])])
+    def test_other_specs_are_domain_errors(self, spec):
+        with pytest.raises(DomainError):
+            meijer_g_series(spec, const=0.0, slope=0.0)
+
+    def test_nonfinite_arguments_are_domain_errors(self):
+        spec = build_laplace_closed_form(RationalShape(1, 1)).spec
+        for const, slope in ((math.nan, 0.0), (0.0, math.inf)):
+            with pytest.raises(DomainError):
+                meijer_g_series(spec, const=const, slope=slope)

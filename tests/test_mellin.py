@@ -8,14 +8,20 @@ import pytest
 from frechet_laplace.distributions import RationalShape, Shape, frechet_pdf
 from frechet_laplace.errors import ContourError, DomainError, NonConvergence, PoleError
 from frechet_laplace import meijer, mellin
-from frechet_laplace.ftransform import frechet_transform_frechet_half
-from frechet_laplace.laplace import LaplaceQuery, Method, laplace_frechet, laplace_frechet_oracle
+from frechet_laplace.ftransform import _HALF_SPEC
+from frechet_laplace.laplace import laplace_frechet_oracle
 from frechet_laplace.mellin import (MellinFunction, contour_integral, delta_list,
                                     frechet_mellin_image, laplace_via_mellin,
                                     mellin_barnes_integral)
 from frechet_laplace.numerics import _ROUNDOFF, integrate_semi_infinite, log_gamma
 
 TWO_K1_OF_2 = 0.27973176363304486  # 2 K1(2), from the series oracle
+
+
+def closed_form_contour(l, k, p):
+    form = meijer.build_laplace_closed_form(RationalShape(l, k))
+    return meijer.meijer_g_m0(form.spec, log_z=form.log_argument(math.log(p)),
+                              log_scale=form.log_prefactor)
 
 
 def exp_mellin_image():
@@ -328,12 +334,15 @@ class TestUpperHalfNodes:
     # Every contour route hands log_gamma, and the caller's image, only path
     # points with Im s >= 0 (real probe points included): the lower half is
     # the engine's mirror. evaluations still counts the rule's 2N + 1 nodes.
+    # (the closed forms' contours, as laplace_frechet and the half transform
+    # call them where their residue series declines)
     ROUTES = {
-        "closed_form_2_3_p1": lambda: laplace_frechet(
-            LaplaceQuery(RationalShape(2, 3), 1.0, Method.MEIJER_G)),
-        "closed_form_30_1_p20": lambda: laplace_frechet(
-            LaplaceQuery(RationalShape(30, 1), 20.0, Method.MEIJER_G)),
-        "frechet_half": lambda: frechet_transform_frechet_half(Shape(1.0), 2.0),
+        "closed_form_2_3_p1": lambda: closed_form_contour(2, 3, 1.0),
+        "closed_form_30_1_p20": lambda: closed_form_contour(30, 1, 20.0),
+        # the Frechet(1/2) transform at gamma = 1, x = 2
+        "frechet_half": lambda: meijer.meijer_g_m0(
+            _HALF_SPEC, log_z=-math.log(8.0),
+            log_scale=math.log(0.25 / math.sqrt(math.pi)) - 2.0 * math.log(2.0)),
     }
     # laplace_via_mellin on the Frechet image takes the parabola, on the
     # Gamma(s) image (a strip bounded on the left) the vertical line

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import frechet_laplace
-from frechet_laplace import mellin
+from frechet_laplace import meijer, mellin
 from frechet_laplace.distributions import RationalShape, Shape
-from frechet_laplace.ftransform import frechet_transform_frechet_half
+from frechet_laplace.ftransform import _HALF_SPEC, frechet_transform_frechet_half
 from frechet_laplace.laplace import (LaplaceQuery, Method, laplace_frechet,
                                      laplace_frechet_oracle)
 
@@ -50,18 +51,32 @@ def test_benchmark_trace_targets_resolve():
     assert tracing.TARGETS and unresolved == []
 
 
+def _closed_form_contour(l, k, p):
+    # the closed form's contour, looked up on its module, where the tracer
+    # rebinds it
+    form = meijer.build_laplace_closed_form(RationalShape(l, k))
+    return meijer.meijer_g_m0(form.spec, log_z=form.log_argument(math.log(p)),
+                              log_scale=form.log_prefactor)
+
+
 def test_benchmark_tracer_reads_every_layer():
     # the tracer reads the count and converged flag of each traced result
     # (for mellin_barnes_integral, by tuple position); a change of return
-    # shape must fail here rather than in the benchmark
+    # shape must fail here rather than in the benchmark. The closed form and
+    # the half transform take their residue series here, and their contours
+    # are called directly.
     tracing = _load_perfbench("tracing")
     original = mellin.mellin_barnes_integral
     tracer = tracing.Tracer()
     tracer.install()
     try:
         laplace_frechet(LaplaceQuery(RationalShape(1, 2), 1.0, Method.MEIJER_G))
+        _closed_form_contour(1, 2, 1.0)
         laplace_frechet_oracle(Shape(0.5), 1.0)
         frechet_transform_frechet_half(Shape(1.0), 1.0)
+        # the half transform's contour at gamma = 1, x = 1
+        meijer.meijer_g_m0(_HALF_SPEC, log_z=-math.log(4.0),
+                           log_scale=math.log(0.25 / math.sqrt(math.pi)))
     finally:
         tracer.uninstall()
     assert mellin.mellin_barnes_integral is original
@@ -75,14 +90,14 @@ def test_benchmark_tracer_reads_every_layer():
 
 @pytest.mark.parametrize("l,k,p", [(1, 1, 1.0), (2, 3, 0.05), (4, 1, 19.8), (1, 30, 3.0)])
 def test_benchmark_tracer_sees_one_log_gamma_per_integral(l, k, p):
-    # the per-layer metrics read log_gamma through its traced name: a MEIJER_G
+    # the per-layer metrics read log_gamma through its traced name: a contour
     # value on the closed-form grid is one contour integral and one log_gamma
     # call on the upper half of its nodes, for both runs
     tracing = _load_perfbench("tracing")
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        res = laplace_frechet(LaplaceQuery(RationalShape(l, k), p, Method.MEIJER_G))
+        res = _closed_form_contour(l, k, p)
     finally:
         tracer.uninstall()
     assert res.converged
