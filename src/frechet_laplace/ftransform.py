@@ -180,8 +180,8 @@ def frechet_transform_frechet_half(gamma: Shape, x: float) -> EvalResult:
         raise DomainError("transform argument x must be finite and positive")
     g = gamma.gamma
     log_x = math.log(x)
-    res = meijer_g_series(_HALF_SPEC, const=math.log(g) - (1.0 + g) * log_x, slope=-g * log_x)
+    const, slope = math.log(g) - (1.0 + g) * log_x, -g * log_x
+    res = meijer_g_series(_HALF_SPEC, const=const, slope=slope)
     if res.converged and res.err_estimate <= _REL_TOL * abs(res.value):
         return res
-    return meijer_g_m0(_HALF_SPEC, log_z=-g * log_x - math.log(4.0),
-                       log_scale=math.log(g / (4.0 * math.sqrt(math.pi))) - (1.0 + g) * log_x)
+    return meijer_g_m0(_HALF_SPEC, const=const, slope=slope)

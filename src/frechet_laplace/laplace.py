@@ -51,10 +51,11 @@ def _meijer_path(shape: RationalShape, log_p: float) -> EvalResult:
     form = build_laplace_closed_form(shape)
     # the prefactor and the multiplication formula's constants cancel:
     # L(p) = l (1/2 pi i) int Gamma(ks + 1) Gamma(ls) p^{-ls} ds
-    res = meijer_g_series(form.spec, const=math.log(shape.l), slope=shape.l * log_p)
+    const, slope = math.log(shape.l), shape.l * log_p
+    res = meijer_g_series(form.spec, const=const, slope=slope)
     if _within_tolerance(res):
         return res
-    return meijer_g_m0(form.spec, log_z=form.log_argument(log_p), log_scale=form.log_prefactor)
+    return meijer_g_m0(form.spec, const=const, slope=slope)
 
 
 def laplace_frechet(query: LaplaceQuery) -> EvalResult:

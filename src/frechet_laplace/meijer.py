@@ -7,18 +7,22 @@ multiplication formula collapses each run of the Mellin-Barnes integrand
 into one gamma factor:
 prod_{j<n} Gamma(s + (a+j)/n) = (2 pi)^{(n-1)/2} n^{1/2-a-ns} Gamma(ns + a).
 
-Two evaluators share that collapsed integrand. meijer_g_series sums its
-residues (Slater's theorem: the integral closed to the left), for two runs
-with integer a, from a per-spec table of coefficients; its error estimate
-grows as the terms cancel, and it declines where they would leave binary64
-or the table's range. meijer_g_m0 integrates it
-along a parabola that opens to the left from its vertex c > -min(b_j), for
-any spec and any z.
+Two evaluators share that collapsed integrand,
+exp(const - s slope) prod_g Gamma(n_g s + a_g), and both take it as the
+pair (const, slope). meijer_g_series sums its residues (Slater's theorem:
+the integral closed to the left), for two runs with integer a, from a
+per-spec table of coefficients; its error estimate grows as the terms
+cancel, and it declines where they would leave binary64 or the table's
+range. meijer_g_m0 integrates it along a parabola that opens to the left
+from its vertex c > -min(b_j), for any spec and any z, from a per-(spec,
+band) table of contour nodes: the log Gamma sum on a fixed path is a
+property of the spec, and only exp(-s slope) depends on the argument.
 
-Everything runs in log space: meijer_g_m0 takes log z and the log of the
-caller's prefactor, and adds both to the integrand's log-space sum, so the
-closed form's prefactor (2 pi)^{1-(k+l)/2} and argument p^l / (k^k l^l)
-never have to be binary64 numbers on their own.
+Everything runs in log space: a closed form passes const and slope with its
+constants cancelled analytically (or meijer_g_m0 takes log z and the log of
+the caller's prefactor), so the closed form's prefactor
+(2 pi)^{1-(k+l)/2} and argument p^l / (k^k l^l) never have to be binary64
+numbers on their own.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .distributions import RationalShape
 from .errors import ContourError, DomainError
-from .mellin import _NOISE_REL_BOUND, contour_integral, delta_list
+from .mellin import _NOISE_REL_BOUND, contour_integral, contour_nodes, delta_list
 from .numerics import _LOG_PI, _TINY, EvalResult, log_gamma
 
 __all__ = [
@@ -73,30 +77,31 @@ class MeijerSpec:
         return sum(n for n, _ in self.groups)
 
 
-def _saddle_abscissa(spec: MeijerSpec, log_z: float, slope: float, b_min: float) -> float:
+def _saddle_abscissa(spec: MeijerSpec, slope: float) -> float:
     """Abscissa minimizing the integrand magnitude on the real axis.
 
     On the real axis the integrand is exp(phi(c)) with, one term per run,
-    phi(c) = sum_g [log Gamma(n_g c + a_g) - n_g c log n_g] - c log z + const,
-    convex in c; placing the contour at its minimum keeps the alternating
-    contour sum on the scale of the result, which is what bounds the
-    roundoff for very large or very small z. A quarter-unit margin keeps the
-    pole at -b_min = -min(b_j) far enough from the vertex that the trapezoid
-    step stays moderate, and every n_g c + a_g at least 1/4. The bracket
-    ends at c = 2 e^300, which keeps it finite: where the saddle lies beyond
+    phi(c) = sum_g log Gamma(n_g c + a_g) - c slope + const, convex in c;
+    placing the contour at its minimum keeps the alternating contour sum on
+    the scale of the result, which is what bounds the roundoff for very
+    large or very small z. A quarter-unit margin keeps the pole at
+    -b_min = -min(b_j) far enough from the vertex that the trapezoid step
+    stays moderate, and every n_g c + a_g at least 1/4. The bracket ends at
+    c = 2 e^300, which keeps it finite: where the saddle lies beyond
     (log z > 300 m), phi < -0.3 m c at the bracket end, far under the
     binary64 floor, so the vertex there gives the same converged zero.
 
     Safeguarded Newton on phi'(c) = sum_g n_g psi(n_g c + a_g) - slope, from
-    z^{1/m} (where phi' ~ m log c - log z), finds it to 1e-2 (relative above
-    c = 1) in plain floats: psi and psi' are central differences of
-    math.lgamma, good to about 1e-9 and 1e-4. Each iterate narrows the
-    bracket by the sign of phi'; a Newton step out of it, or phi'' <= 0,
-    bisects. phi' is concave, so Newton rises to the root from the left;
-    phi' > 0 at the lower end makes that end the result.
+    z^{1/m} = exp((slope - sum n log n) / m) (where phi' ~ m log c - log z),
+    finds it to 1e-2 (relative above c = 1) in plain floats: psi and psi'
+    are central differences of math.lgamma, good to about 1e-9 and 1e-4.
+    Each iterate narrows the bracket by the sign of phi'; a Newton step out
+    of it, or phi'' <= 0, bisects. phi' is concave, so Newton rises to the
+    root from the left; phi' > 0 at the lower end makes that end the result.
     """
+    b_min, _, n_log_n = _spec_constants(spec)[:3]
     lo, hi = -b_min + 0.25, 2.0 * math.exp(300.0)
-    c = min(max(math.exp(min(log_z / spec.m, 300.0)), lo), hi)
+    c = min(max(math.exp(min((slope - n_log_n) / spec.m, 300.0)), lo), hi)
     while True:
         d1, d2 = -slope, 0.0
         for n, a in spec.groups:
@@ -116,6 +121,14 @@ def _saddle_abscissa(spec: MeijerSpec, log_z: float, slope: float, b_min: float)
         c = step
 
 
+def _real_log_gammas(spec: MeijerSpec, x: float) -> float:
+    # sum_g log Gamma(n_g x + a_g) in plain floats, x right of every pole
+    total = 0.0
+    for n, a in spec.groups:
+        total += math.lgamma(n * x + a)
+    return total
+
+
 @functools.lru_cache(maxsize=256)
 def _spec_constants(spec: MeijerSpec) -> tuple:
     """What meijer_g_m0 needs of spec alone: b_min, the multiplication
@@ -130,57 +143,111 @@ def _spec_constants(spec: MeijerSpec) -> tuple:
             sum(n * math.log(n) for n, _ in spec.groups), groups[:, :1], groups[:, 1:])
 
 
-def meijer_g_m0(spec: MeijerSpec, *, log_z: float, c: float | None = None,
-                log_scale: float = 0.0) -> EvalResult:
+# The contour tables. A band is a range of slopes that shares one table of
+# nodes, on the parabola whose vertex is the saddle of the band's centre. At
+# a slope off that centre the vertex is off the slope's own saddle by dc,
+# where the integrand exceeds its minimum by about phi'' dc^2 / 2, and
+# phi'' ~ m / c at large c: bands of equal width _BAND_WIDTH in
+# t = 2 sqrt(m c), the saddle's Gaussian-width coordinate, keep that growth
+# near e^{_BAND_WIDTH^2 / 8} at every scale (e^0.135 at most on the closed
+# forms' and the tests' specs). t is taken at c = exp((slope - sum n log n)
+# / m), the large-c saddle, and continued below c = 1 along its tangent,
+# linear in the slope. A band's table is about 7 kB.
+_BAND_WIDTH = 1.0
+# past this log c the saddle lies beyond its bracket, and the vertex exits
+_BAND_LOG_C_MAX = 700.0
+
+
+def _band_coordinate(spec: MeijerSpec, slope: float) -> float:
+    u = min((slope - _spec_constants(spec)[2]) / spec.m, _BAND_LOG_C_MAX)
+    scale = 2.0 * math.sqrt(spec.m)
+    return scale * math.exp(0.5 * u) if u > 0.0 else scale * (1.0 + 0.5 * u)
+
+
+def _band_slope(spec: MeijerSpec, t: float) -> float:
+    # the inverse of _band_coordinate
+    v = t / (2.0 * math.sqrt(spec.m))
+    u = 2.0 * math.log(v) if v > 1.0 else 2.0 * (v - 1.0)
+    return _spec_constants(spec)[2] + spec.m * u
+
+
+def _contour_nodes(spec: MeijerSpec, c: float, slopes: tuple[float, float]):
+    """Nodes of the collapsed integrand on the parabola with vertex c, for
+    every slope in slopes: one log_gamma call on the (runs x nodes) array
+    n s + a. Step and window come from the real-axis sum in plain floats
+    (math.lgamma), with no log_gamma call."""
+    b_min, _, _, n, a = _spec_constants(spec)
+
+    def log_parts(s):
+        parts = log_gamma(n * s + a)
+        return np.add.reduce(parts), np.add.reduce(np.abs(parts))
+
+    def log_abs_real(x):
+        return np.array([_real_log_gammas(spec, v) for v in x.tolist()])
+
+    return contour_nodes(log_parts, log_abs_real, c, (c + b_min, math.inf), slopes)
+
+
+@functools.lru_cache(maxsize=256)
+def _contour_table(spec: MeijerSpec, band: int):
+    """The nodes that serve every slope of a band (see _BAND_WIDTH), built
+    once: a property of the spec and the band, never of a value."""
+    lo = _band_slope(spec, band * _BAND_WIDTH)
+    hi = _band_slope(spec, (band + 1) * _BAND_WIDTH)
+    centre = _band_slope(spec, (band + 0.5) * _BAND_WIDTH)
+    return _contour_nodes(spec, _saddle_abscissa(spec, centre), (lo, hi))
+
+
+def meijer_g_m0(spec: MeijerSpec, *, log_z: float | None = None, c: float | None = None,
+                log_scale: float = 0.0, const: float | None = None,
+                slope: float | None = None) -> EvalResult:
     """e^log_scale G^{m,0}_{0,m}(z | b), with z = e^log_z, as
     (1/2 pi i) int e^log_scale prod_j Gamma(b_j + s) z^{-s} ds
-    along contour_integral's parabola s(u) = c - mu u^2 + i u, which opens to
+    along contour_nodes' parabola s(u) = c - mu u^2 + i u, which opens to
     the left from its vertex c > -min(b_j) and so leaves every pole on its
     left; the gamma factors decay super-exponentially along it.
 
-    The argument and the caller's prefactor e^log_scale enter as logs, so
-    neither has to be a binary64 on its own: the integrand is a log-space sum
-    that contour_integral takes the exp of, and only the product decides
-    the magnitude there: a converged zero where it is below 1e-300 at the
-    vertex, an unconverged result where it is above 1e300.
+    By the multiplication formula that is
+    (1/2 pi i) int exp(const - s slope) prod_g Gamma(n_g s + a_g) ds with
+    const = log_scale plus the formula's constant and
+    slope = log z + sum n log n: the pair meijer_g_series takes, which a
+    caller can pass in place of log_z and log_scale, with its own constants
+    cancelled analytically. Neither has to be a binary64 number after exp:
+    only the product decides the magnitude, a converged zero where it is
+    below 1e-300 at the slope's own saddle, an unconverged result where it
+    is above 1e300, and no nodes built in either case.
 
-    With c = None the vertex is placed at the saddle abscissa, which keeps
-    full relative accuracy even where the function has decayed far below the
-    fixed-abscissa integrand peak. An explicit abscissa pins the vertex
-    exactly (Cauchy's theorem makes the result independent of any valid
-    choice, which the shift-invariance tests exercise).
-
-    The integrand is one log_gamma call on the (runs x nodes) array n s + a,
-    plus the multiplication formula's constant (with log_scale) and linear
-    term, in log space. Its real-axis log-magnitude, from which the engine
-    sets step and window, is the same sum in plain floats (math.lgamma),
-    with no log_gamma call. The parameters are real, so
-    log F(conj s) = conj log F(s), and the engine evaluates the integrand on
-    the upper half of the path only.
+    With c = None the nodes come from the table of the slope's band
+    (_contour_table), whose vertex is the saddle of the band's centre: that
+    keeps full relative accuracy even where the function has decayed far
+    below the fixed-abscissa integrand peak, any slope of a band costs what
+    a repeated one does, and a value is the same bit for bit whether its
+    table was built by this call or earlier. An explicit abscissa pins the
+    vertex exactly, with nodes for its one slope that are not kept (Cauchy's
+    theorem makes the result independent of any valid choice, which the
+    shift-invariance tests exercise).
     """
-    if not (math.isfinite(log_z) and math.isfinite(log_scale)):
-        raise DomainError("meijer_g requires finite log_z and log_scale")
-    b_min, const, slope, n, a = _spec_constants(spec)
-    const, slope = const + log_scale, slope + log_z
+    b_min, g_const, n_log_n = _spec_constants(spec)[:3]
+    if slope is None and const is None and log_z is not None:
+        if not (math.isfinite(log_z) and math.isfinite(log_scale)):
+            raise DomainError("meijer_g requires finite log_z and log_scale")
+        const, slope = g_const + log_scale, n_log_n + log_z
+    elif slope is None or const is None or log_z is not None or log_scale != 0.0:
+        raise DomainError("meijer_g requires log_z (with log_scale) or const and slope")
+    elif not (math.isfinite(const) and math.isfinite(slope)):
+        raise DomainError("meijer_g requires finite const and slope")
     if c is None:
-        c = _saddle_abscissa(spec, log_z, slope, b_min)
+        vertex = _saddle_abscissa(spec, slope)
+        band = math.floor(_band_coordinate(spec, slope) / _BAND_WIDTH)
+        nodes = functools.partial(_contour_table, spec, band)
     elif not -b_min < c < math.inf:
         raise ContourError(
             f"abscissa {c} does not separate poles: need {-b_min} < c < inf")
-
-    def log_values(s):
-        return np.add.reduce(log_gamma(n * s + a)) + const - s * slope
-
-    def log_abs_real(x):
-        out = []
-        for v in x.tolist():
-            total = 0.0
-            for rn, ra in spec.groups:
-                total += math.lgamma(rn * v + ra)
-            out.append(total + const - v * slope)
-        return np.array(out)
-
-    return contour_integral(log_values, log_abs_real, c, (c + b_min, math.inf))
+    else:
+        vertex = c
+        nodes = functools.partial(_contour_nodes, spec, c, (slope, slope))
+    return contour_integral(nodes, _real_log_gammas(spec, vertex) + const - vertex * slope,
+                            const, slope)
 
 
 # The residue series. Its table covers every slope up to the one where the
@@ -382,7 +449,9 @@ class LaplaceClosedForm:
 
     with prefactor sqrt(kl) / (2 pi)^{(k+l)/2 - 1}. Both the prefactor and
     the argument leave binary64 long before L does (k = 800 at p = 1), so
-    the form holds their logs, for meijer_g_m0's log_scale and log_z.
+    the form holds their logs, for meijer_g_m0's log_scale and log_z. The
+    library's own routes take the collapsed pair const = log l,
+    slope = l log p instead, in which they cancel analytically.
     """
 
     shape: RationalShape

@@ -2,20 +2,22 @@
 the Delta parameter-list builder, and a generic Laplace-from-Mellin operator
 realized by numerical Mellin-Barnes integration.
 
-The one contour engine is contour_integral: every Mellin-Barnes integral the
-library integrates numerically (meijer_g_m0 and laplace_via_mellin) goes
-through it.
-It is a truncated trapezoidal rule on the left-opening parabola
+The one contour engine is contour_nodes, contour_integral and
+mellin_barnes_integral: every Mellin-Barnes integral the library integrates
+numerically (meijer_g_m0 and laplace_via_mellin) goes through it. It is a
+truncated trapezoidal rule on the left-opening parabola
 s(u) = c - mu u^2 + i u, which leaves the poles on the real axis to its left
-and reaches where the gamma factors decay super-exponentially. Its step and
-window are fixed in advance from plain-float values of log|F| on the real
-axis (the strip of analyticity and the curvature at the vertex), so the
-integrand is evaluated in one pass (mellin_barnes_integral), extended only
-where the edge terms have not decayed. Integrands hand the engine log F, a
-log-space sum: the engine takes its exp once per node and sets the noise
-floor from the same logs. Every integrand has real parameters, so
-F(conj s) = conj F(s): the engine evaluates the upper half of the path only
-and counts each node off the real axis twice.
+and reaches where the gamma factors decay super-exponentially. Every
+integrand has the form exp(lam(s) + const - s slope), lam a log-space sum
+with real parameters, so lam(conj s) = conj lam(s): the engine evaluates lam
+on the upper half of the path only and counts each node off the real axis
+twice. contour_nodes fixes step and window in advance from plain-float
+values of lam on the real axis (the strip of analyticity and the curvature
+at the vertex), for a whole range of slopes, and evaluates lam once per node
+in one pass, extended only where the edge terms have not decayed.
+mellin_barnes_integral then sums the nodes for one const and slope: one exp
+per node, and a noise floor from the sizes of the logs each node is summed
+from. contour_integral takes the vertex exits before any node is built.
 """
 
 from __future__ import annotations
@@ -36,13 +38,15 @@ __all__ = [
     "frechet_mellin_image",
     "delta_list",
     "laplace_via_mellin",
+    "ContourNodes",
+    "contour_nodes",
     "mellin_barnes_integral",
     "contour_integral",
 ]
 
 _TWO_PI = 2.0 * math.pi
 # Trapezoid controls. The agreement of S_h and S_2h that counts as converged
-# (_REL_TOL) and a node's relative roundoff per unit of |log| (_ROUNDOFF) are
+# (_REL_TOL) and the relative roundoff (_ROUNDOFF) the step is sized to are
 # the quadrature's own.
 # The window ends where a term is below _TRUNCATION_TOL of the centre term.
 _TRUNCATION_TOL = 1e-16
@@ -60,7 +64,7 @@ _WINDOW_LIMIT = 3.85e3
 _STRIP_BUDGET = math.log(2.0 / _ROUNDOFF)
 # The strip half-width a is the best, by that h, of min(0.9 v, 1) 2^j <=
 # 0.9 v for j < _WIDTHS, where v is where the path first meets a pole (see
-# contour_integral). A wider strip pays where c is large and the integrand is
+# contour_nodes). A wider strip pays where c is large and the integrand is
 # smooth on the scale sqrt(c).
 _WIDTHS = 7
 # The parabola's curvature is mu = _MU_SCALE / max(1, c). Along it z^{-s}
@@ -72,6 +76,10 @@ _MU_SCALE = 0.4
 # terms the vertex term bounds only up to the node count and |s'(u)|.
 _UNDERFLOW_PEAK = 1e-300
 _OVERFLOW_PEAK = 1e300
+# A node's roundoff per unit of the logs it is summed from, as the residue
+# series takes it: log_gamma is good to about 3 eps of |log Gamma| at worst
+# (Lanczos), and the sum of the logs and its exp add their own.
+_NODE_ROUNDOFF = 2.0 * sys.float_info.epsilon
 # Largest noise floor, relative to the value, that still counts as converged:
 # past it cancellation between the nodes has taken more than half the digits.
 _NOISE_REL_BOUND = math.sqrt(sys.float_info.epsilon)
@@ -119,84 +127,93 @@ def frechet_mellin_image(shape: RationalShape) -> MellinFunction:
     return MellinFunction(f_star=image, domain_strip=(-math.inf, 1.0 + shape.gamma))
 
 
-def mellin_barnes_integral(values_fn, step: float,
-                           half_width: float) -> tuple[float, float, int, bool]:
+@dataclass(frozen=True)
+class ContourNodes:
+    """The upper half u_j = j h, j = 0..N (N even), of a trapezoid rule for
+    exp(lam(s) + const - s slope) on one path, for every const and every
+    slope in a range. `logs` (4(N + 1) x 3) times (-slope, const, 1) gives,
+    as (real, imaginary) pairs, log G_j for each node and then log |G_j|;
+    `sums` (see mellin_barnes_integral) turns the real parts of their exp
+    into every sum the rule needs. Both are read-only."""
+
+    logs: np.ndarray
+    sums: np.ndarray
+
+
+def mellin_barnes_integral(nodes: ContourNodes, const: float,
+                           slope: float) -> tuple[float, float, int, bool]:
     """Trapezoidal evaluation of (1/2 pi) * integral of G(u) du over the real
-    line, on the nodes u = k * step, |u| <= half_width (rounded up to an even
-    count a side, so every other node forms the grid of the coarse sum S_2h).
+    line, G(u) = exp(lam(s(u)) + const - s(u) slope) s'(u) / i, from the
+    nodes u >= 0 of a table whose slope range holds slope.
 
-    G(-u) = conj G(u), so values_fn sees only the nodes u >= 0 and the sum is
-    h (G_0 + 2 Re sum_{j>0} G_j), a real number. values_fn maps an ndarray of
-    u >= 0 to the pair (G(u), E(u)), where G is exp(E) times a factor of order
-    one and E the log-space sum it came from. While the edge term exceeds
-    _TRUNCATION_TOL of the centre term the window doubles, and only the added
-    nodes are evaluated; a term that is not finite, or a window past
-    |u| = _WINDOW_LIMIT, raises NonConvergence.
+    G(-u) = conj G(u), so the sum is h (G_0 + 2 Re sum_{j>0} G_j), a real
+    number, and S_2h takes every other node. One product with the table's
+    logs and one exp give every G_j and |G_j|; one product with its sums
+    matrix gives S_h, S_2h, and sum w_j |G_j| (1 + sigma_j), sum w_j |G_j| |s_j|
+    and sum w_j |G_j|, w_j = h, 2h, 2h, ... for the mirrored lower half and
+    sigma_j the sizes of the logs lam_j and the path weight are summed from.
 
-    A node exp(E) carries a roundoff of about _ROUNDOFF (1 + |E|) |G|; their
-    sum over all 2N + 1 nodes is the noise floor. The value is converged when
-    |S_h - S_2h| is below the floor or _REL_TOL of it, and the floor is below
-    _NOISE_REL_BOUND of it; the error estimate is the larger of the
-    difference and the floor (the difference can read 0).
+    A node carries a roundoff of _NODE_ROUNDOFF times |G_j| and the sizes of
+    the logs it is summed from, 1 + sigma_j + |s_j slope| + |const|; their
+    sum over all 2N + 1 nodes is the noise floor. The value is converged
+    when |S_h - S_2h| is below the floor or _REL_TOL of it, and the floor is
+    below _NOISE_REL_BOUND of it; the error estimate is the larger of the
+    difference and the floor (the difference can read 0). A sum that is not
+    finite raises NonConvergence.
 
     Returns (value, err_estimate, evaluations, converged), where evaluations
     counts the rule's 2N + 1 nodes.
     """
-    n_half = 2 * math.ceil(half_width / (2.0 * step))
-    vals, logs = values_fn(np.arange(n_half + 1) * step)
-    while True:
-        if not np.isfinite(vals).all():
-            raise NonConvergence(
-                f"contour integrand not finite within |u| <= {n_half * step:.4g}")
-        if abs(vals[-1]) <= _TRUNCATION_TOL * abs(vals[0]):
-            break
-        if n_half * step >= _WINDOW_LIMIT:
-            raise NonConvergence(f"contour integrand not decayed at |u| = {n_half * step:.4g}")
-        new, new_logs = values_fn(np.arange(n_half + 1, 2 * n_half + 1) * step)
-        vals, logs = np.concatenate((vals, new)), np.concatenate((logs, new_logs))
-        n_half *= 2
-    centre = float(vals[0].real)
-    estimate = step * (centre + 2.0 * float(vals.real[1:].sum()))
-    diff = abs(estimate - 2.0 * step * (centre + 2.0 * float(vals.real[2::2].sum())))
-    terms = np.abs(vals) * (1.0 + np.abs(logs))
-    noise_floor = _ROUNDOFF * step * (float(terms[0]) + 2.0 * float(terms[1:].sum()))
-    converged = (diff <= max(_REL_TOL * abs(estimate), noise_floor)
-                 and noise_floor <= _NOISE_REL_BOUND * abs(estimate))
-    return (estimate / _TWO_PI, max(diff, noise_floor) / _TWO_PI, 2 * n_half + 1,
+    terms = (nodes.logs @ np.array([-slope, const, 1.0])).view(complex)
+    np.exp(terms, out=terms)
+    s_h, s_2h, weighted, by_s, total = (nodes.sums @ terms.real).tolist()
+    diff = abs(s_h - s_2h)
+    noise_floor = _NODE_ROUNDOFF * (weighted + abs(slope) * by_s + abs(const) * total)
+    if not (math.isfinite(s_h) and math.isfinite(noise_floor)):
+        raise NonConvergence("contour integrand not finite on the path")
+    converged = (diff <= max(_REL_TOL * abs(s_h), noise_floor)
+                 and noise_floor <= _NOISE_REL_BOUND * abs(s_h))
+    return (s_h / _TWO_PI, max(diff, noise_floor) / _TWO_PI, terms.size - 1,
             bool(converged))
 
 
-def contour_integral(integrand, log_abs_real, c: float,
-                     poles: tuple[float, float]) -> EvalResult:
-    """(1/2 pi i) * integral of integrand(s) ds along the parabola
-    s(u) = c - mu u^2 + i u, u real, which opens to the left.
+def contour_nodes(log_parts, log_abs_real, c: float, poles: tuple[float, float],
+                  slopes: tuple[float, float]) -> ContourNodes:
+    """The trapezoid nodes of (1/2 pi i) * integral of
+    exp(lam(s) + const - s slope) ds along the parabola
+    s(u) = c - mu u^2 + i u, u real, which opens to the left, for every
+    slope in slopes = (lo, hi) and every const.
 
-    integrand maps a complex ndarray of points to log F, finite, with
-    F(conj s) = conj F(s), so the integral is real: the engine hands it only
-    the path points with Im s >= 0, takes exp once per node and reads the
-    log for the noise floor (see mellin_barnes_integral). The singularities of F lie on the real axis, the
-    nearest at distances poles = (left, right) from c (math.inf for none).
-    log_abs_real maps a float ndarray of real points between them to log|F|.
+    log_parts maps a complex ndarray of path points to (lam, sigma): lam
+    finite, with lam(conj s) = conj lam(s), and sigma the magnitudes of the
+    logs it is summed from. The engine hands it only path points with
+    Im s >= 0 (see mellin_barnes_integral). The singularities of the
+    integrand lie on the real axis, the nearest at distances
+    poles = (left, right) from c (math.inf for none). log_abs_real maps a
+    float ndarray of real points between them to Re lam.
 
-    With no singularity right of c, F is taken to decay super-exponentially
-    to the left, as products of Gamma(n s + a) do, and mu = _MU_SCALE /
-    max(1, c) (Weideman & Trefethen, Math. Comp. 76 (2007) 1341). Otherwise
-    F need not decay there (Gamma(s) Gamma(1 - s) does not), and mu = 0: the
-    vertical line. The trapezoid sums F(s(u)) (1 + 2 i mu u) = F s'(u) / i at
-    u = j h. Step and window come from one log_abs_real call, before any
-    complex evaluation:
+    With no singularity right of c, the integrand is taken to decay
+    super-exponentially to the left, as products of Gamma(n s + a) do, and
+    mu = _MU_SCALE / max(1, c) (Weideman & Trefethen, Math. Comp. 76 (2007)
+    1341). Otherwise it need not decay there (Gamma(s) Gamma(1 - s) does
+    not), and mu = 0: the vertical line. Step and window come from one
+    log_abs_real call, before any complex evaluation. Every bound below is
+    linear in the slope for each width, so the rule, taken at both ends of
+    the range, holds inside it:
     - strip: the path at u = i v meets the real axis at c + mu v^2 - v, so a
       pole at distance d on the left at v = 2d / (1 + sqrt(1 - 4 mu d)), or
       1 / (2 mu) if 4 mu d >= 1 (on the line, v = d).
     - step: u = +-i a maps to the real points c -+ a + mu a^2, whose
       |F s'/i| over |F(c)| gives R, and h = pi a / (K + log R), the
-      largest over the candidate widths a (see _WIDTHS).
-    - window: see _WINDOW_MARGIN, with phi'' a central second difference.
-
-    |F(c)| below 1e-300 is a converged zero without any complex evaluation:
-    the transforms evaluated here decay super-algebraically there. Above
-    1e300 the sum cannot be formed: the result is 0.0 with converged=False
-    and an infinite err_estimate, again without a complex evaluation.
+      largest over the candidate widths a (see _WIDTHS), the smaller of
+      the two ends.
+    - window: see _WINDOW_MARGIN, with phi'' a central second difference
+      (the slope drops out of it). While the edge node exceeds
+      _TRUNCATION_TOL of the centre at either end the window doubles, and
+      only the added nodes are evaluated; past |u| = _WINDOW_LIMIT it raises
+      NonConvergence. The nodes then end at the first even count past the
+      last node either end needs above that tolerance.
+    A lam that is not finite raises NonConvergence.
     """
     left, right = poles
     if right < math.inf:
@@ -215,26 +232,87 @@ def contour_integral(integrand, log_abs_real, c: float,
                                 + [c + w + mu * w * w for w in widths])).tolist()
     if not all(v < math.inf for v in phi):
         raise NonConvergence(f"contour integrand not finite on the real axis near c = {c}")
-    centre = phi[0]
-    if centre < math.log(_UNDERFLOW_PEAK):
-        return EvalResult(value=0.0, err_estimate=0.0, evaluations=0, converged=True,
-                          route="contour")
-    if centre > math.log(_OVERFLOW_PEAK):
-        return EvalResult(value=0.0, err_estimate=math.inf, evaluations=0, converged=False,
-                          route="contour")
-    n_w = len(widths)
-    step = max(math.pi * w / (_STRIP_BUDGET - centre + max(
-        centre, phi_l + math.log(1.0 - 2.0 * mu * w), phi_r + math.log1p(2.0 * mu * w)))
+    centre, n_w = phi[0], len(widths)
+    step = min(max(math.pi * w / (_STRIP_BUDGET + max(
+        0.0, phi_l - centre + (w - mu * w * w) * slope + math.log(1.0 - 2.0 * mu * w),
+        phi_r - centre - (w + mu * w * w) * slope + math.log1p(2.0 * mu * w)))
         for w, phi_l, phi_r in zip(widths, phi[3:3 + n_w], phi[3 + n_w:]))
+        for slope in slopes)
     phi2 = (phi[1] - 2.0 * centre + phi[2]) / (eps * eps)
     window = (_WINDOW_MARGIN * math.sqrt(-2.0 * math.log(_TRUNCATION_TOL) / phi2)
               if phi2 > 0.0 else widths[0])
 
-    def path_values(u):
-        logs = integrand(c - mu * u * u + 1j * u)
-        return np.exp(logs) * (1.0 + 2j * mu * u), logs
+    def path_logs(u):
+        s = c - mu * u * u + 1j * u
+        lam, sigma = log_parts(s)
+        weight = np.log(1.0 + 2j * mu * u)
+        if not np.isfinite(lam).all():
+            raise NonConvergence(
+                f"contour integrand not finite within |u| <= {u[-1]:.4g}")
+        return s, lam + weight, sigma + np.abs(weight)
 
-    value, err, n_grid, ok = mellin_barnes_integral(path_values, step, window)
+    def above_tolerance(s, logs):
+        # |G_j| over |G_0| above _TRUNCATION_TOL at either end of the range
+        rel = logs.real - logs.real[0] - math.log(_TRUNCATION_TOL)
+        shift = s.real - c
+        return np.maximum(rel - shift * slopes[0], rel - shift * slopes[1]) > 0.0
+
+    n_half = 2 * math.ceil(window / (2.0 * step))
+    s, logs, sigma = path_logs(np.arange(n_half + 1) * step)
+    while above_tolerance(s, logs)[-1]:
+        if n_half * step >= _WINDOW_LIMIT:
+            raise NonConvergence(f"contour integrand not decayed at |u| = {n_half * step:.4g}")
+        more = path_logs(np.arange(n_half + 1, 2 * n_half + 1) * step)
+        s, logs, sigma = (np.concatenate(pair) for pair in zip((s, logs, sigma), more))
+        n_half *= 2
+    last = int(np.flatnonzero(above_tolerance(s, logs))[-1])
+    n_half = 2 * (last // 2 + 1)
+    return _node_table(s[:n_half + 1], logs[:n_half + 1], sigma[:n_half + 1], step)
+
+
+def _node_table(s, logs, sigma, step: float) -> ContourNodes:
+    """ContourNodes from the upper-half path points s_j at u_j = j step, the
+    logs lam_j + log(s'(u_j) / i) and their sizes sigma_j."""
+    n = s.size
+    weights = np.full(n, 2.0 * step)
+    weights[0] = step
+    coarse = np.where(np.arange(n) % 2 == 0, 2.0 * weights, 0.0)
+    zeros = np.zeros(n)
+    sums = np.array([np.concatenate((weights, zeros)),
+                     np.concatenate((coarse, zeros)),
+                     np.concatenate((zeros, weights * (1.0 + sigma))),
+                     np.concatenate((zeros, weights * np.abs(s))),
+                     np.concatenate((zeros, weights))])
+    # columns: s_j, 1 on the real parts, lam_j + log(s'(u_j) / i); the real
+    # parts again, for |G_j|
+    logs = np.stack((np.concatenate((s, s.real)).view(float),
+                     np.tile([1.0, 0.0], 2 * n),
+                     np.concatenate((logs, logs.real)).view(float)), axis=1)
+    for matrix in (logs, sums):
+        matrix.flags.writeable = False
+    return ContourNodes(logs=logs, sums=sums)
+
+
+def contour_integral(nodes, log_peak: float, const: float = 0.0,
+                     slope: float = 0.0) -> EvalResult:
+    """(1/2 pi i) * integral of exp(lam(s) + const - s slope) ds on the
+    trapezoid nodes that the callable nodes returns (see contour_nodes and
+    mellin_barnes_integral); log_peak is the log of the integrand at the
+    caller's vertex, its own saddle or abscissa.
+
+    Below 1e-300 there the value is a converged zero, without any complex
+    evaluation or call of nodes: the transforms evaluated here decay
+    super-algebraically there. Above 1e300 the sum cannot be formed: the
+    result is 0.0 with converged=False and an infinite err_estimate, again
+    without calling nodes.
+    """
+    if log_peak < math.log(_UNDERFLOW_PEAK):
+        return EvalResult(value=0.0, err_estimate=0.0, evaluations=0, converged=True,
+                          route="contour")
+    if log_peak > math.log(_OVERFLOW_PEAK):
+        return EvalResult(value=0.0, err_estimate=math.inf, evaluations=0, converged=False,
+                          route="contour")
+    value, err, n_grid, ok = mellin_barnes_integral(nodes(), const, slope)
     return EvalResult(value=value, err_estimate=err, evaluations=n_grid, converged=ok,
                       route="contour")
 
@@ -246,8 +324,9 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
 
     Requires c > 0 with 1 - c inside the image strip. The Frechet images put
     no pole of the integrand right of Re(s) = 0, so 0.5 is a balanced default
-    and the path is contour_integral's parabola; an image whose strip is
+    and the path is contour_nodes' parabola; an image whose strip is
     bounded on the left (a pole of f*(1 - s) right of c) takes the line.
+    The nodes are built for the one slope log p and not kept.
     By Cauchy's theorem any valid c gives the same value, which the
     shift-invariance checks exercise. Every p is integrated; as p -> 0 the
     accuracy falls, and where the sum misses its tolerance (gamma = 1/10 at
@@ -266,19 +345,20 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
 
     log_p = math.log(p)
 
-    def integrand(s):
+    def log_parts(s):
         with np.errstate(divide="ignore"):
             log_f = np.log(np.asarray(mf.f_star(1.0 - s), dtype=complex))
         # an image value that underflowed to 0 keeps a finite log, and its
         # node stays 0
         np.maximum(log_f.real, _LOG_ZERO, out=log_f.real)
-        return log_f + log_gamma(s) - s * log_p
+        log_g = log_gamma(s)
+        return log_f + log_g, np.abs(log_f) + np.abs(log_g)
 
     def log_abs_real(x):
         # an analytic image real on the real axis is its own conjugate
         # mirror (Schwarz reflection); its log there is real up to a multiple
         # of i pi and a node's roundoff
-        logs = integrand(x + 0j)
+        logs = log_parts(x + 0j)[0]
         phase = logs.imag
         if (np.abs(phase - math.pi * np.rint(phase / math.pi))
                 > _ROUNDOFF * (1.0 + np.abs(logs))).any():
@@ -289,5 +369,7 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
     # nearest poles: Gamma(s) at 0 and f*(1 - s) at 1 - sigma_max on the
     # left, f*(1 - s) at 1 - sigma_min on the right
     lo, hi = mf.domain_strip
-    return contour_integral(integrand, log_abs_real, c,
-                            (c - max(0.0, 1.0 - hi), 1.0 - lo - c))
+    poles = (c - max(0.0, 1.0 - hi), 1.0 - lo - c)
+    return contour_integral(
+        lambda: contour_nodes(log_parts, log_abs_real, c, poles, (log_p, log_p)),
+        float(log_abs_real(np.array([c]))[0]) - c * log_p, slope=log_p)

@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -10,10 +11,10 @@ from frechet_laplace.errors import ContourError, DomainError, NonConvergence, Po
 from frechet_laplace import meijer, mellin
 from frechet_laplace.ftransform import _HALF_SPEC
 from frechet_laplace.laplace import laplace_frechet_oracle
-from frechet_laplace.mellin import (MellinFunction, contour_integral, delta_list,
-                                    frechet_mellin_image, laplace_via_mellin,
+from frechet_laplace.mellin import (MellinFunction, contour_integral, contour_nodes,
+                                    delta_list, frechet_mellin_image, laplace_via_mellin,
                                     mellin_barnes_integral)
-from frechet_laplace.numerics import _ROUNDOFF, integrate_semi_infinite, log_gamma
+from frechet_laplace.numerics import integrate_semi_infinite, log_gamma
 
 TWO_K1_OF_2 = 0.27973176363304486  # 2 K1(2), from the series oracle
 
@@ -121,14 +122,20 @@ class TestLaplaceViaMellin:
         # the engine sums the upper half of the path and mirrors it; over both
         # halves of a symmetric grid on the path (mu = 0.4 at c = 0.5) the
         # integrand's sum has an imaginary part of roundoff size
-        integrands = []
-        monkeypatch.setattr(mellin, "contour_integral",
-                            lambda integrand, *args: integrands.append(integrand))
+        integrands, original = [], mellin.contour_nodes
+
+        def capture(log_parts, log_abs_real, c, poles, slopes):
+            integrands.append((log_parts, slopes[0]))
+            return original(log_parts, log_abs_real, c, poles, slopes)
+
+        monkeypatch.setattr(mellin, "contour_nodes", capture)
         for p in (0.1, 1.0, 7.0):
             laplace_via_mellin(frechet_mellin_image(RationalShape(2, 1)), p)
         u = np.linspace(-8.0, 8.0, 161)
-        for integrand in integrands:
-            total = (np.exp(integrand(0.5 - 0.4 * u * u + 1j * u)) * (1.0 + 0.8j * u)).sum()
+        s = 0.5 - 0.4 * u * u + 1j * u
+        assert len(integrands) == 3
+        for log_parts, slope in integrands:
+            total = (np.exp(log_parts(s)[0] - s * slope) * (1.0 + 0.8j * u)).sum()
             assert abs(total.imag) <= 1e-10 * abs(total.real)
 
     def test_non_real_image_raises(self):
@@ -203,64 +210,85 @@ class TestLaplaceViaMellin:
 
 class TestContourIntegral:
     # Gamma(s) X^{-s} has its poles at 0, -1, ..., left of Re s = C, and its
-    # contour integral is exp(-X). Integrands hand the engine log F.
+    # contour integral is exp(-X): lam = log Gamma, slope = log X.
+    # Integrands hand the engine lam and the sizes of its logs.
     C, X = 0.7, 1.3
     POLES = (C, math.inf)
 
-    def log_gamma_power(self, s):
-        return log_gamma(s) - s * math.log(self.X)
+    @staticmethod
+    def log_gamma_parts(s):
+        lam = log_gamma(s)
+        return lam, np.abs(lam)
 
-    def log_abs_gamma_power(self, x):
-        return np.array([math.lgamma(v) - v * math.log(self.X) for v in x])
+    @staticmethod
+    def real_log_gamma(x):
+        return np.array([math.lgamma(v) for v in x])
+
+    def integral(self, parts, real, log_shift=0.0):
+        slope = math.log(self.X)
+        return contour_integral(
+            lambda: contour_nodes(parts, real, self.C, self.POLES, (slope, slope)),
+            math.lgamma(self.C) + log_shift - self.C * slope, log_shift, slope)
 
     def test_real_value(self):
-        res = contour_integral(self.log_gamma_power, self.log_abs_gamma_power, self.C,
-                               self.POLES)
+        res = self.integral(self.log_gamma_parts, self.real_log_gamma)
         assert abs(res.value - math.exp(-self.X)) <= 1e-13
         assert res.converged
 
     def test_underflow_is_converged_zero(self):
-        res = contour_integral(lambda s: self.log_gamma_power(s) + math.log(1e-305),
-                               lambda x: self.log_abs_gamma_power(x) + math.log(1e-305),
-                               self.C, self.POLES)
+        def never(*args):
+            raise AssertionError("no node may be built below the underflow exit")
+
+        res = contour_integral(never, math.lgamma(self.C) + math.log(1e-305)
+                               - self.C * math.log(self.X), math.log(1e-305), math.log(self.X))
         assert res.value == 0.0
         assert res.err_estimate == 0.0
         assert res.converged
+        # the same integrand with the const in lam: the exit, then no nodes
+        res = self.integral(self.log_gamma_parts, self.real_log_gamma, math.log(1e-305))
+        assert (res.value, res.err_estimate, res.evaluations, res.converged) == (0.0, 0.0, 0, True)
 
     def test_nonfinite_integrand_raises(self):
         def infinite(s):
-            return np.full(np.shape(s), np.inf, dtype=complex)
+            return np.full(np.shape(s), np.inf, dtype=complex), np.full(np.shape(s), np.inf)
+
+        def nan(s):
+            return np.full(np.shape(s), np.nan, dtype=complex), np.full(np.shape(s), np.nan)
 
         # not finite on the real axis, where step and window are set
         with pytest.raises(NonConvergence, match="not finite"):
-            contour_integral(infinite, lambda x: np.full(np.shape(x), np.inf), self.C, self.POLES)
+            self.integral(infinite, lambda x: np.full(np.shape(x), np.inf))
         # finite there, but not on the path
         with pytest.raises(NonConvergence, match="not finite"):
-            contour_integral(lambda s: np.full(np.shape(s), np.nan, dtype=complex),
-                             self.log_abs_gamma_power, self.C, self.POLES)
+            self.integral(nan, self.real_log_gamma)
 
 
 class TestNoiseFloorPhase:
-    # mellin_barnes_integral reads each node's roundoff from the log F the
-    # integrand hands it, phase included, with no unwrapping of node values.
-    # On synthetic nodes u = j h, j = 0..16 (the engine asks for u >= 0 only
-    # and mirrors the rest), its err_estimate must equal the floor formula
-    # eps h sum |G_j| (1 + |log F_j|) over all 2N + 1 nodes, that is with
-    # weights 1, 2, 2, ..., bit for bit. The nodes have magnitude 1 for
-    # j <= 14 and e^-42 at the edge, G_0 is real, and node j = 13 balances
-    # S_h against S_2h, so that the estimate is the noise floor.
-    STEP, HALF_WIDTH, N_HALF = 0.5, 8.0, 16
+    # mellin_barnes_integral reads each node's roundoff from the sizes of the
+    # logs the integrand hands it, phase included, with no unwrapping of
+    # node values. On synthetic nodes u = j h, j = 0..16, on the line
+    # s = i u (the engine asks for u >= 0 only and mirrors the rest), with
+    # slope and const 0 and the size of each log F_j its modulus, its
+    # err_estimate must equal the floor formula
+    # 2 eps h sum |G_j| (1 + |log F_j|) over all 2N + 1 nodes, that is with
+    # weights 1, 2, 2, ..., up to the rounding of a sum of 17 terms in any
+    # order (the engine sums by a matrix product): the formula is taken
+    # exactly rounded (math.fsum). The nodes have magnitude 1 for j <= 14
+    # and e^-42 at the edge, G_0 is real, and node j = 13 balances S_h
+    # against S_2h, so that the estimate is the noise floor.
+    STEP, N_HALF = 0.5, 16
     BALANCE = 13
     PI_DOWN = math.nextafter(math.pi, 0.0)
     PI_UP = math.nextafter(math.pi, 4.0)
 
     @staticmethod
     def mirrored_sum(terms):
-        return float(terms[0] + 2.0 * terms[1:].sum())
+        return math.fsum([float(terms[0])] + (2.0 * terms[1:]).tolist())
 
     @classmethod
     def floor_formula(cls, vals, logs):
-        return _ROUNDOFF * cls.STEP * cls.mirrored_sum(np.abs(vals) * (1.0 + np.abs(logs)))
+        return (mellin._NODE_ROUNDOFF * cls.STEP
+                * cls.mirrored_sum(np.abs(vals) * (1.0 + np.abs(logs))))
 
     @classmethod
     def unwrap_floor(cls, vals):
@@ -268,7 +296,7 @@ class TestNoiseFloorPhase:
         magnitudes = np.abs(vals)
         phase = np.unwrap(np.angle(vals))
         exponent = np.abs(np.log(magnitudes) + 1j * (phase - phase[0]))
-        return _ROUNDOFF * cls.STEP * cls.mirrored_sum(magnitudes * (1.0 + exponent))
+        return mellin._NODE_ROUNDOFF * cls.STEP * cls.mirrored_sum(magnitudes * (1.0 + exponent))
 
     @classmethod
     def nodes(cls, phases):
@@ -320,14 +348,12 @@ class TestNoiseFloorPhase:
             # the phase counts in full: the unwrap undercounted it
             assert floor > 1.5 * self.unwrap_floor(vals)
 
-        def values_fn(u):
-            assert np.array_equal(u, np.arange(self.N_HALF + 1) * self.STEP)
-            return vals, logs
-
-        _, err, n, _ = mellin_barnes_integral(values_fn, self.STEP, self.HALF_WIDTH)
+        u = np.arange(self.N_HALF + 1) * self.STEP
+        nodes = mellin._node_table(1j * u, logs, np.abs(logs), self.STEP)
+        _, err, n, _ = mellin_barnes_integral(nodes, 0.0, 0.0)
         assert n == 2 * vals.size - 1
-        assert err == floor / (2.0 * math.pi)
-
+        expected = floor / (2.0 * math.pi)
+        assert abs(err - expected) <= (vals.size + 4) * sys.float_info.epsilon * expected
 
 
 class TestUpperHalfNodes:
@@ -364,6 +390,8 @@ class TestUpperHalfNodes:
 
         for module in (meijer, mellin):
             monkeypatch.setattr(module, "log_gamma", spy(module.log_gamma))
+        # the closed forms' nodes come from a band's table: build it here
+        meijer._contour_table.cache_clear()
 
         if route in self.ROUTES:
             res = self.ROUTES[route]()

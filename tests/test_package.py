@@ -91,20 +91,24 @@ def test_benchmark_tracer_reads_every_layer():
 @pytest.mark.parametrize("l,k,p", [(1, 1, 1.0), (2, 3, 0.05), (4, 1, 19.8), (1, 30, 3.0)])
 def test_benchmark_tracer_sees_one_log_gamma_per_integral(l, k, p):
     # the per-layer metrics read log_gamma through its traced name: a contour
-    # value on the closed-form grid is one contour integral and one log_gamma
-    # call on the upper half of its nodes, for both runs
+    # value on the closed-form grid is one contour integral, and its band's
+    # table one log_gamma call on the upper half of its nodes, for both
+    # runs, when it is built; a value from a built table calls none
     tracing = _load_perfbench("tracing")
+    meijer._contour_table.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:
         res = _closed_form_contour(l, k, p)
+        again = _closed_form_contour(l, k, p * (1.0 + 1e-9))
     finally:
         tracer.uninstall()
-    assert res.converged
+    assert res.converged and again.converged
     metrics = tracing.layer_metrics(tracer.spans)
-    assert metrics["mellin.integrals"] == 1
-    assert metrics["numerics.log_gamma.calls"] == metrics["mellin.integrals"]
-    assert metrics["numerics.log_gamma.elems"] == res.evaluations + 1
+    assert metrics["mellin.integrals"] == 2
+    assert metrics["numerics.log_gamma.calls"] == 1
+    assert metrics["numerics.log_gamma.elems"] >= res.evaluations + 1
+    assert metrics["mellin.nodes_per_integral"] == res.evaluations == again.evaluations
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.98])
