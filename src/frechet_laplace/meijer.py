@@ -152,7 +152,7 @@ def _spec_constants(spec: MeijerSpec) -> tuple:
 # near e^{_BAND_WIDTH^2 / 8} at every scale (e^0.135 at most on the closed
 # forms' and the tests' specs). t is taken at c = exp((slope - sum n log n)
 # / m), the large-c saddle, and continued below c = 1 along its tangent,
-# linear in the slope. A band's table is about 7 kB.
+# linear in the slope. A band's table is about 6 kB.
 _BAND_WIDTH = 1.0
 # past this log c the saddle lies beyond its bracket, and the vertex exits
 _BAND_LOG_C_MAX = 700.0
@@ -199,7 +199,7 @@ def _contour_table(spec: MeijerSpec, band: int):
 
 
 def meijer_g_m0(spec: MeijerSpec, *, log_z: float | None = None, c: float | None = None,
-                log_scale: float = 0.0, const: float | None = None,
+                log_scale: float | None = None, const: float | None = None,
                 slope: float | None = None) -> EvalResult:
     """e^log_scale G^{m,0}_{0,m}(z | b), with z = e^log_z, as
     (1/2 pi i) int e^log_scale prod_j Gamma(b_j + s) z^{-s} ds
@@ -210,12 +210,14 @@ def meijer_g_m0(spec: MeijerSpec, *, log_z: float | None = None, c: float | None
     By the multiplication formula that is
     (1/2 pi i) int exp(const - s slope) prod_g Gamma(n_g s + a_g) ds with
     const = log_scale plus the formula's constant and
-    slope = log z + sum n log n: the pair meijer_g_series takes, which a
-    caller can pass in place of log_z and log_scale, with its own constants
-    cancelled analytically. Neither has to be a binary64 number after exp:
-    only the product decides the magnitude, a converged zero where it is
-    below 1e-300 at the slope's own saddle, an unconverged result where it
-    is above 1e300, and no nodes built in either case.
+    slope = log z + sum n log n: the pair meijer_g_series takes. A caller
+    passes either log_z (log_scale 0 unless given), which maps onto that
+    pair, or the pair itself, with its own constants cancelled
+    analytically; anything else is a DomainError. Neither has to be a
+    binary64 number after exp: only the product decides the magnitude, a
+    converged zero where it is below 1e-300 at the slope's own saddle, an
+    unconverged result where it is above 1e300, and no nodes built in
+    either case.
 
     With c = None the nodes come from the table of the slope's band
     (_contour_table), whose vertex is the saddle of the band's centre: that
@@ -228,14 +230,13 @@ def meijer_g_m0(spec: MeijerSpec, *, log_z: float | None = None, c: float | None
     shift-invariance tests exercise).
     """
     b_min, g_const, n_log_n = _spec_constants(spec)[:3]
-    if slope is None and const is None and log_z is not None:
-        if not (math.isfinite(log_z) and math.isfinite(log_scale)):
-            raise DomainError("meijer_g requires finite log_z and log_scale")
-        const, slope = g_const + log_scale, n_log_n + log_z
-    elif slope is None or const is None or log_z is not None or log_scale != 0.0:
-        raise DomainError("meijer_g requires log_z (with log_scale) or const and slope")
-    elif not (math.isfinite(const) and math.isfinite(slope)):
-        raise DomainError("meijer_g requires finite const and slope")
+    if log_z is not None and const is None and slope is None:
+        const = g_const + (0.0 if log_scale is None else log_scale)
+        slope = n_log_n + log_z
+    elif log_z is not None or log_scale is not None or const is None or slope is None:
+        raise DomainError("meijer_g requires log_z (and log_scale) or const and slope")
+    if not (math.isfinite(const) and math.isfinite(slope)):
+        raise DomainError("meijer_g requires a finite argument and scale")
     if c is None:
         vertex = _saddle_abscissa(spec, slope)
         band = math.floor(_band_coordinate(spec, slope) / _BAND_WIDTH)

@@ -13,8 +13,9 @@ with real parameters, so lam(conj s) = conj lam(s): the engine evaluates lam
 on the upper half of the path only and counts each node off the real axis
 twice. contour_nodes fixes step and window in advance from plain-float
 values of lam on the real axis (the strip of analyticity and the curvature
-at the vertex), for a whole range of slopes, and evaluates lam once per node
-in one pass, extended only where the edge terms have not decayed.
+at the vertex, _contour_rule), for a whole range of slopes, and evaluates
+lam once per node in one pass, extended only where the edge terms have not
+decayed.
 mellin_barnes_integral then sums the nodes for one const and slope: one exp
 per node, and a noise floor from the sizes of the logs each node is summed
 from. contour_integral takes the vertex exits before any node is built.
@@ -133,8 +134,8 @@ class ContourNodes:
     exp(lam(s) + const - s slope) on one path, for every const and every
     slope in a range. `logs` (4(N + 1) x 3) times (-slope, const, 1) gives,
     as (real, imaginary) pairs, log G_j for each node and then log |G_j|;
-    `sums` (see mellin_barnes_integral) turns the real parts of their exp
-    into every sum the rule needs. Both are read-only."""
+    `sums` (2 x 3 x (N + 1), see mellin_barnes_integral) weighs the real
+    parts of their exp for every sum the rule needs. Both are read-only."""
 
     logs: np.ndarray
     sums: np.ndarray
@@ -149,9 +150,12 @@ def mellin_barnes_integral(nodes: ContourNodes, const: float,
     G(-u) = conj G(u), so the sum is h (G_0 + 2 Re sum_{j>0} G_j), a real
     number, and S_2h takes every other node. One product with the table's
     logs and one exp give every G_j and |G_j|; one product with its sums
-    matrix gives S_h, S_2h, and sum w_j |G_j| (1 + sigma_j), sum w_j |G_j| |s_j|
-    and sum w_j |G_j|, w_j = h, 2h, 2h, ... for the mirrored lower half and
-    sigma_j the sizes of the logs lam_j and the path weight are summed from.
+    weighs them for S_h and S_2h from Re G_j, and for
+    sum w_j |G_j| (1 + sigma_j), sum w_j |G_j| |s_j| and sum w_j |G_j| from
+    |G_j|, w_j = h, 2h, 2h, ... for the mirrored lower half and sigma_j the
+    sizes of the logs lam_j and the path weight are summed from. Each sum
+    runs over j = 0..N in numpy's pairwise order, which depends on N alone:
+    the same table and arguments give the same bits.
 
     A node carries a roundoff of _NODE_ROUNDOFF times |G_j| and the sizes of
     the logs it is summed from, 1 + sigma_j + |s_j slope| + |const|; their
@@ -166,7 +170,8 @@ def mellin_barnes_integral(nodes: ContourNodes, const: float,
     """
     terms = (nodes.logs @ np.array([-slope, const, 1.0])).view(complex)
     np.exp(terms, out=terms)
-    s_h, s_2h, weighted, by_s, total = (nodes.sums @ terms.real).tolist()
+    (s_h, s_2h, _), (weighted, by_s, total) = np.add.reduce(
+        nodes.sums * terms.real.reshape(2, 1, -1), axis=2).tolist()
     diff = abs(s_h - s_2h)
     noise_floor = _NODE_ROUNDOFF * (weighted + abs(slope) * by_s + abs(const) * total)
     if not (math.isfinite(s_h) and math.isfinite(noise_floor)):
@@ -192,55 +197,16 @@ def contour_nodes(log_parts, log_abs_real, c: float, poles: tuple[float, float],
     poles = (left, right) from c (math.inf for none). log_abs_real maps a
     float ndarray of real points between them to Re lam.
 
-    With no singularity right of c, the integrand is taken to decay
-    super-exponentially to the left, as products of Gamma(n s + a) do, and
-    mu = _MU_SCALE / max(1, c) (Weideman & Trefethen, Math. Comp. 76 (2007)
-    1341). Otherwise it need not decay there (Gamma(s) Gamma(1 - s) does
-    not), and mu = 0: the vertical line. Step and window come from one
-    log_abs_real call, before any complex evaluation. Every bound below is
-    linear in the slope for each width, so the rule, taken at both ends of
-    the range, holds inside it:
-    - strip: the path at u = i v meets the real axis at c + mu v^2 - v, so a
-      pole at distance d on the left at v = 2d / (1 + sqrt(1 - 4 mu d)), or
-      1 / (2 mu) if 4 mu d >= 1 (on the line, v = d).
-    - step: u = +-i a maps to the real points c -+ a + mu a^2, whose
-      |F s'/i| over |F(c)| gives R, and h = pi a / (K + log R), the
-      largest over the candidate widths a (see _WIDTHS), the smaller of
-      the two ends.
-    - window: see _WINDOW_MARGIN, with phi'' a central second difference
-      (the slope drops out of it). While the edge node exceeds
-      _TRUNCATION_TOL of the centre at either end the window doubles, and
-      only the added nodes are evaluated; past |u| = _WINDOW_LIMIT it raises
-      NonConvergence. The nodes then end at the first even count past the
-      last node either end needs above that tolerance.
-    A lam that is not finite raises NonConvergence.
+    Path, step and window come from _contour_rule, before any complex
+    evaluation; the first log_parts call takes the upper nodes
+    u = 0, h, ..., n h of the window, n = 2 ceil(window / 2h). While the edge
+    node exceeds _TRUNCATION_TOL of the centre at either end of the range
+    the window doubles, and only the added nodes are evaluated; past
+    |u| = _WINDOW_LIMIT it raises NonConvergence. The nodes then end at the
+    first even count past the last node either end needs above that
+    tolerance. A lam that is not finite raises NonConvergence.
     """
-    left, right = poles
-    if right < math.inf:
-        mu, reach = 0.0, min(left, right)
-    else:
-        mu = _MU_SCALE / max(1.0, c)
-        if 4.0 * mu * left < 1.0:
-            reach = 2.0 * left / (1.0 + math.sqrt(1.0 - 4.0 * mu * left))
-        else:
-            reach = 0.5 / mu
-    widths = [min(0.9 * reach, 1.0)]
-    while len(widths) < _WIDTHS and 2.0 * widths[-1] <= 0.9 * reach:
-        widths.append(2.0 * widths[-1])
-    eps = 0.1 * widths[0]
-    phi = log_abs_real(np.array([c, c - eps, c + eps] + [c - w + mu * w * w for w in widths]
-                                + [c + w + mu * w * w for w in widths])).tolist()
-    if not all(v < math.inf for v in phi):
-        raise NonConvergence(f"contour integrand not finite on the real axis near c = {c}")
-    centre, n_w = phi[0], len(widths)
-    step = min(max(math.pi * w / (_STRIP_BUDGET + max(
-        0.0, phi_l - centre + (w - mu * w * w) * slope + math.log(1.0 - 2.0 * mu * w),
-        phi_r - centre - (w + mu * w * w) * slope + math.log1p(2.0 * mu * w)))
-        for w, phi_l, phi_r in zip(widths, phi[3:3 + n_w], phi[3 + n_w:]))
-        for slope in slopes)
-    phi2 = (phi[1] - 2.0 * centre + phi[2]) / (eps * eps)
-    window = (_WINDOW_MARGIN * math.sqrt(-2.0 * math.log(_TRUNCATION_TOL) / phi2)
-              if phi2 > 0.0 else widths[0])
+    mu, step, window = _contour_rule(log_abs_real, c, poles, slopes)
 
     def path_logs(u):
         s = c - mu * u * u + 1j * u
@@ -270,6 +236,58 @@ def contour_nodes(log_parts, log_abs_real, c: float, poles: tuple[float, float],
     return _node_table(s[:n_half + 1], logs[:n_half + 1], sigma[:n_half + 1], step)
 
 
+def _contour_rule(log_abs_real, c: float, poles: tuple[float, float],
+                  slopes: tuple[float, float]) -> tuple[float, float, float]:
+    """(mu, step, window) of contour_nodes' path through c, from one
+    log_abs_real call on the real axis, for every slope in slopes.
+
+    With no singularity right of c, the integrand is taken to decay
+    super-exponentially to the left, as products of Gamma(n s + a) do, and
+    mu = _MU_SCALE / max(1, c) (Weideman & Trefethen, Math. Comp. 76 (2007)
+    1341). Otherwise it need not decay there (Gamma(s) Gamma(1 - s) does
+    not), and mu = 0: the vertical line.
+    - strip: the path at u = i v meets the real axis at c + mu v^2 - v, so a
+      pole at distance d on the left at v = 2d / (1 + sqrt(1 - 4 mu d)), or
+      1 / (2 mu) if 4 mu d >= 1 (on the line, v = d).
+    - step: u = +-i a maps to the real points c -+ a + mu a^2, whose
+      |F s'/i| over |F(c)| gives R, and h_a = pi a / (K + log R) for each
+      candidate width a (see _WIDTHS). log R is a maximum of terms linear
+      in the slope, so convex in it: inside the range it stays below its
+      larger end value, and h_a above its smaller. The step is the largest
+      over the widths of that smaller end value, and holds at every slope of
+      the range.
+    - window: see _WINDOW_MARGIN, with phi'' a central second difference
+      (the slope drops out of it).
+    """
+    left, right = poles
+    if right < math.inf:
+        mu, reach = 0.0, min(left, right)
+    else:
+        mu = _MU_SCALE / max(1.0, c)
+        if 4.0 * mu * left < 1.0:
+            reach = 2.0 * left / (1.0 + math.sqrt(1.0 - 4.0 * mu * left))
+        else:
+            reach = 0.5 / mu
+    widths = [min(0.9 * reach, 1.0)]
+    while len(widths) < _WIDTHS and 2.0 * widths[-1] <= 0.9 * reach:
+        widths.append(2.0 * widths[-1])
+    eps = 0.1 * widths[0]
+    phi = log_abs_real(np.array([c, c - eps, c + eps] + [c - w + mu * w * w for w in widths]
+                                + [c + w + mu * w * w for w in widths])).tolist()
+    if not all(v < math.inf for v in phi):
+        raise NonConvergence(f"contour integrand not finite on the real axis near c = {c}")
+    centre, n_w = phi[0], len(widths)
+    step = max(min(math.pi * w / (_STRIP_BUDGET + max(
+        0.0, phi_l - centre + (w - mu * w * w) * slope + math.log(1.0 - 2.0 * mu * w),
+        phi_r - centre - (w + mu * w * w) * slope + math.log1p(2.0 * mu * w)))
+        for slope in slopes)
+        for w, phi_l, phi_r in zip(widths, phi[3:3 + n_w], phi[3 + n_w:]))
+    phi2 = (phi[1] - 2.0 * centre + phi[2]) / (eps * eps)
+    window = (_WINDOW_MARGIN * math.sqrt(-2.0 * math.log(_TRUNCATION_TOL) / phi2)
+              if phi2 > 0.0 else widths[0])
+    return mu, step, window
+
+
 def _node_table(s, logs, sigma, step: float) -> ContourNodes:
     """ContourNodes from the upper-half path points s_j at u_j = j step, the
     logs lam_j + log(s'(u_j) / i) and their sizes sigma_j."""
@@ -277,12 +295,9 @@ def _node_table(s, logs, sigma, step: float) -> ContourNodes:
     weights = np.full(n, 2.0 * step)
     weights[0] = step
     coarse = np.where(np.arange(n) % 2 == 0, 2.0 * weights, 0.0)
-    zeros = np.zeros(n)
-    sums = np.array([np.concatenate((weights, zeros)),
-                     np.concatenate((coarse, zeros)),
-                     np.concatenate((zeros, weights * (1.0 + sigma))),
-                     np.concatenate((zeros, weights * np.abs(s))),
-                     np.concatenate((zeros, weights))])
+    # weights on Re G_j (S_h, S_2h, none), then on |G_j| (the noise floor)
+    sums = np.array([[weights, coarse, np.zeros(n)],
+                     [weights * (1.0 + sigma), weights * np.abs(s), weights]])
     # columns: s_j, 1 on the real parts, lam_j + log(s'(u_j) / i); the real
     # parts again, for |G_j|
     logs = np.stack((np.concatenate((s, s.real)).view(float),

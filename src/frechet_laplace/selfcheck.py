@@ -5,7 +5,6 @@ pass of every module's core invariant, sized to finish in well under a minute.
 from __future__ import annotations
 
 import math
-import time
 from typing import Callable
 
 import numpy as np
@@ -184,13 +183,10 @@ def list_checks() -> list[str]:
 
 
 def run_checks(report=print) -> bool:
-    """Run every check; report a PASS/FAIL line per check, with its wall
-    time in milliseconds after its detail; True iff all pass."""
+    """Run every check; report a PASS/FAIL line per check; True iff all pass."""
     all_ok = True
     for name, fn in _CHECKS:
-        start = time.perf_counter()
         ok, detail = fn()
-        ms = 1e3 * (time.perf_counter() - start)
         all_ok = all_ok and ok
-        report(f"{'PASS' if ok else 'FAIL'} {name} ({detail}; {ms:.2f} ms)")
+        report(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
     return all_ok

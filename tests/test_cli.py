@@ -1,10 +1,8 @@
 import math
-import re
 
 import numpy as np
 import pytest
 
-from frechet_laplace import selfcheck
 from frechet_laplace.cli import main
 
 TWO_K1_OF_2 = 0.27973176363304486
@@ -222,12 +220,3 @@ class TestSelfcheckCommand:
         code, out, _ = run(capsys, ["selfcheck"])
         assert code == 0
         assert "FAIL" not in out
-
-    def test_each_check_reports_its_milliseconds(self, capsys):
-        # the detail ends with the check's wall time; the line keeps the
-        # PASS prefix the benchmark counts
-        code, out, _ = run(capsys, ["selfcheck"])
-        lines = out.strip().split("\n")[:-1]
-        assert code == 0 and len(lines) == len(selfcheck.list_checks())
-        for line, name in zip(lines, selfcheck.list_checks()):
-            assert re.fullmatch(rf"PASS {name} \(.+; \d+\.\d\d ms\)", line), line

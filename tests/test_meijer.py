@@ -63,6 +63,18 @@ class TestMeijerGm0:
         with pytest.raises(DomainError):
             meijer_g_m0(MeijerSpec([0.0]), log_z=math.inf)
 
+    def test_argument_forms_do_not_mix(self):
+        # log_z (with log_scale) or the collapsed pair (const, slope), each
+        # whole, and nothing else; log_z alone takes log_scale 0
+        spec = MeijerSpec([0.0])
+        for kwargs in ({}, {"const": 0.0}, {"slope": 0.0}, {"log_scale": 0.0},
+                       {"log_z": 0.0, "slope": 0.0},
+                       {"const": 0.0, "slope": 0.0, "log_scale": 0.0}):
+            with pytest.raises(DomainError):
+                meijer_g_m0(spec, **kwargs)
+        assert (meijer_g_m0(spec, log_z=0.5) == meijer_g_m0(spec, log_z=0.5, log_scale=0.0)
+                == meijer_g_m0(spec, const=0.0, slope=0.5))
+
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             MeijerSpec([])
@@ -162,15 +174,37 @@ def _integrand_and_abscissa(monkeypatch, spec, log_z):
     return captured[0]
 
 
-def _count_log_gamma(monkeypatch):
+def _count_log_gamma(monkeypatch, outputs=None):
     shapes, original = [], meijer.log_gamma
 
     def counting(s):
         shapes.append(np.shape(s))
-        return original(s)
+        value = original(s)
+        if outputs is not None:
+            outputs.append((s, value))
+        return value
 
     monkeypatch.setattr(meijer, "log_gamma", counting)
     return shapes
+
+
+def _spy_rule(monkeypatch):
+    # (mu, step, window) of every path the node pass lays out: its first
+    # log_gamma call takes the upper nodes u = j step, j <= n_half,
+    # n_half = 2 ceil(window / (2 step))
+    rules, original = [], mellin._contour_rule
+
+    def spy(*args):
+        rules.append(original(*args))
+        return rules[-1]
+
+    monkeypatch.setattr(mellin, "_contour_rule", spy)
+    return rules
+
+
+def _first_window(rule):
+    _, step, window = rule
+    return 2 * math.ceil(window / (2.0 * step))
 
 
 # The contour engine evaluates the integrand on the upper half of its path
@@ -192,32 +226,46 @@ class TestConjugateMirror:
         assert sizes[:200].tobytes() == sizes[201:][::-1].tobytes()
 
     def test_grid_evaluates_upper_half_only(self, monkeypatch):
-        # (1, 1) at p = 1: log_gamma sees the upper nodes u = j h of the
-        # band's grid, once, from j = 0 to at least the table's n_half
-        shapes = _count_log_gamma(monkeypatch)
+        # (1, 1) at p = 1: log_gamma sees the n_half + 1 upper nodes of the
+        # band's grid, once, and no other node; the table keeps a leading
+        # part of them
+        shapes, rules = _count_log_gamma(monkeypatch), _spy_rule(monkeypatch)
         meijer._contour_table.cache_clear()
         form = build_laplace_closed_form(RationalShape(1, 1))
         res = meijer_g_m0(form.spec, log_z=form.log_argument(0.0))
         assert res.converged and res.value == pytest.approx(TWO_K1_OF_2, rel=1e-15)
-        n_half = (res.evaluations - 1) // 2
-        assert len(shapes) == 1 and shapes[0][0] == 2
-        assert shapes[0][1] >= n_half + 1 and shapes[0][1] % 2 == 1
+        assert len(rules) == 1
+        n_half = _first_window(rules[0])
+        assert shapes == [(2, n_half + 1)]
+        assert res.evaluations <= 2 * n_half + 1
 
     def test_window_extension_evaluates_added_nodes_only(self, monkeypatch):
         # At c = 0.1, left of the saddle, |F| first grows along the parabola,
         # so the window from phi''(c) is too short: it doubles once, and the
         # n_half added upper nodes reach log_gamma in one more call. The
-        # nodes then end past the first window and within the second.
+        # rule then takes every node up to the first even count past the
+        # last one above 1e-16 of the centre, which lies past the first
+        # window.
         form = build_laplace_closed_form(RationalShape(2, 3))
         log_z = form.log_argument(0.0)
         saddle = meijer_g_m0(form.spec, log_z=log_z)
-        shapes = _count_log_gamma(monkeypatch)
+        outputs, rules = [], _spy_rule(monkeypatch)
+        shapes = _count_log_gamma(monkeypatch, outputs)
         res = meijer_g_m0(form.spec, log_z=log_z, c=0.1)
         assert res.converged and abs(res.value - saddle.value) <= 1e-13
-        assert len(shapes) == 2
-        n_half = shapes[0][1] - 1
-        assert shapes[1] == (2, n_half)
-        assert 2 * n_half + 1 < res.evaluations <= 4 * n_half + 1
+        assert len(shapes) == 2 and len(rules) == 1
+        n_half = _first_window(rules[0])
+        assert shapes == [(2, n_half + 1), (2, n_half)]
+        # |G_j| / |G_0| from the log_gamma values, the path weight and z^-s
+        mu, step, _ = rules[0]
+        u = np.arange(2 * n_half + 1) * step
+        s = 0.1 - mu * u * u + 1j * u
+        lam = np.concatenate([value.sum(axis=0) for _, value in outputs])
+        slope = meijer._spec_constants(form.spec)[2] + log_z
+        log_g = (lam + np.log(1.0 + 2j * mu * u)).real - s.real * slope
+        last = int(np.flatnonzero(log_g - log_g[0] > math.log(1e-16))[-1])
+        assert last > n_half
+        assert res.evaluations == 2 * (2 * (last // 2 + 1)) + 1
 
 
 # The saddle search against an independent minimiser: the root of
@@ -374,6 +422,29 @@ class TestContourTables:
             assert below[3] and above[3]
             assert abs(below[0] - above[0]) <= below[1] + above[1], band
 
+    @pytest.mark.parametrize("l,k,p_max", [(1, 1, 40.0), (3, 4, 40.0), (4, 1, 40.0),
+                                           (7, 5, 20.0), (13, 11, 12.0)])
+    def test_inside_a_band_against_mpmath(self, l, k, p_max):
+        # the step and window hold at every slope of a band, not only at its
+        # ends: at a quarter, the middle and three quarters of every band
+        # from about p = 2 to p_max, the band's table is within its estimate
+        # of 30-digit mpmath from l, k and p themselves
+        mpmath = pytest.importorskip("mpmath")
+        shape = RationalShape(l, k)
+        spec = build_laplace_closed_form(shape).spec
+        first = math.floor(meijer._band_coordinate(spec, shape.l * math.log(2.0)))
+        last = math.floor(meijer._band_coordinate(spec, shape.l * math.log(p_max)))
+        assert last - first >= 2
+        for band in range(first, last):
+            for f in (0.25, 0.5, 0.75):
+                p = math.exp(meijer._band_slope(spec, (band + f) * meijer._BAND_WIDTH) / l)
+                const, slope = _closed_form_pair(shape, p)
+                assert math.floor(meijer._band_coordinate(spec, slope)) == band
+                res = meijer_g_m0(spec, const=const, slope=slope)
+                ref = _mpmath_laplace(mpmath, l, k, p)
+                assert res.converged and res.route == "contour"
+                assert abs(mpmath.mpf(res.value) - ref) <= res.err_estimate, (band, f)
+
     @pytest.mark.parametrize("spec", [s for _, s in SADDLE_SPECS] + [MeijerSpec([0.0]),
                                                                       MeijerSpec([1.0, 0.0])],
                              ids=[name for name, _ in SADDLE_SPECS] + ["exp", "bessel"])
@@ -481,6 +552,22 @@ class TestMpmathOracle:
         ref = _mpmath_laplace(mpmath, l, k, p)
         assert res.converged
         assert abs(mpmath.mpf(res.value) - ref) <= res.err_estimate
+
+    @pytest.mark.parametrize("l,k", [(1, 1), (1, 2), (2, 3), (3, 4), (4, 1), (1, 4),
+                                     (7, 5), (1, 30)])
+    @pytest.mark.parametrize("p", [0.01, 0.1, 1.0, 10.0])
+    def test_g_level_form_bounds_actual_error(self, l, k, p):
+        # the public G-level form, log z alone, against mpmath fed the same
+        # binary64 log z: up to a fixed safety factor and the binary64
+        # rounding of the value itself
+        mpmath = pytest.importorskip("mpmath")
+        form = build_laplace_closed_form(RationalShape(l, k))
+        log_z = form.log_argument(math.log(p))
+        res = meijer_g_m0(form.spec, log_z=log_z)
+        with mpmath.workdps(30):
+            ref = float(mpmath.meijerg([[], []], [list(form.spec.b), []], mpmath.exp(log_z)))
+        assert res.converged
+        assert abs(res.value - ref) <= 10.0 * res.err_estimate + 4e-16 * abs(ref)
 
     @pytest.mark.parametrize("l,k,p", [(30, 1, 5.0), (40, 1, 12.0)])
     def test_closed_form_contour_takes_collapsed_constants(self, l, k, p):

@@ -89,12 +89,20 @@ def test_benchmark_tracer_reads_every_layer():
 
 
 @pytest.mark.parametrize("l,k,p", [(1, 1, 1.0), (2, 3, 0.05), (4, 1, 19.8), (1, 30, 3.0)])
-def test_benchmark_tracer_sees_one_log_gamma_per_integral(l, k, p):
+def test_benchmark_tracer_sees_one_log_gamma_per_integral(l, k, p, monkeypatch):
     # the per-layer metrics read log_gamma through its traced name: a contour
     # value on the closed-form grid is one contour integral, and its band's
-    # table one log_gamma call on the upper half of its nodes, for both
-    # runs, when it is built; a value from a built table calls none
+    # table, when it is built, one log_gamma call on the n_half + 1 upper
+    # nodes of its window (n_half = 2 ceil(window / 2 step)), for both
+    # runs; a value from a built table calls none
     tracing = _load_perfbench("tracing")
+    rules, rule = [], mellin._contour_rule
+
+    def spy(*args):
+        rules.append(rule(*args))
+        return rules[-1]
+
+    monkeypatch.setattr(mellin, "_contour_rule", spy)
     meijer._contour_table.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
@@ -104,11 +112,15 @@ def test_benchmark_tracer_sees_one_log_gamma_per_integral(l, k, p):
     finally:
         tracer.uninstall()
     assert res.converged and again.converged
+    assert len(rules) == 1
+    _, step, window = rules[0]
+    n_half = 2 * math.ceil(window / (2.0 * step))
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["mellin.integrals"] == 2
     assert metrics["numerics.log_gamma.calls"] == 1
-    assert metrics["numerics.log_gamma.elems"] >= res.evaluations + 1
+    assert metrics["numerics.log_gamma.elems"] == 2 * (n_half + 1)
     assert metrics["mellin.nodes_per_integral"] == res.evaluations == again.evaluations
+    assert res.evaluations <= 2 * n_half + 1
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.98])
