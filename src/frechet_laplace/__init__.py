@@ -55,7 +55,6 @@ from .meijer import (
 )
 from .mellin import (
     MellinFunction,
-    delta_list,
     frechet_mellin_image,
     laplace_via_mellin,
 )
@@ -75,8 +74,7 @@ __all__ = [
     "frechet_mode", "levy_asymptotic_mode", "find_maximum",
     "EvalResult", "log_gamma", "integrate_semi_infinite",
     "bessel_k1",
-    "MellinFunction", "frechet_mellin_image",
-    "delta_list", "laplace_via_mellin",
+    "MellinFunction", "frechet_mellin_image", "laplace_via_mellin",
     "MeijerSpec", "LaplaceClosedForm", "meijer_g_m0", "meijer_g_series",
     "build_laplace_closed_form",
     "Method", "LaplaceQuery", "laplace_frechet", "laplace_frechet_oracle",

@@ -14,8 +14,8 @@ import numpy as np
 
 from .distributions import LevyIndex, Shape, frechet_pdf
 from .errors import DomainError, MissingLaplace
-from .meijer import MeijerSpec, meijer_g_m0, meijer_g_series
-from .numerics import _REL_TOL, EvalResult, _power, integrate_semi_infinite
+from .meijer import MeijerSpec, meijer_g
+from .numerics import EvalResult, _power, integrate_semi_infinite
 
 __all__ = [
     "FrechetKernelParams",
@@ -168,20 +168,16 @@ def frechet_transform_frechet_half(gamma: Shape, x: float) -> EvalResult:
     valid for any gamma > 0. With the runs Delta(2, -1) + Delta(1, 0) the
     multiplication formula turns it into
     gamma x^{-(1+gamma)} (1/2 pi i) int Gamma(2s - 1) Gamma(s) x^{gamma s} ds,
-    which meijer_g_series sums as residues (simple at s = 1/2 - n, double at
-    s = -n). Where the series' estimate is not within 1e-10 of its value
-    (small x, where the terms cancel), meijer_g_m0 integrates the same
-    integrand; min(b) = -1/2 pushes its pole-separation condition to
-    c > 1/2. Both take the prefactor and the argument as logs: either leaves
-    binary64 for large gamma |log x| while the product, about x^{-1-gamma/2}
-    at large x, is still a normal float.
+    which meijer_g evaluates: as residues (simple at s = 1/2 - n, double at
+    s = -n) where the series' estimate is within 1e-10 of its value, and on
+    the contour elsewhere (small x, where the terms cancel); min(b) = -1/2
+    pushes the contour's pole-separation condition to c > 1/2. The
+    prefactor and the argument go in as logs: either leaves binary64 for
+    large gamma |log x| while the product, about x^{-1-gamma/2} at large x,
+    is still a normal float.
     """
     if not 0 < x < math.inf:
         raise DomainError("transform argument x must be finite and positive")
     g = gamma.gamma
     log_x = math.log(x)
-    const, slope = math.log(g) - (1.0 + g) * log_x, -g * log_x
-    res = meijer_g_series(_HALF_SPEC, const=const, slope=slope)
-    if res.converged and res.err_estimate <= _REL_TOL * abs(res.value):
-        return res
-    return meijer_g_m0(_HALF_SPEC, const=const, slope=slope)
+    return meijer_g(_HALF_SPEC, const=math.log(g) - (1.0 + g) * log_x, slope=-g * log_x)

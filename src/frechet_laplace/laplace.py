@@ -13,8 +13,8 @@ import numpy as np
 
 from .distributions import RationalShape, Shape
 from .errors import DomainError
-from .meijer import build_laplace_closed_form, meijer_g_m0, meijer_g_series
-from .numerics import _REL_TOL, EvalResult, bessel_k1, integrate_semi_infinite
+from .meijer import _within_tolerance, build_laplace_closed_form, meijer_g
+from .numerics import EvalResult, bessel_k1, integrate_semi_infinite
 
 __all__ = [
     "Method",
@@ -43,29 +43,21 @@ class LaplaceQuery:
             raise DomainError(f"Laplace variable must be finite and positive, got {self.p}")
 
 
-def _within_tolerance(res: EvalResult) -> bool:
-    return res.converged and res.err_estimate <= _REL_TOL * abs(res.value)
-
-
 def _meijer_path(shape: RationalShape, log_p: float) -> EvalResult:
-    form = build_laplace_closed_form(shape)
     # the prefactor and the multiplication formula's constants cancel:
     # L(p) = l (1/2 pi i) int Gamma(ks + 1) Gamma(ls) p^{-ls} ds
-    const, slope = math.log(shape.l), shape.l * log_p
-    res = meijer_g_series(form.spec, const=const, slope=slope)
-    if _within_tolerance(res):
-        return res
-    return meijer_g_m0(form.spec, const=const, slope=slope)
+    return meijer_g(build_laplace_closed_form(shape).spec,
+                    const=math.log(shape.l), slope=shape.l * log_p)
 
 
 def laplace_frechet(query: LaplaceQuery) -> EvalResult:
     """Evaluate L[Fr(l, k, x); p].
 
-    MEIJER_G evaluates the closed form: first by its ascending residue
-    series (meijer_g_series), whose value it returns wherever the series'
-    error estimate is within the quadrature's relative tolerance 1e-10 of
-    it; then, for larger p, where the alternating terms cancel, by the
-    Mellin-Barnes contour (meijer_g_m0). QUADRATURE uses the direct oracle.
+    MEIJER_G evaluates the closed form by meijer_g: its ascending residue
+    series wherever the series' error estimate is within the quadrature's
+    relative tolerance 1e-10 of its value, and for larger p, where the
+    alternating terms cancel, the Mellin-Barnes contour. QUADRATURE uses
+    the direct oracle.
     AUTO takes the MEIJER_G value, and falls back to the oracle wherever
     that value is not positive (the contour's converged underflow zero,
     where the oracle's positive integrand keeps a positive value), not

@@ -17,10 +17,11 @@ range. meijer_g_m0 integrates it along a parabola that opens to the left
 from its vertex c > -min(b_j), for any spec and any z, from a per-(spec,
 band) table of contour nodes: the log Gamma sum on a fixed path is a
 property of the spec, and only exp(-s slope) depends on the argument.
+meijer_g hands over between them: the series where its estimate is within
+1e-10 of its value, the contour elsewhere.
 
 Everything runs in log space: a closed form passes const and slope with its
-constants cancelled analytically (or meijer_g_m0 takes log z and the log of
-the caller's prefactor), so the closed form's prefactor
+constants cancelled analytically, so the closed form's prefactor
 (2 pi)^{1-(k+l)/2} and argument p^l / (k^k l^l) never have to be binary64
 numbers on their own.
 """
@@ -37,12 +38,13 @@ import numpy as np
 
 from .distributions import RationalShape
 from .errors import ContourError, DomainError
-from .mellin import _NOISE_REL_BOUND, contour_integral, contour_nodes, delta_list
-from .numerics import _LOG_PI, _TINY, EvalResult, log_gamma
+from .mellin import _NOISE_REL_BOUND, contour_integral, contour_nodes
+from .numerics import _LOG_PI, _REL_TOL, _TINY, EvalResult, log_gamma
 
 __all__ = [
     "MeijerSpec",
     "LaplaceClosedForm",
+    "meijer_g",
     "meijer_g_m0",
     "meijer_g_series",
     "build_laplace_closed_form",
@@ -70,7 +72,7 @@ class MeijerSpec:
 
     @property
     def b(self) -> tuple:
-        return tuple(v for n, a in self.groups for v in delta_list(n, a))
+        return tuple((a + j) / n for n, a in self.groups for j in range(n))
 
     @property
     def m(self) -> int:
@@ -99,7 +101,7 @@ def _saddle_abscissa(spec: MeijerSpec, slope: float) -> float:
     of it, or phi'' <= 0, bisects. phi' is concave, so Newton rises to the
     root from the left; phi' > 0 at the lower end makes that end the result.
     """
-    b_min, _, n_log_n = _spec_constants(spec)[:3]
+    b_min, n_log_n = _spec_constants(spec)[:2]
     lo, hi = -b_min + 0.25, 2.0 * math.exp(300.0)
     c = min(max(math.exp(min((slope - n_log_n) / spec.m, 300.0)), lo), hi)
     while True:
@@ -131,15 +133,13 @@ def _real_log_gammas(spec: MeijerSpec, x: float) -> float:
 
 @functools.lru_cache(maxsize=256)
 def _spec_constants(spec: MeijerSpec) -> tuple:
-    """What meijer_g_m0 needs of spec alone: b_min, the multiplication
-    formula's constant and sum n log n (plain floats, summed in run order),
-    and the runs' n and a as read-only complex columns (n s + a needs no cast)."""
+    """What meijer_g_m0 needs of spec alone: b_min, sum n log n (a plain
+    float, summed in run order), and the runs' n and a as read-only complex
+    columns (n s + a needs no cast)."""
     groups = np.array(spec.groups, dtype=complex)
     groups.flags.writeable = False
-    log_2pi = math.log(2.0 * math.pi)
     # the smallest b_j of a run Delta(n, a) is a / n
     return (min(a / n for n, a in spec.groups),
-            sum(0.5 * (n - 1.0) * log_2pi + (0.5 - a) * math.log(n) for n, a in spec.groups),
             sum(n * math.log(n) for n, _ in spec.groups), groups[:, :1], groups[:, 1:])
 
 
@@ -159,7 +159,7 @@ _BAND_LOG_C_MAX = 700.0
 
 
 def _band_coordinate(spec: MeijerSpec, slope: float) -> float:
-    u = min((slope - _spec_constants(spec)[2]) / spec.m, _BAND_LOG_C_MAX)
+    u = min((slope - _spec_constants(spec)[1]) / spec.m, _BAND_LOG_C_MAX)
     scale = 2.0 * math.sqrt(spec.m)
     return scale * math.exp(0.5 * u) if u > 0.0 else scale * (1.0 + 0.5 * u)
 
@@ -168,7 +168,7 @@ def _band_slope(spec: MeijerSpec, t: float) -> float:
     # the inverse of _band_coordinate
     v = t / (2.0 * math.sqrt(spec.m))
     u = 2.0 * math.log(v) if v > 1.0 else 2.0 * (v - 1.0)
-    return _spec_constants(spec)[2] + spec.m * u
+    return _spec_constants(spec)[1] + spec.m * u
 
 
 def _contour_nodes(spec: MeijerSpec, c: float, slopes: tuple[float, float]):
@@ -176,7 +176,7 @@ def _contour_nodes(spec: MeijerSpec, c: float, slopes: tuple[float, float]):
     every slope in slopes: one log_gamma call on the (runs x nodes) array
     n s + a. Step and window come from the real-axis sum in plain floats
     (math.lgamma), with no log_gamma call."""
-    b_min, _, _, n, a = _spec_constants(spec)
+    b_min, _, n, a = _spec_constants(spec)
 
     def log_parts(s):
         parts = log_gamma(n * s + a)
@@ -198,26 +198,22 @@ def _contour_table(spec: MeijerSpec, band: int):
     return _contour_nodes(spec, _saddle_abscissa(spec, centre), (lo, hi))
 
 
-def meijer_g_m0(spec: MeijerSpec, *, log_z: float | None = None, c: float | None = None,
-                log_scale: float | None = None, const: float | None = None,
-                slope: float | None = None) -> EvalResult:
-    """e^log_scale G^{m,0}_{0,m}(z | b), with z = e^log_z, as
-    (1/2 pi i) int e^log_scale prod_j Gamma(b_j + s) z^{-s} ds
-    along contour_nodes' parabola s(u) = c - mu u^2 + i u, which opens to
-    the left from its vertex c > -min(b_j) and so leaves every pole on its
-    left; the gamma factors decay super-exponentially along it.
+def meijer_g_m0(spec: MeijerSpec, *, const: float, slope: float,
+                c: float | None = None) -> EvalResult:
+    """(1/2 pi i) int exp(const - s slope) prod_g Gamma(n_g s + a_g) ds, the
+    collapsed integrand meijer_g_series takes, along contour_nodes' parabola
+    s(u) = c - mu u^2 + i u, which opens to the left from its vertex
+    c > -min(b_j) and so leaves every pole on its left; the gamma factors
+    decay super-exponentially along it.
 
-    By the multiplication formula that is
-    (1/2 pi i) int exp(const - s slope) prod_g Gamma(n_g s + a_g) ds with
-    const = log_scale plus the formula's constant and
-    slope = log z + sum n log n: the pair meijer_g_series takes. A caller
-    passes either log_z (log_scale 0 unless given), which maps onto that
-    pair, or the pair itself, with its own constants cancelled
-    analytically; anything else is a DomainError. Neither has to be a
-    binary64 number after exp: only the product decides the magnitude, a
-    converged zero where it is below 1e-300 at the slope's own saddle, an
-    unconverged result where it is above 1e300, and no nodes built in
-    either case.
+    By the multiplication formula, A G^{m,0}_{0,m}(z | b) is that
+    integral with const = log A plus the formula's constant
+    sum_g ((n-1)/2 log 2 pi + (1/2 - a) log n) and slope = log z + sum n log n;
+    a closed form passes the pair with its own constants cancelled
+    analytically. Neither e^const nor e^-slope has to be a binary64 number:
+    only the product decides the magnitude, a converged zero where it is
+    below 1e-300 at the slope's own saddle, an unconverged result where it
+    is above 1e300, and no nodes built in either case.
 
     With c = None the nodes come from the table of the slope's band
     (_contour_table), whose vertex is the saddle of the band's centre: that
@@ -229,14 +225,9 @@ def meijer_g_m0(spec: MeijerSpec, *, log_z: float | None = None, c: float | None
     theorem makes the result independent of any valid choice, which the
     shift-invariance tests exercise).
     """
-    b_min, g_const, n_log_n = _spec_constants(spec)[:3]
-    if log_z is not None and const is None and slope is None:
-        const = g_const + (0.0 if log_scale is None else log_scale)
-        slope = n_log_n + log_z
-    elif log_z is not None or log_scale is not None or const is None or slope is None:
-        raise DomainError("meijer_g requires log_z (and log_scale) or const and slope")
+    b_min = _spec_constants(spec)[0]
     if not (math.isfinite(const) and math.isfinite(slope)):
-        raise DomainError("meijer_g requires a finite argument and scale")
+        raise DomainError("meijer_g_m0 requires finite const and slope")
     if c is None:
         vertex = _saddle_abscissa(spec, slope)
         band = math.floor(_band_coordinate(spec, slope) / _BAND_WIDTH)
@@ -401,9 +392,8 @@ def meijer_g_series(spec: MeijerSpec, *, const: float, slope: float) -> EvalResu
     its residues left of the contour (Slater's theorem; Luke, The Special
     Functions and Their Approximations (1969) 5.2).
 
-    For G^{m,0}_{0,m}(z) e^log_scale, const is log_scale plus the
-    multiplication formula's constant, and slope is log z + sum n log n; a
-    closed form can pass them with its own constants cancelled analytically.
+    The pair is meijer_g_m0's: for A G^{m,0}_{0,m}(z), const is log A plus
+    the multiplication formula's constant, and slope is log z + sum n log n.
 
     One exp over the spec's cached table (_series_table) gives the terms t_j,
     and one product with its matrix all the sums. err_estimate is
@@ -442,6 +432,26 @@ def meijer_g_series(spec: MeijerSpec, *, const: float, slope: float) -> EvalResu
                       converged=err <= _NOISE_REL_BOUND * abs(value), route="series")
 
 
+def _within_tolerance(res: EvalResult) -> bool:
+    # the bar a value meets to be returned as it is: converged, with an
+    # estimate within 1e-10 of it
+    return res.converged and res.err_estimate <= _REL_TOL * abs(res.value)
+
+
+def meijer_g(spec: MeijerSpec, *, const: float, slope: float) -> EvalResult:
+    """(1/2 pi i) int exp(const - s slope) Gamma(n1 s + a1) Gamma(n2 s + a2) ds
+    for a two-run spec with integer a: meijer_g_series' value wherever it is
+    converged with an estimate within 1e-10 of it, and meijer_g_m0's (with
+    the band's tabled nodes) elsewhere, at larger slopes, where the
+    residues cancel. The route of the value returned is in its EvalResult.
+    """
+    res = meijer_g_series(spec, const=const, slope=slope)
+    if _within_tolerance(res):
+        return res
+    # by its module name, where perfbench/tracing.py rebinds it
+    return meijer_g_m0(spec, const=const, slope=slope)
+
+
 @dataclass(frozen=True)
 class LaplaceClosedForm:
     """Closed form of the Frechet Laplace transform for gamma = l/k:
@@ -450,9 +460,11 @@ class LaplaceClosedForm:
 
     with prefactor sqrt(kl) / (2 pi)^{(k+l)/2 - 1}. Both the prefactor and
     the argument leave binary64 long before L does (k = 800 at p = 1), so
-    the form holds their logs, for meijer_g_m0's log_scale and log_z. The
-    library's own routes take the collapsed pair const = log l,
-    slope = l log p instead, in which they cancel analytically.
+    the form holds their logs, log_prefactor and log_argument(log p): the
+    paper's G-level statement, from which a G-level reference (mpmath's
+    meijerg) is built. The library's own routes take the collapsed pair
+    const = log l, slope = l log p instead (meijer_g), in which they cancel
+    analytically.
     """
 
     shape: RationalShape

@@ -37,7 +37,6 @@ from .numerics import _REL_TOL, _ROUNDOFF, EvalResult, log_gamma
 __all__ = [
     "MellinFunction",
     "frechet_mellin_image",
-    "delta_list",
     "laplace_via_mellin",
     "ContourNodes",
     "contour_nodes",
@@ -107,13 +106,6 @@ class MellinFunction:
     def contains(self, sigma: float) -> bool:
         lo, hi = self.domain_strip
         return lo < sigma < hi
-
-
-def delta_list(k: int, a: float) -> list[float]:
-    """The list a/k, (a+1)/k, ..., (a+k-1)/k of k equally spaced values."""
-    if k < 1:
-        raise DomainError("delta_list requires k >= 1")
-    return [(a + j) / k for j in range(k)]
 
 
 def frechet_mellin_image(shape: RationalShape) -> MellinFunction:

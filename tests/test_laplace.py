@@ -96,9 +96,9 @@ class TestLaplaceFrechet:
         assert abs(res.value - TWO_K1_OF_2) <= 1e-10
 
     def test_explicit_contour_config(self):
+        # the closed form's collapsed pair at p = 1: const = log l = 0, slope = 0
         form = build_laplace_closed_form(RationalShape(1, 2))
-        res = meijer_g_m0(form.spec, log_z=form.log_argument(0.0), c=0.8,
-                          log_scale=form.log_prefactor)
+        res = meijer_g_m0(form.spec, const=0.0, slope=0.0, c=0.8)
         oracle = laplace_frechet_oracle(Shape(0.5), 1.0)
         assert abs(res.value - oracle.value) <= 1e-8 * abs(oracle.value)
 

@@ -10,8 +10,8 @@ from frechet_laplace.errors import ContourError, DomainError
 from frechet_laplace.laplace import (LaplaceQuery, Method, laplace_frechet,
                                      laplace_frechet_oracle)
 from frechet_laplace import meijer, mellin
-from frechet_laplace.ftransform import _HALF_SPEC
-from frechet_laplace.meijer import (MeijerSpec, build_laplace_closed_form,
+from frechet_laplace.ftransform import _HALF_SPEC, frechet_transform_frechet_half
+from frechet_laplace.meijer import (MeijerSpec, build_laplace_closed_form, meijer_g,
                                     meijer_g_m0, meijer_g_series)
 
 TWO_K1_OF_2 = 0.27973176363304486  # 2 K1(2), from the series oracle
@@ -19,27 +19,37 @@ TWO_K1_OF_2 = 0.27973176363304486  # 2 K1(2), from the series oracle
 ALL_SHAPES = [RationalShape(l, k) for l in range(1, 5) for k in range(1, 5)]
 
 
+def _g_level(spec, log_z):
+    # G^{m,0}_{0,m}(e^log_z | spec.b) as meijer_g_m0's collapsed pair:
+    # Gauss's multiplication formula's constants, written out in run order.
+    # For a flat spec both sums are 0.0, and the pair is (0.0, log_z) exactly.
+    const = sum(0.5 * (n - 1.0) * math.log(2.0 * math.pi) + (0.5 - a) * math.log(n)
+                for n, a in spec.groups)
+    slope = sum(n * math.log(n) for n, _ in spec.groups)
+    return {"const": const, "slope": slope + log_z}
+
+
 class TestMeijerGm0:
     def test_exponential_identity_grid(self):
         spec = MeijerSpec([0.0])
         for z in np.linspace(1e-2, 20.0, 50):
-            res = meijer_g_m0(spec, log_z=math.log(z))
+            res = meijer_g_m0(spec, const=0.0, slope=math.log(z))
             assert abs(res.value - math.exp(-z)) <= 1e-10 * math.exp(-z)
 
     def test_bessel_case(self):
-        res = meijer_g_m0(MeijerSpec([1.0, 0.0]), log_z=0.0)
+        res = meijer_g_m0(MeijerSpec([1.0, 0.0]), const=0.0, slope=0.0)
         assert abs(res.value - TWO_K1_OF_2) <= 1e-9 * TWO_K1_OF_2
 
     def test_half_shape_case_against_oracle(self):
         # sqrt(pi)^-1 G^{3,0}_{0,3}(1/4 | 0, 1/2, 1) is the shape-1/2 transform at p=1
-        res = meijer_g_m0(MeijerSpec([0.0, 0.5, 1.0]), log_z=math.log(0.25))
+        res = meijer_g_m0(MeijerSpec([0.0, 0.5, 1.0]), const=0.0, slope=math.log(0.25))
         value = res.value / math.sqrt(math.pi)
         oracle = laplace_frechet_oracle(Shape(0.5), 1.0)
         assert abs(value - oracle.value) <= 1e-8 * abs(oracle.value)
 
     def test_contour_shift_invariance(self):
         spec = MeijerSpec([0.5, 1.0, 0.0])
-        values = [meijer_g_m0(spec, log_z=math.log(0.25), c=c).value
+        values = [meijer_g_m0(spec, const=0.0, slope=math.log(0.25), c=c).value
                   for c in (0.3, 0.5, 1.0, 1.5)]
         for a in values:
             for b in values:
@@ -47,33 +57,35 @@ class TestMeijerGm0:
 
     def test_underflow_returns_converged_zero(self):
         # on the saddle contour the whole integrand underflows for huge z
-        res = meijer_g_m0(MeijerSpec([0.0]), log_z=math.log(5e4))
+        res = meijer_g_m0(MeijerSpec([0.0]), const=0.0, slope=math.log(5e4))
         assert res.value == 0.0
         assert res.converged
 
     def test_abscissa_validation(self):
         with pytest.raises(ContourError):
-            meijer_g_m0(MeijerSpec([-0.5, 0.0, 0.0]), log_z=0.0, c=0.4)
+            meijer_g_m0(MeijerSpec([-0.5, 0.0, 0.0]), const=0.0, slope=0.0, c=0.4)
         with pytest.raises(ContourError):
-            meijer_g_m0(MeijerSpec([0.0]), log_z=0.0, c=math.inf)
+            meijer_g_m0(MeijerSpec([0.0]), const=0.0, slope=0.0, c=math.inf)
 
     def test_argument_domain(self):
         with pytest.raises(DomainError):
-            meijer_g_m0(MeijerSpec([0.0]), log_z=-math.inf)
+            meijer_g_m0(MeijerSpec([0.0]), const=0.0, slope=-math.inf)
         with pytest.raises(DomainError):
-            meijer_g_m0(MeijerSpec([0.0]), log_z=math.inf)
+            meijer_g_m0(MeijerSpec([0.0]), const=0.0, slope=math.inf)
+        with pytest.raises(DomainError):
+            meijer_g_m0(MeijerSpec([0.0]), const=math.nan, slope=0.0)
 
-    def test_argument_forms_do_not_mix(self):
-        # log_z (with log_scale) or the collapsed pair (const, slope), each
-        # whole, and nothing else; log_z alone takes log_scale 0
+    def test_requires_const_and_slope(self):
+        # one convention: the collapsed pair (const, slope), both required
+        # by keyword, and an optional abscissa
+        assert list(inspect.signature(meijer_g_m0).parameters) == [
+            "spec", "const", "slope", "c"]
         spec = MeijerSpec([0.0])
-        for kwargs in ({}, {"const": 0.0}, {"slope": 0.0}, {"log_scale": 0.0},
-                       {"log_z": 0.0, "slope": 0.0},
-                       {"const": 0.0, "slope": 0.0, "log_scale": 0.0}):
-            with pytest.raises(DomainError):
+        for kwargs in ({}, {"const": 0.0}, {"slope": 0.0}):
+            with pytest.raises(TypeError):
                 meijer_g_m0(spec, **kwargs)
-        assert (meijer_g_m0(spec, log_z=0.5) == meijer_g_m0(spec, log_z=0.5, log_scale=0.0)
-                == meijer_g_m0(spec, const=0.0, slope=0.5))
+        with pytest.raises(TypeError):
+            meijer_g_m0(spec, 0.0, 0.5)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
@@ -114,15 +126,19 @@ class TestGaussCollapse:
         assert form.spec.groups == ((shape.k, 1.0), (shape.l, 0.0))
         flat = MeijerSpec(form.spec.b)
         for p in (0.01, 0.1, 1.0, 10.0, 20.0):
-            log_z = form.log_argument(math.log(p))
-            grouped, single = meijer_g_m0(form.spec, log_z=log_z), meijer_g_m0(flat, log_z=log_z)
+            # the grouped spec on the closed form's collapsed pair, the flat
+            # list on the G-level logs
+            grouped = meijer_g_m0(form.spec, const=math.log(shape.l),
+                                  slope=shape.l * math.log(p))
+            single = meijer_g_m0(flat, const=form.log_prefactor,
+                                 slope=form.log_argument(math.log(p)))
             assert (abs(grouped.value - single.value)
                     <= 10.0 * (grouped.err_estimate + single.err_estimate))
 
     @pytest.mark.parametrize("z", [1e-3, 0.1, 1.0, 10.0, 100.0])
     def test_half_spec_matches_flat_list(self, z):
-        grouped = meijer_g_m0(_HALF_SPEC, log_z=math.log(z))
-        single = meijer_g_m0(MeijerSpec([-0.5, 0.0, 0.0]), log_z=math.log(z))
+        grouped = meijer_g_m0(_HALF_SPEC, **_g_level(_HALF_SPEC, math.log(z)))
+        single = meijer_g_m0(MeijerSpec([-0.5, 0.0, 0.0]), const=0.0, slope=math.log(z))
         assert grouped.converged and single.converged
         assert (abs(grouped.value - single.value)
                 <= 10.0 * (grouped.err_estimate + single.err_estimate))
@@ -149,17 +165,18 @@ class TestGaussCollapse:
         meijer._contour_table.cache_clear()
         form = build_laplace_closed_form(RationalShape(l, k))
         assert form.spec.m in (2, 31)
-        res = meijer_g_m0(form.spec, log_z=form.log_argument(0.0))
+        # the closed form's collapsed pair at p = 1
+        res = meijer_g_m0(form.spec, const=math.log(l), slope=0.0)
         assert res.converged
         assert len(calls) == 1 and calls[0][0] == 2
         assert len(integrals) == 1
         # another argument in the same band: no log_gamma call
-        again = meijer_g_m0(form.spec, log_z=form.log_argument(0.0) + 1e-3)
+        again = meijer_g_m0(form.spec, const=math.log(l), slope=1e-3)
         assert again.converged and again.value != res.value
         assert len(calls) == 1 and len(integrals) == 2
 
 
-def _integrand_and_abscissa(monkeypatch, spec, log_z):
+def _integrand_and_abscissa(monkeypatch, spec, const, slope):
     # the log Gamma sum meijer_g_m0 hands to the contour engine's node pass,
     # and the vertex of the band's table
     captured, original = [], meijer.contour_nodes
@@ -170,7 +187,7 @@ def _integrand_and_abscissa(monkeypatch, spec, log_z):
 
     monkeypatch.setattr(meijer, "contour_nodes", capture)
     meijer._contour_table.cache_clear()
-    meijer_g_m0(spec, log_z=log_z)
+    meijer_g_m0(spec, const=const, slope=slope)
     return captured[0]
 
 
@@ -218,7 +235,7 @@ class TestConjugateMirror:
     def test_symmetric_grid_equals_halves(self, l, k, p, monkeypatch):
         form = build_laplace_closed_form(RationalShape(l, k))
         log_parts, c = _integrand_and_abscissa(monkeypatch, form.spec,
-                                               form.log_argument(math.log(p)))
+                                               *_closed_form_pair(RationalShape(l, k), p))
         tau = (np.arange(401) - 200) * 0.37
         values, sizes = log_parts(c - 0.4 / max(1.0, c) * tau * tau + 1j * tau)
         lower, upper = values[:200], values[201:]
@@ -232,7 +249,7 @@ class TestConjugateMirror:
         shapes, rules = _count_log_gamma(monkeypatch), _spy_rule(monkeypatch)
         meijer._contour_table.cache_clear()
         form = build_laplace_closed_form(RationalShape(1, 1))
-        res = meijer_g_m0(form.spec, log_z=form.log_argument(0.0))
+        res = meijer_g_m0(form.spec, const=0.0, slope=0.0)
         assert res.converged and res.value == pytest.approx(TWO_K1_OF_2, rel=1e-15)
         assert len(rules) == 1
         n_half = _first_window(rules[0])
@@ -246,12 +263,13 @@ class TestConjugateMirror:
         # rule then takes every node up to the first even count past the
         # last one above 1e-16 of the centre, which lies past the first
         # window.
+        # the closed form's collapsed pair at p = 1
         form = build_laplace_closed_form(RationalShape(2, 3))
-        log_z = form.log_argument(0.0)
-        saddle = meijer_g_m0(form.spec, log_z=log_z)
+        const, slope = math.log(2.0), 0.0
+        saddle = meijer_g_m0(form.spec, const=const, slope=slope)
         outputs, rules = [], _spy_rule(monkeypatch)
         shapes = _count_log_gamma(monkeypatch, outputs)
-        res = meijer_g_m0(form.spec, log_z=log_z, c=0.1)
+        res = meijer_g_m0(form.spec, const=const, slope=slope, c=0.1)
         assert res.converged and abs(res.value - saddle.value) <= 1e-13
         assert len(shapes) == 2 and len(rules) == 1
         n_half = _first_window(rules[0])
@@ -261,7 +279,6 @@ class TestConjugateMirror:
         u = np.arange(2 * n_half + 1) * step
         s = 0.1 - mu * u * u + 1j * u
         lam = np.concatenate([value.sum(axis=0) for _, value in outputs])
-        slope = meijer._spec_constants(form.spec)[2] + log_z
         log_g = (lam + np.log(1.0 + 2j * mu * u)).real - s.real * slope
         last = int(np.flatnonzero(log_g - log_g[0] > math.log(1e-16))[-1])
         assert last > n_half
@@ -331,11 +348,11 @@ class TestConstantsMemo:
 
     def test_cached_arrays_are_read_only(self):
         spec = build_laplace_closed_form(RationalShape(2, 3)).spec
-        n, a = meijer._spec_constants(spec)[3:]
+        n, a = meijer._spec_constants(spec)[2:]
         for column in (n, a):
             with pytest.raises(ValueError):
                 column[0, 0] = 5.0
-        assert meijer._spec_constants(spec)[3][0, 0] == 3.0
+        assert meijer._spec_constants(spec)[2][0, 0] == 3.0
 
     def test_caches_are_bounded_and_hold_no_values(self):
         memos = (build_laplace_closed_form, meijer._spec_constants, meijer._series_table,
@@ -452,7 +469,7 @@ class TestContourTables:
         # at every slope the band's vertex exceeds the integrand's minimum on
         # the real axis, at the slope's own saddle, by at most e^{1/4}, from
         # c near the poles to c ~ 1e5; and the band's range holds the slope
-        n_log_n = meijer._spec_constants(spec)[2]
+        n_log_n = meijer._spec_constants(spec)[1]
 
         def phi(c, slope):
             return meijer._real_log_gammas(spec, c) - c * slope
@@ -518,8 +535,8 @@ class TestClosedFormFamily:
     def test_range_and_monotone(self, shape):
         form = build_laplace_closed_form(shape)
         grid = np.geomspace(0.05, 20.0, 40)
-        vals = [math.exp(form.log_prefactor)
-                * meijer_g_m0(form.spec, log_z=form.log_argument(math.log(p))).value
+        vals = [meijer_g_m0(form.spec, const=math.log(shape.l),
+                            slope=shape.l * math.log(p)).value
                 for p in grid]
         assert all(0.0 < v <= 1.0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -557,13 +574,13 @@ class TestMpmathOracle:
                                      (7, 5), (1, 30)])
     @pytest.mark.parametrize("p", [0.01, 0.1, 1.0, 10.0])
     def test_g_level_form_bounds_actual_error(self, l, k, p):
-        # the public G-level form, log z alone, against mpmath fed the same
-        # binary64 log z: up to a fixed safety factor and the binary64
-        # rounding of the value itself
+        # the G-level form, log z alone through Gauss's constants, against
+        # mpmath fed the same binary64 log z: up to a fixed safety factor and
+        # the binary64 rounding of the value itself
         mpmath = pytest.importorskip("mpmath")
         form = build_laplace_closed_form(RationalShape(l, k))
         log_z = form.log_argument(math.log(p))
-        res = meijer_g_m0(form.spec, log_z=log_z)
+        res = meijer_g_m0(form.spec, **_g_level(form.spec, log_z))
         with mpmath.workdps(30):
             ref = float(mpmath.meijerg([[], []], [list(form.spec.b), []], mpmath.exp(log_z)))
         assert res.converged
@@ -586,8 +603,7 @@ class TestMpmathOracle:
         # still cover the error. MEIJER_G takes the residue series there.
         mpmath = pytest.importorskip("mpmath")
         form = build_laplace_closed_form(RationalShape(l, k))
-        res = meijer_g_m0(form.spec, log_z=form.log_argument(math.log(p)),
-                          log_scale=form.log_prefactor)
+        res = meijer_g_m0(form.spec, const=math.log(l), slope=l * math.log(p))
         with mpmath.workdps(30):
             ref = float(mpmath.exp(form.log_prefactor)
                         * mpmath.meijerg([[], []], [list(form.spec.b), []],
@@ -605,12 +621,26 @@ class TestMpmathOracle:
         # times the value, and must not claim convergence. MEIJER_G takes
         # the residue series there.
         form = build_laplace_closed_form(RationalShape(l, k))
-        res = meijer_g_m0(form.spec, log_z=form.log_argument(math.log(p)),
-                          log_scale=form.log_prefactor)
+        res = meijer_g_m0(form.spec, const=math.log(l), slope=l * math.log(p))
         ref = laplace_frechet_oracle(Shape(l / k), p).value
         assert not res.converged or abs(res.value - ref) <= 1e-8 * ref
         closed = laplace_frechet(LaplaceQuery(RationalShape(l, k), p, Method.MEIJER_G))
         assert closed.converged and abs(closed.value - ref) <= 1e-12 * ref
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP open item 1, honest zeros: the contour's underflow exit returns a "
+        "converged 0.0 with err_estimate 0.0 where the integrand at the vertex is "
+        "below 1e-300, though the value is still a binary64 number"))
+    @pytest.mark.parametrize("p", [1.2e5, 1.3e5])
+    def test_underflow_exit_bounds_its_error(self, p):
+        # 2 sqrt(p) K1(2 sqrt(p)) is 4.27e-300 at p = 1.2e5 and 2.25e-312
+        # (subnormal) at p = 1.3e5: either the estimate covers the error, or
+        # the value says it did not converge
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = 2 * mpmath.sqrt(p) * mpmath.besselk(1, 2 * mpmath.sqrt(p))
+        res = laplace_frechet(LaplaceQuery(RationalShape(1, 1), p, Method.MEIJER_G))
+        assert not res.converged or abs(mpmath.mpf(res.value) - ref) <= res.err_estimate
 
     def test_large_p_takes_a_wide_strip(self):
         # at p = 5,000 the saddle lies at c ~ 70, where the integrand is
@@ -620,8 +650,7 @@ class TestMpmathOracle:
         mpmath = pytest.importorskip("mpmath")
         ref = float(2 * mpmath.sqrt(p) * mpmath.besselk(1, 2 * mpmath.sqrt(p)))
         form = build_laplace_closed_form(RationalShape(1, 1))
-        res = meijer_g_m0(form.spec, log_z=form.log_argument(math.log(p)),
-                          log_scale=form.log_prefactor)
+        res = meijer_g_m0(form.spec, const=0.0, slope=math.log(p))
         assert res.converged and res.evaluations <= 120
         assert abs(res.value - ref) <= 1e-12 * ref
         # the closed form's own route, from a cold table
@@ -677,8 +706,8 @@ class TestResidueSeries:
         form = build_laplace_closed_form(shape)
         for p in np.geomspace(0.3, 3.0, 9).tolist():
             series = _series_laplace(shape.l, shape.k, p)
-            contour = meijer_g_m0(form.spec, log_z=form.log_argument(math.log(p)),
-                                  log_scale=form.log_prefactor)
+            const, slope = _closed_form_pair(shape, p)
+            contour = meijer_g_m0(form.spec, const=const, slope=slope)
             assert series.route == "series" and contour.route == "contour"
             assert series.converged and contour.converged
             assert (abs(series.value - contour.value)
@@ -740,3 +769,50 @@ class TestResidueSeries:
         for const, slope in ((math.nan, 0.0), (0.0, math.inf)):
             with pytest.raises(DomainError):
                 meijer_g_series(spec, const=const, slope=slope)
+
+
+def _series_meets_the_bar(res):
+    # the hand-over rule, written out: converged, with an estimate within
+    # 1e-10 of the value
+    return res.converged and res.err_estimate <= 1e-10 * abs(res.value)
+
+
+class TestMeijerG:
+    # meijer_g is the one place the series hands over to the contour: the
+    # series value exactly where its estimate meets the 1e-10 bar, the
+    # contour's elsewhere, and the closed form and the half transform return
+    # its result unchanged
+    @pytest.mark.parametrize("l,k", [(1, 1), (2, 3), (30, 1)])
+    def test_closed_form_hand_over(self, l, k):
+        shape = RationalShape(l, k)
+        spec = build_laplace_closed_form(shape).spec
+        routes = set()
+        for p in np.geomspace(0.5, 50.0, 25).tolist():
+            const, slope = _closed_form_pair(shape, p)
+            res = meijer_g(spec, const=const, slope=slope)
+            series = meijer_g_series(spec, const=const, slope=slope)
+            if _series_meets_the_bar(series):
+                assert res == series, p
+            else:
+                assert res == meijer_g_m0(spec, const=const, slope=slope), p
+            assert laplace_frechet(LaplaceQuery(shape, p, Method.MEIJER_G)) == res, p
+            routes.add(res.route)
+        assert routes == {"series", "contour"}
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.5])
+    def test_half_transform_hand_over(self, gamma):
+        routes = set()
+        for x in np.geomspace(1e-4, 10.0, 21).tolist():
+            # the half transform's pair: const = log gamma - (1 + gamma) log x,
+            # slope = -gamma log x
+            log_x = math.log(x)
+            const, slope = math.log(gamma) - (1.0 + gamma) * log_x, -gamma * log_x
+            res = meijer_g(_HALF_SPEC, const=const, slope=slope)
+            series = meijer_g_series(_HALF_SPEC, const=const, slope=slope)
+            if _series_meets_the_bar(series):
+                assert res == series, x
+            else:
+                assert res == meijer_g_m0(_HALF_SPEC, const=const, slope=slope), x
+            assert frechet_transform_frechet_half(Shape(gamma), x) == res, x
+            routes.add(res.route)
+        assert routes == {"series", "contour"}

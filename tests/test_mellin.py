@@ -10,8 +10,9 @@ from frechet_laplace.errors import ContourError, DomainError, NonConvergence, Po
 from frechet_laplace import meijer, mellin
 from frechet_laplace.ftransform import _HALF_SPEC
 from frechet_laplace.laplace import laplace_frechet_oracle
+from frechet_laplace.meijer import MeijerSpec
 from frechet_laplace.mellin import (MellinFunction, contour_integral, contour_nodes,
-                                    delta_list, frechet_mellin_image, laplace_via_mellin,
+                                    frechet_mellin_image, laplace_via_mellin,
                                     mellin_barnes_integral)
 from frechet_laplace.numerics import integrate_semi_infinite, log_gamma
 
@@ -19,15 +20,20 @@ TWO_K1_OF_2 = 0.27973176363304486  # 2 K1(2), from the series oracle
 
 
 def closed_form_contour(l, k, p):
+    # the closed form's collapsed pair, const = log l and slope = l log p
     form = meijer.build_laplace_closed_form(RationalShape(l, k))
-    return meijer.meijer_g_m0(form.spec, log_z=form.log_argument(math.log(p)),
-                              log_scale=form.log_prefactor)
+    return meijer.meijer_g_m0(form.spec, const=math.log(l), slope=l * math.log(p))
 
 
 def exp_mellin_image():
     # Mellin image of exp(-t) is Gamma(s), valid on Re(s) > 0
     return MellinFunction(f_star=lambda s: np.exp(log_gamma(s)),
                           domain_strip=(0.0, math.inf))
+
+
+def delta_list(k, a):
+    # the run Delta(k, a) = a/k, (a+1)/k, ..., (a+k-1)/k, as MeijerSpec.b lists it
+    return list(MeijerSpec(groups=((k, a),)).b)
 
 
 class TestDeltaList:
@@ -386,10 +392,10 @@ class TestUpperHalfNodes:
     ROUTES = {
         "closed_form_2_3_p1": lambda: closed_form_contour(2, 3, 1.0),
         "closed_form_30_1_p20": lambda: closed_form_contour(30, 1, 20.0),
-        # the Frechet(1/2) transform at gamma = 1, x = 2
+        # the Frechet(1/2) transform at gamma = 1, x = 2: const = log gamma
+        # - (1 + gamma) log x, slope = -gamma log x
         "frechet_half": lambda: meijer.meijer_g_m0(
-            _HALF_SPEC, log_z=-math.log(8.0),
-            log_scale=math.log(0.25 / math.sqrt(math.pi)) - 2.0 * math.log(2.0)),
+            _HALF_SPEC, const=-2.0 * math.log(2.0), slope=-math.log(2.0)),
     }
     # laplace_via_mellin on the Frechet image takes the parabola, on the
     # Gamma(s) image (a strip bounded on the left) the vertical line

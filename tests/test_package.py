@@ -52,11 +52,10 @@ def test_benchmark_trace_targets_resolve():
 
 
 def _closed_form_contour(l, k, p):
-    # the closed form's contour, looked up on its module, where the tracer
-    # rebinds it
+    # the closed form's contour on its collapsed pair, looked up on its
+    # module, where the tracer rebinds it
     form = meijer.build_laplace_closed_form(RationalShape(l, k))
-    return meijer.meijer_g_m0(form.spec, log_z=form.log_argument(math.log(p)),
-                              log_scale=form.log_prefactor)
+    return meijer.meijer_g_m0(form.spec, const=math.log(l), slope=l * math.log(p))
 
 
 def test_benchmark_tracer_reads_every_layer():
@@ -74,9 +73,9 @@ def test_benchmark_tracer_reads_every_layer():
         _closed_form_contour(1, 2, 1.0)
         laplace_frechet_oracle(Shape(0.5), 1.0)
         frechet_transform_frechet_half(Shape(1.0), 1.0)
-        # the half transform's contour at gamma = 1, x = 1
-        meijer.meijer_g_m0(_HALF_SPEC, log_z=-math.log(4.0),
-                           log_scale=math.log(0.25 / math.sqrt(math.pi)))
+        # the half transform's contour at gamma = 1, x = 1: const = log gamma
+        # - (1 + gamma) log x and slope = -gamma log x are both 0
+        meijer.meijer_g_m0(_HALF_SPEC, const=0.0, slope=0.0)
     finally:
         tracer.uninstall()
     assert mellin.mellin_barnes_integral is original
@@ -86,6 +85,22 @@ def test_benchmark_tracer_reads_every_layer():
     assert metrics["mellin.converged_ratio"] == 1
     assert metrics["meijer.calls"] == 2
     assert metrics["numerics.quad.calls"] == 1
+
+
+def test_benchmark_tracer_sees_the_contour_through_meijer_g():
+    # the closed form reaches its contour through meijer.meijer_g, which
+    # calls meijer_g_m0 by its module name, where the tracer rebinds it:
+    # 1/1 at p = 50 is one contour value and one meijer span
+    tracing = _load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        res = laplace_frechet(LaplaceQuery(RationalShape(1, 1), 50.0, Method.MEIJER_G))
+    finally:
+        tracer.uninstall()
+    assert res.route == "contour" and res.converged
+    assert [s[3] for s in tracer.spans].count("meijer") == 1
+    assert tracing.layer_metrics(tracer.spans)["meijer.calls"] == 1
 
 
 @pytest.mark.parametrize("l,k,p", [(1, 1, 1.0), (2, 3, 0.05), (4, 1, 19.8), (1, 30, 3.0)])
