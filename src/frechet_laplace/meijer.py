@@ -18,7 +18,8 @@ from its vertex c > -min(b_j), for any spec and any z, from a per-(spec,
 band) table of contour nodes: the log Gamma sum on a fixed path is a
 property of the spec, and only exp(-s slope) depends on the argument.
 meijer_g hands over between them: the series where its estimate is within
-1e-10 of its value, the contour elsewhere.
+1e-10 of its value, the contour elsewhere, and past a hand-over slope found
+once per spec the contour without a series attempt.
 
 Everything runs in log space: a closed form passes const and slope with its
 constants cancelled analytically, so the closed form's prefactor
@@ -28,17 +29,19 @@ numbers on their own.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .distributions import RationalShape
 from .errors import ContourError, DomainError
-from .mellin import _NOISE_REL_BOUND, contour_integral, contour_nodes
+from .mellin import (_LOG_OVERFLOW, _LOG_UNDERFLOW, _NOISE_REL_BOUND, ContourNodes,
+                     contour_integral, contour_nodes)
 from .numerics import _LOG_PI, _REL_TOL, _TINY, EvalResult, log_gamma
 
 __all__ = [
@@ -188,14 +191,62 @@ def _contour_nodes(spec: MeijerSpec, c: float, slopes: tuple[float, float]):
     return contour_nodes(log_parts, log_abs_real, c, (c + b_min, math.inf), slopes)
 
 
+def _saddle_slack(spec: MeijerSpec, c_lo: float, c_hi: float) -> float:
+    """Bound on phi(c) - min phi, phi(c) = sum_g log Gamma(n_g c + a_g) - c slope,
+    at the abscissa _saddle_abscissa returns for any slope whose saddle lies
+    in [c_lo, c_hi], plus one unit for the rounding of phi and of a band's
+    end slopes.
+
+    The search stops within 1e-2 max(1, c) of the root; dc is twice that.
+    There phi - min phi <= phi'' dc^2 / 2, phi'' = sum n^2 psi'(n c + a)
+    falls with c, and psi'(x) < 1/x + 1/x^2."""
+    dc = 2e-2 * max(1.0, c_hi)
+    c = max(c_lo - dc, 0.25 - _spec_constants(spec)[0])
+    phi2 = 0.0
+    for n, a in spec.groups:
+        x = n * c + a
+        phi2 += n * n * (1.0 / x + 1.0 / (x * x))
+    return 1.0 + 0.5 * phi2 * dc * dc
+
+
+@dataclass(frozen=True)
+class _BandTable:
+    """The contour table of a band (see _BAND_WIDTH): its vertex, the
+    real-axis log Gamma sum there, and gap, a bound on how far the integrand
+    at the vertex exceeds the one at a slope's own saddle (_saddle_abscissa),
+    for every slope of the band. nodes() builds the ContourNodes on its
+    first call and keeps them."""
+
+    vertex: float
+    log_gammas: float
+    gap: float
+    nodes: Callable[[], ContourNodes]
+
+
 @functools.lru_cache(maxsize=256)
-def _contour_table(spec: MeijerSpec, band: int):
-    """The nodes that serve every slope of a band (see _BAND_WIDTH), built
-    once: a property of the spec and the band, never of a value."""
+def _contour_table(spec: MeijerSpec, band: int) -> _BandTable:
+    """The table that serves every slope of a band, built once: a property
+    of the spec and the band, never of a value.
+
+    Over the band's slopes, the vertex's excess over the saddle,
+    log_gammas - vertex slope - min_c (sum_g log Gamma(n_g c + a_g) - c slope),
+    is affine minus concave in the slope: convex, so largest at an end.
+    gap is the larger end's, found by two saddle searches, plus
+    _saddle_slack for the searches' tolerance. The top band also holds every
+    slope past _BAND_LOG_C_MAX, where no gap holds: it is infinite there."""
     lo = _band_slope(spec, band * _BAND_WIDTH)
     hi = _band_slope(spec, (band + 1) * _BAND_WIDTH)
     centre = _band_slope(spec, (band + 0.5) * _BAND_WIDTH)
-    return _contour_nodes(spec, _saddle_abscissa(spec, centre), (lo, hi))
+    vertex = _saddle_abscissa(spec, centre)
+    log_gammas = _real_log_gammas(spec, vertex)
+    gap = math.inf
+    if (hi - _spec_constants(spec)[1]) / spec.m <= _BAND_LOG_C_MAX:
+        owns = [_saddle_abscissa(spec, slope) for slope in (lo, hi)]
+        gap = max(0.0, *(log_gammas - vertex * slope - _real_log_gammas(spec, own) + own * slope
+                         for slope, own in zip((lo, hi), owns)))
+        gap += _saddle_slack(spec, min(owns), max(owns))
+    nodes = functools.cache(functools.partial(_contour_nodes, spec, vertex, (lo, hi)))
+    return _BandTable(vertex=vertex, log_gammas=log_gammas, gap=gap, nodes=nodes)
 
 
 def meijer_g_m0(spec: MeijerSpec, *, const: float, slope: float,
@@ -220,26 +271,30 @@ def meijer_g_m0(spec: MeijerSpec, *, const: float, slope: float,
     keeps full relative accuracy even where the function has decayed far
     below the fixed-abscissa integrand peak, any slope of a band costs what
     a repeated one does, and a value is the same bit for bit whether its
-    table was built by this call or earlier. An explicit abscissa pins the
-    vertex exactly, with nodes for its one slope that are not kept (Cauchy's
-    theorem makes the result independent of any valid choice, which the
-    shift-invariance tests exercise).
+    table was built by this call or earlier. The band's vertex also decides
+    the exits: where the integrand there lies more than the band's gap
+    inside both bounds, neither exit fires at the slope's own saddle, and
+    only next to them is that saddle searched for. An explicit abscissa
+    pins the vertex exactly, with nodes for its one slope that are not kept
+    (Cauchy's theorem makes the result independent of any valid choice,
+    which the shift-invariance tests exercise).
     """
-    b_min = _spec_constants(spec)[0]
     if not (math.isfinite(const) and math.isfinite(slope)):
         raise DomainError("meijer_g_m0 requires finite const and slope")
     if c is None:
-        vertex = _saddle_abscissa(spec, slope)
-        band = math.floor(_band_coordinate(spec, slope) / _BAND_WIDTH)
-        nodes = functools.partial(_contour_table, spec, band)
-    elif not -b_min < c < math.inf:
+        table = _contour_table(spec, math.floor(_band_coordinate(spec, slope) / _BAND_WIDTH))
+        log_peak = table.log_gammas + const - table.vertex * slope
+        if not _LOG_UNDERFLOW + table.gap <= log_peak <= _LOG_OVERFLOW - table.gap:
+            # next to an exit: decide it at the slope's own saddle
+            vertex = _saddle_abscissa(spec, slope)
+            log_peak = _real_log_gammas(spec, vertex) + const - vertex * slope
+        return contour_integral(table.nodes, log_peak, const, slope)
+    b_min = _spec_constants(spec)[0]
+    if not -b_min < c < math.inf:
         raise ContourError(
             f"abscissa {c} does not separate poles: need {-b_min} < c < inf")
-    else:
-        vertex = c
-        nodes = functools.partial(_contour_nodes, spec, c, (slope, slope))
-    return contour_integral(nodes, _real_log_gammas(spec, vertex) + const - vertex * slope,
-                            const, slope)
+    return contour_integral(functools.partial(_contour_nodes, spec, c, (slope, slope)),
+                            _real_log_gammas(spec, c) + const - c * slope, const, slope)
 
 
 # The residue series. Its table covers every slope up to the one where the
@@ -285,7 +340,9 @@ class _SeriesTable:
     from, weighted by |x_j|, and plain. log_c_max and the x range bound
     every term's log.
     The tail bound is exp(tail_log + const + tail_x slope)
-    (tail_k0 + tail_k1 |slope|), for every slope up to slope_top."""
+    (tail_k0 + tail_k1 |slope|), for every slope up to slope_top.
+    Past the hand-over slope hand_over the series misses the 1e-10 bar for
+    every const (_hand_over_slope)."""
 
     x: np.ndarray
     log_c: np.ndarray
@@ -297,6 +354,7 @@ class _SeriesTable:
     tail_log: float
     tail_k0: float
     tail_k1: float
+    hand_over: float = math.inf
 
 
 @functools.lru_cache(maxsize=256)
@@ -380,10 +438,42 @@ def _series_table(spec: MeijerSpec) -> _SeriesTable:
     rho = math.exp(dg)
     psi_bound = (n1 * (math.log(n1 * (x + 1.0) - a1 + 1.0) + _EULER_GAMMA)
                  + n2 * (math.log(n2 * (x + 1.0) - a2 + 1.0) + _EULER_GAMMA))
-    return _SeriesTable(x=xs, log_c=log_c, sums=sums, log_c_max=float(log_c.max()),
-                        x_min=float(xs.min()), slope_top=slope_top, tail_x=x,
-                        tail_log=math.log((m + 2) / (1.0 - rho) ** 2) + g - x * slope_top,
-                        tail_k0=0.5 * math.pi + (psi_bound + m) / d, tail_k1=1.0 / d)
+    table = _SeriesTable(x=xs, log_c=log_c, sums=sums, log_c_max=float(log_c.max()),
+                         x_min=float(xs.min()), slope_top=slope_top, tail_x=x,
+                         tail_log=math.log((m + 2) / (1.0 - rho) ** 2) + g - x * slope_top,
+                         tail_k0=0.5 * math.pi + (psi_bound + m) / d, tail_k1=1.0 / d)
+    return dataclasses.replace(table, hand_over=_hand_over_slope(table, m))
+
+
+# The hand-over scan steps down from slope_top by m log 2 / (2 _SERIES_PEAK):
+# in the slopes where the series' estimate is not noise, its log ratio to
+# the value changes by less than _SERIES_PEAK / m per unit of slope (up to
+# 0.99 of it on the specs the tests use), so by less than log 2 / 2 a step.
+# 108 to 126 steps reach s* on every spec the tests use; the cap only bounds
+# the scan, and a capped scan leaves s* higher, where meijer_g still tries
+# the series.
+_HAND_OVER_STEPS = 400
+
+
+def _hand_over_slope(table: _SeriesTable, m: int) -> float:
+    """The least slope s* past which the series' const = 0 estimate stays
+    above twice the 1e-10 bar, on the scan's steps down from slope_top, or
+    slope_top where the series meets it there.
+
+    Between two steps that both miss twice the bar, the ratio of estimate to
+    value stays above 2^{-1/4} of twice the bar. The |const| term of the
+    estimate only adds to it, and the factor 2 covers the rounding of the
+    terms for any const: past s* the series misses the bar for every const,
+    and past slope_top it declines."""
+    step = m * math.log(2.0) / (2.0 * _SERIES_PEAK)
+    hand_over = slope = table.slope_top
+    for _ in range(_HAND_OVER_STEPS):
+        res = _sum_series(table, 0.0, slope)
+        if res.converged and res.err_estimate <= 2.0 * _REL_TOL * abs(res.value):
+            break
+        hand_over = slope
+        slope -= step
+    return hand_over
 
 
 def meijer_g_series(spec: MeijerSpec, *, const: float, slope: float) -> EvalResult:
@@ -407,9 +497,13 @@ def meijer_g_series(spec: MeijerSpec, *, const: float, slope: float) -> EvalResu
     leave binary64: no term is formed there. DomainError for a spec other
     than two runs with integer a, or a non-finite const or slope.
     """
+    return _sum_series(_series_table(spec), const, slope)
+
+
+def _sum_series(table: _SeriesTable, const: float, slope: float) -> EvalResult:
+    # meijer_g_series on the spec's table
     if not (math.isfinite(const) and math.isfinite(slope)):
         raise DomainError("meijer_g_series requires finite const and slope")
-    table = _series_table(spec)
     abs_slope, abs_const = abs(slope), abs(const)
     log_tail = table.tail_log + const + table.tail_x * slope
     top = (table.log_c_max + const + max(table.x_min * slope, table.tail_x * slope)
@@ -443,11 +537,15 @@ def meijer_g(spec: MeijerSpec, *, const: float, slope: float) -> EvalResult:
     for a two-run spec with integer a: meijer_g_series' value wherever it is
     converged with an estimate within 1e-10 of it, and meijer_g_m0's (with
     the band's tabled nodes) elsewhere, at larger slopes, where the
-    residues cancel. The route of the value returned is in its EvalResult.
+    residues cancel. Past the spec's hand-over slope (_hand_over_slope) the
+    series misses that bar for every const, and is not summed. The route of
+    the value returned is in its EvalResult.
     """
-    res = meijer_g_series(spec, const=const, slope=slope)
-    if _within_tolerance(res):
-        return res
+    table = _series_table(spec)
+    if slope <= table.hand_over:
+        res = _sum_series(table, const, slope)
+        if _within_tolerance(res):
+            return res
     # by its module name, where perfbench/tracing.py rebinds it
     return meijer_g_m0(spec, const=const, slope=slope)
 

@@ -76,6 +76,9 @@ _MU_SCALE = 0.4
 # terms the vertex term bounds only up to the node count and |s'(u)|.
 _UNDERFLOW_PEAK = 1e-300
 _OVERFLOW_PEAK = 1e300
+# their logs, which meijer_g_m0 also reads to find where neither exit fires
+_LOG_UNDERFLOW = math.log(_UNDERFLOW_PEAK)
+_LOG_OVERFLOW = math.log(_OVERFLOW_PEAK)
 # A node's roundoff per unit of the logs it is summed from, as the residue
 # series takes it: log_gamma is good to about 3 eps of |log Gamma| at worst
 # (Lanczos), and the sum of the logs and its exp add their own.
@@ -313,10 +316,10 @@ def contour_integral(nodes, log_peak: float, const: float = 0.0,
     result is 0.0 with converged=False and an infinite err_estimate, again
     without calling nodes.
     """
-    if log_peak < math.log(_UNDERFLOW_PEAK):
+    if log_peak < _LOG_UNDERFLOW:
         return EvalResult(value=0.0, err_estimate=0.0, evaluations=0, converged=True,
                           route="contour")
-    if log_peak > math.log(_OVERFLOW_PEAK):
+    if log_peak > _LOG_OVERFLOW:
         return EvalResult(value=0.0, err_estimate=math.inf, evaluations=0, converged=False,
                           route="contour")
     value, err, n_grid, ok = mellin_barnes_integral(nodes(), const, slope)

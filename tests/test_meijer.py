@@ -386,7 +386,9 @@ class TestConstantsMemo:
 
     def test_contour_table_is_read_only(self):
         table = meijer._contour_table(build_laplace_closed_form(RationalShape(2, 3)).spec, 4)
-        for matrix in (table.logs, table.sums):
+        nodes = table.nodes()
+        assert table.nodes() is nodes
+        for matrix in (nodes.logs, nodes.sums):
             with pytest.raises(ValueError):
                 matrix[0, 0] = 5.0
 
@@ -432,9 +434,9 @@ class TestContourTables:
         assert last - first >= 2
         for band in range(first + 1, last + 1):
             edge = meijer._band_slope(spec, band * meijer._BAND_WIDTH)
-            below = mellin.mellin_barnes_integral(meijer._contour_table(spec, band - 1),
+            below = mellin.mellin_barnes_integral(meijer._contour_table(spec, band - 1).nodes(),
                                                   const, edge)
-            above = mellin.mellin_barnes_integral(meijer._contour_table(spec, band),
+            above = mellin.mellin_barnes_integral(meijer._contour_table(spec, band).nodes(),
                                                   const, edge)
             assert below[3] and above[3]
             assert abs(below[0] - above[0]) <= below[1] + above[1], band
@@ -483,6 +485,77 @@ class TestContourTables:
             vertex = meijer._saddle_abscissa(spec, centre)
             own = meijer._saddle_abscissa(spec, slope)
             assert phi(vertex, slope) - phi(own, slope) <= 0.25, u
+
+
+def _log_peak_at_saddle(spec, slope):
+    # log of the integrand at the slope's own saddle, for const = 0
+    vertex = meijer._saddle_abscissa(spec, slope)
+    return meijer._real_log_gammas(spec, vertex) - vertex * slope
+
+
+def _at_own_saddle(spec, const, slope):
+    # the reference: the exits decided at the slope's own saddle, and the
+    # band's table summed where neither fires
+    vertex = meijer._saddle_abscissa(spec, slope)
+    table = meijer._contour_table(
+        spec, math.floor(meijer._band_coordinate(spec, slope) / meijer._BAND_WIDTH))
+    return mellin.contour_integral(
+        table.nodes, meijer._real_log_gammas(spec, vertex) + const - vertex * slope,
+        const, slope)
+
+
+def _exit_cases():
+    # (name, spec, [(const, slope)]) across the 1e-300 and 1e300 exits
+    # e^{-z} at z = 5e4 times e^const, with the integrand at the saddle
+    # from e^-700 to e^-640
+    exp_spec, slope = MeijerSpec([0.0]), math.log(5e4)
+    yield "exp", exp_spec, [(offset - _log_peak_at_saddle(exp_spec, slope), slope)
+                            for offset in np.linspace(-700.0, -640.0, 241)]
+    # the closed forms' underflow: 1/1 at p = 1e5 to 1.3e5 (exit near
+    # 1.2e5), 5/1 near p = 1,540 (exit near 1,494) and 7/2 near p = 2,450
+    # (exit near 2,277)
+    for (l, k), lo, hi in (((1, 1), 1e5, 1.3e5), ((5, 1), 1400.0, 1600.0),
+                           ((7, 2), 2150.0, 2500.0)):
+        shape = RationalShape(l, k)
+        yield (f"{l}/{k}", build_laplace_closed_form(shape).spec,
+               [_closed_form_pair(shape, p) for p in np.geomspace(lo, hi, 121)])
+    # the half transform's spec at const near 2,200, with the integrand at
+    # the saddle from e^650 to e^700
+    yield "half", _HALF_SPEC, [(offset - _log_peak_at_saddle(_HALF_SPEC, 20.0), 20.0)
+                               for offset in np.linspace(650.0, 700.0, 201)]
+
+
+EXIT_CASES = list(_exit_cases())
+
+
+class TestContourExits:
+    # meijer_g_m0 decides the exits from the band's vertex wherever the
+    # band's gap proves neither fires at the slope's own saddle, and at that
+    # saddle next to them: on both sides of each exit its result is the one
+    # the slope's own saddle gives, field for field
+    @pytest.mark.parametrize("spec,pairs", [case[1:] for case in EXIT_CASES],
+                             ids=[case[0] for case in EXIT_CASES])
+    def test_exits_as_at_the_slope_own_saddle(self, spec, pairs, monkeypatch):
+        searches, original = [], meijer._saddle_abscissa
+
+        def counting(*args):
+            searches.append(args)
+            return original(*args)
+
+        outcomes = set()
+        for const, slope in pairs:
+            const, slope = float(const), float(slope)
+            # the reference builds the band's table, with its saddle searches
+            ref = _at_own_saddle(spec, const, slope)
+            monkeypatch.setattr(meijer, "_saddle_abscissa", counting)
+            searches.clear()
+            res = meijer_g_m0(spec, const=const, slope=slope)
+            monkeypatch.setattr(meijer, "_saddle_abscissa", original)
+            assert res == ref, (const, slope)
+            outcomes.add((res.evaluations == 0, len(searches)))
+        # an exit fired and a sum was formed, each with and without the
+        # slope's own saddle search
+        assert {(True, 1), (False, 0), (False, 1)} <= outcomes, outcomes
 
 
 class TestBuildLaplaceClosedForm:
@@ -777,17 +850,27 @@ def _series_meets_the_bar(res):
     return res.converged and res.err_estimate <= 1e-10 * abs(res.value)
 
 
+# the ROADMAP's hand-over specs
+HAND_OVER_PAIRS = [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 3), (3, 4), (4, 3), (7, 5),
+                   (13, 11), (1, 30), (30, 1)]
+
+
 class TestMeijerG:
     # meijer_g is the one place the series hands over to the contour: the
     # series value exactly where its estimate meets the 1e-10 bar, the
     # contour's elsewhere, and the closed form and the half transform return
     # its result unchanged
-    @pytest.mark.parametrize("l,k", [(1, 1), (2, 3), (30, 1)])
+    @pytest.mark.parametrize("l,k", HAND_OVER_PAIRS)
     def test_closed_form_hand_over(self, l, k):
         shape = RationalShape(l, k)
         spec = build_laplace_closed_form(shape).spec
+        # p from 0.5 to past the series table's slope_top, and densely
+        # around the hand-over slope s*
+        table = meijer._series_table(spec)
+        near = table.hand_over + spec.m * np.linspace(-0.1, 0.02, 25)
         routes = set()
-        for p in np.geomspace(0.5, 50.0, 25).tolist():
+        for p in (np.geomspace(0.5, math.exp(1.2 * table.slope_top / l), 41).tolist()
+                  + np.exp(near / l).tolist()):
             const, slope = _closed_form_pair(shape, p)
             res = meijer_g(spec, const=const, slope=slope)
             series = meijer_g_series(spec, const=const, slope=slope)
@@ -802,7 +885,8 @@ class TestMeijerG:
     @pytest.mark.parametrize("gamma", [1.0, 2.5])
     def test_half_transform_hand_over(self, gamma):
         routes = set()
-        for x in np.geomspace(1e-4, 10.0, 21).tolist():
+        # |const| up to about 1,400 at x = 1e200
+        for x in np.geomspace(1e-4, 10.0, 21).tolist() + np.geomspace(1e10, 1e200, 20).tolist():
             # the half transform's pair: const = log gamma - (1 + gamma) log x,
             # slope = -gamma log x
             log_x = math.log(x)
@@ -816,3 +900,32 @@ class TestMeijerG:
             assert frechet_transform_frechet_half(Shape(gamma), x) == res, x
             routes.add(res.route)
         assert routes == {"series", "contour"}
+
+    @pytest.mark.parametrize("spec,const", [
+        (build_laplace_closed_form(RationalShape(1, 1)).spec, 0.0),
+        (build_laplace_closed_form(RationalShape(30, 1)).spec, math.log(30.0)),
+        (_HALF_SPEC, -1400.0), (_HALF_SPEC, 1400.0)])
+    def test_no_series_past_the_hand_over(self, spec, const, monkeypatch):
+        # past the spec's hand-over slope s* the series misses the bar for
+        # every const: meijer_g sums no series there, and below s* it does
+        table = meijer._series_table(spec)
+        s_star, top = table.hand_over, table.slope_top
+        past = (math.nextafter(s_star, math.inf), 0.5 * (s_star + top), top, top + 1.0)
+        assert s_star < top
+        for slope in past:
+            assert not _series_meets_the_bar(meijer_g_series(spec, const=const, slope=slope))
+        calls = []
+
+        def counting(original):
+            def spy(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+            return spy
+
+        for name in ("meijer_g_series", "_sum_series"):
+            monkeypatch.setattr(meijer, name, counting(getattr(meijer, name)))
+        for slope in past:
+            assert meijer_g(spec, const=const, slope=slope).route == "contour"
+            assert not calls, slope
+        meijer_g(spec, const=const, slope=s_star)
+        assert len(calls) == 1
