@@ -97,7 +97,12 @@ def laplace_frechet_oracle(shape: Shape, p: float) -> EvalResult:
     inv_gamma = 1.0 / g
 
     def integrand(u):
-        return np.exp(-u - p * u ** -inv_gamma)
+        # exp(-u - p u^(-1/gamma)) in one buffer: -u - x is -(u + x) exactly
+        out = u ** -inv_gamma
+        out *= p
+        out += u
+        np.negative(out, out=out)
+        return np.exp(out, out=out)
 
     saddle = (p / g) ** (g / (1.0 + g))
     return integrate_semi_infinite(integrand, 0.0, scale=max(saddle, 1.0))

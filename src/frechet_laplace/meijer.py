@@ -464,16 +464,37 @@ def _hand_over_slope(table: _SeriesTable, m: int) -> float:
     value stays above 2^{-1/4} of twice the bar. The |const| term of the
     estimate only adds to it, and the factor 2 covers the rounding of the
     terms for any const: past s* the series misses the bar for every const,
-    and past slope_top it declines."""
+    and past slope_top it declines.
+
+    Every step is summed at once, as _sum_series sums one: one exp over the
+    (terms x steps) grid and one product with the table's sums. The slopes
+    are stepped down by repeated subtraction, as a scalar scan would."""
     step = m * math.log(2.0) / (2.0 * _SERIES_PEAK)
-    hand_over = slope = table.slope_top
-    for _ in range(_HAND_OVER_STEPS):
-        res = _sum_series(table, 0.0, slope)
-        if res.converged and res.err_estimate <= 2.0 * _REL_TOL * abs(res.value):
-            break
-        hand_over = slope
-        slope -= step
-    return hand_over
+    steps = np.full(_HAND_OVER_STEPS, step)
+    steps[0] = table.slope_top
+    slopes = np.subtract.accumulate(steps)
+    abs_slopes = np.abs(slopes)
+    # _sum_series' declines at const = 0, whose const terms all vanish
+    log_tail = table.tail_log + table.tail_x * slopes
+    top = (table.log_c_max + np.maximum(table.x_min * slopes, table.tail_x * slopes)
+           + np.log1p(abs_slopes))
+    declines = np.maximum(top, log_tail) > _LOG_MAX
+    terms = np.multiply.outer(table.x, slopes)
+    terms += table.log_c[:, None]
+    # a step that declines forms no term in _sum_series; here its column
+    # may overflow, and is discarded
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.exp(terms, out=terms)
+        signed, weighted, by_x, _, signed_log, weighted_log, by_x_log, _ = table.sums @ terms
+        size = np.abs(signed - slopes * signed_log)
+        roundoff = weighted + abs_slopes * by_x + abs_slopes * (weighted_log + abs_slopes * by_x_log)
+        tail = np.exp(log_tail) * (table.tail_k0 + table.tail_k1 * abs_slopes)
+        err = 2.0 * _EPS * roundoff + table.x.size * _TINY + tail
+        meets = ~declines & (err <= _NOISE_REL_BOUND * size) & (err <= 2.0 * _REL_TOL * size)
+    hits = meets.nonzero()[0]
+    if hits.size == 0:
+        return float(slopes[-1])
+    return float(slopes[max(hits[0] - 1, 0)])
 
 
 def meijer_g_series(spec: MeijerSpec, *, const: float, slope: float) -> EvalResult:

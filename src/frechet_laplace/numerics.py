@@ -88,6 +88,7 @@ _BLOCK = 4096
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 _TWO_PI_I = 2j * math.pi
+_LOG_2 = math.log(2.0)
 
 
 def _log_sin_pi(t: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -175,6 +176,9 @@ _T = np.arange(-round(_T_MAX / _COARSE_STEP) * _STRIDE,
                round(_T_MAX / _COARSE_STEP) * _STRIDE + 1) * (_COARSE_STEP / _STRIDE)
 _EXP_PHI = np.exp(0.5 * math.pi * np.sinh(_T))
 _DU_DT = 0.5 * math.pi * np.cosh(_T) * _EXP_PHI
+# the coarse level's nodes, contiguous
+_COARSE_EXP_PHI = _EXP_PHI[::_STRIDE].copy()
+_COARSE_DU_DT = _DU_DT[::_STRIDE].copy()
 # Coarse terms below this fraction of the largest one lie outside the window.
 _SIGNIFICANT = 1e-18
 # A node's relative roundoff is about _ROUNDOFF times the size of the
@@ -207,39 +211,59 @@ def integrate_semi_infinite(f, lower: float, scale: float = 1.0) -> EvalResult:
     that is 0 on every coarse node gives a converged 0.0.
 
     Never raises on a tolerance miss: the result carries converged=False.
-    DomainError unless lower is finite and scale finite and positive.
+    DomainError unless lower is finite and scale finite and positive; also
+    where a sum of finite terms, the value or its estimate overflows
+    binary64.
     """
     if not math.isfinite(lower):
         raise DomainError("lower limit must be finite")
     if not 0 < scale < math.inf:
         raise DomainError("scale must be finite and positive")
 
+    def nodes_at(exp_phi):
+        # u on a piece of the lattice; a zero lower adds nothing: u >= +0.0
+        u = scale * exp_phi
+        if lower:
+            u += lower
+        return u
+
     def terms(nodes: slice):
-        # f du/dt / scale on a slice of the lattice, non-finite terms set to
-        # 0; and whether all were finite
-        vals = np.asarray(f(lower + scale * _EXP_PHI[nodes]), dtype=float) * _DU_DT[nodes]
+        # f du/dt / scale on a slice of the lattice, their sum, and whether
+        # all were finite. A sum of finite terms is finite unless it
+        # overflows, so the terms are only checked where it is not.
+        vals = np.asarray(f(nodes_at(_EXP_PHI[nodes])), dtype=float) * _DU_DT[nodes]
+        total = float(np.add.reduce(vals))
+        if math.isfinite(total):
+            return vals, total, True
         finite = np.isfinite(vals)
         if finite.all():
-            return vals, True
-        return np.where(finite, vals, 0.0), False
+            raise DomainError("exp-sinh sum of finite terms overflows binary64")
+        vals = np.where(finite, vals, 0.0)
+        return vals, float(np.add.reduce(vals)), False
 
     with np.errstate(all="ignore"):
-        coarse = (np.asarray(f(lower + scale * _EXP_PHI[::_STRIDE]), dtype=float)
-                  * _DU_DT[::_STRIDE])
-        finite = np.isfinite(coarse)
-        mags = np.where(finite, np.abs(coarse), 0.0)
-        significant = np.flatnonzero((mags > 0.0) & (mags >= _SIGNIFICANT * mags.max()))
+        coarse = np.asarray(f(nodes_at(_COARSE_EXP_PHI)), dtype=float) * _COARSE_DU_DT
+        mags = np.abs(coarse)
+        # NaN and inf both propagate through the max
+        peak = np.maximum.reduce(mags)
+        all_finite = math.isfinite(peak)
+        if not all_finite:
+            mags = np.where(np.isfinite(coarse), mags, 0.0)
+            peak = np.maximum.reduce(mags)
+        bar = _SIGNIFICANT * peak
+        # a bar that underflows to 0 keeps only the nonzero terms
+        significant = (mags >= bar if bar > 0.0 else mags > 0.0).nonzero()[0]
         if significant.size == 0:
             # no term is finite and nonzero: an integral that underflows, or
             # an f that is nowhere finite (not converged); the bound is the
             # subnormal spacing of each term f du/dt over the span of t
             return EvalResult(value=0.0, evaluations=coarse.size,
                               err_estimate=_TINY * (2.0 * _T_MAX) * scale,
-                              converged=bool(finite.all()), route="quadrature")
-        lo, hi = significant[0], significant[-1]
-        if lo > 0 and finite[lo - 1]:
+                              converged=all_finite, route="quadrature")
+        lo, hi = int(significant[0]), int(significant[-1])
+        if lo > 0 and math.isfinite(coarse[lo - 1]):
             lo -= 1
-        if hi < coarse.size - 1 and finite[hi + 1]:
+        if hi < coarse.size - 1 and math.isfinite(coarse[hi + 1]):
             hi += 1
         first, last = lo * _STRIDE, hi * _STRIDE
         evaluations = coarse.size
@@ -249,16 +273,15 @@ def integrate_semi_infinite(f, lower: float, scale: float = 1.0) -> EvalResult:
         level = _FIRST_LEVEL
         stride = _STRIDE >> level
         nodes = slice(first, last + 1, stride)
-        vals, ok = terms(nodes)
+        vals, total, ok = terms(nodes)
         h = _COARSE_STEP / 2 ** level
-        total = float(vals.sum())
-        diff = h * abs(total - 2.0 * float(vals[::2].sum()))
+        diff = h * abs(total - 2.0 * float(np.add.reduce(vals[::2])))
         size = spread = 0.0
         edge = _TINY * float(_EXP_PHI[last] - _EXP_PHI[first])
         while True:
             evaluations += vals.size
             mags = np.abs(vals)
-            size += float(mags.sum())
+            size += float(np.add.reduce(mags))
             spread += float(np.dot(mags, _PHI_ROUNDOFF[nodes]))
             estimate = h * total
             magnitude = h * size
@@ -271,14 +294,15 @@ def integrate_semi_infinite(f, lower: float, scale: float = 1.0) -> EvalResult:
             nodes = slice(first + stride // 2, last, stride)
             stride //= 2
             h *= 0.5
-            vals, finite_level = terms(nodes)
+            vals, new, finite_level = terms(nodes)
             ok = ok and finite_level
-            new = float(vals.sum())
             diff = h * abs(new - total)
             total += new
-    return EvalResult(value=scale * estimate, err_estimate=scale * max(diff, floor),
-                      evaluations=evaluations, converged=ok and diff <= tol,
-                      route="quadrature")
+    value, err = scale * estimate, scale * max(diff, floor)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise DomainError("exp-sinh integral overflows binary64")
+    return EvalResult(value=value, err_estimate=err, evaluations=evaluations,
+                      converged=ok and diff <= tol, route="quadrature")
 
 
 def bessel_k1(z: float) -> float:
@@ -292,9 +316,17 @@ def bessel_k1(z: float) -> float:
         raise DomainError("bessel_k1 requires finite z > 0")
 
     # log cosh t = t + log1p(exp(-2t)) - log 2 stays finite where cosh t
-    # overflows, and exp of the -inf exponent there is 0.
+    # overflows, and exp of the -inf exponent there is 0. Evaluated in two
+    # buffers, in the same order.
     def integrand(t):
-        log_cosh = t + np.log1p(np.exp(-2.0 * t)) - math.log(2.0)
-        return np.exp(log_cosh - z * np.cosh(t))
+        out = np.multiply(t, -2.0)
+        np.exp(out, out=out)
+        np.log1p(out, out=out)
+        out += t
+        out -= _LOG_2
+        z_cosh = np.cosh(t)
+        z_cosh *= z
+        out -= z_cosh
+        return np.exp(out, out=out)
 
     return integrate_semi_infinite(integrand, 0.0).value

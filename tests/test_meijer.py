@@ -901,6 +901,23 @@ class TestMeijerG:
             routes.add(res.route)
         assert routes == {"series", "contour"}
 
+    @pytest.mark.parametrize("spec", [
+        build_laplace_closed_form(RationalShape(l, k)).spec
+        for l, k in HAND_OVER_PAIRS + [(200, 1), (1, 200), (800, 1), (1, 800)]] + [_HALF_SPEC])
+    def test_hand_over_equals_the_scalar_scan(self, spec):
+        # the scan as a loop of one series sum per step: the table's s*,
+        # from every step summed at once, is the same slope bit for bit
+        table = meijer._series_table(spec)
+        step = spec.m * math.log(2.0) / (2.0 * meijer._SERIES_PEAK)
+        hand_over = slope = table.slope_top
+        for _ in range(meijer._HAND_OVER_STEPS):
+            res = meijer._sum_series(table, 0.0, slope)
+            if res.converged and res.err_estimate <= 2.0 * meijer._REL_TOL * abs(res.value):
+                break
+            hand_over = slope
+            slope -= step
+        assert table.hand_over == hand_over
+
     @pytest.mark.parametrize("spec,const", [
         (build_laplace_closed_form(RationalShape(1, 1)).spec, 0.0),
         (build_laplace_closed_form(RationalShape(30, 1)).spec, math.log(30.0)),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -6,6 +7,8 @@ import pytest
 
 from frechet_laplace.errors import DomainError, PoleError
 from frechet_laplace import numerics
+from frechet_laplace.distributions import Shape
+from frechet_laplace.laplace import laplace_frechet_oracle
 from frechet_laplace.numerics import bessel_k1, integrate_semi_infinite, log_gamma
 
 # Ascending-series oracle for K1, independent of both the quadrature and the
@@ -292,6 +295,123 @@ class TestIntegrateSemiInfinite:
     def test_lower_validation(self, lower):
         with pytest.raises(DomainError):
             integrate_semi_infinite(lambda x: np.exp(-x), lower)
+
+    def test_overflowing_sum_of_finite_terms_raises(self):
+        # every node is finite, but their sum leaves binary64
+        f = lambda e: lambda u: np.exp(e * math.log(10.0) - np.log(u) ** 2)
+        with pytest.raises(DomainError):
+            integrate_semi_infinite(f(307), 0.0)
+        res = integrate_semi_infinite(f(306), 0.0)
+        assert res.converged
+        # int exp(-(log u)^2) du = sqrt(pi) e^{1/4}
+        assert math.isclose(res.value, math.sqrt(math.pi) * math.exp(0.25) * 1e306, rel_tol=1e-10)
+
+    def test_overflowing_value_raises(self):
+        # each level's sum is finite, but scale times it is not
+        s = 1e10
+        with pytest.raises(DomainError):
+            integrate_semi_infinite(
+                lambda u: np.exp(300.0 * math.log(10.0) - np.log(u / s) ** 2), 0.0, scale=s)
+
+
+def _numpy_fingerprint():
+    # the bits of the elementwise functions and the BLAS dot that the pinned
+    # results below go through; a numpy or BLAS built for other CPU
+    # features rounds some of them differently
+    x = np.linspace(-40.0, 40.0, 1601)
+    y = np.abs(x) + 1e-3
+    parts = [np.exp(x), np.log1p(np.exp(x)), np.cosh(x), np.log(y),
+             y ** -0.7, y ** -1.041, y ** 0.2,
+             np.array([np.dot(x[:161], x[1:162]), np.dot(x[:201], x[::8])])]
+    return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()[:16]
+
+
+# (value, err_estimate, evaluations, converged) of the exp-sinh kernel,
+# recorded on x86-64 with AVX-512 (numpy 2.4, OpenBLAS), where
+# _numpy_fingerprint() is PINNED_FINGERPRINT. A rewrite of the kernel must
+# keep every node, window, level and summation order: these stay bit for bit.
+PINNED_FINGERPRINT = "ff25e0364d1f2afe"
+PINNED_CASES = {
+    "exp": (lambda u: np.exp(-u), 0.0, 1.0),
+    # algebraic tails: the refinement stops at level 5 and 6, and runs out at 7
+    "tail-level-5": (lambda u: (1.0 + u) ** -1.041, 0.0, 1.0),
+    "tail-level-6": (lambda u: (1.0 + u) ** -1.04, 0.0, 1.0),
+    "tail-level-7": (lambda u: (1.0 + u) ** -1.035, 0.0, 1.0),
+    "lower-2": (lambda u: np.exp(-u), 2.0, 1.0),
+    "scale-1e-3": (lambda u: np.exp(-1e3 * u), 0.0, 1e-3),
+    "scale-1e3": (lambda u: np.exp(-1e-3 * u), 0.0, 1e3),
+    "nan-inside": (lambda u: np.where(np.abs(u - 1.0) < 0.3, np.nan, np.exp(-u)), 0.0, 1.0),
+    # NaN on the coarse node just below the window: the window is not widened
+    "nan-next-to-window": (lambda u: np.where(u < 1e-30, np.nan, np.exp(-u)), 0.0, 1.0),
+    "all-nan": (lambda u: np.full_like(u, np.nan), 0.0, 1.0),
+    "underflow": (lambda u: np.exp(-1e3 - u), 0.0, 1.0),
+    # exp overflows on the far nodes (inf times 0 is NaN there); the
+    # RuntimeWarning filter fails this case if the kernel stops silencing it
+    "exp-overflows": (lambda u: np.exp(u) * np.exp(-2.0 * u), 0.0, 1.0),
+}
+PINNED_KERNEL = {
+    "exp": ("0x1.fffffffffffffp-1", "0x1.d0d1f122c8d1ap-52", 236, True),
+    "tail-level-5": ("0x1.863e7061272a6p+4", "0x1.d727000000000p-30", 732, True),
+    "tail-level-6": ("0x1.8ffffffacd78cp+4", "0x1.b353a00000000p-30", 1436, True),
+    "tail-level-7": ("0x1.c92491f451768p+4", "0x1.845ce40000000p-27", 2716, False),
+    "lower-2": ("0x1.152aaa3bf81ccp-3", "0x1.f546988c6a70cp-54", 236, True),
+    "scale-1e-3": ("0x1.0624dd2f1a9fbp-10", "0x1.0760bf6ddbf38p-59", 236, True),
+    "scale-1e3": ("0x1.f3fffffffffffp+9", "0x1.f65a801f422e1p-40", 236, True),
+    "nan-inside": ("0x1.8d833122cf7cdp-1", "0x1.17cf1ea610000p-17", 1692, False),
+    "nan-next-to-window": ("0x1.0000000000000p+0", "0x1.d0d1f122c8d1ap-52", 220, True),
+    "all-nan": ("0x0.0p+0", "0x0.000000000000dp-1022", 27, False),
+    "underflow": ("0x0.0p+0", "0x0.000000000000dp-1022", 27, True),
+    "exp-overflows": ("0x1.fffffffffffffp-1", "0x1.d0d1f122c8d1ap-52", 236, True),
+}
+PINNED_ORACLE = {
+    (0.1, 0.0001): ("0x1.4f2806a7c50dbp-1", "0x1.69611968dc5d6p-52", 220, True),
+    (0.1, 1.0): ("0x1.635515c11a1e0p-2", "0x1.db87687d6edf6p-53", 220, True),
+    (0.1, 10.0): ("0x1.0ef86bc067575p-2", "0x1.891fba36f07d2p-53", 220, True),
+    (0.7, 0.0001): ("0x1.fdc19a127d24cp-1", "0x1.6680000000000p-43", 188, True),
+    (0.7, 1.0): ("0x1.225c8a6858b0ep-2", "0x1.792913ab3587ap-53", 156, True),
+    (0.7, 10.0): ("0x1.2f4ceed974884p-6", "0x1.726b2445be3c3p-56", 140, True),
+    (1.0, 0.0001): ("0x1.ff894ba3fc134p-1", "0x1.7050000000000p-39", 188, True),
+    (1.0, 1.0): ("0x1.1e7200e1d3482p-2", "0x1.745a8ba7cbe7ep-53", 156, True),
+    (1.0, 10.0): ("0x1.8719466f2e58ep-8", "0x1.1c086c6e12435p-57", 124, True),
+    (1.98, 0.0001): ("0x1.ffe88c9fde9f1p-1", "0x1.d0bb4f24ca35dp-52", 204, True),
+    (1.98, 1.0): ("0x1.2bce4315a2858p-2", "0x1.859a6e06b9194p-53", 172, True),
+    (1.98, 10.0): ("0x1.3305ab459b588p-11", "0x1.31131d3851064p-60", 140, True),
+    (5.0, 0.0001): ("0x1.fff0bdbe3f801p-1", "0x1.d0c92302084b7p-52", 236, True),
+    (5.0, 1.0): ("0x1.5021fa12731b5p-2", "0x1.bbe8a954c5876p-53", 204, True),
+    (5.0, 10.0): ("0x1.349fee023c220p-14", "0x1.80125e976ea5ep-63", 172, True),
+}
+PINNED_K1 = {
+    1e-3: "0x1.f3ff84bb5db50p+9",
+    1.0: "0x1.342d2f39d89c2p-1",
+    50.0: "0x1.4d17d74654abcp-75",
+}
+
+
+def _bits(res):
+    return (res.value.hex(), res.err_estimate.hex(), res.evaluations, res.converged)
+
+
+@pytest.fixture(scope="module")
+def pinned_platform():
+    if _numpy_fingerprint() != PINNED_FINGERPRINT:
+        pytest.skip("this numpy rounds its elementwise functions otherwise than "
+                    "where the bits were recorded")
+
+
+@pytest.mark.usefixtures("pinned_platform")
+class TestPinnedBits:
+    @pytest.mark.parametrize("name", PINNED_KERNEL)
+    def test_kernel(self, name):
+        f, lower, scale = PINNED_CASES[name]
+        assert _bits(integrate_semi_infinite(f, lower, scale)) == PINNED_KERNEL[name]
+
+    @pytest.mark.parametrize("gamma, p", PINNED_ORACLE)
+    def test_oracle(self, gamma, p):
+        assert _bits(laplace_frechet_oracle(Shape(gamma), p)) == PINNED_ORACLE[gamma, p]
+
+    @pytest.mark.parametrize("z", PINNED_K1)
+    def test_bessel_k1(self, z):
+        assert bessel_k1(z).hex() == PINNED_K1[z]
 
 
 class TestBesselK1:
