@@ -13,7 +13,7 @@ import numpy as np
 
 from .distributions import RationalShape, Shape
 from .errors import DomainError
-from .meijer import _within_tolerance, build_laplace_closed_form, meijer_g
+from .meijer import _laplace_route, _series_or_contour, _within_tolerance
 from .numerics import EvalResult, bessel_k1, integrate_semi_infinite
 
 __all__ = [
@@ -39,6 +39,9 @@ class LaplaceQuery:
     method: Method = Method.AUTO
 
     def __post_init__(self):
+        if not isinstance(self.shape, RationalShape):
+            raise DomainError(f"LaplaceQuery takes a RationalShape l/k, got {self.shape!r}; "
+                              "laplace_frechet_oracle takes a real Shape")
         if not 0 < self.p < math.inf:
             raise DomainError(f"Laplace variable must be finite and positive, got {self.p}")
 
@@ -46,8 +49,8 @@ class LaplaceQuery:
 def _meijer_path(shape: RationalShape, log_p: float) -> EvalResult:
     # the prefactor and the multiplication formula's constants cancel:
     # L(p) = l (1/2 pi i) int Gamma(ks + 1) Gamma(ls) p^{-ls} ds
-    return meijer_g(build_laplace_closed_form(shape).spec,
-                    const=math.log(shape.l), slope=shape.l * log_p)
+    l = shape.l
+    return _series_or_contour(*_laplace_route(l, shape.k), math.log(l), l * log_p)
 
 
 def laplace_frechet(query: LaplaceQuery) -> EvalResult:

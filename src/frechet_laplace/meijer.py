@@ -72,12 +72,17 @@ class MeijerSpec:
         if not all(math.isfinite(a) for _, a in runs):
             raise DomainError("MeijerSpec parameters must be finite")
         object.__setattr__(self, "groups", runs)
+        # the table caches are keyed on the spec: its hash is taken once
+        object.__setattr__(self, "_hash", hash(runs))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def b(self) -> tuple:
         return tuple((a + j) / n for n, a in self.groups for j in range(n))
 
-    @property
+    @functools.cached_property
     def m(self) -> int:
         return sum(n for n, _ in self.groups)
 
@@ -137,13 +142,15 @@ def _real_log_gammas(spec: MeijerSpec, x: float) -> float:
 @functools.lru_cache(maxsize=256)
 def _spec_constants(spec: MeijerSpec) -> tuple:
     """What meijer_g_m0 needs of spec alone: b_min, sum n log n (a plain
-    float, summed in run order), and the runs' n and a as read-only complex
-    columns (n s + a needs no cast)."""
+    float, summed in run order), the runs' n and a as read-only complex
+    columns (n s + a needs no cast), and the band coordinate's scale
+    2 sqrt(m)."""
     groups = np.array(spec.groups, dtype=complex)
     groups.flags.writeable = False
     # the smallest b_j of a run Delta(n, a) is a / n
     return (min(a / n for n, a in spec.groups),
-            sum(n * math.log(n) for n, _ in spec.groups), groups[:, :1], groups[:, 1:])
+            sum(n * math.log(n) for n, _ in spec.groups), groups[:, :1], groups[:, 1:],
+            2.0 * math.sqrt(spec.m))
 
 
 # The contour tables. A band is a range of slopes that shares one table of
@@ -162,16 +169,17 @@ _BAND_LOG_C_MAX = 700.0
 
 
 def _band_coordinate(spec: MeijerSpec, slope: float) -> float:
-    u = min((slope - _spec_constants(spec)[1]) / spec.m, _BAND_LOG_C_MAX)
-    scale = 2.0 * math.sqrt(spec.m)
+    _, n_log_n, _, _, scale = _spec_constants(spec)
+    u = min((slope - n_log_n) / spec.m, _BAND_LOG_C_MAX)
     return scale * math.exp(0.5 * u) if u > 0.0 else scale * (1.0 + 0.5 * u)
 
 
 def _band_slope(spec: MeijerSpec, t: float) -> float:
     # the inverse of _band_coordinate
-    v = t / (2.0 * math.sqrt(spec.m))
+    _, n_log_n, _, _, scale = _spec_constants(spec)
+    v = t / scale
     u = 2.0 * math.log(v) if v > 1.0 else 2.0 * (v - 1.0)
-    return _spec_constants(spec)[1] + spec.m * u
+    return n_log_n + spec.m * u
 
 
 def _contour_nodes(spec: MeijerSpec, c: float, slopes: tuple[float, float]):
@@ -179,7 +187,7 @@ def _contour_nodes(spec: MeijerSpec, c: float, slopes: tuple[float, float]):
     every slope in slopes: one log_gamma call on the (runs x nodes) array
     n s + a. Step and window come from the real-axis sum in plain floats
     (math.lgamma), with no log_gamma call."""
-    b_min, _, n, a = _spec_constants(spec)
+    b_min, _, n, a, _ = _spec_constants(spec)
 
     def log_parts(s):
         parts = log_gamma(n * s + a)
@@ -527,24 +535,26 @@ def _sum_series(table: _SeriesTable, const: float, slope: float) -> EvalResult:
         raise DomainError("meijer_g_series requires finite const and slope")
     abs_slope, abs_const = abs(slope), abs(const)
     log_tail = table.tail_log + const + table.tail_x * slope
-    top = (table.log_c_max + const + max(table.x_min * slope, table.tail_x * slope)
+    # the larger of x_min slope and tail_x slope (x_min <= tail_x)
+    top = (table.log_c_max + const + (table.tail_x if slope > 0.0 else table.x_min) * slope
            + math.log1p(abs_slope))
-    if slope > table.slope_top or max(top, log_tail) > _LOG_MAX:
-        return EvalResult(value=0.0, err_estimate=math.inf, evaluations=0,
-                          converged=False, route="series")
+    if slope > table.slope_top or top > _LOG_MAX or log_tail > _LOG_MAX:
+        return EvalResult(0.0, math.inf, 0, False, "series")
     terms = table.x * slope
     terms += table.log_c
-    terms += const
+    if const != 0.0:
+        # t + 0.0 is t, and exp(-0.0) is 1: const = log 1 of the l = 1 forms
+        # needs no pass
+        terms += const
     np.exp(terms, out=terms)
     (signed, weighted, by_x, total,
-     signed_log, weighted_log, by_x_log, total_log) = (table.sums @ terms).tolist()
+     signed_log, weighted_log, by_x_log, total_log) = np.dot(table.sums, terms).tolist()
     value = signed - slope * signed_log
     roundoff = (weighted + abs_slope * by_x + abs_const * total
                 + abs_slope * (weighted_log + abs_slope * by_x_log + abs_const * total_log))
     tail = math.exp(log_tail) * (table.tail_k0 + table.tail_k1 * abs_slope)
     err = 2.0 * _EPS * roundoff + terms.size * _TINY + tail
-    return EvalResult(value=value, err_estimate=err, evaluations=terms.size,
-                      converged=err <= _NOISE_REL_BOUND * abs(value), route="series")
+    return EvalResult(value, err, terms.size, err <= _NOISE_REL_BOUND * abs(value), "series")
 
 
 def _within_tolerance(res: EvalResult) -> bool:
@@ -562,7 +572,12 @@ def meijer_g(spec: MeijerSpec, *, const: float, slope: float) -> EvalResult:
     series misses that bar for every const, and is not summed. The route of
     the value returned is in its EvalResult.
     """
-    table = _series_table(spec)
+    return _series_or_contour(spec, _series_table(spec), const, slope)
+
+
+def _series_or_contour(spec: MeijerSpec, table: _SeriesTable, const: float,
+                       slope: float) -> EvalResult:
+    # meijer_g on the spec's series table
     if slope <= table.hand_over:
         res = _sum_series(table, const, slope)
         if _within_tolerance(res):
@@ -605,4 +620,13 @@ def build_laplace_closed_form(shape: RationalShape) -> LaplaceClosedForm:
     l, k = shape.l, shape.k
     log_prefactor = 0.5 * math.log(k * l) - ((k + l) / 2.0 - 1.0) * math.log(2.0 * math.pi)
     return LaplaceClosedForm(shape=shape, log_prefactor=log_prefactor,
-                             spec=MeijerSpec(groups=((k, 1.0), (l, 0.0))))
+                             spec=_laplace_route(l, k)[0])
+
+
+@functools.lru_cache(maxsize=256)
+def _laplace_route(l: int, k: int) -> tuple[MeijerSpec, _SeriesTable]:
+    """The closed form's spec, Delta(k, 1) + Delta(l, 0), and its series
+    table, in one lookup keyed on the integers l and k: a value hashes two
+    ints, not a shape or a spec."""
+    spec = MeijerSpec(groups=((k, 1.0), (l, 0.0)))
+    return spec, _series_table(spec)

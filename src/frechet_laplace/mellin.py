@@ -83,6 +83,9 @@ _LOG_OVERFLOW = math.log(_OVERFLOW_PEAK)
 # series takes it: log_gamma is good to about 3 eps of |log Gamma| at worst
 # (Lanczos), and the sum of the logs and its exp add their own.
 _NODE_ROUNDOFF = 2.0 * sys.float_info.epsilon
+# Where the sums of the nodes pass binary64, mellin_barnes_integral takes
+# them again on the nodes divided by this exact power of two.
+_RESCALE = 2.0 ** 64
 # Largest noise floor, relative to the value, that still counts as converged:
 # past it cancellation between the nodes has taken more than half the digits.
 _NOISE_REL_BOUND = math.sqrt(sys.float_info.epsilon)
@@ -157,24 +160,36 @@ def mellin_barnes_integral(nodes: ContourNodes, const: float,
     sum over all 2N + 1 nodes is the noise floor. The value is converged
     when |S_h - S_2h| is below the floor or _REL_TOL of it, and the floor is
     below _NOISE_REL_BOUND of it; the error estimate is the larger of the
-    difference and the floor (the difference can read 0). A sum that is not
-    finite raises NonConvergence.
+    difference and the floor (the difference can read 0). Where a sum, or
+    the floor, is not finite, the sums are taken again on the nodes scaled
+    by 2^-64 and the results scaled back: exact, bar subnormal nodes. A node
+    that is not finite, or a value past binary64 even so, raises
+    NonConvergence.
 
     Returns (value, err_estimate, evaluations, converged), where evaluations
     counts the rule's 2N + 1 nodes.
     """
-    terms = (nodes.logs @ np.array([-slope, const, 1.0])).view(complex)
+    terms = np.dot(nodes.logs, np.array([-slope, const, 1.0])).view(complex)
     np.exp(terms, out=terms)
-    (s_h, s_2h, _), (weighted, by_s, total) = np.add.reduce(
-        nodes.sums * terms.real.reshape(2, 1, -1), axis=2).tolist()
-    diff = abs(s_h - s_2h)
+    re = terms.real.reshape(2, 1, -1)
+    (s_h, s_2h, _), (weighted, by_s, total) = np.add.reduce(nodes.sums * re, axis=2).tolist()
     noise_floor = _NODE_ROUNDOFF * (weighted + abs(slope) * by_s + abs(const) * total)
+    scale = 1.0
     if not (math.isfinite(s_h) and math.isfinite(noise_floor)):
-        raise NonConvergence("contour integrand not finite on the path")
-    converged = (diff <= max(_REL_TOL * abs(s_h), noise_floor)
+        # next to the overflow exit a sum, or the floor's weighted sum of
+        # them, can pass binary64 where the value does not: the same sums on
+        # the nodes scaled down by an exact power of two, scaled back below
+        scale = _RESCALE
+        (s_h, s_2h, _), (weighted, by_s, total) = np.add.reduce(
+            nodes.sums * (re / scale), axis=2).tolist()
+        noise_floor = _NODE_ROUNDOFF * (weighted + abs(slope) * by_s + abs(const) * total)
+        if not (math.isfinite(s_h / _TWO_PI * scale) and math.isfinite(noise_floor)):
+            raise NonConvergence("contour integrand not finite on the path")
+    diff = abs(s_h - s_2h)
+    converged = ((diff <= _REL_TOL * abs(s_h) or diff <= noise_floor)
                  and noise_floor <= _NOISE_REL_BOUND * abs(s_h))
-    return (s_h / _TWO_PI, max(diff, noise_floor) / _TWO_PI, terms.size - 1,
-            bool(converged))
+    err = noise_floor if noise_floor > diff else diff
+    return s_h / _TWO_PI * scale, err / _TWO_PI * scale, terms.size - 1, converged
 
 
 def contour_nodes(log_parts, log_abs_real, c: float, poles: tuple[float, float],
@@ -317,14 +332,10 @@ def contour_integral(nodes, log_peak: float, const: float = 0.0,
     without calling nodes.
     """
     if log_peak < _LOG_UNDERFLOW:
-        return EvalResult(value=0.0, err_estimate=0.0, evaluations=0, converged=True,
-                          route="contour")
+        return EvalResult(0.0, 0.0, 0, True, "contour")
     if log_peak > _LOG_OVERFLOW:
-        return EvalResult(value=0.0, err_estimate=math.inf, evaluations=0, converged=False,
-                          route="contour")
-    value, err, n_grid, ok = mellin_barnes_integral(nodes(), const, slope)
-    return EvalResult(value=value, err_estimate=err, evaluations=n_grid, converged=ok,
-                      route="contour")
+        return EvalResult(0.0, math.inf, 0, False, "contour")
+    return EvalResult(*mellin_barnes_integral(nodes(), const, slope), "contour")
 
 
 def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResult:

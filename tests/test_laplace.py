@@ -110,6 +110,14 @@ class TestLaplaceFrechet:
         with pytest.raises(DomainError):
             LaplaceQuery(RationalShape(1, 1), math.inf, Method.MEIJER_G)
 
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("shape", [Shape(0.5), 0.5, (1, 2), None])
+    def test_query_takes_a_rational_shape_only(self, shape, method):
+        # a real shape goes to laplace_frechet_oracle; a query refuses it
+        # with the library's error, for every method
+        with pytest.raises(DomainError):
+            laplace_frechet(LaplaceQuery(shape, 1.0, method))
+
 
 class TestOracle:
     def test_at_zero(self):

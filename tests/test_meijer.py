@@ -13,6 +13,7 @@ from frechet_laplace import meijer, mellin
 from frechet_laplace.ftransform import _HALF_SPEC, frechet_transform_frechet_half
 from frechet_laplace.meijer import (MeijerSpec, build_laplace_closed_form, meijer_g,
                                     meijer_g_m0, meijer_g_series)
+from test_numerics import PINNED_FINGERPRINT, _bits, _numpy_fingerprint
 
 TWO_K1_OF_2 = 0.27973176363304486  # 2 K1(2), from the series oracle
 
@@ -348,15 +349,15 @@ class TestConstantsMemo:
 
     def test_cached_arrays_are_read_only(self):
         spec = build_laplace_closed_form(RationalShape(2, 3)).spec
-        n, a = meijer._spec_constants(spec)[2:]
+        n, a = meijer._spec_constants(spec)[2:4]
         for column in (n, a):
             with pytest.raises(ValueError):
                 column[0, 0] = 5.0
         assert meijer._spec_constants(spec)[2][0, 0] == 3.0
 
     def test_caches_are_bounded_and_hold_no_values(self):
-        memos = (build_laplace_closed_form, meijer._spec_constants, meijer._series_table,
-                 meijer._contour_table)
+        memos = (build_laplace_closed_form, meijer._laplace_route, meijer._spec_constants,
+                 meijer._series_table, meijer._contour_table)
         for memo in memos:
             assert memo.cache_info().maxsize is not None
         # a contour table is keyed on the spec and the band alone, and holds
@@ -642,6 +643,20 @@ class TestMpmathOracle:
         ref = _mpmath_laplace(mpmath, l, k, p)
         assert res.converged
         assert abs(mpmath.mpf(res.value) - ref) <= res.err_estimate
+
+    def test_noise_floor_past_binary64_bounds_actual_error(self):
+        # e^const e^{-z} at z = 5e4, with the integrand at the saddle near
+        # e^690, under the 1e300 exit: every node and every sum is finite,
+        # but the noise floor's weighted sum of them (|log Gamma| near 5e5
+        # at the vertex) passes binary64, and the sums are taken again on
+        # nodes scaled by a power of two
+        mpmath = pytest.importorskip("mpmath")
+        const, slope = 50694.49, math.log(5e4)
+        res = meijer_g_m0(MeijerSpec([0.0]), const=const, slope=slope)
+        with mpmath.workdps(30):
+            ref = mpmath.exp(mpmath.mpf(const) - mpmath.exp(mpmath.mpf(slope)))
+        assert res.converged
+        assert abs(mpmath.mpf(res.value) - ref) <= res.err_estimate <= 1e-9 * res.value
 
     @pytest.mark.parametrize("l,k", [(1, 1), (1, 2), (2, 3), (3, 4), (4, 1), (1, 4),
                                      (7, 5), (1, 30)])
@@ -946,3 +961,122 @@ class TestMeijerG:
             assert not calls, slope
         meijer_g(spec, const=const, slope=s_star)
         assert len(calls) == 1
+
+
+# (value, err_estimate, evaluations, converged) of the Meijer route,
+# recorded where test_numerics.py's kernel pins were, on the same
+# fingerprint gate (complex exp, gemv and math.lgamma among its parts). Each
+# closed form l/k at p is the pair const = log l, slope = l log p, summed as
+# residues and on the band's contour, and through AUTO. A change that keeps
+# every term, node, table, exit and summation order keeps these bit for bit.
+PINNED_SERIES = {
+    (1, 1, 0.01): ('0x1.e90f412fe3ee1p-1', '0x1.47b4f997286f2p-51', 97, True),
+    (1, 1, 1.0): ('0x1.1e7200e1d347bp-2', '0x1.3b44bbaf3d514p-49', 97, True),
+    (1, 1, 20.0): ('0x1.0ad420f000000p-11', '0x1.37a5ac7557800p-32', 97, False),
+    (1, 1, 5000.0): ('0x0.0p+0', 'inf', 0, False),
+    (2, 3, 0.01): ('0x1.d04dc59ed173cp-1', '0x1.d062675bc0143p-50', 97, True),
+    (2, 3, 1.0): ('0x1.2377355ab6c00p-2', '0x1.350e04a7b3704p-46', 97, True),
+    (2, 3, 20.0): ('0x1.47223e000c000p-8', '0x1.e7a1aa4cf16e4p-37', 97, True),
+    (2, 3, 5000.0): ('0x0.0p+0', 'inf', 0, False),
+    (3, 1, 0.01): ('0x1.f92250c3de12ep-1', '0x1.a78ad302230d6p-50', 97, True),
+    (3, 1, 1.0): ('0x1.3c2e76229bce8p-2', '0x1.3935df33200f3p-47', 97, True),
+    (3, 1, 20.0): ('0x1.2800000000000p-22', '0x1.76b093a9b4faep-19', 97, False),
+    (3, 1, 5000.0): ('0x0.0p+0', 'inf', 0, False),
+    (30, 1, 0.01): ('0x1.facd635e6f6bbp-1', '0x1.fb87511d17a54p-49', 96, True),
+    (30, 1, 1.0): ('0x1.71793b4fff83cp-2', '0x1.69ca77aa717d6p-47', 96, True),
+    (30, 1, 20.0): ('-0x1.f000000000000p-19', '0x1.608f2fd7b9a9bp-13', 96, False),
+    (30, 1, 5000.0): ('0x0.0p+0', 'inf', 0, False),
+    (1, 30, 0.01): ('0x1.ab1a5beb19236p-2', '0x1.8038ce35d418ap-48', 99, True),
+    (1, 30, 1.0): ('0x1.71793b4fff830p-2', '0x1.d0fff76a22ee2p-48', 99, True),
+    (1, 30, 20.0): ('0x1.4c00778c3e44cp-2', '0x1.145007a6a9d32p-47', 99, True),
+    (1, 30, 5000.0): ('0x1.087e9fe342000p-2', '0x1.8792598565e97p-47', 99, True),
+}
+PINNED_CONTOUR = {
+    (1, 1, 0.01): ('0x1.e90f412fe3edep-1', '0x1.5c330f440aa0cp-49', 317, True),
+    (1, 1, 1.0): ('0x1.1e7200e1d3482p-2', '0x1.59658c16f31e8p-52', 121, True),
+    (1, 1, 20.0): ('0x1.0ad420b17cf51p-11', '0x1.5101d1248380cp-58', 77, True),
+    (1, 1, 5000.0): ('0x1.d50ce257f3f47p-201', '0x1.eea7851c93d64p-242', 61, True),
+    (2, 3, 0.01): ('0x1.d04dc59ed173dp-1', '0x1.c635e90a87f6bp-48', 201, True),
+    (2, 3, 1.0): ('0x1.2377355ab6c04p-2', '0x1.ac99ebe636b4dp-52', 129, True),
+    (2, 3, 20.0): ('0x1.47223dff29a97p-8', '0x1.7b38fd5c25f9ep-55', 109, True),
+    (2, 3, 5000.0): ('0x1.e785e56f1d694p-83', '0x1.55c93efa5b405p-125', 65, True),
+    (3, 1, 0.01): ('0x1.f92250c3de132p-1', '0x1.c399060970919p-46', 201, True),
+    (3, 1, 1.0): ('0x1.3c2e76229bcd0p-2', '0x1.02b969ff3c2aep-51', 121, True),
+    (3, 1, 20.0): ('0x1.2f063bf95a383p-22', '0x1.6259eda7af9fdp-67', 69, True),
+    (3, 1, 5000.0): ('0x0.0p+0', '0x0.0p+0', 0, True),
+    (30, 1, 0.01): ('-0x1.2049a707b5a32p+9', '0x1.8fdd5b4016557p+14', 133, False),
+    (30, 1, 1.0): ('0x1.71793b50013aep-2', '0x1.36cc470907b73p-37', 105, True),
+    (30, 1, 20.0): ('0x1.fab8f59918a47p-30', '0x1.98d7532df9b2bp-74', 57, True),
+    (30, 1, 5000.0): ('0x0.0p+0', '0x0.0p+0', 0, True),
+    (1, 30, 0.01): ('0x1.ab1a5beb1e4ebp-2', '0x1.03f34063ad2dep-35', 109, True),
+    (1, 30, 1.0): ('0x1.71793b4ffb575p-2', '0x1.2ff4499ade051p-37', 105, True),
+    (1, 30, 20.0): ('0x1.4c00778c3d167p-2', '0x1.3399ef6031578p-38', 105, True),
+    (1, 30, 5000.0): ('0x1.087e9fe341d0ep-2', '0x1.5ba78ba6e1485p-40', 105, True),
+}
+PINNED_AUTO = {
+    (1, 1, 0.01): ('0x1.e90f412fe3ee1p-1', '0x1.47b4f997286f2p-51', 97, True),
+    (1, 1, 1.0): ('0x1.1e7200e1d347bp-2', '0x1.3b44bbaf3d514p-49', 97, True),
+    (1, 1, 20.0): ('0x1.0ad420b17cf51p-11', '0x1.5101d1248380cp-58', 77, True),
+    (1, 1, 5000.0): ('0x1.d50ce257f3f47p-201', '0x1.eea7851c93d64p-242', 61, True),
+    (2, 3, 0.01): ('0x1.d04dc59ed173cp-1', '0x1.d062675bc0143p-50', 97, True),
+    (2, 3, 1.0): ('0x1.2377355ab6c00p-2', '0x1.350e04a7b3704p-46', 97, True),
+    (2, 3, 20.0): ('0x1.47223dff29a97p-8', '0x1.7b38fd5c25f9ep-55', 109, True),
+    (2, 3, 5000.0): ('0x1.e785e56f1d694p-83', '0x1.55c93efa5b405p-125', 65, True),
+    (3, 1, 0.01): ('0x1.f92250c3de12ep-1', '0x1.a78ad302230d6p-50', 97, True),
+    (3, 1, 1.0): ('0x1.3c2e76229bce8p-2', '0x1.3935df33200f3p-47', 97, True),
+    (3, 1, 20.0): ('0x1.2f063bf95a383p-22', '0x1.6259eda7af9fdp-67', 69, True),
+    (3, 1, 5000.0): ('0x0.0p+0', '0x0.0000000000d3fp-1022', 27, True),
+    (30, 1, 0.01): ('0x1.facd635e6f6bbp-1', '0x1.fb87511d17a54p-49', 96, True),
+    (30, 1, 1.0): ('0x1.71793b4fff83cp-2', '0x1.69ca77aa717d6p-47', 96, True),
+    (30, 1, 20.0): ('0x1.fab8f59918a47p-30', '0x1.98d7532df9b2bp-74', 57, True),
+    (30, 1, 5000.0): ('0x0.0p+0', '0x0.000000000072dp-1022', 27, True),
+    (1, 30, 0.01): ('0x1.ab1a5beb19236p-2', '0x1.8038ce35d418ap-48', 99, True),
+    (1, 30, 1.0): ('0x1.71793b4fff830p-2', '0x1.d0fff76a22ee2p-48', 99, True),
+    (1, 30, 20.0): ('0x1.4c00778c3e44cp-2', '0x1.145007a6a9d32p-47', 99, True),
+    (1, 30, 5000.0): ('0x1.087e9fe342000p-2', '0x1.8792598565e97p-47', 99, True),
+}
+# the contour at an explicit abscissa, nodes built for the one slope
+PINNED_EXPLICIT_C = ('0x1.0a02efeff4a15p-1', '0x1.1aa75ac747935p-48', 113, True)
+PINNED_HALF = {
+    0.001: ('0x1.a2f5c0d9dc078p-13', '0x1.2051e5267e5f1p-57', 85, True),
+    1.0: ('0x1.334b4c7392568p-3', '0x1.eafebbf855572p-49', 94, True),
+    1e+200: ('0x1.2fdf36bf699dcp-997', '0x0.000156517a6e9p-1022', 94, True),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_platform():
+    if _numpy_fingerprint() != PINNED_FINGERPRINT:
+        pytest.skip("this numpy rounds its elementwise functions otherwise than "
+                    "where the bits were recorded")
+
+
+def _pinned_pair(l, k, p):
+    spec = build_laplace_closed_form(RationalShape(l, k)).spec
+    return spec, {"const": math.log(l), "slope": l * math.log(p)}
+
+
+@pytest.mark.usefixtures("pinned_platform")
+class TestPinnedBits:
+    @pytest.mark.parametrize("l,k,p", PINNED_SERIES)
+    def test_series(self, l, k, p):
+        spec, pair = _pinned_pair(l, k, p)
+        assert _bits(meijer_g_series(spec, **pair)) == PINNED_SERIES[l, k, p]
+
+    @pytest.mark.parametrize("l,k,p", PINNED_CONTOUR)
+    def test_contour(self, l, k, p):
+        spec, pair = _pinned_pair(l, k, p)
+        assert _bits(meijer_g_m0(spec, **pair)) == PINNED_CONTOUR[l, k, p]
+
+    @pytest.mark.parametrize("l,k,p", PINNED_AUTO)
+    def test_auto(self, l, k, p):
+        res = laplace_frechet(LaplaceQuery(RationalShape(l, k), p, Method.AUTO))
+        assert _bits(res) == PINNED_AUTO[l, k, p]
+
+    def test_explicit_abscissa(self):
+        res = meijer_g_m0(MeijerSpec([0.5, 1.0, 0.0]), const=0.0, slope=math.log(0.25), c=1.5)
+        assert _bits(res) == PINNED_EXPLICIT_C
+
+    @pytest.mark.parametrize("x", PINNED_HALF)
+    def test_half_transform(self, x):
+        assert _bits(frechet_transform_frechet_half(Shape(1.0), x)) == PINNED_HALF[x]
