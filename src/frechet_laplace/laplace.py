@@ -62,10 +62,8 @@ def laplace_frechet(query: LaplaceQuery) -> EvalResult:
     alternating terms cancel, the Mellin-Barnes contour. QUADRATURE uses
     the direct oracle.
     AUTO takes the MEIJER_G value, and falls back to the oracle wherever
-    that value is not positive (the contour's converged underflow zero,
-    where the oracle's positive integrand keeps a positive value), not
-    converged, or has an error estimate above 1e-10 of it. The route of the
-    value returned is in its EvalResult.
+    that value is not positive, not converged, or has an error estimate
+    above 1e-10 of it. The route of the value returned is in its EvalResult.
     """
     method = query.method
     if method is Method.QUADRATURE:

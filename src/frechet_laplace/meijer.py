@@ -40,8 +40,7 @@ import numpy as np
 
 from .distributions import RationalShape
 from .errors import ContourError, DomainError
-from .mellin import (_LOG_OVERFLOW, _LOG_UNDERFLOW, _NOISE_REL_BOUND, ContourNodes,
-                     contour_integral, contour_nodes)
+from .mellin import _NOISE_REL_BOUND, ContourNodes, contour_integral, contour_nodes
 from .numerics import _LOG_PI, _REL_TOL, _TINY, EvalResult, log_gamma
 
 __all__ = [
@@ -99,7 +98,9 @@ def _saddle_abscissa(spec: MeijerSpec, slope: float) -> float:
     stays moderate, and every n_g c + a_g at least 1/4. The bracket ends at
     c = 2 e^300, which keeps it finite: where the saddle lies beyond
     (log z > 300 m), phi < -0.3 m c at the bracket end, far under the
-    binary64 floor, so the vertex there gives the same converged zero.
+    binary64 floor, so the vertex there builds no node and gives the same
+    converged zero. It runs once per band table (_contour_table), never per
+    value.
 
     Safeguarded Newton on phi'(c) = sum_g n_g psi(n_g c + a_g) - slope, from
     z^{1/m} = exp((slope - sum n log n) / m) (where phi' ~ m log c - log z),
@@ -164,7 +165,7 @@ def _spec_constants(spec: MeijerSpec) -> tuple:
 # / m), the large-c saddle, and continued below c = 1 along its tangent,
 # linear in the slope. A band's table is about 6 kB.
 _BAND_WIDTH = 1.0
-# past this log c the saddle lies beyond its bracket, and the vertex exits
+# past this log c the saddle lies beyond its bracket, and no node is built
 _BAND_LOG_C_MAX = 700.0
 
 
@@ -199,62 +200,29 @@ def _contour_nodes(spec: MeijerSpec, c: float, slopes: tuple[float, float]):
     return contour_nodes(log_parts, log_abs_real, c, (c + b_min, math.inf), slopes)
 
 
-def _saddle_slack(spec: MeijerSpec, c_lo: float, c_hi: float) -> float:
-    """Bound on phi(c) - min phi, phi(c) = sum_g log Gamma(n_g c + a_g) - c slope,
-    at the abscissa _saddle_abscissa returns for any slope whose saddle lies
-    in [c_lo, c_hi], plus one unit for the rounding of phi and of a band's
-    end slopes.
-
-    The search stops within 1e-2 max(1, c) of the root; dc is twice that.
-    There phi - min phi <= phi'' dc^2 / 2, phi'' = sum n^2 psi'(n c + a)
-    falls with c, and psi'(x) < 1/x + 1/x^2."""
-    dc = 2e-2 * max(1.0, c_hi)
-    c = max(c_lo - dc, 0.25 - _spec_constants(spec)[0])
-    phi2 = 0.0
-    for n, a in spec.groups:
-        x = n * c + a
-        phi2 += n * n * (1.0 / x + 1.0 / (x * x))
-    return 1.0 + 0.5 * phi2 * dc * dc
-
-
 @dataclass(frozen=True)
 class _BandTable:
-    """The contour table of a band (see _BAND_WIDTH): its vertex, the
-    real-axis log Gamma sum there, and gap, a bound on how far the integrand
-    at the vertex exceeds the one at a slope's own saddle (_saddle_abscissa),
-    for every slope of the band. nodes() builds the ContourNodes on its
-    first call and keeps them."""
+    """The contour table of a band (see _BAND_WIDTH): its vertex and the
+    real-axis log Gamma sum there, from which contour_integral reads the
+    magnitude of every value of the band. nodes() builds the ContourNodes
+    on its first call and keeps them."""
 
     vertex: float
     log_gammas: float
-    gap: float
     nodes: Callable[[], ContourNodes]
 
 
 @functools.lru_cache(maxsize=256)
 def _contour_table(spec: MeijerSpec, band: int) -> _BandTable:
-    """The table that serves every slope of a band, built once: a property
-    of the spec and the band, never of a value.
-
-    Over the band's slopes, the vertex's excess over the saddle,
-    log_gammas - vertex slope - min_c (sum_g log Gamma(n_g c + a_g) - c slope),
-    is affine minus concave in the slope: convex, so largest at an end.
-    gap is the larger end's, found by two saddle searches, plus
-    _saddle_slack for the searches' tolerance. The top band also holds every
-    slope past _BAND_LOG_C_MAX, where no gap holds: it is infinite there."""
+    """The table that serves every slope of a band, built once, with one
+    saddle search: a property of the spec and the band, never of a value.
+    The vertex is the saddle of the band's centre; the top band also holds
+    every slope past _BAND_LOG_C_MAX."""
     lo = _band_slope(spec, band * _BAND_WIDTH)
     hi = _band_slope(spec, (band + 1) * _BAND_WIDTH)
-    centre = _band_slope(spec, (band + 0.5) * _BAND_WIDTH)
-    vertex = _saddle_abscissa(spec, centre)
-    log_gammas = _real_log_gammas(spec, vertex)
-    gap = math.inf
-    if (hi - _spec_constants(spec)[1]) / spec.m <= _BAND_LOG_C_MAX:
-        owns = [_saddle_abscissa(spec, slope) for slope in (lo, hi)]
-        gap = max(0.0, *(log_gammas - vertex * slope - _real_log_gammas(spec, own) + own * slope
-                         for slope, own in zip((lo, hi), owns)))
-        gap += _saddle_slack(spec, min(owns), max(owns))
+    vertex = _saddle_abscissa(spec, _band_slope(spec, (band + 0.5) * _BAND_WIDTH))
     nodes = functools.cache(functools.partial(_contour_nodes, spec, vertex, (lo, hi)))
-    return _BandTable(vertex=vertex, log_gammas=log_gammas, gap=gap, nodes=nodes)
+    return _BandTable(vertex=vertex, log_gammas=_real_log_gammas(spec, vertex), nodes=nodes)
 
 
 def meijer_g_m0(spec: MeijerSpec, *, const: float, slope: float,
@@ -270,33 +238,28 @@ def meijer_g_m0(spec: MeijerSpec, *, const: float, slope: float,
     sum_g ((n-1)/2 log 2 pi + (1/2 - a) log n) and slope = log z + sum n log n;
     a closed form passes the pair with its own constants cancelled
     analytically. Neither e^const nor e^-slope has to be a binary64 number:
-    only the product decides the magnitude, a converged zero where it is
-    below 1e-300 at the slope's own saddle, an unconverged result where it
-    is above 1e300, and no nodes built in either case.
+    only their product with the gamma factors at the vertex decides the
+    magnitude, from which contour_integral scales the sums by a power of
+    two, and builds no node where the value lies far below the smallest
+    subnormal.
 
     With c = None the nodes come from the table of the slope's band
     (_contour_table), whose vertex is the saddle of the band's centre: that
     keeps full relative accuracy even where the function has decayed far
     below the fixed-abscissa integrand peak, any slope of a band costs what
     a repeated one does, and a value is the same bit for bit whether its
-    table was built by this call or earlier. The band's vertex also decides
-    the exits: where the integrand there lies more than the band's gap
-    inside both bounds, neither exit fires at the slope's own saddle, and
-    only next to them is that saddle searched for. An explicit abscissa
-    pins the vertex exactly, with nodes for its one slope that are not kept
-    (Cauchy's theorem makes the result independent of any valid choice,
-    which the shift-invariance tests exercise).
+    table was built by this call or earlier; no saddle is searched for per
+    value. An explicit abscissa pins the vertex exactly, with nodes for its
+    one slope that are not kept (Cauchy's theorem makes the result
+    independent of any valid choice, which the shift-invariance tests
+    exercise).
     """
     if not (math.isfinite(const) and math.isfinite(slope)):
         raise DomainError("meijer_g_m0 requires finite const and slope")
     if c is None:
         table = _contour_table(spec, math.floor(_band_coordinate(spec, slope) / _BAND_WIDTH))
-        log_peak = table.log_gammas + const - table.vertex * slope
-        if not _LOG_UNDERFLOW + table.gap <= log_peak <= _LOG_OVERFLOW - table.gap:
-            # next to an exit: decide it at the slope's own saddle
-            vertex = _saddle_abscissa(spec, slope)
-            log_peak = _real_log_gammas(spec, vertex) + const - vertex * slope
-        return contour_integral(table.nodes, log_peak, const, slope)
+        return contour_integral(table.nodes, table.log_gammas + const - table.vertex * slope,
+                                const, slope)
     b_min = _spec_constants(spec)[0]
     if not -b_min < c < math.inf:
         raise ContourError(

@@ -18,7 +18,8 @@ lam once per node in one pass, extended only where the edge terms have not
 decayed.
 mellin_barnes_integral then sums the nodes for one const and slope: one exp
 per node, and a noise floor from the sizes of the logs each node is summed
-from. contour_integral takes the vertex exits before any node is built.
+from. contour_integral picks, from the integrand at the vertex, the power
+of two the sums are scaled by, and the one exit that builds no node.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .distributions import RationalShape
 from .errors import ContourError, DomainError, NonConvergence
-from .numerics import _REL_TOL, _ROUNDOFF, EvalResult, log_gamma
+from .numerics import _REL_TOL, _ROUNDOFF, _TINY, EvalResult, log_gamma
 
 __all__ = [
     "MellinFunction",
@@ -71,21 +72,22 @@ _WIDTHS = 7
 # grows like exp(mu u^2 log z); the saddle c grows with log z, so the 1/c
 # keeps that growth bounded, where a fixed mu loses 1e-8 to 1e-6 at p = 20.
 _MU_SCALE = 0.4
-# An integrand below _UNDERFLOW_PEAK at the vertex has underflowed along the
-# whole path; one above _OVERFLOW_PEAK leaves binary64 in the sum, whose
-# terms the vertex term bounds only up to the node count and |s'(u)|.
-_UNDERFLOW_PEAK = 1e-300
-_OVERFLOW_PEAK = 1e300
-# their logs, which meijer_g_m0 also reads to find where neither exit fires
-_LOG_UNDERFLOW = math.log(_UNDERFLOW_PEAK)
-_LOG_OVERFLOW = math.log(_OVERFLOW_PEAK)
+# contour_integral sums the nodes as they are where the log of the integrand
+# at the vertex lies in _DIRECT_LOGS: above its lower end the terms that
+# matter are normal numbers, and below its upper end neither a sum nor the
+# noise floor's weighted sum of them passes binary64. Elsewhere it sums them
+# scaled by the power of two nearest that integrand, and scales back.
+_DIRECT_LOGS = (math.log(1e-300), 640.0)
+_LOG_2 = math.log(2.0)
+# Below this log at the vertex no node is built, and the result is a
+# converged zero: |value| over the vertex term grows like sqrt(c / 2 pi) at
+# large c, and stays under e^6.5 wherever the nodes decay (c up to about
+# 3e6), so |value| is under half the smallest subnormal.
+_LOG_NO_NODE = -1075.0 * _LOG_2 - 40.0
 # A node's roundoff per unit of the logs it is summed from, as the residue
 # series takes it: log_gamma is good to about 3 eps of |log Gamma| at worst
 # (Lanczos), and the sum of the logs and its exp add their own.
 _NODE_ROUNDOFF = 2.0 * sys.float_info.epsilon
-# Where the sums of the nodes pass binary64, mellin_barnes_integral takes
-# them again on the nodes divided by this exact power of two.
-_RESCALE = 2.0 ** 64
 # Largest noise floor, relative to the value, that still counts as converged:
 # past it cancellation between the nodes has taken more than half the digits.
 _NOISE_REL_BOUND = math.sqrt(sys.float_info.epsilon)
@@ -139,57 +141,62 @@ class ContourNodes:
     sums: np.ndarray
 
 
-def mellin_barnes_integral(nodes: ContourNodes, const: float,
-                           slope: float) -> tuple[float, float, int, bool]:
+def mellin_barnes_integral(nodes: ContourNodes, const: float, slope: float,
+                           exponent: int = 0) -> tuple[float, float, int, bool]:
     """Trapezoidal evaluation of (1/2 pi) * integral of G(u) du over the real
     line, G(u) = exp(lam(s(u)) + const - s(u) slope) s'(u) / i, from the
-    nodes u >= 0 of a table whose slope range holds slope.
+    nodes u >= 0 of a table whose slope range holds slope, with the nodes
+    scaled by 2^-exponent and the results scaled back by 2^exponent.
 
     G(-u) = conj G(u), so the sum is h (G_0 + 2 Re sum_{j>0} G_j), a real
     number, and S_2h takes every other node. One product with the table's
-    logs and one exp give every G_j and |G_j|; one product with its sums
-    weighs them for S_h and S_2h from Re G_j, and for
-    sum w_j |G_j| (1 + sigma_j), sum w_j |G_j| |s_j| and sum w_j |G_j| from
-    |G_j|, w_j = h, 2h, 2h, ... for the mirrored lower half and sigma_j the
-    sizes of the logs lam_j and the path weight are summed from. Each sum
-    runs over j = 0..N in numpy's pairwise order, which depends on N alone:
-    the same table and arguments give the same bits.
+    logs and one exp give every G_j and |G_j|, on const - exponent log 2;
+    one product with its sums weighs them for S_h and S_2h from Re G_j, and
+    for sum w_j |G_j| (1 + sigma_j), sum w_j |G_j| |s_j| and sum w_j |G_j|
+    from |G_j|, w_j = h, 2h, 2h, ... for the mirrored lower half and sigma_j
+    the sizes of the logs lam_j and the path weight are summed from. Each
+    sum runs over j = 0..N in numpy's pairwise order, which depends on N
+    alone: the same table and arguments give the same bits.
 
     A node carries a roundoff of _NODE_ROUNDOFF times |G_j| and the sizes of
-    the logs it is summed from, 1 + sigma_j + |s_j slope| + |const|; their
-    sum over all 2N + 1 nodes is the noise floor. The value is converged
-    when |S_h - S_2h| is below the floor or _REL_TOL of it, and the floor is
-    below _NOISE_REL_BOUND of it; the error estimate is the larger of the
-    difference and the floor (the difference can read 0). Where a sum, or
-    the floor, is not finite, the sums are taken again on the nodes scaled
-    by 2^-64 and the results scaled back: exact, bar subnormal nodes. A node
-    that is not finite, or a value past binary64 even so, raises
-    NonConvergence.
+    the logs it is summed from, 1 + sigma_j + |s_j slope| + |const'| + |shift|
+    for const' = const - shift and shift = exponent log 2; their sum over
+    all 2N + 1 nodes is the noise floor. The value is converged when
+    |S_h - S_2h| is below the floor or _REL_TOL of it, and the floor is below
+    _NOISE_REL_BOUND of it; the error estimate is the larger of the
+    difference and the floor (the difference can read 0). Scaled back, a
+    value whose bound sum w_j |G_j| / 2 pi is under half the smallest
+    subnormal is a converged 0.0, and a subnormal value adds the smallest
+    subnormal to its estimate for its rounding. A sum, or the floor, that is
+    not finite raises NonConvergence; a value or estimate past binary64
+    once scaled back raises OverflowError, which contour_integral turns
+    into an unconverged result.
 
     Returns (value, err_estimate, evaluations, converged), where evaluations
     counts the rule's 2N + 1 nodes.
     """
+    shift = exponent * _LOG_2
+    const -= shift
     terms = np.dot(nodes.logs, np.array([-slope, const, 1.0])).view(complex)
     np.exp(terms, out=terms)
     re = terms.real.reshape(2, 1, -1)
     (s_h, s_2h, _), (weighted, by_s, total) = np.add.reduce(nodes.sums * re, axis=2).tolist()
-    noise_floor = _NODE_ROUNDOFF * (weighted + abs(slope) * by_s + abs(const) * total)
-    scale = 1.0
+    noise_floor = _NODE_ROUNDOFF * (weighted + abs(slope) * by_s
+                                    + (abs(const) + abs(shift)) * total)
     if not (math.isfinite(s_h) and math.isfinite(noise_floor)):
-        # next to the overflow exit a sum, or the floor's weighted sum of
-        # them, can pass binary64 where the value does not: the same sums on
-        # the nodes scaled down by an exact power of two, scaled back below
-        scale = _RESCALE
-        (s_h, s_2h, _), (weighted, by_s, total) = np.add.reduce(
-            nodes.sums * (re / scale), axis=2).tolist()
-        noise_floor = _NODE_ROUNDOFF * (weighted + abs(slope) * by_s + abs(const) * total)
-        if not (math.isfinite(s_h / _TWO_PI * scale) and math.isfinite(noise_floor)):
-            raise NonConvergence("contour integrand not finite on the path")
+        raise NonConvergence("contour integrand not finite on the path")
     diff = abs(s_h - s_2h)
     converged = ((diff <= _REL_TOL * abs(s_h) or diff <= noise_floor)
                  and noise_floor <= _NOISE_REL_BOUND * abs(s_h))
     err = noise_floor if noise_floor > diff else diff
-    return s_h / _TWO_PI * scale, err / _TWO_PI * scale, terms.size - 1, converged
+    value, err, evaluations = s_h / _TWO_PI, err / _TWO_PI, terms.size - 1
+    if exponent:
+        if math.ldexp(total / _TWO_PI, exponent) < _TINY:
+            return 0.0, _TINY, evaluations, True
+        value, err = math.ldexp(value, exponent), math.ldexp(err, exponent)
+        if abs(value) < sys.float_info.min:
+            err += _TINY
+    return value, err, evaluations, converged
 
 
 def contour_nodes(log_parts, log_abs_real, c: float, poles: tuple[float, float],
@@ -325,17 +332,32 @@ def contour_integral(nodes, log_peak: float, const: float = 0.0,
     mellin_barnes_integral); log_peak is the log of the integrand at the
     caller's vertex, its own saddle or abscissa.
 
-    Below 1e-300 there the value is a converged zero, without any complex
-    evaluation or call of nodes: the transforms evaluated here decay
-    super-algebraically there. Above 1e300 the sum cannot be formed: the
-    result is 0.0 with converged=False and an infinite err_estimate, again
-    without calling nodes.
+    log_peak alone decides the magnitude of the sums: inside _DIRECT_LOGS
+    the nodes are summed as they are, and elsewhere scaled by 2^-k,
+    k = round(log_peak / log 2), with value and estimate scaled back by 2^k.
+    Below _LOG_NO_NODE the value is a converged 0.0 whose err_estimate is
+    the smallest subnormal, without any complex evaluation or call of
+    nodes: the transforms evaluated here decay super-algebraically there. A
+    value past binary64 is 0.0 with converged=False and an infinite
+    err_estimate; so, with no node built, is a log_peak so large that the
+    roundoff of the logs alone keeps the noise floor past the bound of a
+    converged value.
     """
-    if log_peak < _LOG_UNDERFLOW:
-        return EvalResult(0.0, 0.0, 0, True, "contour")
-    if log_peak > _LOG_OVERFLOW:
+    exponent = 0
+    if not _DIRECT_LOGS[0] <= log_peak <= _DIRECT_LOGS[1]:
+        if log_peak < _LOG_NO_NODE:
+            return EvalResult(0.0, _TINY, 0, True, "contour")
+        if _NODE_ROUNDOFF * log_peak > _NOISE_REL_BOUND:
+            # the roundoff of a node summed from a log this size alone puts
+            # the noise floor past the bound of a converged value
+            return EvalResult(0.0, math.inf, 0, False, "contour")
+        if not math.isnan(log_peak):
+            # a NaN sums directly, and nodes() says what went wrong
+            exponent = round(log_peak / _LOG_2)
+    try:
+        return EvalResult(*mellin_barnes_integral(nodes(), const, slope, exponent), "contour")
+    except OverflowError:
         return EvalResult(0.0, math.inf, 0, False, "contour")
-    return EvalResult(*mellin_barnes_integral(nodes(), const, slope), "contour")
 
 
 def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResult:

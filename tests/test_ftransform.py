@@ -394,9 +394,7 @@ class TestHalfClosedForm:
             ref, slack = _half_reference(mpmath, g, x)
             res = frechet_transform_frechet_half(Shape(g), x)
             assert math.isfinite(res.value)
-            if res.converged and res.value == 0.0:
-                assert ref < 1e-300, (e, ref)
-            elif res.converged:
+            if res.converged:
                 assert abs(res.value - ref) <= 10.0 * res.err_estimate + 4e-16 * ref + slack, e
 
 

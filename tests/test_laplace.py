@@ -70,7 +70,8 @@ class TestLaplaceFrechet:
     @pytest.mark.parametrize("method,p,route", [
         (Method.MEIJER_G, 1.0, "series"), (Method.MEIJER_G, 50.0, "contour"),
         (Method.AUTO, 1.0, "series"), (Method.AUTO, 50.0, "contour"),
-        # the contour's converged underflow zero: AUTO takes the oracle
+        # the contour's converged zero far below the smallest subnormal:
+        # AUTO takes the oracle
         (Method.AUTO, 1e6, "quadrature"), (Method.QUADRATURE, 1.0, "quadrature")])
     def test_route_names_the_value_returned(self, method, p, route):
         res = laplace_frechet(LaplaceQuery(RationalShape(1, 1), p, method))

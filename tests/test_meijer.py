@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,10 +59,11 @@ class TestMeijerGm0:
                 assert abs(a - b) <= 1e-9 * abs(a)
 
     def test_underflow_returns_converged_zero(self):
-        # on the saddle contour the whole integrand underflows for huge z
+        # e^{-z} at z = 5e4 lies far below the smallest subnormal: a
+        # converged zero, within the smallest subnormal, with no node built
         res = meijer_g_m0(MeijerSpec([0.0]), const=0.0, slope=math.log(5e4))
-        assert res.value == 0.0
-        assert res.converged
+        assert (res.value, res.err_estimate, res.evaluations, res.converged) == (
+            0.0, 2.0 ** -1074, 0, True)
 
     def test_abscissa_validation(self):
         with pytest.raises(ContourError):
@@ -494,69 +497,131 @@ def _log_peak_at_saddle(spec, slope):
     return meijer._real_log_gammas(spec, vertex) - vertex * slope
 
 
-def _at_own_saddle(spec, const, slope):
-    # the reference: the exits decided at the slope's own saddle, and the
-    # band's table summed where neither fires
-    vertex = meijer._saddle_abscissa(spec, slope)
-    table = meijer._contour_table(
-        spec, math.floor(meijer._band_coordinate(spec, slope) / meijer._BAND_WIDTH))
-    return mellin.contour_integral(
-        table.nodes, meijer._real_log_gammas(spec, vertex) + const - vertex * slope,
-        const, slope)
+def _laplace_by_quad(mpmath, l, k, p):
+    """L(p) of Fr(l/k) from its defining integral,
+    int_0^inf exp(-u - p u^{-k/l}) du, at the working precision: on pieces
+    eight Gaussian widths wide around the saddle of the exponent, with the
+    integrand scaled by its value there, since mpmath's quadrature
+    tolerances are absolute."""
+    a, p = mpmath.mpf(k) / l, mpmath.mpf(p)
+    saddle = (a * p) ** (1 / (a + 1))
+    width = 1 / mpmath.sqrt(a * (a + 1) * p * saddle ** (-a - 2))
+    top = saddle + p * saddle ** (-a)
+    pieces = ([0] + [saddle + j * width for j in range(-40, 41, 8) if saddle + j * width > 0]
+              + [mpmath.inf])
+    return mpmath.quad(lambda u: mpmath.exp(top - u - p * u ** (-a)), pieces) * mpmath.exp(-top)
+
+
+def _closed_form_reference(l, k, mpmath, const, slope):
+    # meijer_g_m0 on the closed form's spec at (const, slope) is
+    # e^const / l times L at p = e^{slope / l}, at 20 digits; L is
+    # 2 sqrt(p) K1(2 sqrt(p)) for 1/1
+    with mpmath.workdps(20):
+        p = mpmath.exp(mpmath.mpf(slope) / l)
+        value = (2 * mpmath.sqrt(p) * mpmath.besselk(1, 2 * mpmath.sqrt(p)) if l == k == 1
+                 else _laplace_by_quad(mpmath, l, k, p))
+        return mpmath.exp(mpmath.mpf(const)) / l * value
+
+
+def _exp_reference(mpmath, const, slope):
+    # e^const e^{-z}, z = e^slope, at 30 digits
+    with mpmath.workdps(30):
+        return mpmath.exp(mpmath.mpf(const) - mpmath.exp(mpmath.mpf(slope)))
+
+
+@functools.lru_cache(maxsize=None)
+def _half_integral(slope):
+    # (1/2 pi i) int Gamma(2s - 1) Gamma(s) e^{-s slope} ds at 20 digits, on
+    # the vertical line through the saddle c: mpmath's gamma, path and
+    # quadrature, the integrand scaled by its value at c
+    import mpmath
+    with mpmath.workdps(20):
+        c = mpmath.mpf(meijer._saddle_abscissa(_HALF_SPEC, slope))
+
+        def log_f(s):
+            return mpmath.loggamma(2 * s - 1) + mpmath.loggamma(s) - s * slope
+
+        top = log_f(c)
+        width = 1 / mpmath.sqrt(4 * mpmath.psi(1, 2 * c - 1) + mpmath.psi(1, c))
+        pieces = [j * width for j in range(0, 41, 4)] + [mpmath.inf]
+        line = mpmath.quad(lambda t: mpmath.re(mpmath.exp(log_f(c + 1j * t) - top)), pieces)
+        return line / mpmath.pi * mpmath.exp(top)
+
+
+def _half_reference(mpmath, const, slope):
+    with mpmath.workdps(20):
+        return mpmath.exp(mpmath.mpf(const)) * _half_integral(slope)
 
 
 def _exit_cases():
-    # (name, spec, [(const, slope)]) across the 1e-300 and 1e300 exits
+    # (name, spec, [(const, slope)], reference) with values below 1e-300
+    # and above 1e300, on both sides of the ends of the range of vertex
+    # logs the engine sums directly; reference(mpmath, const, slope) is the
+    # integral for the binary64 pair.
     # e^{-z} at z = 5e4 times e^const, with the integrand at the saddle
     # from e^-700 to e^-640
     exp_spec, slope = MeijerSpec([0.0]), math.log(5e4)
     yield "exp", exp_spec, [(offset - _log_peak_at_saddle(exp_spec, slope), slope)
-                            for offset in np.linspace(-700.0, -640.0, 241)]
-    # the closed forms' underflow: 1/1 at p = 1e5 to 1.3e5 (exit near
-    # 1.2e5), 5/1 near p = 1,540 (exit near 1,494) and 7/2 near p = 2,450
-    # (exit near 2,277)
+                            for offset in np.linspace(-700.0, -640.0, 241)], _exp_reference
+    # the closed forms at the bottom of binary64: 1/1 at p = 1e5 to 1.3e5
+    # (the vertex passes 1e-300 near p = 1.2e5), 5/1 near p = 1,540 (near
+    # p = 1,494) and 7/2 near p = 2,450 (near p = 2,277)
     for (l, k), lo, hi in (((1, 1), 1e5, 1.3e5), ((5, 1), 1400.0, 1600.0),
                            ((7, 2), 2150.0, 2500.0)):
         shape = RationalShape(l, k)
         yield (f"{l}/{k}", build_laplace_closed_form(shape).spec,
-               [_closed_form_pair(shape, p) for p in np.geomspace(lo, hi, 121)])
+               [_closed_form_pair(shape, p) for p in np.geomspace(lo, hi, 121)],
+               functools.partial(_closed_form_reference, l, k))
     # the half transform's spec at const near 2,200, with the integrand at
     # the saddle from e^650 to e^700
     yield "half", _HALF_SPEC, [(offset - _log_peak_at_saddle(_HALF_SPEC, 20.0), 20.0)
-                               for offset in np.linspace(650.0, 700.0, 201)]
+                               for offset in np.linspace(650.0, 700.0, 201)], _half_reference
 
 
 EXIT_CASES = list(_exit_cases())
 
 
 class TestContourExits:
-    # meijer_g_m0 decides the exits from the band's vertex wherever the
-    # band's gap proves neither fires at the slope's own saddle, and at that
-    # saddle next to them: on both sides of each exit its result is the one
-    # the slope's own saddle gives, field for field
-    @pytest.mark.parametrize("spec,pairs", [case[1:] for case in EXIT_CASES],
+    # the vertex alone decides the power of two the sums are scaled by,
+    # with no saddle search per value: on both sides of a vertex of 1e-300,
+    # and for values past 1e300, each value lies within its err_estimate of
+    # the reference, or says that it did not converge
+    @pytest.mark.parametrize("spec,pairs,reference", [case[1:] for case in EXIT_CASES],
                              ids=[case[0] for case in EXIT_CASES])
-    def test_exits_as_at_the_slope_own_saddle(self, spec, pairs, monkeypatch):
+    def test_exits_as_at_the_slope_own_saddle(self, spec, pairs, reference, monkeypatch):
+        mpmath = pytest.importorskip("mpmath")
         searches, original = [], meijer._saddle_abscissa
 
         def counting(*args):
             searches.append(args)
             return original(*args)
 
-        outcomes = set()
+        monkeypatch.setattr(meijer, "_saddle_abscissa", counting)
+        outside = 0
         for const, slope in pairs:
             const, slope = float(const), float(slope)
-            # the reference builds the band's table, with its saddle searches
-            ref = _at_own_saddle(spec, const, slope)
-            monkeypatch.setattr(meijer, "_saddle_abscissa", counting)
+            # the band's table, with its one saddle search, built first
+            meijer._contour_table(
+                spec, math.floor(meijer._band_coordinate(spec, slope) / meijer._BAND_WIDTH))
             searches.clear()
             res = meijer_g_m0(spec, const=const, slope=slope)
-            monkeypatch.setattr(meijer, "_saddle_abscissa", original)
-            assert res == ref, (const, slope)
-            outcomes.add((res.evaluations == 0, len(searches)))
-        # an exit fired and a sum was formed, each with and without the
-        # slope's own saddle search
-        assert {(True, 1), (False, 0), (False, 1)} <= outcomes, outcomes
+            assert not searches, (const, slope)
+            ref = reference(mpmath, const, slope)
+            assert not res.converged or abs(mpmath.mpf(res.value) - ref) <= res.err_estimate, (
+                const, slope, res, ref)
+            outside += (res.converged and res.value != 0.0
+                        and not 1e-300 <= abs(res.value) <= 1e300)
+        # each sweep returns converged values below 1e-300 or above 1e300
+        assert outside > 0
+
+    @pytest.mark.parametrize("const", [50720.0, 1e6, 1e300])
+    def test_value_past_binary64_is_not_converged(self, const):
+        # e^const e^{-z} at z = 5e4 past binary64: summed and overflowing
+        # when scaled back (50,720), or with a vertex log so large that its
+        # roundoff alone defeats convergence (1e6, 1e300), it is 0.0 with
+        # an infinite estimate, never an OverflowError or a converged value
+        res = meijer_g_m0(MeijerSpec([0.0]), const=const, slope=math.log(5e4))
+        assert (res.value, res.err_estimate, res.converged) == (0.0, math.inf, False)
 
 
 class TestBuildLaplaceClosedForm:
@@ -646,10 +711,9 @@ class TestMpmathOracle:
 
     def test_noise_floor_past_binary64_bounds_actual_error(self):
         # e^const e^{-z} at z = 5e4, with the integrand at the saddle near
-        # e^690, under the 1e300 exit: every node and every sum is finite,
-        # but the noise floor's weighted sum of them (|log Gamma| near 5e5
-        # at the vertex) passes binary64, and the sums are taken again on
-        # nodes scaled by a power of two
+        # e^690: summed as they are, the noise floor's weighted sum of the
+        # nodes (|log Gamma| near 5e5 at the vertex) would pass binary64,
+        # and the nodes are summed scaled by a power of two
         mpmath = pytest.importorskip("mpmath")
         const, slope = 50694.49, math.log(5e4)
         res = meijer_g_m0(MeijerSpec([0.0]), const=const, slope=slope)
@@ -657,6 +721,21 @@ class TestMpmathOracle:
             ref = mpmath.exp(mpmath.mpf(const) - mpmath.exp(mpmath.mpf(slope)))
         assert res.converged
         assert abs(mpmath.mpf(res.value) - ref) <= res.err_estimate <= 1e-9 * res.value
+
+    def test_values_past_1e300_are_summed_scaled(self):
+        # e^const e^{-z} at z = 5e4 for const from 50,694 to 50,700, values
+        # up to 1e304: no RuntimeWarning on the way, each within its
+        # estimate of 30-digit mpmath
+        mpmath = pytest.importorskip("mpmath")
+        slope = math.log(5e4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = [(const, meijer_g_m0(MeijerSpec([0.0]), const=const, slope=slope))
+                       for const in np.linspace(50694.0, 50700.0, 49).tolist()]
+        for const, res in results:
+            ref = _exp_reference(mpmath, const, slope)
+            assert res.converged, const
+            assert abs(mpmath.mpf(res.value) - ref) <= res.err_estimate, const
 
     @pytest.mark.parametrize("l,k", [(1, 1), (1, 2), (2, 3), (3, 4), (4, 1), (1, 4),
                                      (7, 5), (1, 30)])
@@ -715,20 +794,18 @@ class TestMpmathOracle:
         closed = laplace_frechet(LaplaceQuery(RationalShape(l, k), p, Method.MEIJER_G))
         assert closed.converged and abs(closed.value - ref) <= 1e-12 * ref
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP open item 1, honest zeros: the contour's underflow exit returns a "
-        "converged 0.0 with err_estimate 0.0 where the integrand at the vertex is "
-        "below 1e-300, though the value is still a binary64 number"))
-    @pytest.mark.parametrize("p", [1.2e5, 1.3e5])
-    def test_underflow_exit_bounds_its_error(self, p):
-        # 2 sqrt(p) K1(2 sqrt(p)) is 4.27e-300 at p = 1.2e5 and 2.25e-312
-        # (subnormal) at p = 1.3e5: either the estimate covers the error, or
-        # the value says it did not converge
+    @pytest.mark.parametrize("l,k,p", [(1, 1, 1.2e5), (1, 1, 1.3e5), (5, 1, 1540.0),
+                                       (7, 2, 2450.0)])
+    def test_underflow_exit_bounds_its_error(self, l, k, p):
+        # 1/1 is 4.27e-300 at p = 1.2e5 and 2.25e-312 (subnormal) at
+        # p = 1.3e5, 5/1 is 3.64e-308 and 7/2 is 2.55e-318 (subnormal): the
+        # contour returns each, converged, within its estimate of mpmath
         mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            ref = 2 * mpmath.sqrt(p) * mpmath.besselk(1, 2 * mpmath.sqrt(p))
-        res = laplace_frechet(LaplaceQuery(RationalShape(1, 1), p, Method.MEIJER_G))
-        assert not res.converged or abs(mpmath.mpf(res.value) - ref) <= res.err_estimate
+        shape = RationalShape(l, k)
+        ref = _closed_form_reference(l, k, mpmath, *_closed_form_pair(shape, p))
+        res = laplace_frechet(LaplaceQuery(shape, p, Method.MEIJER_G))
+        assert res.route == "contour" and res.converged and res.value > 0.0
+        assert abs(mpmath.mpf(res.value) - ref) <= res.err_estimate
 
     def test_large_p_takes_a_wide_strip(self):
         # at p = 5,000 the saddle lies at c ~ 70, where the integrand is
@@ -1003,11 +1080,11 @@ PINNED_CONTOUR = {
     (3, 1, 0.01): ('0x1.f92250c3de132p-1', '0x1.c399060970919p-46', 201, True),
     (3, 1, 1.0): ('0x1.3c2e76229bcd0p-2', '0x1.02b969ff3c2aep-51', 121, True),
     (3, 1, 20.0): ('0x1.2f063bf95a383p-22', '0x1.6259eda7af9fdp-67', 69, True),
-    (3, 1, 5000.0): ('0x0.0p+0', '0x0.0p+0', 0, True),
+    (3, 1, 5000.0): ('0x0.0p+0', '0x0.0000000000001p-1022', 0, True),
     (30, 1, 0.01): ('-0x1.2049a707b5a32p+9', '0x1.8fdd5b4016557p+14', 133, False),
     (30, 1, 1.0): ('0x1.71793b50013aep-2', '0x1.36cc470907b73p-37', 105, True),
     (30, 1, 20.0): ('0x1.fab8f59918a47p-30', '0x1.98d7532df9b2bp-74', 57, True),
-    (30, 1, 5000.0): ('0x0.0p+0', '0x0.0p+0', 0, True),
+    (30, 1, 5000.0): ('0x0.0p+0', '0x0.0000000000001p-1022', 0, True),
     (1, 30, 0.01): ('0x1.ab1a5beb1e4ebp-2', '0x1.03f34063ad2dep-35', 109, True),
     (1, 30, 1.0): ('0x1.71793b4ffb575p-2', '0x1.2ff4499ade051p-37', 105, True),
     (1, 30, 20.0): ('0x1.4c00778c3d167p-2', '0x1.3399ef6031578p-38', 105, True),

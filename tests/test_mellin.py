@@ -241,17 +241,38 @@ class TestContourIntegral:
         assert res.converged
 
     def test_underflow_is_converged_zero(self):
-        def never(*args):
-            raise AssertionError("no node may be built below the underflow exit")
-
-        res = contour_integral(never, math.lgamma(self.C) + math.log(1e-305)
-                               - self.C * math.log(self.X), math.log(1e-305), math.log(self.X))
-        assert res.value == 0.0
-        assert res.err_estimate == 0.0
-        assert res.converged
-        # the same integrand with the const in lam: the exit, then no nodes
+        # at 1e-305 times the integrand the value exp(-X) 1e-305 is summed,
+        # on nodes scaled by a power of two, and lies within its estimate
         res = self.integral(self.log_gamma_parts, self.real_log_gamma, math.log(1e-305))
-        assert (res.value, res.err_estimate, res.evaluations, res.converged) == (0.0, 0.0, 0, True)
+        assert res.converged and res.evaluations > 0
+        assert abs(res.value - math.exp(-self.X) * 1e-305) <= res.err_estimate
+        assert res.err_estimate <= 1e-12 * res.value
+
+        # far below the smallest subnormal: a converged zero within it, and
+        # no node built
+        def never(*args):
+            raise AssertionError("no node may be built below the node-free exit")
+
+        log_shift = math.log(1e-305) - 200.0
+        res = contour_integral(never, math.lgamma(self.C) + log_shift - self.C * math.log(self.X),
+                               log_shift, math.log(self.X))
+        assert (res.value, res.err_estimate, res.evaluations, res.converged) == (
+            0.0, 2.0 ** -1074, 0, True)
+
+    def test_value_past_binary64_is_not_converged(self):
+        # e^800 exp(-X) is summed on scaled nodes and overflows when scaled
+        # back; an infinite integrand at the vertex builds no node. Both
+        # are 0.0 with an infinite estimate, never an OverflowError
+        res = self.integral(self.log_gamma_parts, self.real_log_gamma, 800.0)
+        assert (res.value, res.err_estimate, res.evaluations, res.converged) == (
+            0.0, math.inf, 0, False)
+
+        def never(*args):
+            raise AssertionError("no node may be built for an infinite integrand")
+
+        res = contour_integral(never, math.inf)
+        assert (res.value, res.err_estimate, res.evaluations, res.converged) == (
+            0.0, math.inf, 0, False)
 
     def test_nonfinite_integrand_raises(self):
         def infinite(s):
