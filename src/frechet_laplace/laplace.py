@@ -13,7 +13,7 @@ import numpy as np
 
 from .distributions import RationalShape, Shape
 from .errors import DomainError
-from .meijer import _laplace_route, _series_or_contour, _within_tolerance
+from .meijer import _closed_form, _within_tolerance
 from .numerics import EvalResult, bessel_k1, integrate_semi_infinite
 
 __all__ = [
@@ -50,7 +50,7 @@ def _meijer_path(shape: RationalShape, log_p: float) -> EvalResult:
     # the prefactor and the multiplication formula's constants cancel:
     # L(p) = l (1/2 pi i) int Gamma(ks + 1) Gamma(ls) p^{-ls} ds
     l = shape.l
-    return _series_or_contour(*_laplace_route(l, shape.k), math.log(l), l * log_p)
+    return _closed_form(l, shape.k)._evaluator.meijer_g(math.log(l), l * log_p)
 
 
 def laplace_frechet(query: LaplaceQuery) -> EvalResult:
@@ -63,7 +63,8 @@ def laplace_frechet(query: LaplaceQuery) -> EvalResult:
     the direct oracle.
     AUTO takes the MEIJER_G value, and falls back to the oracle wherever
     that value is not positive, not converged, or has an error estimate
-    above 1e-10 of it. The route of the value returned is in its EvalResult.
+    above 1e-10 of it plus the smallest subnormal (a subnormal's rounding).
+    The route of the value returned is in its EvalResult.
     """
     method = query.method
     if method is Method.QUADRATURE:

@@ -7,19 +7,18 @@ multiplication formula collapses each run of the Mellin-Barnes integrand
 into one gamma factor:
 prod_{j<n} Gamma(s + (a+j)/n) = (2 pi)^{(n-1)/2} n^{1/2-a-ns} Gamma(ns + a).
 
-Two evaluators share that collapsed integrand,
-exp(const - s slope) prod_g Gamma(n_g s + a_g), and both take it as the
-pair (const, slope). meijer_g_series sums its residues (Slater's theorem:
-the integral closed to the left), for two runs with integer a, from a
-per-spec table of coefficients; its error estimate grows as the terms
-cancel, and it declines where they would leave binary64 or the table's
-range. meijer_g_m0 integrates it along a parabola that opens to the left
-from its vertex c > -min(b_j), for any spec and any z, from a per-(spec,
-band) table of contour nodes: the log Gamma sum on a fixed path is a
-property of the spec, and only exp(-s slope) depends on the argument.
-meijer_g hands over between them: the series where its estimate is within
-1e-10 of its value, the contour elsewhere, and past a hand-over slope found
-once per spec the contour without a series attempt.
+One evaluator per spec (_Evaluator, built once) holds both routes of that
+collapsed integrand, exp(const - s slope) prod_g Gamma(n_g s + a_g), taken
+as the pair (const, slope). The series sums its residues (Slater's theorem),
+for two runs with integer a, from a table of coefficients built on first
+use; it declines where its terms would leave binary64 or the table. The
+contour integrates along a parabola opening to the left from its vertex
+c > -min(b_j), for any spec, from a table of nodes per band of slopes: the
+log Gamma sum on a fixed path is a property of the spec. The hand-over
+takes the series where its estimate is within 1e-10 of its value, the
+contour elsewhere, and the contour alone past a slope s* found with the
+series table. meijer_g_series, meijer_g_m0 and meijer_g call those methods;
+the closed form finds its evaluator in one lookup keyed on l and k.
 
 Everything runs in log space: a closed form passes const and slope with its
 constants cancelled analytically, so the closed form's prefactor
@@ -29,18 +28,17 @@ numbers on their own.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .distributions import RationalShape
 from .errors import ContourError, DomainError
-from .mellin import _NOISE_REL_BOUND, ContourNodes, contour_integral, contour_nodes
+from .mellin import _NOISE_REL_BOUND, contour_integral, contour_nodes
 from .numerics import _LOG_PI, _REL_TOL, _TINY, EvalResult, log_gamma
 
 __all__ = [
@@ -71,7 +69,7 @@ class MeijerSpec:
         if not all(math.isfinite(a) for _, a in runs):
             raise DomainError("MeijerSpec parameters must be finite")
         object.__setattr__(self, "groups", runs)
-        # the table caches are keyed on the spec: its hash is taken once
+        # the evaluator cache is keyed on the spec: its hash is taken once
         object.__setattr__(self, "_hash", hash(runs))
 
     def __hash__(self) -> int:
@@ -84,74 +82,6 @@ class MeijerSpec:
     @functools.cached_property
     def m(self) -> int:
         return sum(n for n, _ in self.groups)
-
-
-def _saddle_abscissa(spec: MeijerSpec, slope: float) -> float:
-    """Abscissa minimizing the integrand magnitude on the real axis.
-
-    On the real axis the integrand is exp(phi(c)) with, one term per run,
-    phi(c) = sum_g log Gamma(n_g c + a_g) - c slope + const, convex in c;
-    placing the contour at its minimum keeps the alternating contour sum on
-    the scale of the result, which is what bounds the roundoff for very
-    large or very small z. A quarter-unit margin keeps the pole at
-    -b_min = -min(b_j) far enough from the vertex that the trapezoid step
-    stays moderate, and every n_g c + a_g at least 1/4. The bracket ends at
-    c = 2 e^300, which keeps it finite: where the saddle lies beyond
-    (log z > 300 m), phi < -0.3 m c at the bracket end, far under the
-    binary64 floor, so the vertex there builds no node and gives the same
-    converged zero. It runs once per band table (_contour_table), never per
-    value.
-
-    Safeguarded Newton on phi'(c) = sum_g n_g psi(n_g c + a_g) - slope, from
-    z^{1/m} = exp((slope - sum n log n) / m) (where phi' ~ m log c - log z),
-    finds it to 1e-2 (relative above c = 1) in plain floats: psi and psi'
-    are central differences of math.lgamma, good to about 1e-9 and 1e-4.
-    Each iterate narrows the bracket by the sign of phi'; a Newton step out
-    of it, or phi'' <= 0, bisects. phi' is concave, so Newton rises to the
-    root from the left; phi' > 0 at the lower end makes that end the result.
-    """
-    b_min, n_log_n = _spec_constants(spec)[:2]
-    lo, hi = -b_min + 0.25, 2.0 * math.exp(300.0)
-    c = min(max(math.exp(min((slope - n_log_n) / spec.m, 300.0)), lo), hi)
-    while True:
-        d1, d2 = -slope, 0.0
-        for n, a in spec.groups:
-            x = n * c + a
-            up, down = math.lgamma(1.00001 * x), math.lgamma(0.99999 * x)
-            d1 += n * (up - down) / (2e-5 * x)
-            d2 += n * n * (up - 2.0 * math.lgamma(x) + down) / (1e-5 * x) ** 2
-        if d1 > 0.0:
-            hi = c
-        else:
-            lo = c
-        step = c - d1 / d2 if d2 > 0.0 else math.nan
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if abs(step - c) <= 1e-2 * max(1.0, step):
-            return step
-        c = step
-
-
-def _real_log_gammas(spec: MeijerSpec, x: float) -> float:
-    # sum_g log Gamma(n_g x + a_g) in plain floats, x right of every pole
-    total = 0.0
-    for n, a in spec.groups:
-        total += math.lgamma(n * x + a)
-    return total
-
-
-@functools.lru_cache(maxsize=256)
-def _spec_constants(spec: MeijerSpec) -> tuple:
-    """What meijer_g_m0 needs of spec alone: b_min, sum n log n (a plain
-    float, summed in run order), the runs' n and a as read-only complex
-    columns (n s + a needs no cast), and the band coordinate's scale
-    2 sqrt(m)."""
-    groups = np.array(spec.groups, dtype=complex)
-    groups.flags.writeable = False
-    # the smallest b_j of a run Delta(n, a) is a / n
-    return (min(a / n for n, a in spec.groups),
-            sum(n * math.log(n) for n, _ in spec.groups), groups[:, :1], groups[:, 1:],
-            2.0 * math.sqrt(spec.m))
 
 
 # The contour tables. A band is a range of slopes that shares one table of
@@ -168,106 +98,6 @@ _BAND_WIDTH = 1.0
 # past this log c the saddle lies beyond its bracket, and no node is built
 _BAND_LOG_C_MAX = 700.0
 
-
-def _band_coordinate(spec: MeijerSpec, slope: float) -> float:
-    _, n_log_n, _, _, scale = _spec_constants(spec)
-    u = min((slope - n_log_n) / spec.m, _BAND_LOG_C_MAX)
-    return scale * math.exp(0.5 * u) if u > 0.0 else scale * (1.0 + 0.5 * u)
-
-
-def _band_slope(spec: MeijerSpec, t: float) -> float:
-    # the inverse of _band_coordinate
-    _, n_log_n, _, _, scale = _spec_constants(spec)
-    v = t / scale
-    u = 2.0 * math.log(v) if v > 1.0 else 2.0 * (v - 1.0)
-    return n_log_n + spec.m * u
-
-
-def _contour_nodes(spec: MeijerSpec, c: float, slopes: tuple[float, float]):
-    """Nodes of the collapsed integrand on the parabola with vertex c, for
-    every slope in slopes: one log_gamma call on the (runs x nodes) array
-    n s + a. Step and window come from the real-axis sum in plain floats
-    (math.lgamma), with no log_gamma call."""
-    b_min, _, n, a, _ = _spec_constants(spec)
-
-    def log_parts(s):
-        parts = log_gamma(n * s + a)
-        return np.add.reduce(parts), np.add.reduce(np.abs(parts))
-
-    def log_abs_real(x):
-        return np.array([_real_log_gammas(spec, v) for v in x.tolist()])
-
-    return contour_nodes(log_parts, log_abs_real, c, (c + b_min, math.inf), slopes)
-
-
-@dataclass(frozen=True)
-class _BandTable:
-    """The contour table of a band (see _BAND_WIDTH): its vertex and the
-    real-axis log Gamma sum there, from which contour_integral reads the
-    magnitude of every value of the band. nodes() builds the ContourNodes
-    on its first call and keeps them."""
-
-    vertex: float
-    log_gammas: float
-    nodes: Callable[[], ContourNodes]
-
-
-@functools.lru_cache(maxsize=256)
-def _contour_table(spec: MeijerSpec, band: int) -> _BandTable:
-    """The table that serves every slope of a band, built once, with one
-    saddle search: a property of the spec and the band, never of a value.
-    The vertex is the saddle of the band's centre; the top band also holds
-    every slope past _BAND_LOG_C_MAX."""
-    lo = _band_slope(spec, band * _BAND_WIDTH)
-    hi = _band_slope(spec, (band + 1) * _BAND_WIDTH)
-    vertex = _saddle_abscissa(spec, _band_slope(spec, (band + 0.5) * _BAND_WIDTH))
-    nodes = functools.cache(functools.partial(_contour_nodes, spec, vertex, (lo, hi)))
-    return _BandTable(vertex=vertex, log_gammas=_real_log_gammas(spec, vertex), nodes=nodes)
-
-
-def meijer_g_m0(spec: MeijerSpec, *, const: float, slope: float,
-                c: float | None = None) -> EvalResult:
-    """(1/2 pi i) int exp(const - s slope) prod_g Gamma(n_g s + a_g) ds, the
-    collapsed integrand meijer_g_series takes, along contour_nodes' parabola
-    s(u) = c - mu u^2 + i u, which opens to the left from its vertex
-    c > -min(b_j) and so leaves every pole on its left; the gamma factors
-    decay super-exponentially along it.
-
-    By the multiplication formula, A G^{m,0}_{0,m}(z | b) is that
-    integral with const = log A plus the formula's constant
-    sum_g ((n-1)/2 log 2 pi + (1/2 - a) log n) and slope = log z + sum n log n;
-    a closed form passes the pair with its own constants cancelled
-    analytically. Neither e^const nor e^-slope has to be a binary64 number:
-    only their product with the gamma factors at the vertex decides the
-    magnitude, from which contour_integral scales the sums by a power of
-    two, and builds no node where the value lies far below the smallest
-    subnormal.
-
-    With c = None the nodes come from the table of the slope's band
-    (_contour_table), whose vertex is the saddle of the band's centre: that
-    keeps full relative accuracy even where the function has decayed far
-    below the fixed-abscissa integrand peak, any slope of a band costs what
-    a repeated one does, and a value is the same bit for bit whether its
-    table was built by this call or earlier; no saddle is searched for per
-    value. An explicit abscissa pins the vertex exactly, with nodes for its
-    one slope that are not kept (Cauchy's theorem makes the result
-    independent of any valid choice, which the shift-invariance tests
-    exercise).
-    """
-    if not (math.isfinite(const) and math.isfinite(slope)):
-        raise DomainError("meijer_g_m0 requires finite const and slope")
-    if c is None:
-        table = _contour_table(spec, math.floor(_band_coordinate(spec, slope) / _BAND_WIDTH))
-        return contour_integral(table.nodes, table.log_gammas + const - table.vertex * slope,
-                                const, slope)
-    b_min = _spec_constants(spec)[0]
-    if not -b_min < c < math.inf:
-        raise ContourError(
-            f"abscissa {c} does not separate poles: need {-b_min} < c < inf")
-    return contour_integral(functools.partial(_contour_nodes, spec, c, (slope, slope)),
-                            _real_log_gammas(spec, c) + const - c * slope, const, slope)
-
-
 # The residue series. Its table covers every slope up to the one where the
 # envelope of the terms peaks at e^_SERIES_PEAK: past that the terms cancel by
 # more than the 1e-10 a caller accepts. It ends where the envelope, at that
@@ -277,6 +107,14 @@ _SERIES_DEPTH = 60.0
 _EULER_GAMMA = 0.5772156649015329
 _LOG_MAX = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
+# The hand-over scan steps down from slope_top by m log 2 / (2 _SERIES_PEAK):
+# in the slopes where the series' estimate is not noise, its log ratio to
+# the value changes by less than _SERIES_PEAK / m per unit of slope (up to
+# 0.99 of it on the specs the tests use), so by less than log 2 / 2 a step.
+# 108 to 126 steps reach s* on every spec the tests use; the cap only bounds
+# the scan, and a capped scan leaves s* higher, where the hand-over still
+# tries the series.
+_HAND_OVER_STEPS = 400
 
 
 def _log_gamma_rational(num: int, den: int) -> tuple[float, float, float]:
@@ -311,9 +149,7 @@ class _SeriesTable:
     from, weighted by |x_j|, and plain. log_c_max and the x range bound
     every term's log.
     The tail bound is exp(tail_log + const + tail_x slope)
-    (tail_k0 + tail_k1 |slope|), for every slope up to slope_top.
-    Past the hand-over slope hand_over the series misses the 1e-10 bar for
-    every const (_hand_over_slope)."""
+    (tail_k0 + tail_k1 |slope|), for every slope up to slope_top."""
 
     x: np.ndarray
     log_c: np.ndarray
@@ -325,147 +161,341 @@ class _SeriesTable:
     tail_log: float
     tail_k0: float
     tail_k1: float
-    hand_over: float = math.inf
 
 
-@functools.lru_cache(maxsize=256)
-def _series_table(spec: MeijerSpec) -> _SeriesTable:
-    """The residues of the collapsed integrand of a two-run spec, in order of
-    the power x of e^slope they carry, built once per spec in O(terms).
+class _Evaluator:
+    """What the Meijer routes know of one spec, and never a value: b_min,
+    sum n log n (summed in run order), the runs' n and a as read-only
+    complex columns, the band scale 2 sqrt(m), the series table and s*
+    (built on first use) and the band tables."""
 
-    A pole of run (n, a) sits where n s + a = -i, at x = -s = (a + i)/n; the
-    residue of Gamma there is (-1)^i / (i! n). A simple pole takes the other
-    factor at a rational point (_log_gamma_rational). Where the runs' poles
-    coincide (i, j) the residue is
-    (-1)^(i+j) e^(const + x slope) (n1 psi(i+1) + n2 psi(j+1) - slope) / (i! j! n1 n2),
-    with psi(i+1) = H_i - Euler's gamma from running harmonic sums.
+    def __init__(self, spec: MeijerSpec):
+        self.spec = spec
+        # the smallest b_j of a run Delta(n, a) is a / n
+        self.b_min = min(a / n for n, a in spec.groups)
+        self.n_log_n = sum(n * math.log(n) for n, _ in spec.groups)
+        groups = np.array(spec.groups, dtype=complex)
+        groups.flags.writeable = False
+        self.n, self.a = groups[:, :1], groups[:, 1:]
+        self.scale = 2.0 * math.sqrt(spec.m)
 
-    On |terms| the envelope e^g, g(x) = x slope - lgamma(n1 x - a1 + 1)
-    - lgamma(n2 x - a2 + 1), is concave in x and peaks near
-    x = e^{(slope - sum n log n)/m} at about m x: the table stops where
-    g'(x) < 0 and g(x) <= _SERIES_PEAK - _SERIES_DEPTH at
-    slope_top = sum n log n + m log(_SERIES_PEAK / m). Past the last power X
-    every unit of x holds at most m + 2 poles, each below
-    (pi/2 + (n1 psi + n2 psi + |slope|)/(n1 n2)) e^{const + g(x)}, and
-    g(X + u) <= g(X) + u g'(X): a geometric tail, and smaller at any lower
-    slope by e^{X (slope - slope_top)}.
+    def saddle(self, slope: float) -> float:
+        """Abscissa minimizing the integrand magnitude on the real axis.
 
-    DomainError for a spec other than two runs with integer a.
-    """
-    if len(spec.groups) != 2 or not all(a.is_integer() for _, a in spec.groups):
-        raise DomainError("meijer_g_series takes two runs with integer a")
-    (n1, a1), (n2, a2) = spec.groups
-    a1, a2 = int(a1), int(a2)
-    m, d = n1 + n2, n1 * n2
-    slope_top = n1 * math.log(n1) + n2 * math.log(n2) + m * math.log(_SERIES_PEAK / m)
+        On the real axis the integrand is exp(phi(c)) with, one term per run,
+        phi(c) = sum_g log Gamma(n_g c + a_g) - c slope + const, convex in c;
+        placing the contour at its minimum keeps the alternating contour sum
+        on the scale of the result, which is what bounds the roundoff for
+        very large or very small z. A quarter-unit margin keeps the pole at
+        -b_min far enough from the vertex that the trapezoid step stays
+        moderate, and every n_g c + a_g at least 1/4. The bracket ends at
+        c = 2 e^300, which keeps it finite: where the saddle lies beyond
+        (log z > 300 m), phi < -0.3 m c at the bracket end, far under the
+        binary64 floor, so the vertex there builds no node and gives the
+        same converged zero. It runs once per band table (band_table), never
+        per value.
 
-    def envelope(x):
-        u, v = n1 * x - a1 + 1.0, n2 * x - a2 + 1.0
-        return (x * slope_top - math.lgamma(u) - math.lgamma(v),
-                slope_top - n1 * _digamma(u) - n2 * _digamma(v))
-
-    # (x, log|c|, sign, magnitudes of the logs) per term
-    plain, by_slope = [], []
-    i = j = 0
-    h1 = h2 = 0.0
-    while True:
-        p1, p2 = (a1 + i) * n2, (a2 + j) * n1
-        x = min(p1, p2) / d
-        if p1 == p2:
-            log_f = math.lgamma(i + 1.0) + math.lgamma(j + 1.0) + math.log(d)
-            sign = -1.0 if (i + j) % 2 else 1.0
-            psi1, psi2 = n1 * (h1 - _EULER_GAMMA), n2 * (h2 - _EULER_GAMMA)
-            psi = psi1 + psi2
-            if psi != 0.0:
-                plain.append((x, math.log(abs(psi)) - log_f, sign if psi > 0.0 else -sign,
-                              log_f + (abs(psi1) + abs(psi2)) / abs(psi)))
-            by_slope.append((x, -log_f, sign, log_f))
-            i, j = i + 1, j + 1
-            h1, h2 = h1 + 1.0 / i, h2 + 1.0 / j
-        else:
-            if p1 < p2:
-                n, k = n1, i
-                log_g, sign_g, size_g = _log_gamma_rational(a2 * n1 - n2 * (a1 + i), n1)
-                i += 1
-                h1 += 1.0 / i
+        Safeguarded Newton on phi'(c) = sum_g n_g psi(n_g c + a_g) - slope,
+        from z^{1/m} = exp((slope - sum n log n) / m) (where
+        phi' ~ m log c - log z), finds it to 1e-2 (relative above c = 1) in
+        plain floats: psi and psi' are central differences of math.lgamma,
+        good to about 1e-9 and 1e-4. Each iterate narrows the bracket by the
+        sign of phi'; a Newton step out of it, or phi'' <= 0, bisects. phi'
+        is concave, so Newton rises to the root from the left; phi' > 0 at
+        the lower end makes that end the result.
+        """
+        lo, hi = -self.b_min + 0.25, 2.0 * math.exp(300.0)
+        c = min(max(math.exp(min((slope - self.n_log_n) / self.spec.m, 300.0)), lo), hi)
+        while True:
+            d1, d2 = -slope, 0.0
+            for n, a in self.spec.groups:
+                x = n * c + a
+                up, down = math.lgamma(1.00001 * x), math.lgamma(0.99999 * x)
+                d1 += n * (up - down) / (2e-5 * x)
+                d2 += n * n * (up - 2.0 * math.lgamma(x) + down) / (1e-5 * x) ** 2
+            if d1 > 0.0:
+                hi = c
             else:
-                n, k = n2, j
-                log_g, sign_g, size_g = _log_gamma_rational(a1 * n2 - n1 * (a2 + j), n2)
-                j += 1
-                h2 += 1.0 / j
-            log_f = math.lgamma(k + 1.0) + math.log(n)
-            plain.append((x, log_g - log_f, (-1.0 if k % 2 else 1.0) * sign_g, size_g + log_f))
-        if n1 * x - a1 + 1.0 > 0.0 and n2 * x - a2 + 1.0 > 0.0:
-            g, dg = envelope(x)
-            if dg < 0.0 and g <= _SERIES_PEAK - _SERIES_DEPTH:
-                break
+                lo = c
+            step = c - d1 / d2 if d2 > 0.0 else math.nan
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            if abs(step - c) <= 1e-2 * max(1.0, step):
+                return step
+            c = step
 
-    xs, log_c, signs, sizes = np.array(plain + by_slope).T
-    rows = np.array([signs, 1.0 + sizes, np.abs(xs), np.ones_like(xs)])
-    is_plain = np.arange(xs.size) < len(plain)
-    sums = np.concatenate((np.where(is_plain, rows, 0.0), np.where(is_plain, 0.0, rows)))
-    for column in (xs, log_c, sums):
-        column.flags.writeable = False
-    rho = math.exp(dg)
-    psi_bound = (n1 * (math.log(n1 * (x + 1.0) - a1 + 1.0) + _EULER_GAMMA)
-                 + n2 * (math.log(n2 * (x + 1.0) - a2 + 1.0) + _EULER_GAMMA))
-    table = _SeriesTable(x=xs, log_c=log_c, sums=sums, log_c_max=float(log_c.max()),
-                         x_min=float(xs.min()), slope_top=slope_top, tail_x=x,
-                         tail_log=math.log((m + 2) / (1.0 - rho) ** 2) + g - x * slope_top,
-                         tail_k0=0.5 * math.pi + (psi_bound + m) / d, tail_k1=1.0 / d)
-    return dataclasses.replace(table, hand_over=_hand_over_slope(table, m))
+    def log_gammas(self, x: float) -> float:
+        # sum_g log Gamma(n_g x + a_g) in plain floats, x right of every pole
+        total = 0.0
+        for n, a in self.spec.groups:
+            total += math.lgamma(n * x + a)
+        return total
 
+    def band_coordinate(self, slope: float) -> float:
+        # t of the slope (see _BAND_WIDTH)
+        u = min((slope - self.n_log_n) / self.spec.m, _BAND_LOG_C_MAX)
+        return self.scale * math.exp(0.5 * u) if u > 0.0 else self.scale * (1.0 + 0.5 * u)
 
-# The hand-over scan steps down from slope_top by m log 2 / (2 _SERIES_PEAK):
-# in the slopes where the series' estimate is not noise, its log ratio to
-# the value changes by less than _SERIES_PEAK / m per unit of slope (up to
-# 0.99 of it on the specs the tests use), so by less than log 2 / 2 a step.
-# 108 to 126 steps reach s* on every spec the tests use; the cap only bounds
-# the scan, and a capped scan leaves s* higher, where meijer_g still tries
-# the series.
-_HAND_OVER_STEPS = 400
+    def band_slope(self, t: float) -> float:
+        # the inverse of band_coordinate
+        v = t / self.scale
+        u = 2.0 * math.log(v) if v > 1.0 else 2.0 * (v - 1.0)
+        return self.n_log_n + self.spec.m * u
 
+    def nodes(self, c: float, slopes: tuple[float, float]):
+        """Nodes of the collapsed integrand on the parabola with vertex c, for
+        every slope in slopes: one log_gamma call on the (runs x nodes) array
+        n s + a. Step and window come from the real-axis sum in plain floats
+        (math.lgamma), with no log_gamma call."""
+        def log_parts(s):
+            parts = log_gamma(self.n * s + self.a)
+            return np.add.reduce(parts), np.add.reduce(np.abs(parts))
 
-def _hand_over_slope(table: _SeriesTable, m: int) -> float:
-    """The least slope s* past which the series' const = 0 estimate stays
-    above twice the 1e-10 bar, on the scan's steps down from slope_top, or
-    slope_top where the series meets it there.
+        def log_abs_real(x):
+            return np.array([self.log_gammas(v) for v in x.tolist()])
 
-    Between two steps that both miss twice the bar, the ratio of estimate to
-    value stays above 2^{-1/4} of twice the bar. The |const| term of the
-    estimate only adds to it, and the factor 2 covers the rounding of the
-    terms for any const: past s* the series misses the bar for every const,
-    and past slope_top it declines.
+        return contour_nodes(log_parts, log_abs_real, c, (c + self.b_min, math.inf), slopes)
 
-    Every step is summed at once, as _sum_series sums one: one exp over the
-    (terms x steps) grid and one product with the table's sums. The slopes
-    are stepped down by repeated subtraction, as a scalar scan would."""
-    step = m * math.log(2.0) / (2.0 * _SERIES_PEAK)
-    steps = np.full(_HAND_OVER_STEPS, step)
-    steps[0] = table.slope_top
-    slopes = np.subtract.accumulate(steps)
-    abs_slopes = np.abs(slopes)
-    # _sum_series' declines at const = 0, whose const terms all vanish
-    log_tail = table.tail_log + table.tail_x * slopes
-    top = (table.log_c_max + np.maximum(table.x_min * slopes, table.tail_x * slopes)
-           + np.log1p(abs_slopes))
-    declines = np.maximum(top, log_tail) > _LOG_MAX
-    terms = np.multiply.outer(table.x, slopes)
-    terms += table.log_c[:, None]
-    # a step that declines forms no term in _sum_series; here its column
-    # may overflow, and is discarded
-    with np.errstate(over="ignore", invalid="ignore"):
+    # one cache for every evaluator's bands, 256 tables in all
+    @functools.lru_cache(maxsize=256)
+    def band_table(self, band: int):
+        """(vertex, log Gamma sum there, nodes) of the table that serves
+        every slope of a band, built once, with one saddle search: a
+        property of the spec and the band, never of a value. The vertex is
+        the saddle of the band's centre; the top band also holds every slope
+        past _BAND_LOG_C_MAX. nodes() builds the ContourNodes on its first
+        call and keeps them."""
+        lo = self.band_slope(band * _BAND_WIDTH)
+        hi = self.band_slope((band + 1) * _BAND_WIDTH)
+        vertex = self.saddle(self.band_slope((band + 0.5) * _BAND_WIDTH))
+        return (vertex, self.log_gammas(vertex),
+                functools.cache(functools.partial(self.nodes, vertex, (lo, hi))))
+
+    def contour(self, const: float, slope: float, c: float | None = None) -> EvalResult:
+        # meijer_g_m0: from the band's table, or from nodes at an explicit c
+        if not (math.isfinite(const) and math.isfinite(slope)):
+            raise DomainError("meijer_g_m0 requires finite const and slope")
+        if c is None:
+            c, log_gammas, nodes = self.band_table(
+                math.floor(self.band_coordinate(slope) / _BAND_WIDTH))
+        elif -self.b_min < c < math.inf:
+            log_gammas, nodes = self.log_gammas(c), functools.partial(self.nodes, c, (slope, slope))
+        else:
+            raise ContourError(
+                f"abscissa {c} does not separate poles: need {-self.b_min} < c < inf")
+        return contour_integral(nodes, log_gammas + const - c * slope, const, slope)
+
+    @functools.cached_property
+    def series_table(self) -> _SeriesTable:
+        """The residues of the collapsed integrand of a two-run spec, in order
+        of the power x of e^slope they carry, built in O(terms).
+
+        A pole of run (n, a) sits where n s + a = -i, at x = -s = (a + i)/n;
+        the residue of Gamma there is (-1)^i / (i! n). A simple pole takes
+        the other factor at a rational point (_log_gamma_rational). Where the
+        runs' poles coincide (i, j) the residue is
+        (-1)^(i+j) e^(const + x slope) (n1 psi(i+1) + n2 psi(j+1) - slope) / (i! j! n1 n2),
+        with psi(i+1) = H_i - Euler's gamma from running harmonic sums.
+
+        On |terms| the envelope e^g, g(x) = x slope - lgamma(n1 x - a1 + 1)
+        - lgamma(n2 x - a2 + 1), is concave in x and peaks near
+        x = e^{(slope - sum n log n)/m} at about m x: the table stops where
+        g'(x) < 0 and g(x) <= _SERIES_PEAK - _SERIES_DEPTH at
+        slope_top = sum n log n + m log(_SERIES_PEAK / m). Past the last
+        power X every unit of x holds at most m + 2 poles, each below
+        (pi/2 + (n1 psi + n2 psi + |slope|)/(n1 n2)) e^{const + g(x)}, and
+        g(X + u) <= g(X) + u g'(X): a geometric tail, and smaller at any
+        lower slope by e^{X (slope - slope_top)}.
+
+        DomainError for a spec other than two runs with integer a.
+        """
+        if len(self.spec.groups) != 2 or not all(a.is_integer() for _, a in self.spec.groups):
+            raise DomainError("meijer_g_series takes two runs with integer a")
+        (n1, a1), (n2, a2) = self.spec.groups
+        a1, a2 = int(a1), int(a2)
+        m, d = n1 + n2, n1 * n2
+        slope_top = n1 * math.log(n1) + n2 * math.log(n2) + m * math.log(_SERIES_PEAK / m)
+
+        def envelope(x):
+            u, v = n1 * x - a1 + 1.0, n2 * x - a2 + 1.0
+            return (x * slope_top - math.lgamma(u) - math.lgamma(v),
+                    slope_top - n1 * _digamma(u) - n2 * _digamma(v))
+
+        # (x, log|c|, sign, magnitudes of the logs) per term
+        plain, by_slope = [], []
+        i = j = 0
+        h1 = h2 = 0.0
+        while True:
+            p1, p2 = (a1 + i) * n2, (a2 + j) * n1
+            x = min(p1, p2) / d
+            if p1 == p2:
+                log_f = math.lgamma(i + 1.0) + math.lgamma(j + 1.0) + math.log(d)
+                sign = -1.0 if (i + j) % 2 else 1.0
+                psi1, psi2 = n1 * (h1 - _EULER_GAMMA), n2 * (h2 - _EULER_GAMMA)
+                psi = psi1 + psi2
+                if psi != 0.0:
+                    plain.append((x, math.log(abs(psi)) - log_f, sign if psi > 0.0 else -sign,
+                                  log_f + (abs(psi1) + abs(psi2)) / abs(psi)))
+                by_slope.append((x, -log_f, sign, log_f))
+                i, j = i + 1, j + 1
+                h1, h2 = h1 + 1.0 / i, h2 + 1.0 / j
+            else:
+                if p1 < p2:
+                    n, k = n1, i
+                    log_g, sign_g, size_g = _log_gamma_rational(a2 * n1 - n2 * (a1 + i), n1)
+                    i += 1
+                    h1 += 1.0 / i
+                else:
+                    n, k = n2, j
+                    log_g, sign_g, size_g = _log_gamma_rational(a1 * n2 - n1 * (a2 + j), n2)
+                    j += 1
+                    h2 += 1.0 / j
+                log_f = math.lgamma(k + 1.0) + math.log(n)
+                plain.append((x, log_g - log_f, (-1.0 if k % 2 else 1.0) * sign_g, size_g + log_f))
+            if n1 * x - a1 + 1.0 > 0.0 and n2 * x - a2 + 1.0 > 0.0:
+                g, dg = envelope(x)
+                if dg < 0.0 and g <= _SERIES_PEAK - _SERIES_DEPTH:
+                    break
+
+        xs, log_c, signs, sizes = np.array(plain + by_slope).T
+        rows = np.array([signs, 1.0 + sizes, np.abs(xs), np.ones_like(xs)])
+        is_plain = np.arange(xs.size) < len(plain)
+        sums = np.concatenate((np.where(is_plain, rows, 0.0), np.where(is_plain, 0.0, rows)))
+        for column in (xs, log_c, sums):
+            column.flags.writeable = False
+        rho = math.exp(dg)
+        psi_bound = (n1 * (math.log(n1 * (x + 1.0) - a1 + 1.0) + _EULER_GAMMA)
+                     + n2 * (math.log(n2 * (x + 1.0) - a2 + 1.0) + _EULER_GAMMA))
+        return _SeriesTable(x=xs, log_c=log_c, sums=sums, log_c_max=float(log_c.max()),
+                            x_min=float(xs.min()), slope_top=slope_top, tail_x=x,
+                            tail_log=math.log((m + 2) / (1.0 - rho) ** 2) + g - x * slope_top,
+                            tail_k0=0.5 * math.pi + (psi_bound + m) / d, tail_k1=1.0 / d)
+
+    @functools.cached_property
+    def hand_over(self) -> float:
+        """The hand-over slope s*: the least slope past which the series'
+        const = 0 estimate stays above twice the 1e-10 bar, on the scan's
+        steps down from slope_top, or slope_top where the series meets it
+        there.
+
+        Between two steps that both miss twice the bar, the ratio of estimate
+        to value stays above 2^{-1/4} of twice the bar. The |const| term of
+        the estimate only adds to it, and the factor 2 covers the rounding of
+        the terms for any const: past s* the series misses the bar for every
+        const, and past slope_top it declines.
+
+        Every step is summed at once, as series_sum sums one: one exp over
+        the (terms x steps) grid and one product with the table's sums. The
+        slopes are stepped down by repeated subtraction, as a scalar scan
+        would."""
+        table = self.series_table
+        step = self.spec.m * math.log(2.0) / (2.0 * _SERIES_PEAK)
+        steps = np.full(_HAND_OVER_STEPS, step)
+        steps[0] = table.slope_top
+        slopes = np.subtract.accumulate(steps)
+        abs_slopes = np.abs(slopes)
+        # series_sum's declines at const = 0, whose const terms all vanish
+        log_tail = table.tail_log + table.tail_x * slopes
+        top = (table.log_c_max + np.maximum(table.x_min * slopes, table.tail_x * slopes)
+               + np.log1p(abs_slopes))
+        declines = np.maximum(top, log_tail) > _LOG_MAX
+        terms = np.multiply.outer(table.x, slopes)
+        terms += table.log_c[:, None]
+        # a step that declines forms no term in series_sum; here its column
+        # may overflow, and is discarded
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.exp(terms, out=terms)
+            signed, weighted, by_x, _, signed_log, weighted_log, by_x_log, _ = table.sums @ terms
+            size = np.abs(signed - slopes * signed_log)
+            roundoff = (weighted + abs_slopes * by_x
+                        + abs_slopes * (weighted_log + abs_slopes * by_x_log))
+            tail = np.exp(log_tail) * (table.tail_k0 + table.tail_k1 * abs_slopes)
+            err = 2.0 * _EPS * roundoff + table.x.size * _TINY + tail
+            meets = ~declines & (err <= _NOISE_REL_BOUND * size) & (err <= 2.0 * _REL_TOL * size)
+        hits = meets.nonzero()[0]
+        if hits.size == 0:
+            return float(slopes[-1])
+        return float(slopes[max(hits[0] - 1, 0)])
+
+    def series_sum(self, const: float, slope: float) -> EvalResult:
+        # meijer_g_series
+        table = self.series_table
+        if not (math.isfinite(const) and math.isfinite(slope)):
+            raise DomainError("meijer_g_series requires finite const and slope")
+        abs_slope, abs_const = abs(slope), abs(const)
+        log_tail = table.tail_log + const + table.tail_x * slope
+        # the larger of x_min slope and tail_x slope (x_min <= tail_x)
+        top = (table.log_c_max + const + (table.tail_x if slope > 0.0 else table.x_min) * slope
+               + math.log1p(abs_slope))
+        if slope > table.slope_top or top > _LOG_MAX or log_tail > _LOG_MAX:
+            return EvalResult(0.0, math.inf, 0, False, "series")
+        terms = table.x * slope
+        terms += table.log_c
+        if const != 0.0:
+            # t + 0.0 is t, and exp(-0.0) is 1: const = log 1 of the l = 1 forms
+            # needs no pass
+            terms += const
         np.exp(terms, out=terms)
-        signed, weighted, by_x, _, signed_log, weighted_log, by_x_log, _ = table.sums @ terms
-        size = np.abs(signed - slopes * signed_log)
-        roundoff = weighted + abs_slopes * by_x + abs_slopes * (weighted_log + abs_slopes * by_x_log)
-        tail = np.exp(log_tail) * (table.tail_k0 + table.tail_k1 * abs_slopes)
-        err = 2.0 * _EPS * roundoff + table.x.size * _TINY + tail
-        meets = ~declines & (err <= _NOISE_REL_BOUND * size) & (err <= 2.0 * _REL_TOL * size)
-    hits = meets.nonzero()[0]
-    if hits.size == 0:
-        return float(slopes[-1])
-    return float(slopes[max(hits[0] - 1, 0)])
+        (signed, weighted, by_x, total,
+         signed_log, weighted_log, by_x_log, total_log) = np.dot(table.sums, terms).tolist()
+        value = signed - slope * signed_log
+        roundoff = (weighted + abs_slope * by_x + abs_const * total
+                    + abs_slope * (weighted_log + abs_slope * by_x_log + abs_const * total_log))
+        tail = math.exp(log_tail) * (table.tail_k0 + table.tail_k1 * abs_slope)
+        err = 2.0 * _EPS * roundoff + terms.size * _TINY + tail
+        return EvalResult(value, err, terms.size, err <= _NOISE_REL_BOUND * abs(value), "series")
+
+    def meijer_g(self, const: float, slope: float) -> EvalResult:
+        # the hand-over: the series up to s* where it meets the bar
+        if slope <= self.hand_over:
+            res = self.series_sum(const, slope)
+            if _within_tolerance(res):
+                return res
+        # by its module name, where perfbench/tracing.py rebinds it
+        return meijer_g_m0(self.spec, const=const, slope=slope)
+
+
+# one evaluator per spec
+_evaluator_of = functools.lru_cache(maxsize=256)(_Evaluator)
+
+
+def _within_tolerance(res: EvalResult) -> bool:
+    # the bar a value meets to be returned as it is: converged, with an estimate
+    # within 1e-10 of it and the smallest subnormal (a subnormal's rounding)
+    return res.converged and res.err_estimate <= _REL_TOL * abs(res.value) + _TINY
+
+
+def meijer_g_m0(spec: MeijerSpec, *, const: float, slope: float,
+                c: float | None = None) -> EvalResult:
+    """(1/2 pi i) int exp(const - s slope) prod_g Gamma(n_g s + a_g) ds, the
+    collapsed integrand meijer_g_series takes, along contour_nodes' parabola
+    s(u) = c - mu u^2 + i u, which opens to the left from its vertex
+    c > -min(b_j) and so leaves every pole on its left; the gamma factors
+    decay super-exponentially along it.
+
+    By the multiplication formula, A G^{m,0}_{0,m}(z | b) is that
+    integral with const = log A plus the formula's constant
+    sum_g ((n-1)/2 log 2 pi + (1/2 - a) log n) and slope = log z + sum n log n;
+    a closed form passes the pair with its own constants cancelled
+    analytically. Neither e^const nor e^-slope has to be a binary64 number:
+    only their product with the gamma factors at the vertex decides the
+    magnitude, from which contour_integral scales the sums by a power of
+    two, and builds no node where the value lies far below the smallest
+    subnormal.
+
+    With c = None the nodes come from the spec's table for the slope's
+    band, whose vertex is the saddle of the band's centre: that keeps full
+    relative accuracy even where the function has decayed far below the
+    fixed-abscissa integrand peak, any slope of a band costs what a repeated
+    one does, and a value is the same bit for bit whether its table was
+    built by this call or earlier; no saddle is searched for per value. An
+    explicit abscissa pins the vertex exactly, with nodes for its one slope
+    that are not kept (Cauchy's theorem makes the result independent of any
+    valid choice, which the shift-invariance tests exercise); one so far
+    from the saddle that the integrand on the path rises far above its
+    vertex raises ContourError.
+    """
+    return _evaluator_of(spec).contour(const, slope, c)
 
 
 def meijer_g_series(spec: MeijerSpec, *, const: float, slope: float) -> EvalResult:
@@ -477,8 +507,8 @@ def meijer_g_series(spec: MeijerSpec, *, const: float, slope: float) -> EvalResu
     The pair is meijer_g_m0's: for A G^{m,0}_{0,m}(z), const is log A plus
     the multiplication formula's constant, and slope is log z + sum n log n.
 
-    One exp over the spec's cached table (_series_table) gives the terms t_j,
-    and one product with its matrix all the sums. err_estimate is
+    One exp over the spec's table of residues, built once, gives the terms
+    t_j, and one product with its matrix all the sums. err_estimate is
     2 eps sum |t_j| (1 + sigma_j), sigma_j the magnitudes of the logs t_j is
     summed from (its table entry, |x_j slope| and |const|), plus the
     subnormal spacing per term and the bound on the truncated tail;
@@ -489,64 +519,20 @@ def meijer_g_series(spec: MeijerSpec, *, const: float, slope: float) -> EvalResu
     leave binary64: no term is formed there. DomainError for a spec other
     than two runs with integer a, or a non-finite const or slope.
     """
-    return _sum_series(_series_table(spec), const, slope)
-
-
-def _sum_series(table: _SeriesTable, const: float, slope: float) -> EvalResult:
-    # meijer_g_series on the spec's table
-    if not (math.isfinite(const) and math.isfinite(slope)):
-        raise DomainError("meijer_g_series requires finite const and slope")
-    abs_slope, abs_const = abs(slope), abs(const)
-    log_tail = table.tail_log + const + table.tail_x * slope
-    # the larger of x_min slope and tail_x slope (x_min <= tail_x)
-    top = (table.log_c_max + const + (table.tail_x if slope > 0.0 else table.x_min) * slope
-           + math.log1p(abs_slope))
-    if slope > table.slope_top or top > _LOG_MAX or log_tail > _LOG_MAX:
-        return EvalResult(0.0, math.inf, 0, False, "series")
-    terms = table.x * slope
-    terms += table.log_c
-    if const != 0.0:
-        # t + 0.0 is t, and exp(-0.0) is 1: const = log 1 of the l = 1 forms
-        # needs no pass
-        terms += const
-    np.exp(terms, out=terms)
-    (signed, weighted, by_x, total,
-     signed_log, weighted_log, by_x_log, total_log) = np.dot(table.sums, terms).tolist()
-    value = signed - slope * signed_log
-    roundoff = (weighted + abs_slope * by_x + abs_const * total
-                + abs_slope * (weighted_log + abs_slope * by_x_log + abs_const * total_log))
-    tail = math.exp(log_tail) * (table.tail_k0 + table.tail_k1 * abs_slope)
-    err = 2.0 * _EPS * roundoff + terms.size * _TINY + tail
-    return EvalResult(value, err, terms.size, err <= _NOISE_REL_BOUND * abs(value), "series")
-
-
-def _within_tolerance(res: EvalResult) -> bool:
-    # the bar a value meets to be returned as it is: converged, with an
-    # estimate within 1e-10 of it
-    return res.converged and res.err_estimate <= _REL_TOL * abs(res.value)
+    return _evaluator_of(spec).series_sum(const, slope)
 
 
 def meijer_g(spec: MeijerSpec, *, const: float, slope: float) -> EvalResult:
     """(1/2 pi i) int exp(const - s slope) Gamma(n1 s + a1) Gamma(n2 s + a2) ds
     for a two-run spec with integer a: meijer_g_series' value wherever it is
-    converged with an estimate within 1e-10 of it, and meijer_g_m0's (with
-    the band's tabled nodes) elsewhere, at larger slopes, where the
-    residues cancel. Past the spec's hand-over slope (_hand_over_slope) the
-    series misses that bar for every const, and is not summed. The route of
-    the value returned is in its EvalResult.
+    converged with an estimate within 1e-10 of it (and the smallest
+    subnormal), and meijer_g_m0's (with the band's tabled nodes) elsewhere,
+    at larger slopes, where the residues cancel. Past the spec's hand-over
+    slope s*, found once per spec, the series misses that bar for every
+    const, and is not summed. The route of the value returned is in its
+    EvalResult.
     """
-    return _series_or_contour(spec, _series_table(spec), const, slope)
-
-
-def _series_or_contour(spec: MeijerSpec, table: _SeriesTable, const: float,
-                       slope: float) -> EvalResult:
-    # meijer_g on the spec's series table
-    if slope <= table.hand_over:
-        res = _sum_series(table, const, slope)
-        if _within_tolerance(res):
-            return res
-    # by its module name, where perfbench/tracing.py rebinds it
-    return meijer_g_m0(spec, const=const, slope=slope)
+    return _evaluator_of(spec).meijer_g(const, slope)
 
 
 @dataclass(frozen=True)
@@ -575,21 +561,22 @@ class LaplaceClosedForm:
         l, k = self.shape.l, self.shape.k
         return l * log_p - k * math.log(k) - l * math.log(l)
 
+    @functools.cached_property
+    def _evaluator(self) -> _Evaluator:
+        # the spec's evaluator, read off the form by laplace._meijer_path
+        return _evaluator_of(self.spec)
 
-@functools.lru_cache(maxsize=256)
+
 def build_laplace_closed_form(shape: RationalShape) -> LaplaceClosedForm:
     """Assemble the log prefactor, the parameter list Delta(k,1) + Delta(l,0),
     and the argument map for the given reduced shape l/k, once per shape."""
-    l, k = shape.l, shape.k
-    log_prefactor = 0.5 * math.log(k * l) - ((k + l) / 2.0 - 1.0) * math.log(2.0 * math.pi)
-    return LaplaceClosedForm(shape=shape, log_prefactor=log_prefactor,
-                             spec=_laplace_route(l, k)[0])
+    return _closed_form(shape.l, shape.k)
 
 
 @functools.lru_cache(maxsize=256)
-def _laplace_route(l: int, k: int) -> tuple[MeijerSpec, _SeriesTable]:
-    """The closed form's spec, Delta(k, 1) + Delta(l, 0), and its series
-    table, in one lookup keyed on the integers l and k: a value hashes two
-    ints, not a shape or a spec."""
-    spec = MeijerSpec(groups=((k, 1.0), (l, 0.0)))
-    return spec, _series_table(spec)
+def _closed_form(l: int, k: int) -> LaplaceClosedForm:
+    # keyed on the integers l and k: a closed-form value that looks up its
+    # evaluator here hashes two ints, not a shape or a spec
+    log_prefactor = 0.5 * math.log(k * l) - ((k + l) / 2.0 - 1.0) * math.log(2.0 * math.pi)
+    return LaplaceClosedForm(shape=RationalShape(l, k), log_prefactor=log_prefactor,
+                             spec=MeijerSpec(groups=((k, 1.0), (l, 0.0))))

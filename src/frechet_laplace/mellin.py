@@ -91,6 +91,12 @@ _NODE_ROUNDOFF = 2.0 * sys.float_info.epsilon
 # Largest noise floor, relative to the value, that still counts as converged:
 # past it cancellation between the nodes has taken more than half the digits.
 _NOISE_REL_BOUND = math.sqrt(sys.float_info.epsilon)
+# Largest rise of a node's log over the vertex's, at either end of the slope
+# range. Past it no value converges: the noise floor holds 2 eps e^40, about
+# 100 vertex terms, per unit of node weight, and |value| stays within e^6.5 of
+# one (_LOG_NO_NODE). It also stays short of the e^70 from the top of
+# _DIRECT_LOGS to the end of binary64, past which a node's exp overflows.
+_NODE_HEADROOM = 40.0
 # Stand-in for log 0: finite, and 0 after exp whatever moderate terms join it.
 _LOG_ZERO = -1e300
 
@@ -221,7 +227,8 @@ def contour_nodes(log_parts, log_abs_real, c: float, poles: tuple[float, float],
     the window doubles, and only the added nodes are evaluated; past
     |u| = _WINDOW_LIMIT it raises NonConvergence. The nodes then end at the
     first even count past the last node either end needs above that
-    tolerance. A lam that is not finite raises NonConvergence.
+    tolerance. NonConvergence for a lam that is not finite, and ContourError,
+    naming c, for a node more than e^_NODE_HEADROOM above the vertex.
     """
     mu, step, window = _contour_rule(log_abs_real, c, poles, slopes)
 
@@ -234,21 +241,25 @@ def contour_nodes(log_parts, log_abs_real, c: float, poles: tuple[float, float],
                 f"contour integrand not finite within |u| <= {u[-1]:.4g}")
         return s, lam + weight, sigma + np.abs(weight)
 
-    def above_tolerance(s, logs):
-        # |G_j| over |G_0| above _TRUNCATION_TOL at either end of the range
+    def levels(s, logs):
+        # log |G_j| / |G_0| over _TRUNCATION_TOL, at the larger end of the range
         rel = logs.real - logs.real[0] - math.log(_TRUNCATION_TOL)
         shift = s.real - c
-        return np.maximum(rel - shift * slopes[0], rel - shift * slopes[1]) > 0.0
+        return np.maximum(rel - shift * slopes[0], rel - shift * slopes[1])
 
     n_half = 2 * math.ceil(window / (2.0 * step))
     s, logs, sigma = path_logs(np.arange(n_half + 1) * step)
-    while above_tolerance(s, logs)[-1]:
+    while levels(s, logs)[-1] > 0.0:
         if n_half * step >= _WINDOW_LIMIT:
             raise NonConvergence(f"contour integrand not decayed at |u| = {n_half * step:.4g}")
         more = path_logs(np.arange(n_half + 1, 2 * n_half + 1) * step)
         s, logs, sigma = (np.concatenate(pair) for pair in zip((s, logs, sigma), more))
         n_half *= 2
-    last = int(np.flatnonzero(above_tolerance(s, logs))[-1])
+    level = levels(s, logs)
+    rise = float(level.max()) + math.log(_TRUNCATION_TOL)
+    if rise > _NODE_HEADROOM:
+        raise ContourError(f"the path through c = {c} rises e^{rise:.5g} above its vertex")
+    last = int(np.flatnonzero(level > 0.0)[-1])
     n_half = 2 * (last // 2 + 1)
     return _node_table(s[:n_half + 1], logs[:n_half + 1], sigma[:n_half + 1], step)
 

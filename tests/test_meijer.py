@@ -71,6 +71,14 @@ class TestMeijerGm0:
         with pytest.raises(ContourError):
             meijer_g_m0(MeijerSpec([0.0]), const=0.0, slope=0.0, c=math.inf)
 
+    def test_abscissa_far_left_of_the_saddle(self):
+        # e^{-z} at z = 5e4 has its saddle near c = 5e4: on the path through
+        # c = 3, z^{-s} lifts the nodes about e^48,000 above the vertex. The
+        # node pass says so, naming c, before any node is summed (and with
+        # no RuntimeWarning, an error in this suite)
+        with pytest.raises(ContourError, match=r"c = 3\.0"):
+            meijer_g_m0(MeijerSpec([0.0]), const=0.0, slope=math.log(5e4), c=3.0)
+
     def test_argument_domain(self):
         with pytest.raises(DomainError):
             meijer_g_m0(MeijerSpec([0.0]), const=0.0, slope=-math.inf)
@@ -166,7 +174,7 @@ class TestGaussCollapse:
 
         monkeypatch.setattr(meijer, "log_gamma", counting)
         monkeypatch.setattr(mellin, "mellin_barnes_integral", counting_integral)
-        meijer._contour_table.cache_clear()
+        meijer._Evaluator.band_table.cache_clear()
         form = build_laplace_closed_form(RationalShape(l, k))
         assert form.spec.m in (2, 31)
         # the closed form's collapsed pair at p = 1
@@ -190,7 +198,7 @@ def _integrand_and_abscissa(monkeypatch, spec, const, slope):
         return original(log_parts, log_abs_real, c, poles, slopes)
 
     monkeypatch.setattr(meijer, "contour_nodes", capture)
-    meijer._contour_table.cache_clear()
+    meijer._Evaluator.band_table.cache_clear()
     meijer_g_m0(spec, const=const, slope=slope)
     return captured[0]
 
@@ -251,7 +259,7 @@ class TestConjugateMirror:
         # band's grid, once, and no other node; the table keeps a leading
         # part of them
         shapes, rules = _count_log_gamma(monkeypatch), _spy_rule(monkeypatch)
-        meijer._contour_table.cache_clear()
+        meijer._Evaluator.band_table.cache_clear()
         form = build_laplace_closed_form(RationalShape(1, 1))
         res = meijer_g_m0(form.spec, const=0.0, slope=0.0)
         assert res.converged and res.value == pytest.approx(TWO_K1_OF_2, rel=1e-15)
@@ -316,7 +324,7 @@ class TestSaddleAbscissa:
         with mpmath.workdps(30):
             for log_z in log_zs.tolist():
                 slope = n_log_n + log_z
-                c = meijer._saddle_abscissa(spec, slope)
+                c = meijer._evaluator_of(spec).saddle(slope)
                 assert math.isfinite(c) and lo <= c <= hi
                 left, right = math.log(lo), math.log(hi)
                 if dphi(left, slope) > 0:
@@ -339,7 +347,7 @@ class TestSaddleAbscissa:
         # not stop the search
         log_z = 2762.0
         slope = sum(n * math.log(n) for n, _ in _HALF_SPEC.groups) + log_z
-        c = meijer._saddle_abscissa(_HALF_SPEC, slope)
+        c = meijer._evaluator_of(_HALF_SPEC).saddle(slope)
         assert abs(c - 2.0 * math.exp(300.0)) <= 1e-2 * c
 
 
@@ -351,47 +359,76 @@ class TestConstantsMemo:
             RationalShape(1, 2))
 
     def test_cached_arrays_are_read_only(self):
-        spec = build_laplace_closed_form(RationalShape(2, 3)).spec
-        n, a = meijer._spec_constants(spec)[2:4]
-        for column in (n, a):
+        evaluator = meijer._evaluator_of(build_laplace_closed_form(RationalShape(2, 3)).spec)
+        for column in (evaluator.n, evaluator.a):
             with pytest.raises(ValueError):
                 column[0, 0] = 5.0
-        assert meijer._spec_constants(spec)[2][0, 0] == 3.0
+        assert evaluator.n[0, 0] == 3.0
 
     def test_caches_are_bounded_and_hold_no_values(self):
-        memos = (build_laplace_closed_form, meijer._laplace_route, meijer._spec_constants,
-                 meijer._series_table, meijer._contour_table)
+        # one per (l, k), one per spec, and the band tables, 256 in all
+        memos = (meijer._closed_form, meijer._evaluator_of, meijer._Evaluator.band_table)
         for memo in memos:
             assert memo.cache_info().maxsize is not None
-        # a contour table is keyed on the spec and the band alone, and holds
-        # node arrays: no p and no value
-        assert list(inspect.signature(meijer._contour_table.__wrapped__).parameters) == [
-            "spec", "band"]
+        assert meijer._Evaluator.band_table.cache_info().maxsize == 256
+        # a contour table is keyed on the evaluator and the band alone, and
+        # holds node arrays; the series table holds terms and bounds: no p
+        # and no value
+        assert list(inspect.signature(meijer._Evaluator.band_table.__wrapped__).parameters) == [
+            "self", "band"]
         assert [field.name for field in dataclasses.fields(mellin.ContourNodes)] == [
             "logs", "sums"]
+        assert [field.name for field in dataclasses.fields(meijer._SeriesTable)] == [
+            "x", "log_c", "sums", "log_c_max", "x_min", "slope_top", "tail_x", "tail_log",
+            "tail_k0", "tail_k1"]
         # 3/7 takes the series at small p and the contour at p = 100 to 300,
         # whose band tables the first calls build (p = 200 and 300 share the
         # band of p = 250)
         shape = RationalShape(3, 7)
         for p in (1.0, 100.0, 250.0):
             laplace_frechet(LaplaceQuery(shape, p, Method.MEIJER_G))
+        evaluator = meijer._evaluator_of(build_laplace_closed_form(shape).spec)
         sizes = [memo.cache_info().currsize for memo in memos]
+        held = dict(vars(evaluator))
         results = [laplace_frechet(LaplaceQuery(shape, p, Method.MEIJER_G))
                    for p in (0.1, 0.2, 0.3, 200.0, 300.0)]
         assert {res.route for res in results} == {"series", "contour"}
         assert len({res.value for res in results}) == 5
         assert [memo.cache_info().currsize for memo in memos] == sizes
+        # the evaluator keeps its constants, its series table and s*, and
+        # gains nothing per value
+        assert sorted(held) == ["a", "b_min", "hand_over", "n", "n_log_n", "scale",
+                                "series_table", "spec"]
+        assert all(vars(evaluator)[name] is value for name, value in held.items())
+        assert sorted(vars(evaluator)) == sorted(held)
+
+    def test_one_evaluator_per_closed_form(self):
+        # meijer_g, meijer_g_series, meijer_g_m0 and laplace_frechet on one
+        # closed form share one evaluator, the closed form's
+        meijer._closed_form.cache_clear()
+        meijer._evaluator_of.cache_clear()
+        shape = RationalShape(5, 7)
+        spec = build_laplace_closed_form(shape).spec
+        const, slope = _closed_form_pair(shape, 2.0)
+        meijer_g(spec, const=const, slope=slope)
+        meijer_g_series(spec, const=const, slope=slope)
+        meijer_g_m0(spec, const=const, slope=slope)
+        laplace_frechet(LaplaceQuery(shape, 2.0, Method.MEIJER_G))
+        assert meijer._evaluator_of.cache_info().currsize == 1
+        assert build_laplace_closed_form(shape)._evaluator is meijer._evaluator_of(spec)
 
     def test_series_table_is_read_only(self):
-        table = meijer._series_table(build_laplace_closed_form(RationalShape(2, 3)).spec)
+        spec = build_laplace_closed_form(RationalShape(2, 3)).spec
+        table = meijer._evaluator_of(spec).series_table
         for column in (table.x, table.log_c, table.sums):
             with pytest.raises(ValueError):
                 column[0] = 5.0
 
     def test_contour_table_is_read_only(self):
-        table = meijer._contour_table(build_laplace_closed_form(RationalShape(2, 3)).spec, 4)
-        nodes = table.nodes()
-        assert table.nodes() is nodes
+        evaluator = meijer._evaluator_of(build_laplace_closed_form(RationalShape(2, 3)).spec)
+        _, _, table_nodes = evaluator.band_table(4)
+        nodes = table_nodes()
+        assert table_nodes() is nodes
         for matrix in (nodes.logs, nodes.sums):
             with pytest.raises(ValueError):
                 matrix[0, 0] = 5.0
@@ -413,14 +450,14 @@ class TestContourTables:
         shape = RationalShape(l, k)
         spec = build_laplace_closed_form(shape).spec
         const, slope = _closed_form_pair(shape, p)
-        meijer._contour_table.cache_clear()
+        meijer._Evaluator.band_table.cache_clear()
         cold = meijer_g_m0(spec, const=const, slope=slope)
         warm = meijer_g_m0(spec, const=const, slope=slope)
         # the same band's table built by a neighbouring argument
-        meijer._contour_table.cache_clear()
+        meijer._Evaluator.band_table.cache_clear()
         meijer_g_m0(spec, const=const, slope=slope * (1.0 + 1e-9))
         neighbour = meijer_g_m0(spec, const=const, slope=slope)
-        assert meijer._contour_table.cache_info().currsize == 1
+        assert meijer._Evaluator.band_table.cache_info().currsize == 1
         assert cold.converged and cold.route == "contour"
         assert cold == warm == neighbour
 
@@ -431,17 +468,17 @@ class TestContourTables:
         # give values within the sum of both estimates, for every edge from
         # about p = 2 to p_max
         shape = RationalShape(l, k)
-        spec = build_laplace_closed_form(shape).spec
+        evaluator = meijer._evaluator_of(build_laplace_closed_form(shape).spec)
         const = math.log(shape.l)
-        first = math.floor(meijer._band_coordinate(spec, shape.l * math.log(2.0)))
-        last = math.floor(meijer._band_coordinate(spec, shape.l * math.log(p_max)))
+        first = math.floor(evaluator.band_coordinate(shape.l * math.log(2.0)))
+        last = math.floor(evaluator.band_coordinate(shape.l * math.log(p_max)))
         assert last - first >= 2
         for band in range(first + 1, last + 1):
-            edge = meijer._band_slope(spec, band * meijer._BAND_WIDTH)
-            below = mellin.mellin_barnes_integral(meijer._contour_table(spec, band - 1).nodes(),
-                                                  const, edge)
-            above = mellin.mellin_barnes_integral(meijer._contour_table(spec, band).nodes(),
-                                                  const, edge)
+            edge = evaluator.band_slope(band * meijer._BAND_WIDTH)
+            _, _, nodes_below = evaluator.band_table(band - 1)
+            _, _, nodes_above = evaluator.band_table(band)
+            below = mellin.mellin_barnes_integral(nodes_below(), const, edge)
+            above = mellin.mellin_barnes_integral(nodes_above(), const, edge)
             assert below[3] and above[3]
             assert abs(below[0] - above[0]) <= below[1] + above[1], band
 
@@ -455,14 +492,15 @@ class TestContourTables:
         mpmath = pytest.importorskip("mpmath")
         shape = RationalShape(l, k)
         spec = build_laplace_closed_form(shape).spec
-        first = math.floor(meijer._band_coordinate(spec, shape.l * math.log(2.0)))
-        last = math.floor(meijer._band_coordinate(spec, shape.l * math.log(p_max)))
+        evaluator = meijer._evaluator_of(spec)
+        first = math.floor(evaluator.band_coordinate(shape.l * math.log(2.0)))
+        last = math.floor(evaluator.band_coordinate(shape.l * math.log(p_max)))
         assert last - first >= 2
         for band in range(first, last):
             for f in (0.25, 0.5, 0.75):
-                p = math.exp(meijer._band_slope(spec, (band + f) * meijer._BAND_WIDTH) / l)
+                p = math.exp(evaluator.band_slope((band + f) * meijer._BAND_WIDTH) / l)
                 const, slope = _closed_form_pair(shape, p)
-                assert math.floor(meijer._band_coordinate(spec, slope)) == band
+                assert math.floor(evaluator.band_coordinate(slope)) == band
                 res = meijer_g_m0(spec, const=const, slope=slope)
                 ref = _mpmath_laplace(mpmath, l, k, p)
                 assert res.converged and res.route == "contour"
@@ -475,26 +513,27 @@ class TestContourTables:
         # at every slope the band's vertex exceeds the integrand's minimum on
         # the real axis, at the slope's own saddle, by at most e^{1/4}, from
         # c near the poles to c ~ 1e5; and the band's range holds the slope
-        n_log_n = meijer._spec_constants(spec)[1]
+        evaluator = meijer._evaluator_of(spec)
 
         def phi(c, slope):
-            return meijer._real_log_gammas(spec, c) - c * slope
+            return evaluator.log_gammas(c) - c * slope
 
         for u in np.linspace(-6.0, 12.0, 181).tolist():
-            slope = n_log_n + spec.m * u
-            band = math.floor(meijer._band_coordinate(spec, slope) / meijer._BAND_WIDTH)
-            lo, centre, hi = (meijer._band_slope(spec, (band + f) * meijer._BAND_WIDTH)
+            slope = evaluator.n_log_n + spec.m * u
+            band = math.floor(evaluator.band_coordinate(slope) / meijer._BAND_WIDTH)
+            lo, centre, hi = (evaluator.band_slope((band + f) * meijer._BAND_WIDTH)
                               for f in (0.0, 0.5, 1.0))
             assert lo - 1e-12 * abs(lo) <= slope <= hi + 1e-12 * abs(hi)
-            vertex = meijer._saddle_abscissa(spec, centre)
-            own = meijer._saddle_abscissa(spec, slope)
+            vertex = evaluator.saddle(centre)
+            own = evaluator.saddle(slope)
             assert phi(vertex, slope) - phi(own, slope) <= 0.25, u
 
 
 def _log_peak_at_saddle(spec, slope):
     # log of the integrand at the slope's own saddle, for const = 0
-    vertex = meijer._saddle_abscissa(spec, slope)
-    return meijer._real_log_gammas(spec, vertex) - vertex * slope
+    evaluator = meijer._evaluator_of(spec)
+    vertex = evaluator.saddle(slope)
+    return evaluator.log_gammas(vertex) - vertex * slope
 
 
 def _laplace_by_quad(mpmath, l, k, p):
@@ -536,7 +575,7 @@ def _half_integral(slope):
     # quadrature, the integrand scaled by its value at c
     import mpmath
     with mpmath.workdps(20):
-        c = mpmath.mpf(meijer._saddle_abscissa(_HALF_SPEC, slope))
+        c = mpmath.mpf(meijer._evaluator_of(_HALF_SPEC).saddle(slope))
 
         def log_f(s):
             return mpmath.loggamma(2 * s - 1) + mpmath.loggamma(s) - s * slope
@@ -590,19 +629,19 @@ class TestContourExits:
                              ids=[case[0] for case in EXIT_CASES])
     def test_exits_as_at_the_slope_own_saddle(self, spec, pairs, reference, monkeypatch):
         mpmath = pytest.importorskip("mpmath")
-        searches, original = [], meijer._saddle_abscissa
+        searches, original = [], meijer._Evaluator.saddle
 
         def counting(*args):
             searches.append(args)
             return original(*args)
 
-        monkeypatch.setattr(meijer, "_saddle_abscissa", counting)
+        monkeypatch.setattr(meijer._Evaluator, "saddle", counting)
+        evaluator = meijer._evaluator_of(spec)
         outside = 0
         for const, slope in pairs:
             const, slope = float(const), float(slope)
             # the band's table, with its one saddle search, built first
-            meijer._contour_table(
-                spec, math.floor(meijer._band_coordinate(spec, slope) / meijer._BAND_WIDTH))
+            evaluator.band_table(math.floor(evaluator.band_coordinate(slope) / meijer._BAND_WIDTH))
             searches.clear()
             res = meijer_g_m0(spec, const=const, slope=slope)
             assert not searches, (const, slope)
@@ -807,6 +846,18 @@ class TestMpmathOracle:
         assert res.route == "contour" and res.converged and res.value > 0.0
         assert abs(mpmath.mpf(res.value) - ref) <= res.err_estimate
 
+    @pytest.mark.parametrize("l,k,p", [(8, 3, 3919.4), (7, 2, 2453.8)])
+    def test_auto_keeps_a_subnormal_contour_value(self, l, k, p):
+        # subnormal values, whose estimate carries the smallest subnormal for
+        # their rounding: AUTO returns the contour's, within its estimate of
+        # 30-digit mpmath, where the oracle's is 30 to 90 subnormals off
+        mpmath = pytest.importorskip("mpmath")
+        res = laplace_frechet(LaplaceQuery(RationalShape(l, k), p, Method.AUTO))
+        assert res.route == "contour" and res.converged and 0.0 < res.value < 2.0 ** -1022
+        with mpmath.workdps(30):
+            ref = _laplace_by_quad(mpmath, l, k, p)
+        assert abs(mpmath.mpf(res.value) - ref) <= res.err_estimate
+
     def test_large_p_takes_a_wide_strip(self):
         # at p = 5,000 the saddle lies at c ~ 70, where the integrand is
         # smooth on the scale sqrt(c): strip widths up to 0.9 of the reach
@@ -819,7 +870,7 @@ class TestMpmathOracle:
         assert res.converged and res.evaluations <= 120
         assert abs(res.value - ref) <= 1e-12 * ref
         # the closed form's own route, from a cold table
-        meijer._contour_table.cache_clear()
+        meijer._Evaluator.band_table.cache_clear()
         closed = laplace_frechet(LaplaceQuery(RationalShape(1, 1), p, Method.MEIJER_G))
         assert closed.route == "contour" and closed.converged and closed.evaluations <= 120
         assert abs(closed.value - ref) <= 1e-12 * ref
@@ -938,8 +989,8 @@ class TestResidueSeries:
 
 def _series_meets_the_bar(res):
     # the hand-over rule, written out: converged, with an estimate within
-    # 1e-10 of the value
-    return res.converged and res.err_estimate <= 1e-10 * abs(res.value)
+    # 1e-10 of the value plus the smallest subnormal
+    return res.converged and res.err_estimate <= 1e-10 * abs(res.value) + 2.0 ** -1074
 
 
 # the ROADMAP's hand-over specs
@@ -958,8 +1009,9 @@ class TestMeijerG:
         spec = build_laplace_closed_form(shape).spec
         # p from 0.5 to past the series table's slope_top, and densely
         # around the hand-over slope s*
-        table = meijer._series_table(spec)
-        near = table.hand_over + spec.m * np.linspace(-0.1, 0.02, 25)
+        evaluator = meijer._evaluator_of(spec)
+        table = evaluator.series_table
+        near = evaluator.hand_over + spec.m * np.linspace(-0.1, 0.02, 25)
         routes = set()
         for p in (np.geomspace(0.5, math.exp(1.2 * table.slope_top / l), 41).tolist()
                   + np.exp(near / l).tolist()):
@@ -999,16 +1051,16 @@ class TestMeijerG:
     def test_hand_over_equals_the_scalar_scan(self, spec):
         # the scan as a loop of one series sum per step: the table's s*,
         # from every step summed at once, is the same slope bit for bit
-        table = meijer._series_table(spec)
+        evaluator = meijer._evaluator_of(spec)
         step = spec.m * math.log(2.0) / (2.0 * meijer._SERIES_PEAK)
-        hand_over = slope = table.slope_top
+        hand_over = slope = evaluator.series_table.slope_top
         for _ in range(meijer._HAND_OVER_STEPS):
-            res = meijer._sum_series(table, 0.0, slope)
+            res = evaluator.series_sum(0.0, slope)
             if res.converged and res.err_estimate <= 2.0 * meijer._REL_TOL * abs(res.value):
                 break
             hand_over = slope
             slope -= step
-        assert table.hand_over == hand_over
+        assert evaluator.hand_over == hand_over
 
     @pytest.mark.parametrize("spec,const", [
         (build_laplace_closed_form(RationalShape(1, 1)).spec, 0.0),
@@ -1017,8 +1069,8 @@ class TestMeijerG:
     def test_no_series_past_the_hand_over(self, spec, const, monkeypatch):
         # past the spec's hand-over slope s* the series misses the bar for
         # every const: meijer_g sums no series there, and below s* it does
-        table = meijer._series_table(spec)
-        s_star, top = table.hand_over, table.slope_top
+        evaluator = meijer._evaluator_of(spec)
+        s_star, top = evaluator.hand_over, evaluator.series_table.slope_top
         past = (math.nextafter(s_star, math.inf), 0.5 * (s_star + top), top, top + 1.0)
         assert s_star < top
         for slope in past:
@@ -1031,8 +1083,9 @@ class TestMeijerG:
                 return original(*args, **kwargs)
             return spy
 
-        for name in ("meijer_g_series", "_sum_series"):
-            monkeypatch.setattr(meijer, name, counting(getattr(meijer, name)))
+        monkeypatch.setattr(meijer, "meijer_g_series", counting(meijer.meijer_g_series))
+        monkeypatch.setattr(meijer._Evaluator, "series_sum",
+                            counting(meijer._Evaluator.series_sum))
         for slope in past:
             assert meijer_g(spec, const=const, slope=slope).route == "contour"
             assert not calls, slope
