@@ -9,6 +9,7 @@ for binary64, byte-identical across runs given identical flags).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -163,6 +164,8 @@ def _cmd_selfcheck(args) -> int:
     return 0 if ok else 2
 
 
+# one parser per process: a parse leaves its state in its Namespace alone
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="frechet-laplace",
                      description="Laplace transform of the Frechet distribution "

@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -455,8 +456,14 @@ class _Evaluator:
         return meijer_g_m0(self.spec, const=const, slope=slope)
 
 
-# one evaluator per spec
-_evaluator_of = functools.lru_cache(maxsize=256)(_Evaluator)
+# Every evaluator comes from this cache. One it evicts can live on in a
+# closed form or a band table; a spec held there gets that same one back.
+_held_evaluators = weakref.WeakValueDictionary()
+
+
+@functools.lru_cache(maxsize=256)
+def _evaluator_of(spec: MeijerSpec) -> _Evaluator:
+    return _held_evaluators.get(spec) or _held_evaluators.setdefault(spec, _Evaluator(spec))
 
 
 def _within_tolerance(res: EvalResult) -> bool:

@@ -176,9 +176,9 @@ _T = np.arange(-round(_T_MAX / _COARSE_STEP) * _STRIDE,
                round(_T_MAX / _COARSE_STEP) * _STRIDE + 1) * (_COARSE_STEP / _STRIDE)
 _EXP_PHI = np.exp(0.5 * math.pi * np.sinh(_T))
 _DU_DT = 0.5 * math.pi * np.cosh(_T) * _EXP_PHI
-# the coarse level's nodes, contiguous
-_COARSE_EXP_PHI = _EXP_PHI[::_STRIDE].copy()
-_COARSE_DU_DT = _DU_DT[::_STRIDE].copy()
+# the coarse level's nodes, and their du/dt contiguous
+_COARSE = slice(None, None, _STRIDE)
+_COARSE_DU_DT = _DU_DT[_COARSE].copy()
 # Coarse terms below this fraction of the largest one lie outside the window.
 _SIGNIFICANT = 1e-18
 # A node's relative roundoff is about _ROUNDOFF times the size of the
@@ -220,18 +220,24 @@ def integrate_semi_infinite(f, lower: float, scale: float = 1.0) -> EvalResult:
     if not 0 < scale < math.inf:
         raise DomainError("scale must be finite and positive")
 
-    def nodes_at(exp_phi):
-        # u on a piece of the lattice; a zero lower adds nothing: u >= +0.0
-        u = scale * exp_phi
+    def on_lattice(nodes: slice):
+        # u on a slice of the lattice; a zero lower adds nothing: u >= +0.0
+        u = scale * _EXP_PHI[nodes]
         if lower:
             u += lower
-        return u
+        return f(u)
 
+    return _exp_sinh(on_lattice, scale)
+
+
+def _exp_sinh(f, scale: float) -> EvalResult:
+    # integrate_semi_infinite's body, for an f that takes a slice of the
+    # lattice and gives its values at u = lower + scale exp(phi) there
     def terms(nodes: slice):
         # f du/dt / scale on a slice of the lattice, their sum, and whether
         # all were finite. A sum of finite terms is finite unless it
         # overflows, so the terms are only checked where it is not.
-        vals = np.asarray(f(nodes_at(_EXP_PHI[nodes])), dtype=float) * _DU_DT[nodes]
+        vals = np.asarray(f(nodes), dtype=float) * _DU_DT[nodes]
         total = float(np.add.reduce(vals))
         if math.isfinite(total):
             return vals, total, True
@@ -242,7 +248,7 @@ def integrate_semi_infinite(f, lower: float, scale: float = 1.0) -> EvalResult:
         return vals, float(np.add.reduce(vals)), False
 
     with np.errstate(all="ignore"):
-        coarse = np.asarray(f(nodes_at(_COARSE_EXP_PHI)), dtype=float) * _COARSE_DU_DT
+        coarse = np.asarray(f(_COARSE), dtype=float) * _COARSE_DU_DT
         mags = np.abs(coarse)
         # NaN and inf both propagate through the max
         peak = np.maximum.reduce(mags)
@@ -257,9 +263,8 @@ def integrate_semi_infinite(f, lower: float, scale: float = 1.0) -> EvalResult:
             # no term is finite and nonzero: an integral that underflows, or
             # an f that is nowhere finite (not converged); the bound is the
             # subnormal spacing of each term f du/dt over the span of t
-            return EvalResult(value=0.0, evaluations=coarse.size,
-                              err_estimate=_TINY * (2.0 * _T_MAX) * scale,
-                              converged=all_finite, route="quadrature")
+            return EvalResult(0.0, _TINY * (2.0 * _T_MAX) * scale, coarse.size,
+                              all_finite, "quadrature")
         lo, hi = int(significant[0]), int(significant[-1])
         if lo > 0 and math.isfinite(coarse[lo - 1]):
             lo -= 1
@@ -301,8 +306,17 @@ def integrate_semi_infinite(f, lower: float, scale: float = 1.0) -> EvalResult:
     value, err = scale * estimate, scale * max(diff, floor)
     if not (math.isfinite(value) and math.isfinite(err)):
         raise DomainError("exp-sinh integral overflows binary64")
-    return EvalResult(value=value, err_estimate=err, evaluations=evaluations,
-                      converged=ok and diff <= tol, route="quadrature")
+    return EvalResult(value, err, evaluations, ok and diff <= tol, "quadrature")
+
+
+# bessel_k1's integrand on the lattice, where t is exp(phi): log cosh t =
+# t + log1p(exp(-2t)) - log 2, which stays finite where cosh t overflows
+# (exp of the -inf exponent there is 0), and cosh t. Both depend on no z.
+with np.errstate(over="ignore"):
+    _LOG_COSH = np.log1p(np.exp(np.multiply(_EXP_PHI, -2.0)))
+    _LOG_COSH += _EXP_PHI
+    _LOG_COSH -= _LOG_2
+    _COSH = np.cosh(_EXP_PHI)
 
 
 def bessel_k1(z: float) -> float:
@@ -315,18 +329,11 @@ def bessel_k1(z: float) -> float:
     if not 0 < z < math.inf:
         raise DomainError("bessel_k1 requires finite z > 0")
 
-    # log cosh t = t + log1p(exp(-2t)) - log 2 stays finite where cosh t
-    # overflows, and exp of the -inf exponent there is 0. Evaluated in two
-    # buffers, in the same order.
-    def integrand(t):
-        out = np.multiply(t, -2.0)
-        np.exp(out, out=out)
-        np.log1p(out, out=out)
-        out += t
-        out -= _LOG_2
-        z_cosh = np.cosh(t)
-        z_cosh *= z
-        out -= z_cosh
+    def integrand(nodes: slice):
+        # exp(log cosh t - z cosh t), in one buffer
+        out = np.multiply(_COSH[nodes], z)
+        np.subtract(_LOG_COSH[nodes], out, out=out)
         return np.exp(out, out=out)
 
-    return integrate_semi_infinite(integrand, 0.0).value
+    # integrate_semi_infinite at lower 0 and scale 1, whose u is t
+    return _exp_sinh(integrand, 1.0).value

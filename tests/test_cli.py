@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from frechet_laplace.cli import main
+from frechet_laplace import selfcheck
+from frechet_laplace.cli import _build_parser, main
 
 TWO_K1_OF_2 = 0.27973176363304486
 
@@ -220,3 +221,45 @@ class TestSelfcheckCommand:
         code, out, _ = run(capsys, ["selfcheck"])
         assert code == 0
         assert "FAIL" not in out
+
+
+class TestParserReuse:
+    # main builds its parser once per process; every command parses into a
+    # Namespace of its own, so an option given to one is not seen by the next
+    def test_commands_in_one_process_share_no_state(self, capsys, tmp_path):
+        _build_parser.cache_clear()
+        code, listed, _ = run(capsys, ["selfcheck", "--list"])
+        assert code == 0
+        assert listed.split() == list(selfcheck.list_checks())
+
+        code, out, _ = run(capsys, ["laplace", "--l", "2", "--k", "3", "--p", "1",
+                                    "--method", "both"])
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert [line.split()[0] for line in lines[:2]] == ["meijer-g", "quadrature"]
+        assert lines[2].startswith("rel_diff=")
+        code, out, _ = run(capsys, ["laplace", "--l", "2", "--k", "3", "--p", "1"])
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 and out.startswith("auto value=")
+
+        few, default = tmp_path / "few.csv", tmp_path / "default.csv"
+        code, _, _ = run(capsys, ["figure", "--id", "fig3", "--out", str(few),
+                                  "--points", "5"])
+        assert code == 0
+        code, _, _ = run(capsys, ["figure", "--id", "fig3", "--out", str(default)])
+        assert code == 0
+        assert read_csv(few)[1].shape == (5, 2)
+        assert read_csv(default)[1].shape == (400, 2)
+
+        for argv, usage in [(["laplace", "--l", "1", "--k", "2", "--p", "abc"], "laplace"),
+                            (["transform", "levy", "--gamma", "1"], "transform")]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (1, "")
+            assert f"usage: frechet-laplace {usage}" in err
+
+        code, again, _ = run(capsys, ["selfcheck", "--list"])
+        assert (code, again) == (0, listed)
+        info = _build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 7)

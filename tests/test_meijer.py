@@ -417,6 +417,23 @@ class TestConstantsMemo:
         assert meijer._evaluator_of.cache_info().currsize == 1
         assert build_laplace_closed_form(shape)._evaluator is meijer._evaluator_of(spec)
 
+    def test_closed_form_keeps_its_evaluator_past_eviction(self):
+        # 299 other specs push 2/3's evaluator out of the per-spec cache,
+        # while its closed form still holds it: the cache hands that one
+        # back, not a second evaluator with its own tables
+        query = LaplaceQuery(RationalShape(2, 3), 1.0, Method.MEIJER_G)
+        first = laplace_frechet(query)
+        form = meijer._closed_form(2, 3)
+        held = form._evaluator
+        for i in range(299):
+            meijer_g_m0(MeijerSpec([0.5 + i]), const=0.0, slope=1.0)
+        info = meijer._evaluator_of.cache_info()
+        assert info.currsize == info.maxsize
+        assert laplace_frechet(query) == first
+        assert meijer._closed_form(2, 3)._evaluator is held
+        assert meijer._evaluator_of(form.spec) is held
+        assert meijer._evaluator_of(MeijerSpec(groups=((3, 1.0), (2, 0.0)))) is held
+
     def test_series_table_is_read_only(self):
         spec = build_laplace_closed_form(RationalShape(2, 3)).spec
         table = meijer._evaluator_of(spec).series_table

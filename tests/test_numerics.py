@@ -392,6 +392,10 @@ PINNED_K1 = {
     1.0: "0x1.342d2f39d89c2p-1",
     50.0: "0x1.4d17d74654abcp-75",
 }
+# sha256 of the comma-joined hex of bessel_k1 on selfcheck's grid and at four
+# extreme arguments, recorded before its lattice terms were computed once
+PINNED_K1_GRID = [float(z) for z in np.linspace(0.05, 50.0, 120)] + [1e-300, 1e-10, 700.0, 1e5]
+PINNED_K1_GRID_SHA256 = "c588f2438924b19d60ebb1baf4139f10ef74c36c3ec0acf3c5bc46700196b723"
 
 
 def _bits(res):
@@ -419,6 +423,10 @@ class TestPinnedBits:
     @pytest.mark.parametrize("z", PINNED_K1)
     def test_bessel_k1(self, z):
         assert bessel_k1(z).hex() == PINNED_K1[z]
+
+    def test_bessel_k1_grid(self):
+        bits = ",".join(bessel_k1(z).hex() for z in PINNED_K1_GRID)
+        assert hashlib.sha256(bits.encode()).hexdigest() == PINNED_K1_GRID_SHA256
 
 
 class TestBesselK1:
