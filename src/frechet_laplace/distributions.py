@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DivergentMoment, DomainError
 from .numerics import _exp, _power
 
@@ -77,13 +79,29 @@ class LevyIndex:
             raise DomainError(f"Levy index must lie in (0, 1), got {self.alpha}")
 
 
-def frechet_pdf(shape: Shape, x: float) -> float:
-    """Density gamma x^{-(1+gamma)} exp(-x^{-gamma}); 0 at x = 0 by the limit."""
+def frechet_pdf(shape: Shape, x):
+    """Density gamma x^{-(1+gamma)} exp(-x^{-gamma}); 0 at x = 0 by the limit.
+    x is a float or an ndarray, evaluated in one numpy pass and equal to
+    the float calls up to the rounding of the exponent's terms. DomainError
+    unless every x is finite and >= 0, and where a value overflows binary64."""
+    g = shape.gamma
+    if isinstance(x, np.ndarray):
+        x = np.asarray(x, dtype=float)
+        if not ((x >= 0.0) & (x < math.inf)).all():
+            raise DomainError("frechet_pdf requires finite x >= 0")
+        with np.errstate(all="ignore"):
+            lx = np.log(x)
+            neg_power = -g * lx
+            # 0.0 where the float call gives it: x = 0 (neg_power inf) and past 709
+            out = np.where(neg_power <= 709.0,
+                           np.exp(math.log(g) - (1.0 + g) * lx - np.exp(neg_power)), 0.0)
+        if not np.isfinite(out).all():
+            raise DomainError(f"frechet_pdf overflows binary64 at gamma = {g}")
+        return out
     if not 0 <= x < math.inf:
         raise DomainError("frechet_pdf requires finite x >= 0")
     if x == 0.0:
         return 0.0
-    g = shape.gamma
     lx = math.log(x)
     neg_power = -g * lx  # log of x^{-gamma}
     if neg_power > 709.0:
@@ -130,13 +148,21 @@ def frechet_moment(shape: Shape, mu: float) -> float:
     return _gamma_ratio(1.0 - mu / g, 1.0)
 
 
-def levy_pdf_half(x: float) -> float:
+def levy_pdf_half(x):
     """One-sided Levy density at alpha = 1/2:
     g(x) = x^{-3/2} exp(-1/(4x)) / (2 sqrt(pi)).
 
     Its defining property, L[g](p) = exp(-sqrt(p)), is what the test suite
-    pins it against.
+    pins it against. x is a float or an ndarray, evaluated in one numpy
+    pass and equal to the float calls up to the rounding of the exponent's
+    terms. DomainError unless every x is > 0.
     """
+    if isinstance(x, np.ndarray):
+        x = np.asarray(x, dtype=float)
+        if not (x > 0.0).all():
+            raise DomainError("levy_pdf_half requires x > 0")
+        with np.errstate(over="ignore"):  # 0.25 / x overflows to inf, and 0.0
+            return np.exp(-1.5 * np.log(x) - 0.25 / x - math.log(2.0 * math.sqrt(math.pi)))
     if not x > 0:
         raise DomainError("levy_pdf_half requires x > 0")
     log_val = -1.5 * math.log(x) - 0.25 / x - math.log(2.0 * math.sqrt(math.pi))

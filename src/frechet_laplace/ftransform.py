@@ -41,7 +41,8 @@ class FrechetKernelParams:
 
 @dataclass(frozen=True)
 class TransformTarget:
-    """A function to transform, optionally with its known Laplace transform."""
+    """A function to transform, optionally with its known Laplace transform:
+    f maps an ndarray of t to an ndarray, laplace_of_f a float to a float."""
 
     f: Optional[Callable] = None
     laplace_of_f: Optional[Callable] = None
@@ -73,37 +74,28 @@ def frechet_kernel(params: FrechetKernelParams) -> float:
 _DIFF_REL_TOL = math.sqrt(sys.float_info.epsilon)
 
 
-def _on_nodes(f):
-    """The user's scalar f as an array integrand. A node where f raises
-    OverflowError or ZeroDivisionError reads NaN: the quadrature flags it
-    unless the node lies outside its window."""
-    def values(nodes):
-        out = np.empty(nodes.shape)
-        for i, t in enumerate(nodes.tolist()):
-            try:
-                out[i] = f(t)
-            except (OverflowError, ZeroDivisionError):
-                out[i] = math.nan
-        return out
-
-    return values
-
-
 def frechet_transform_quadrature(target: TransformTarget, gamma: Shape, x: float) -> EvalResult:
     """Transform bar_f(gamma, x) = int_0^inf sigma_gamma(x, t) f(t) dt by
     quadrature centred at t = x^gamma, where the kernel mass sits.
 
     DomainError where x^gamma or x^{-gamma} overflows: f cannot be sampled
-    where the kernel mass sits."""
+    where the kernel mass sits; also where f raises TypeError or ValueError
+    on an ndarray of t, as a scalar-only f does."""
     if target.f is None:
         raise MissingLaplace("quadrature transform needs the function itself")
     if not 0 < x < math.inf:
         raise DomainError("transform argument x must be finite and positive")
     g = gamma.gamma
-    kernel = _kernel(g, x)
-    f = _on_nodes(target.f)
-    return integrate_semi_infinite(lambda t: kernel(t) * f(t), 0.0,
-                                   scale=_power(x, g))
+    kernel, f = _kernel(g, x), target.f
+
+    def integrand(t):
+        try:
+            values = f(t)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"TransformTarget.f must map an ndarray: {exc!r}") from exc
+        return kernel(t) * values
+
+    return integrate_semi_infinite(integrand, 0.0, scale=_power(x, g))
 
 
 def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape,

@@ -218,7 +218,7 @@ def contour_nodes(log_parts, log_abs_real, c: float, poles: tuple[float, float],
     Im s >= 0 (see mellin_barnes_integral). The singularities of the
     integrand lie on the real axis, the nearest at distances
     poles = (left, right) from c (math.inf for none). log_abs_real maps a
-    float ndarray of real points between them to Re lam.
+    float ndarray of real points between them to Re lam (once, at _rule_points).
 
     Path, step and window come from _contour_rule, before any complex
     evaluation; the first log_parts call takes the upper nodes
@@ -287,6 +287,24 @@ def _contour_rule(log_abs_real, c: float, poles: tuple[float, float],
     - window: see _WINDOW_MARGIN, with phi'' a central second difference
       (the slope drops out of it).
     """
+    mu, widths, points = _rule_points(c, poles)
+    phi = log_abs_real(points).tolist()
+    if not all(v < math.inf for v in phi):
+        raise NonConvergence(f"contour integrand not finite on the real axis near c = {c}")
+    eps, centre, n_w = 0.1 * widths[0], phi[0], len(widths)
+    step = max(min(math.pi * w / (_STRIP_BUDGET + max(
+        0.0, phi_l - centre + (w - mu * w * w) * slope + math.log(1.0 - 2.0 * mu * w),
+        phi_r - centre - (w + mu * w * w) * slope + math.log1p(2.0 * mu * w)))
+        for slope in slopes)
+        for w, phi_l, phi_r in zip(widths, phi[3:3 + n_w], phi[3 + n_w:]))
+    phi2 = (phi[1] - 2.0 * centre + phi[2]) / (eps * eps)
+    window = (_WINDOW_MARGIN * math.sqrt(-2.0 * math.log(_TRUNCATION_TOL) / phi2)
+              if phi2 > 0.0 else widths[0])
+    return mu, step, window
+
+
+def _rule_points(c: float, poles: tuple[float, float]):
+    """mu, the strip widths and the real-axis points, c first, of _contour_rule."""
     left, right = poles
     if right < math.inf:
         mu, reach = 0.0, min(left, right)
@@ -300,20 +318,8 @@ def _contour_rule(log_abs_real, c: float, poles: tuple[float, float],
     while len(widths) < _WIDTHS and 2.0 * widths[-1] <= 0.9 * reach:
         widths.append(2.0 * widths[-1])
     eps = 0.1 * widths[0]
-    phi = log_abs_real(np.array([c, c - eps, c + eps] + [c - w + mu * w * w for w in widths]
-                                + [c + w + mu * w * w for w in widths])).tolist()
-    if not all(v < math.inf for v in phi):
-        raise NonConvergence(f"contour integrand not finite on the real axis near c = {c}")
-    centre, n_w = phi[0], len(widths)
-    step = max(min(math.pi * w / (_STRIP_BUDGET + max(
-        0.0, phi_l - centre + (w - mu * w * w) * slope + math.log(1.0 - 2.0 * mu * w),
-        phi_r - centre - (w + mu * w * w) * slope + math.log1p(2.0 * mu * w)))
-        for slope in slopes)
-        for w, phi_l, phi_r in zip(widths, phi[3:3 + n_w], phi[3 + n_w:]))
-    phi2 = (phi[1] - 2.0 * centre + phi[2]) / (eps * eps)
-    window = (_WINDOW_MARGIN * math.sqrt(-2.0 * math.log(_TRUNCATION_TOL) / phi2)
-              if phi2 > 0.0 else widths[0])
-    return mu, step, window
+    return mu, widths, np.array([c, c - eps, c + eps] + [c - w + mu * w * w for w in widths]
+                                + [c + w + mu * w * w for w in widths])
 
 
 def _node_table(s, logs, sigma, step: float) -> ContourNodes:
@@ -424,6 +430,8 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
     # left, f*(1 - s) at 1 - sigma_min on the right
     lo, hi = mf.domain_strip
     poles = (c - max(0.0, 1.0 - hi), 1.0 - lo - c)
+    # the engine's one log_abs_real call takes these points, c first
+    phi = log_abs_real(_rule_points(c, poles)[2])
     return contour_integral(
-        lambda: contour_nodes(log_parts, log_abs_real, c, poles, (log_p, log_p)),
-        float(log_abs_real(np.array([c]))[0]) - c * log_p, slope=log_p)
+        lambda: contour_nodes(log_parts, lambda x: phi, c, poles, (log_p, log_p)),
+        float(phi[0]) - c * log_p, slope=log_p)

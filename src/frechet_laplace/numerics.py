@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -230,23 +231,24 @@ def integrate_semi_infinite(f, lower: float, scale: float = 1.0) -> EvalResult:
     return _exp_sinh(on_lattice, scale)
 
 
+def _terms(f, nodes: slice):
+    # f du/dt on a slice of the lattice, their sum, and whether all were
+    # finite. A sum of finite terms is finite unless it overflows, so the
+    # terms are only checked where it is not.
+    vals = np.asarray(f(nodes), dtype=float) * _DU_DT[nodes]
+    total = float(np.add.reduce(vals))
+    if math.isfinite(total):
+        return vals, total, True
+    finite = np.isfinite(vals)
+    if finite.all():
+        raise DomainError("exp-sinh sum of finite terms overflows binary64")
+    vals = np.where(finite, vals, 0.0)
+    return vals, float(np.add.reduce(vals)), False
+
+
 def _exp_sinh(f, scale: float) -> EvalResult:
     # integrate_semi_infinite's body, for an f that takes a slice of the
     # lattice and gives its values at u = lower + scale exp(phi) there
-    def terms(nodes: slice):
-        # f du/dt / scale on a slice of the lattice, their sum, and whether
-        # all were finite. A sum of finite terms is finite unless it
-        # overflows, so the terms are only checked where it is not.
-        vals = np.asarray(f(nodes), dtype=float) * _DU_DT[nodes]
-        total = float(np.add.reduce(vals))
-        if math.isfinite(total):
-            return vals, total, True
-        finite = np.isfinite(vals)
-        if finite.all():
-            raise DomainError("exp-sinh sum of finite terms overflows binary64")
-        vals = np.where(finite, vals, 0.0)
-        return vals, float(np.add.reduce(vals)), False
-
     with np.errstate(all="ignore"):
         coarse = np.asarray(f(_COARSE), dtype=float) * _COARSE_DU_DT
         mags = np.abs(coarse)
@@ -271,38 +273,44 @@ def _exp_sinh(f, scale: float) -> EvalResult:
         if hi < coarse.size - 1 and math.isfinite(coarse[hi + 1]):
             hi += 1
         first, last = lo * _STRIDE, hi * _STRIDE
-        evaluations = coarse.size
+        nodes = slice(first, last + 1, _STRIDE >> _FIRST_LEVEL)
+        vals, total, ok = _terms(f, nodes)
+        mags = np.abs(vals)
+        return _refine(f, first, last, total, float(np.add.reduce(vals[::2])),
+                       float(np.add.reduce(mags)), float(np.dot(mags, _PHI_ROUNDOFF[nodes])),
+                       ok, coarse.size + vals.size, scale)
 
-        # Running sums over every node of the current step: the terms, their
-        # magnitudes, and their magnitudes weighted by the phi roundoff.
-        level = _FIRST_LEVEL
-        stride = _STRIDE >> level
-        nodes = slice(first, last + 1, stride)
-        vals, total, ok = terms(nodes)
-        h = _COARSE_STEP / 2 ** level
-        diff = h * abs(total - 2.0 * float(np.add.reduce(vals[::2])))
-        size = spread = 0.0
-        edge = _TINY * float(_EXP_PHI[last] - _EXP_PHI[first])
-        while True:
-            evaluations += vals.size
-            mags = np.abs(vals)
-            size += float(np.add.reduce(mags))
-            spread += float(np.dot(mags, _PHI_ROUNDOFF[nodes]))
-            estimate = h * total
-            magnitude = h * size
-            floor = (h * spread + edge
-                     + _ROUNDOFF * abs(math.log(max(scale * magnitude, _TINY))) * magnitude)
-            tol = max(_REL_TOL * abs(estimate), floor)
-            if diff <= tol or level == _MAX_LEVELS:
-                break
-            level += 1
-            nodes = slice(first + stride // 2, last, stride)
-            stride //= 2
-            h *= 0.5
-            vals, new, finite_level = terms(nodes)
-            ok = ok and finite_level
-            diff = h * abs(new - total)
-            total += new
+
+def _refine(f, first: int, last: int, total: float, half: float, size: float,
+            spread: float, ok: bool, evaluations: int, scale: float) -> EvalResult:
+    # _exp_sinh's level loop, from the sums of the terms at step 1/32 on
+    # first..last (total), of every other one (half), of their magnitudes
+    # (size) and of those times the phi roundoff (spread); under its errstate
+    level = _FIRST_LEVEL
+    stride = _STRIDE >> level
+    h = _COARSE_STEP / 2 ** level
+    diff = h * abs(total - 2.0 * half)
+    edge = _TINY * float(_EXP_PHI[last] - _EXP_PHI[first])
+    while True:
+        estimate = h * total
+        magnitude = h * size
+        floor = (h * spread + edge
+                 + _ROUNDOFF * abs(math.log(max(scale * magnitude, _TINY))) * magnitude)
+        tol = max(_REL_TOL * abs(estimate), floor)
+        if diff <= tol or level == _MAX_LEVELS:
+            break
+        level += 1
+        nodes = slice(first + stride // 2, last, stride)
+        stride //= 2
+        h *= 0.5
+        vals, new, finite_level = _terms(f, nodes)
+        ok = ok and finite_level
+        diff = h * abs(new - total)
+        total += new
+        evaluations += vals.size
+        mags = np.abs(vals)
+        size += float(np.add.reduce(mags))
+        spread += float(np.dot(mags, _PHI_ROUNDOFF[nodes]))
     value, err = scale * estimate, scale * max(diff, floor)
     if not (math.isfinite(value) and math.isfinite(err)):
         raise DomainError("exp-sinh integral overflows binary64")
@@ -319,21 +327,66 @@ with np.errstate(over="ignore"):
     _COSH = np.cosh(_EXP_PHI)
 
 
-def bessel_k1(z: float) -> float:
+def _k1_integrand(z, nodes: slice):
+    # exp(log cosh t - z cosh t) on a slice of the lattice, in one buffer
+    out = np.multiply(_COSH[nodes], z)
+    np.subtract(_LOG_COSH[nodes], out, out=out)
+    return np.exp(out, out=out)
+
+
+def bessel_k1(z):
     """Modified Bessel K1(z) from the representation
     K1(z) = int_0^inf exp(-z cosh t) cosh t dt, z > 0.
 
     Evaluated with this module's own quadrature; deliberately independent of
     the Mellin-Barnes path so the two can cross-validate each other.
+    z is a float or an ndarray; an ndarray gives an array of its shape in
+    one pass, each element with the bits of its float call. DomainError
+    unless every z is finite and positive.
     """
-    if not 0 < z < math.inf:
+    arr = np.asarray(z, dtype=float)
+    if not ((arr > 0.0) & (arr < math.inf)).all():
         raise DomainError("bessel_k1 requires finite z > 0")
-
-    def integrand(nodes: slice):
-        # exp(log cosh t - z cosh t), in one buffer
-        out = np.multiply(_COSH[nodes], z)
-        np.subtract(_LOG_COSH[nodes], out, out=out)
-        return np.exp(out, out=out)
-
+    if arr.ndim:
+        return _bessel_k1_grid(arr.ravel()).reshape(arr.shape)
     # integrate_semi_infinite at lower 0 and scale 1, whose u is t
-    return _exp_sinh(integrand, 1.0).value
+    return _exp_sinh(partial(_k1_integrand, z), 1.0).value
+
+
+def _bessel_k1_grid(z: np.ndarray) -> np.ndarray:
+    # _exp_sinh's coarse and first levels on (z x nodes) arrays, rows summed
+    # pairwise as 1-D arrays are, then _refine per row: every value keeps its
+    # bits. A row with a non-finite term takes the float path; no z > 0 has
+    # one (u = 706.9, the first node where f du/dt overflows, is on level 7).
+    out = np.zeros(z.size)
+    with np.errstate(all="ignore"):
+        coarse = _k1_integrand(z[:, None], _COARSE)
+        coarse *= _COARSE_DU_DT
+        mags = np.abs(coarse)
+        peak = np.maximum.reduce(mags, axis=1)  # NaN and inf propagate
+        whole = np.isfinite(peak)
+        for row in (~whole).nonzero()[0].tolist():
+            out[row] = _exp_sinh(partial(_k1_integrand, z[row]), 1.0).value
+        # a bar that underflows keeps the nonzero terms; a row with none is 0.0
+        significant = (mags >= _SIGNIFICANT * peak[:, None]) & (mags > 0.0)
+        rows = (whole & significant.any(axis=1)).nonzero()[0]
+        significant, n = significant[rows], coarse.shape[1]
+        # the window, widened by one coarse node on each side
+        lo = np.maximum(significant.argmax(axis=1) - 1, 0)
+        hi = np.minimum(n - significant[:, ::-1].argmax(axis=1), n - 1)
+        windows = lo * n + hi
+        for window in np.unique(windows).tolist():
+            first, last = window // n * _STRIDE, window % n * _STRIDE
+            nodes = slice(first, last + 1, _STRIDE >> _FIRST_LEVEL)
+            group = rows[windows == window]
+            vals = _k1_integrand(z[group, None], nodes)
+            vals *= _DU_DT[nodes]
+            mags = np.abs(vals)
+            sums = (np.add.reduce(a, axis=1).tolist() for a in (vals, vals[:, ::2], mags))
+            for row, total, half, size, row_mags in zip(group.tolist(), *sums, mags):
+                f = partial(_k1_integrand, z[row])
+                out[row] = (_refine(f, first, last, total, half, size,
+                                    float(np.dot(row_mags, _PHI_ROUNDOFF[nodes])), True,
+                                    n + vals.shape[1], 1.0)
+                            if math.isfinite(total) else _exp_sinh(f, 1.0)).value
+    return out

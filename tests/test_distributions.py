@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,3 +287,71 @@ class TestClosedFormModes:
             x_star, searched = find_maximum(density, x_init=x_init)
             assert abs(x_star - mode) <= 1e-7 * mode
             assert abs(peak - searched) <= 1e-15 * peak
+
+
+_EPS = np.finfo(float).eps
+
+
+def _within_float_calls(values, expected, terms):
+    # relative 2 eps (1 + sum |terms of the exponent|), and the subnormal
+    # spacing for a value rounded below the normal range
+    bound = 2.0 * _EPS * (1.0 + terms) * np.abs(expected) + 2.0 ** -1074
+    return bool((np.abs(values - expected) <= bound).all())
+
+
+class TestDensitiesOnArrays:
+    @pytest.mark.parametrize("g", [0.1, 1.0 / 3.0, 1.0, 2.5, 7.0])
+    def test_frechet_pdf_within_float_calls(self, g):
+        x = np.geomspace(1e-4, 1e4, 20001)
+        expected = np.array([frechet_pdf(Shape(g), v) for v in x.tolist()])
+        # the exponent's terms log gamma, (1 + gamma) log x and x^-gamma, the
+        # last counted 1 + gamma |log x| times: it carries the rounding of
+        # log x, where numpy's log and math.log can differ by an ulp
+        lx = np.log(x)
+        terms = (abs(math.log(g)) + (1.0 + g) * np.abs(lx)
+                 + (1.0 + g * np.abs(lx)) * np.exp(-g * lx))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = frechet_pdf(Shape(g), x)
+        assert values.shape == x.shape
+        assert _within_float_calls(values, expected, terms)
+
+    def test_levy_pdf_half_within_float_calls(self):
+        x = np.geomspace(1e-3, 1e6, 20001)
+        expected = np.array([levy_pdf_half(v) for v in x.tolist()])
+        terms = 1.5 * np.abs(np.log(x)) + 0.25 / x + math.log(2.0 * math.sqrt(math.pi))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = levy_pdf_half(x)
+        assert _within_float_calls(values, expected, terms)
+
+    def test_extreme_arguments_warn_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pdf = frechet_pdf(Shape(1.0), np.array([0.0, 1e-300, 1.0, 1e300]))
+            levy = levy_pdf_half(np.array([1e-300, 1.0, 1e300]))
+        assert pdf[0] == 0.0 and pdf[1] == 0.0
+        assert pdf.tolist()[2:] == [frechet_pdf(Shape(1.0), v) for v in (1.0, 1e300)]
+        assert levy[0] == 0.0 and np.isfinite(levy).all()
+
+    def test_frechet_pdf_keeps_shape(self):
+        x = np.array([[0.0, 0.5], [1.0, 2.0]])
+        assert frechet_pdf(Shape(2.0), x).shape == (2, 2)
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_frechet_pdf_domain(self, bad):
+        with pytest.raises(DomainError):
+            frechet_pdf(Shape(1.0), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.nan, -math.inf])
+    def test_levy_pdf_half_domain(self, bad):
+        with pytest.raises(DomainError):
+            levy_pdf_half(np.array([1.0, bad]))
+
+    def test_frechet_pdf_overflow_is_domain_error(self):
+        # gamma = 1e-10 at x = 5e-324: exp(about 720) overflows, as the float
+        # call does
+        with pytest.raises(DomainError):
+            frechet_pdf(Shape(1e-10), 5e-324)
+        with pytest.raises(DomainError):
+            frechet_pdf(Shape(1e-10), np.array([1.0, 5e-324]))

@@ -16,7 +16,7 @@ from frechet_laplace.ftransform import (FrechetKernelParams, TransformTarget,
 from frechet_laplace.numerics import integrate_semi_infinite
 
 HALF_FRECHET_TARGET = TransformTarget(f=lambda t: frechet_pdf(Shape(0.5), t))
-EXP_TARGET = TransformTarget(f=lambda t: math.exp(-t), laplace_of_f=lambda u: 1.0 / (1.0 + u))
+EXP_TARGET = TransformTarget(f=lambda t: np.exp(-t), laplace_of_f=lambda u: 1.0 / (1.0 + u))
 
 
 def exp_transform(g, x):
@@ -108,6 +108,14 @@ class TestQuadraturePath:
             frechet_transform_quadrature(TransformTarget(f=lambda t: math.exp(-t)),
                                          Shape(1.0), math.inf)
 
+    @pytest.mark.parametrize("f", [lambda t: math.exp(-t), lambda t: 1.0 if t < 1.0 else 0.0],
+                             ids=["TypeError", "ValueError"])
+    def test_scalar_only_f_is_domain_error(self, f):
+        # f maps an ndarray of t; a callable that takes only floats raises
+        # on one, and the error names that contract
+        with pytest.raises(DomainError, match="ndarray"):
+            frechet_transform_quadrature(TransformTarget(f=f), Shape(1.0), 1.0)
+
     def test_overflowing_u_is_domain_error(self):
         # u = x^{-gamma} = 1e900: the kernel mass sits at t = 1e-900
         with pytest.raises(DomainError):
@@ -148,7 +156,7 @@ class TestQuadratureMpmath:
     @pytest.mark.parametrize("x", [1e2, 1e5, 1e7])
     def test_error_estimate_bounds_actual_error(self, x):
         mpmath = pytest.importorskip("mpmath")
-        res = frechet_transform_quadrature(TransformTarget(f=lambda t: math.exp(-t)),
+        res = frechet_transform_quadrature(TransformTarget(f=lambda t: np.exp(-t)),
                                            Shape(1.0), x)
         with mpmath.workdps(30):
             ref = float(1 / (mpmath.mpf(x) + 1) ** 2)
@@ -181,7 +189,7 @@ class TestViaLaplacePath:
     @pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
     def test_dual_path_agreement(self, g, x):
-        target = TransformTarget(f=lambda t: math.exp(-t),
+        target = TransformTarget(f=lambda t: np.exp(-t),
                                  laplace_of_f=lambda u: 1.0 / (1.0 + u))
         a = frechet_transform_quadrature(target, Shape(g), x)
         b = frechet_transform_via_laplace(target, Shape(g), x)

@@ -428,6 +428,10 @@ class TestPinnedBits:
         bits = ",".join(bessel_k1(z).hex() for z in PINNED_K1_GRID)
         assert hashlib.sha256(bits.encode()).hexdigest() == PINNED_K1_GRID_SHA256
 
+    def test_bessel_k1_grid_as_array(self):
+        bits = ",".join(v.hex() for v in bessel_k1(np.array(PINNED_K1_GRID)).tolist())
+        assert hashlib.sha256(bits.encode()).hexdigest() == PINNED_K1_GRID_SHA256
+
 
 class TestBesselK1:
     def test_small_argument_limit(self):
@@ -455,3 +459,48 @@ class TestBesselK1:
     def test_infinite_argument_rejected(self):
         with pytest.raises(DomainError):
             bessel_k1(math.inf)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBesselK1Array:
+    # z log-spaced over [1e-6, 700], with rows that integrate to 0.0 (1e5)
+    # and the smallest z the other tests use (1e-300)
+    GRID = np.concatenate((np.geomspace(1e-6, 700.0, 5000), [1e5, 1e-300]))
+
+    def test_equals_float_calls(self):
+        assert _hex(bessel_k1(self.GRID)) == _hex(bessel_k1(float(z)) for z in self.GRID)
+
+    def test_zero_rows(self):
+        assert bessel_k1(np.array([1e5, 1.0]))[0] == 0.0
+
+    def test_keeps_shape(self):
+        z = np.array([[0.5, 1.0, 2.0], [1e-300, 50.0, 1e5]])
+        out = bessel_k1(z)
+        assert out.shape == (2, 3)
+        assert _hex(out.ravel()) == _hex(bessel_k1(float(v)) for v in z.ravel())
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            bessel_k1(np.array([1.0, bad, 2.0]))
+
+    # No z > 0 gives a non-finite term on the coarse or the first level, so
+    # these put one there through the lattice's weights: the rows it reaches
+    # take the float path, and every value still equals its float call.
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_coarse_term(self, monkeypatch, bad):
+        weights = numerics._COARSE_DU_DT.copy()
+        weights[13] = bad
+        monkeypatch.setattr(numerics, "_COARSE_DU_DT", weights)
+        z = np.array([0.05, 1.0, 20.0, 1e5])
+        assert _hex(bessel_k1(z)) == _hex(bessel_k1(float(v)) for v in z)
+
+    def test_non_finite_first_level_sum(self, monkeypatch):
+        weights = numerics._DU_DT.copy()
+        weights[weights.size // 2 + 8] = math.inf
+        monkeypatch.setattr(numerics, "_DU_DT", weights)
+        z = np.array([0.05, 1.0, 20.0])
+        assert _hex(bessel_k1(z)) == _hex(bessel_k1(float(v)) for v in z)

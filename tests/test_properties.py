@@ -7,6 +7,7 @@ and kernel functions on a grid of extreme arguments."""
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -14,7 +15,8 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from frechet_laplace.distributions import (LevyIndex, RationalShape, Shape,  # noqa: E402
                                            frechet_cdf, frechet_moment, frechet_pdf,
-                                           frechet_quantile, levy_asymptotic, levy_moment)
+                                           frechet_quantile, levy_asymptotic, levy_moment,
+                                           levy_pdf_half)
 from frechet_laplace.errors import FrechetLaplaceError  # noqa: E402
 from frechet_laplace.ftransform import FrechetKernelParams, frechet_kernel  # noqa: E402
 from frechet_laplace.laplace import (LaplaceQuery, Method, laplace_frechet,  # noqa: E402
@@ -107,3 +109,27 @@ def test_scalar_api_is_finite_or_raises_library_error(call, grid):
         except FrechetLaplaceError:
             continue
         assert math.isfinite(value), args
+
+
+@pytest.mark.parametrize("call, rows", [
+    (lambda g, x: frechet_pdf(Shape(g), x), [(g, [0.0] + _XS) for g in _GAMMAS]),
+    (lambda _, x: levy_pdf_half(x), [(None, _XS)]),
+], ids=["frechet_pdf", "levy_pdf_half"])
+def test_density_arrays_are_finite_or_raise_library_error(call, rows):
+    # the densities on an ndarray of the extreme arguments: a finite array,
+    # or a library error where some element's float call raises one; never
+    # an inf, a NaN or a numpy RuntimeWarning
+    for arg, xs in rows:
+        raising = []
+        for x in xs:
+            try:
+                call(arg, x)
+            except FrechetLaplaceError:
+                raising.append(x)
+        try:
+            values = call(arg, np.array(xs))
+        except FrechetLaplaceError:
+            assert raising, arg
+            continue
+        assert not raising, (arg, raising)
+        assert values.shape == (len(xs),) and np.isfinite(values).all(), arg
