@@ -62,15 +62,15 @@ def laplace_frechet(query: LaplaceQuery) -> EvalResult:
     alternating terms cancel, the Mellin-Barnes contour. QUADRATURE uses
     the direct oracle.
     AUTO takes the MEIJER_G value, and falls back to the oracle wherever
-    that value is not positive, not converged, or has an error estimate
-    above 1e-10 of it plus the smallest subnormal (a subnormal's rounding).
+    that value is negative, not converged, or has an error estimate above
+    1e-10 of it plus the smallest subnormal (so a converged 0.0 stays).
     The route of the value returned is in its EvalResult.
     """
     method = query.method
     if method is Method.QUADRATURE:
         return laplace_frechet_oracle(query.shape.as_shape(), query.p)
     res = _meijer_path(query.shape, math.log(query.p))
-    if method is Method.MEIJER_G or (res.value > 0.0 and _within_tolerance(res)):
+    if method is Method.MEIJER_G or (res.value >= 0.0 and _within_tolerance(res)):
         return res
     return laplace_frechet_oracle(query.shape.as_shape(), query.p)
 
@@ -126,7 +126,8 @@ def laplace_symmetry_check(shape: RationalShape, p: float) -> tuple[float, float
 
 def laplace_frechet_bessel(p: float) -> float:
     """The gamma = 1 special case in standard special functions:
-    L[Fr(1, 1, x); p] = 2 sqrt(p) K1(2 sqrt(p))."""
+    L[Fr(1, 1, x); p] = 2 sqrt(p) K1(2 sqrt(p)). NonConvergence where
+    bessel_k1 misses its tolerance."""
     if not 0 < p < math.inf:
         raise DomainError("laplace_frechet_bessel requires finite p > 0")
     root = 2.0 * math.sqrt(p)

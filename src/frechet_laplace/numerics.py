@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, NonConvergence, PoleError
 
 __all__ = [
     "EvalResult",
@@ -89,7 +88,6 @@ _BLOCK = 4096
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 _TWO_PI_I = 2j * math.pi
-_LOG_2 = math.log(2.0)
 
 
 def _log_sin_pi(t: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -317,59 +315,26 @@ def _refine(f, first: int, last: int, total: float, half: float, size: float,
     return EvalResult(value, err, evaluations, ok and diff <= tol, "quadrature")
 
 
-# bessel_k1's integrand on the lattice, where t is exp(phi): log cosh t =
-# t + log1p(exp(-2t)) - log 2, which stays finite where cosh t overflows
-# (exp of the -inf exponent there is 0), and cosh t. Both depend on no z.
-with np.errstate(over="ignore"):
-    _LOG_COSH = np.log1p(np.exp(np.multiply(_EXP_PHI, -2.0)))
-    _LOG_COSH += _EXP_PHI
-    _LOG_COSH -= _LOG_2
-    _COSH = np.cosh(_EXP_PHI)
-
-
-def _k1_integrand(z, nodes: slice):
-    # exp(log cosh t - z cosh t) on a slice of the lattice, in one buffer
-    out = np.multiply(_COSH[nodes], z)
-    np.subtract(_LOG_COSH[nodes], out, out=out)
-    return np.exp(out, out=out)
-
-
-def bessel_k1(z):
-    """Modified Bessel K1(z) from the representation
-    K1(z) = int_0^inf exp(-z cosh t) cosh t dt, z > 0.
-
-    Evaluated with this module's own quadrature; deliberately independent of
-    the Mellin-Barnes path so the two can cross-validate each other.
-    z is a float or an ndarray; an ndarray gives an array of its shape in
-    one pass, each element with the bits of its float call. DomainError
-    unless every z is finite and positive.
-    """
-    arr = np.asarray(z, dtype=float)
-    if not ((arr > 0.0) & (arr < math.inf)).all():
-        raise DomainError("bessel_k1 requires finite z > 0")
-    if arr.ndim:
-        return _bessel_k1_grid(arr.ravel()).reshape(arr.shape)
-    # integrate_semi_infinite at lower 0 and scale 1, whose u is t
-    return _exp_sinh(partial(_k1_integrand, z), 1.0).value
-
-
-def _bessel_k1_grid(z: np.ndarray) -> np.ndarray:
-    # _exp_sinh's coarse and first levels on (z x nodes) arrays, rows summed
-    # pairwise as 1-D arrays are, then _refine per row: every value keeps its
-    # bits. A row with a non-finite term takes the float path; no z > 0 has
-    # one (u = 706.9, the first node where f du/dt overflows, is on level 7).
-    out = np.zeros(z.size)
+def _exp_sinh_rows(f, scales: np.ndarray) -> list[EvalResult]:
+    # _exp_sinh on a batch of rows: f(nodes, rows) gives row r's integrand at
+    # u = scales[r] exp(phi) on a slice of the lattice, (rows x nodes) for a
+    # column of row indices and 1-D for an int row. The coarse level is one
+    # array, the first level one per window, rows summed pairwise as 1-D
+    # arrays are, then _refine per row: each row keeps its _exp_sinh call's
+    # bits. A row with no significant coarse term, a non-finite one or a
+    # non-finite first-level sum goes to _exp_sinh whole.
+    scales = scales.tolist()
+    out = [None] * len(scales)
     with np.errstate(all="ignore"):
-        coarse = _k1_integrand(z[:, None], _COARSE)
-        coarse *= _COARSE_DU_DT
+        coarse = np.asarray(f(_COARSE, np.arange(len(out))[:, None]), dtype=float) * _COARSE_DU_DT
         mags = np.abs(coarse)
         peak = np.maximum.reduce(mags, axis=1)  # NaN and inf propagate
-        whole = np.isfinite(peak)
-        for row in (~whole).nonzero()[0].tolist():
-            out[row] = _exp_sinh(partial(_k1_integrand, z[row]), 1.0).value
-        # a bar that underflows keeps the nonzero terms; a row with none is 0.0
+        # a bar that underflows keeps the nonzero terms
         significant = (mags >= _SIGNIFICANT * peak[:, None]) & (mags > 0.0)
-        rows = (whole & significant.any(axis=1)).nonzero()[0]
+        batched = np.isfinite(peak) & significant.any(axis=1)
+        for row in (~batched).nonzero()[0].tolist():
+            out[row] = _exp_sinh(lambda nodes, row=row: f(nodes, row), scales[row])
+        rows = batched.nonzero()[0]
         significant, n = significant[rows], coarse.shape[1]
         # the window, widened by one coarse node on each side
         lo = np.maximum(significant.argmax(axis=1) - 1, 0)
@@ -379,14 +344,48 @@ def _bessel_k1_grid(z: np.ndarray) -> np.ndarray:
             first, last = window // n * _STRIDE, window % n * _STRIDE
             nodes = slice(first, last + 1, _STRIDE >> _FIRST_LEVEL)
             group = rows[windows == window]
-            vals = _k1_integrand(z[group, None], nodes)
-            vals *= _DU_DT[nodes]
+            vals = np.asarray(f(nodes, group[:, None]), dtype=float) * _DU_DT[nodes]
             mags = np.abs(vals)
             sums = (np.add.reduce(a, axis=1).tolist() for a in (vals, vals[:, ::2], mags))
             for row, total, half, size, row_mags in zip(group.tolist(), *sums, mags):
-                f = partial(_k1_integrand, z[row])
-                out[row] = (_refine(f, first, last, total, half, size,
+                g = lambda nodes, row=row: f(nodes, row)
+                out[row] = (_refine(g, first, last, total, half, size,
                                     float(np.dot(row_mags, _PHI_ROUNDOFF[nodes])), True,
-                                    n + vals.shape[1], 1.0)
-                            if math.isfinite(total) else _exp_sinh(f, 1.0)).value
+                                    n + vals.shape[1], scales[row])
+                            if math.isfinite(total) else _exp_sinh(g, scales[row]))
     return out
+
+
+def _k1_terms(z, x):
+    # e^{-x} (x + z) / (sqrt(x) sqrt(x + 2z)): the product of the roots, since
+    # the root of the product overflows once x passes about 1e154
+    return np.exp(-x) * (x + z) / (np.sqrt(x) * np.sqrt(x + 2.0 * z))
+
+
+def bessel_k1(z):
+    """Modified Bessel K1(z) = int_0^inf exp(-z cosh t) cosh t dt, in
+    x = z (cosh t - 1): (e^{-z} / z) int_0^inf e^{-x} (x + z) / (sqrt(x)
+    sqrt(x + 2z)) dx, by the exp-sinh rule at scale 1, where the mass sits
+    for every z. Independent of the Mellin-Barnes path, so that each checks
+    the other. z is a float or an ndarray; an ndarray gives an array of its
+    shape in one pass, each element with the bits of its float call.
+    DomainError unless every z is finite and positive, and where K1(z)
+    overflows binary64 (z below about 5.6e-309); NonConvergence where the
+    rule misses its tolerance."""
+    arr = np.asarray(z, dtype=float)
+    if not ((arr > 0.0) & (arr < math.inf)).all():
+        raise DomainError("bessel_k1 requires finite z > 0")
+    flat = arr.ravel()
+    if arr.ndim:  # at scale 1, x on the lattice is exp(phi)
+        results = _exp_sinh_rows(lambda nodes, rows: _k1_terms(flat[rows], _EXP_PHI[nodes]),
+                                 np.ones(flat.size))
+    else:
+        results = [integrate_semi_infinite(lambda x: _k1_terms(flat[0], x), 0.0)]
+    missed = [at for at, res in zip(flat.tolist(), results) if not res.converged]
+    if missed:
+        raise NonConvergence(f"bessel_k1 not converged at z = {missed[0]}")
+    with np.errstate(over="ignore"):
+        out = np.exp(-flat) * np.array([res.value for res in results]) / flat
+    if not np.isfinite(out).all():
+        raise DomainError("K1(z) overflows binary64")
+    return out.reshape(arr.shape) if arr.ndim else float(out[0])

@@ -11,6 +11,7 @@ from frechet_laplace.laplace import (LaplaceQuery, Method, laplace_frechet,
                                      laplace_frechet_oracle,
                                      laplace_symmetry_check)
 from frechet_laplace.meijer import build_laplace_closed_form, meijer_g_m0
+from frechet_laplace.numerics import EvalResult
 
 TWO_K1_OF_2 = 0.27973176363304486  # 2 K1(2), from the series oracle
 
@@ -71,11 +72,20 @@ class TestLaplaceFrechet:
         (Method.MEIJER_G, 1.0, "series"), (Method.MEIJER_G, 50.0, "contour"),
         (Method.AUTO, 1.0, "series"), (Method.AUTO, 50.0, "contour"),
         # the contour's converged zero far below the smallest subnormal:
-        # AUTO takes the oracle
-        (Method.AUTO, 1e6, "quadrature"), (Method.QUADRATURE, 1.0, "quadrature")])
+        # AUTO keeps it
+        (Method.AUTO, 1e6, "contour"), (Method.QUADRATURE, 1.0, "quadrature")])
     def test_route_names_the_value_returned(self, method, p, route):
         res = laplace_frechet(LaplaceQuery(RationalShape(1, 1), p, method))
         assert res.converged and res.route == route
+
+    @pytest.mark.parametrize("value, converged", [(-1e-20, True), (0.3, False)])
+    def test_auto_falls_back_to_the_oracle(self, monkeypatch, value, converged):
+        # a negative or an unconverged Meijer value: AUTO returns the oracle's
+        monkeypatch.setattr(laplace, "_meijer_path", lambda *args: EvalResult(
+            value, 0.0, 1, converged, "series"))
+        res = laplace_frechet(LaplaceQuery(RationalShape(1, 1), 1.0, Method.AUTO))
+        oracle = laplace_frechet_oracle(Shape(1.0), 1.0)
+        assert res == oracle and res.route == "quadrature"
 
     def test_range(self):
         for p in np.geomspace(0.01, 20.0, 20):

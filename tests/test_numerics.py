@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from frechet_laplace.errors import DomainError, PoleError
+from frechet_laplace.errors import DomainError, NonConvergence, PoleError
 from frechet_laplace import numerics
 from frechet_laplace.distributions import Shape
 from frechet_laplace.laplace import laplace_frechet_oracle
@@ -387,15 +387,17 @@ PINNED_ORACLE = {
     (5.0, 1.0): ("0x1.5021fa12731b5p-2", "0x1.bbe8a954c5876p-53", 204, True),
     (5.0, 10.0): ("0x1.349fee023c220p-14", "0x1.80125e976ea5ep-63", 172, True),
 }
+# recorded with K1 integrated in x = z (cosh t - 1); every z within 2.8e-16
+# of 30-digit mpmath (700.0 too; 1e5 is 0.0, as K1 underflows there)
 PINNED_K1 = {
-    1e-3: "0x1.f3ff84bb5db50p+9",
+    1e-3: "0x1.f3ff84bb5db52p+9",
     1.0: "0x1.342d2f39d89c2p-1",
-    50.0: "0x1.4d17d74654abcp-75",
+    50.0: "0x1.4d17d74654ab6p-75",
 }
 # sha256 of the comma-joined hex of bessel_k1 on selfcheck's grid and at four
-# extreme arguments, recorded before its lattice terms were computed once
+# extreme arguments
 PINNED_K1_GRID = [float(z) for z in np.linspace(0.05, 50.0, 120)] + [1e-300, 1e-10, 700.0, 1e5]
-PINNED_K1_GRID_SHA256 = "c588f2438924b19d60ebb1baf4139f10ef74c36c3ec0acf3c5bc46700196b723"
+PINNED_K1_GRID_SHA256 = "b9c066f9427faa86214466114339f407378f55068703b0b4f0fc445bfe25cfbb"
 
 
 def _bits(res):
@@ -460,15 +462,42 @@ class TestBesselK1:
         with pytest.raises(DomainError):
             bessel_k1(math.inf)
 
+    @pytest.mark.parametrize("z", [np.geomspace(1e-300, 700.0, 400),
+                                   np.geomspace(5.6e-309, 1e-300, 20)], ids=["sweep", "tiny"])
+    def test_against_mpmath(self, z):
+        # the rule converges at every z, also where K1(z) is 1/z to 16
+        # digits, down to where it overflows binary64
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselk(1, mpmath.mpf(v))) for v in z.tolist()])
+        for got in (bessel_k1(z), np.array([bessel_k1(v) for v in z.tolist()])):
+            assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+    @pytest.mark.parametrize("z", [5.5e-309, 5e-324])
+    def test_overflow(self, z):
+        for arg in (z, np.array([1.0, z])):
+            with pytest.raises(DomainError, match="overflows"):
+                bessel_k1(arg)
+
+    def test_unconverged_rule_raises(self, monkeypatch):
+        # a non-finite weight inside every window: the rule reports
+        # converged=False, and bessel_k1 has no flag to carry it
+        weights = numerics._DU_DT.copy()
+        weights[weights.size // 2 + 8] = math.inf
+        monkeypatch.setattr(numerics, "_DU_DT", weights)
+        with pytest.raises(NonConvergence):
+            bessel_k1(1.0)
+        with pytest.raises(NonConvergence):
+            bessel_k1(np.array([0.5, 1.0, 2.0]))
+
 
 def _hex(values):
     return [float(v).hex() for v in values]
 
 
 class TestBesselK1Array:
-    # z log-spaced over [1e-6, 700], with rows that integrate to 0.0 (1e5)
-    # and the smallest z the other tests use (1e-300)
-    GRID = np.concatenate((np.geomspace(1e-6, 700.0, 5000), [1e5, 1e-300]))
+    # z log-spaced over [5.6e-309, 700], and 1e5, where K1 underflows to 0.0
+    GRID = np.concatenate((np.geomspace(5.6e-309, 700.0, 5000), [1e5]))
 
     def test_equals_float_calls(self):
         assert _hex(bessel_k1(self.GRID)) == _hex(bessel_k1(float(z)) for z in self.GRID)
@@ -487,20 +516,33 @@ class TestBesselK1Array:
         with pytest.raises(DomainError):
             bessel_k1(np.array([1.0, bad, 2.0]))
 
-    # No z > 0 gives a non-finite term on the coarse or the first level, so
-    # these put one there through the lattice's weights: the rows it reaches
-    # take the float path, and every value still equals its float call.
+    # The array path's row kernel on a generic integrand g(u) at a scale per
+    # row: every row's EvalResult equals its integrate_semi_infinite call.
+    SCALES = np.array([0.05, 1.0, 20.0, 1e-3, 3.0])
+
+    @staticmethod
+    def _assert_rows_equal_calls(g, scales):
+        rows = numerics._exp_sinh_rows(
+            lambda nodes, rows: g(scales[rows] * numerics._EXP_PHI[nodes]), scales)
+        assert rows == [integrate_semi_infinite(g, 0.0, s) for s in scales.tolist()]
+
+    def test_rows_equal_calls(self):
+        self._assert_rows_equal_calls(lambda u: np.exp(-u), self.SCALES)
+        # 0 on every coarse node: a converged 0.0 from the float path
+        self._assert_rows_equal_calls(lambda u: 0.0 * u, self.SCALES)
+
+    # No scale gives e^{-u} a non-finite term on the coarse or the first
+    # level, so these put one there through the lattice's weights: the rows
+    # it reaches take the float path, and every row still equals its call.
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_coarse_term(self, monkeypatch, bad):
         weights = numerics._COARSE_DU_DT.copy()
         weights[13] = bad
         monkeypatch.setattr(numerics, "_COARSE_DU_DT", weights)
-        z = np.array([0.05, 1.0, 20.0, 1e5])
-        assert _hex(bessel_k1(z)) == _hex(bessel_k1(float(v)) for v in z)
+        self._assert_rows_equal_calls(lambda u: np.exp(-u), self.SCALES)
 
     def test_non_finite_first_level_sum(self, monkeypatch):
         weights = numerics._DU_DT.copy()
         weights[weights.size // 2 + 8] = math.inf
         monkeypatch.setattr(numerics, "_DU_DT", weights)
-        z = np.array([0.05, 1.0, 20.0])
-        assert _hex(bessel_k1(z)) == _hex(bessel_k1(float(v)) for v in z)
+        self._assert_rows_equal_calls(lambda u: np.exp(-u), self.SCALES)
