@@ -96,16 +96,16 @@ def _figure_rows(figure_id: str, points: int):
         header = ["x",
                   "reduced_asym_alpha_1_2", "reduced_frechet_gamma_1",
                   "reduced_asym_alpha_1_4", "reduced_frechet_gamma_1_3"]
-        pairs = [(LevyIndex(0.5), Shape(1.0)), (LevyIndex(0.25), Shape(1.0 / 3.0))]
-        peaks = [(levy_asymptotic(alpha, levy_asymptotic_mode(alpha)),
-                  frechet_pdf(gam, frechet_mode(gam))) for alpha, gam in pairs]
-        for i in range(1, points + 1):
-            x = 3.0 * i / points
-            row = [x]
-            for (alpha, gam), (ga_max, fr_max) in zip(pairs, peaks):
-                row.append(levy_asymptotic_rescaled(gam, x) / ga_max)
-                row.append(frechet_pdf(gam, x) / fr_max)
-            yield header, row
+        xs = [3.0 * i / points for i in range(1, points + 1)]
+        columns = [xs]
+        for alpha, gam in ((LevyIndex(0.5), Shape(1.0)), (LevyIndex(0.25), Shape(1.0 / 3.0))):
+            ga_max = levy_asymptotic(alpha, levy_asymptotic_mode(alpha))
+            fr_max = frechet_pdf(gam, frechet_mode(gam))
+            # the density column in one array call
+            columns += [[levy_asymptotic_rescaled(gam, x) / ga_max for x in xs],
+                        (frechet_pdf(gam, np.array(xs)) / fr_max).tolist()]
+        for row in zip(*columns):
+            yield header, list(row)
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"unknown figure id {figure_id}")
 

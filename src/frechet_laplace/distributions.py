@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_INTEGERS = (int, np.integer)  # MeijerSpec's run lengths pass the same check
 
 
 @dataclass(frozen=True)
@@ -51,11 +52,12 @@ class RationalShape:
     k: int
 
     def __post_init__(self):
-        if self.l < 1 or self.k < 1:
-            raise DomainError("numerator and denominator must be >= 1")
-        g = math.gcd(self.l, self.k)
-        object.__setattr__(self, "l", self.l // g)
-        object.__setattr__(self, "k", self.k // g)
+        l, k = self.l, self.k
+        if not (isinstance(l, _INTEGERS) and isinstance(k, _INTEGERS)) or l < 1 or k < 1:
+            raise DomainError("numerator and denominator must be integers >= 1")
+        g = math.gcd(l, k)
+        object.__setattr__(self, "l", l // g)
+        object.__setattr__(self, "k", k // g)
 
     @property
     def gamma(self) -> float:
@@ -81,32 +83,22 @@ class LevyIndex:
 
 def frechet_pdf(shape: Shape, x):
     """Density gamma x^{-(1+gamma)} exp(-x^{-gamma}); 0 at x = 0 by the limit.
-    x is a float or an ndarray, evaluated in one numpy pass and equal to
-    the float calls up to the rounding of the exponent's terms. DomainError
-    unless every x is finite and >= 0, and where a value overflows binary64."""
+    x is a float or an ndarray, evaluated in one numpy pass: a float call
+    gives a float, bit for bit that element of an array. DomainError unless
+    every x is finite and >= 0, and where a value overflows binary64."""
     g = shape.gamma
-    if isinstance(x, np.ndarray):
-        x = np.asarray(x, dtype=float)
-        if not ((x >= 0.0) & (x < math.inf)).all():
-            raise DomainError("frechet_pdf requires finite x >= 0")
-        with np.errstate(all="ignore"):
-            lx = np.log(x)
-            neg_power = -g * lx
-            # 0.0 where the float call gives it: x = 0 (neg_power inf) and past 709
-            out = np.where(neg_power <= 709.0,
-                           np.exp(math.log(g) - (1.0 + g) * lx - np.exp(neg_power)), 0.0)
-        if not np.isfinite(out).all():
-            raise DomainError(f"frechet_pdf overflows binary64 at gamma = {g}")
-        return out
-    if not 0 <= x < math.inf:
+    v = np.asarray(x, dtype=float)
+    if not ((v >= 0.0) & (v < math.inf)).all():
         raise DomainError("frechet_pdf requires finite x >= 0")
-    if x == 0.0:
-        return 0.0
-    lx = math.log(x)
-    neg_power = -g * lx  # log of x^{-gamma}
-    if neg_power > 709.0:
-        return 0.0
-    return _exp(math.log(g) - (1.0 + g) * lx - math.exp(neg_power))
+    with np.errstate(all="ignore"):
+        lx = np.log(v)
+        neg_power = -g * lx  # log of x^{-gamma}
+        # 0.0 at x = 0 (neg_power inf) and past 709, where exp(-x^{-gamma}) is 0
+        out = np.where(neg_power <= 709.0,
+                       np.exp(math.log(g) - (1.0 + g) * lx - np.exp(neg_power)), 0.0)
+    if not np.isfinite(out).all():
+        raise DomainError(f"frechet_pdf overflows binary64 at gamma = {g}")
+    return out if isinstance(x, np.ndarray) else float(out)
 
 
 def frechet_cdf(shape: Shape, x: float) -> float:
@@ -154,19 +146,16 @@ def levy_pdf_half(x):
 
     Its defining property, L[g](p) = exp(-sqrt(p)), is what the test suite
     pins it against. x is a float or an ndarray, evaluated in one numpy
-    pass and equal to the float calls up to the rounding of the exponent's
-    terms. DomainError unless every x is > 0.
+    pass: a float call gives a float, bit for bit that element of an array.
+    DomainError unless every x is > 0.
     """
-    if isinstance(x, np.ndarray):
-        x = np.asarray(x, dtype=float)
-        if not (x > 0.0).all():
-            raise DomainError("levy_pdf_half requires x > 0")
-        with np.errstate(over="ignore"):  # 0.25 / x overflows to inf, and 0.0
-            return np.exp(-1.5 * np.log(x) - 0.25 / x - math.log(2.0 * math.sqrt(math.pi)))
-    if not x > 0:
+    v = np.asarray(x, dtype=float)
+    if not (v > 0.0).all():
         raise DomainError("levy_pdf_half requires x > 0")
-    log_val = -1.5 * math.log(x) - 0.25 / x - math.log(2.0 * math.sqrt(math.pi))
-    return math.exp(log_val)
+    with np.errstate(over="ignore"):  # 0.25 / x overflows to inf, and 0.0
+        out = np.exp(-1.5 * np.log(v) - 0.25 / v - math.log(2.0 * math.sqrt(math.pi)))
+    # np.exp of a 0-d array is a numpy scalar
+    return np.asarray(out) if isinstance(x, np.ndarray) else float(out)
 
 
 def levy_moment(idx: LevyIndex, mu: float) -> float:

@@ -16,9 +16,10 @@ contour integrates along a parabola opening to the left from its vertex
 c > -min(b_j), for any spec, from a table of nodes per band of slopes: the
 log Gamma sum on a fixed path is a property of the spec. The hand-over
 takes the series where its estimate is within 1e-10 of its value, the
-contour elsewhere, and the contour alone past a slope s* found with the
-series table. meijer_g_series, meijer_g_m0 and meijer_g call those methods;
-the closed form finds its evaluator in one lookup keyed on l and k.
+contour elsewhere, and the contour alone past a slope s*, found by
+bisecting a grid of slopes on the series' own verdict. meijer_g_series,
+meijer_g_m0 and meijer_g call those methods; the closed form finds its
+evaluator in one lookup keyed on l and k.
 
 Everything runs in log space: a closed form passes const and slope with its
 constants cancelled analytically, so the closed form's prefactor
@@ -108,13 +109,13 @@ _SERIES_DEPTH = 60.0
 _EULER_GAMMA = 0.5772156649015329
 _LOG_MAX = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
-# The hand-over scan steps down from slope_top by m log 2 / (2 _SERIES_PEAK):
+# The hand-over's grid steps down from slope_top by m log 2 / (2 _SERIES_PEAK):
 # in the slopes where the series' estimate is not noise, its log ratio to
 # the value changes by less than _SERIES_PEAK / m per unit of slope (up to
 # 0.99 of it on the specs the tests use), so by less than log 2 / 2 a step.
-# 108 to 126 steps reach s* on every spec the tests use; the cap only bounds
-# the scan, and a capped scan leaves s* higher, where the hand-over still
-# tries the series.
+# s* lies 108 to 126 steps down on every spec the tests use; the grid's end
+# only bounds the bisection (9 sums), and a grid that ends short of s*
+# leaves s* higher, where the hand-over still tries the series.
 _HAND_OVER_STEPS = 400
 
 
@@ -375,9 +376,8 @@ class _Evaluator:
     @functools.cached_property
     def hand_over(self) -> float:
         """The hand-over slope s*: the least slope past which the series'
-        const = 0 estimate stays above twice the 1e-10 bar, on the scan's
-        steps down from slope_top, or slope_top where the series meets it
-        there.
+        const = 0 estimate stays above twice the 1e-10 bar, on the grid's steps
+        down from slope_top, or slope_top where the series meets it there.
 
         Between two steps that both miss twice the bar, the ratio of estimate
         to value stays above 2^{-1/4} of twice the bar. The |const| term of
@@ -385,38 +385,22 @@ class _Evaluator:
         the terms for any const: past s* the series misses the bar for every
         const, and past slope_top it declines.
 
-        Every step is summed at once, as series_sum sums one: one exp over
-        the (terms x steps) grid and one product with the table's sums. The
-        slopes are stepped down by repeated subtraction, as a scalar scan
-        would."""
-        table = self.series_table
-        step = self.spec.m * math.log(2.0) / (2.0 * _SERIES_PEAK)
-        steps = np.full(_HAND_OVER_STEPS, step)
-        steps[0] = table.slope_top
-        slopes = np.subtract.accumulate(steps)
-        abs_slopes = np.abs(slopes)
-        # series_sum's declines at const = 0, whose const terms all vanish
-        log_tail = table.tail_log + table.tail_x * slopes
-        top = (table.log_c_max + np.maximum(table.x_min * slopes, table.tail_x * slopes)
-               + np.log1p(abs_slopes))
-        declines = np.maximum(top, log_tail) > _LOG_MAX
-        terms = np.multiply.outer(table.x, slopes)
-        terms += table.log_c[:, None]
-        # a step that declines forms no term in series_sum; here its column
-        # may overflow, and is discarded
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.exp(terms, out=terms)
-            signed, weighted, by_x, _, signed_log, weighted_log, by_x_log, _ = table.sums @ terms
-            size = np.abs(signed - slopes * signed_log)
-            roundoff = (weighted + abs_slopes * by_x
-                        + abs_slopes * (weighted_log + abs_slopes * by_x_log))
-            tail = np.exp(log_tail) * (table.tail_k0 + table.tail_k1 * abs_slopes)
-            err = 2.0 * _EPS * roundoff + table.x.size * _TINY + tail
-            meets = ~declines & (err <= _NOISE_REL_BOUND * size) & (err <= 2.0 * _REL_TOL * size)
-        hits = meets.nonzero()[0]
-        if hits.size == 0:
-            return float(slopes[-1])
-        return float(slopes[max(hits[0] - 1, 0)])
+        The slopes come by repeated subtraction, as a scan would step them.
+        series_sum's own verdict changes once on them on every spec the tests
+        scan, so a bisection finds the first slope that meets the bar in 9 sums."""
+        steps = np.full(_HAND_OVER_STEPS, self.spec.m * math.log(2.0) / (2.0 * _SERIES_PEAK))
+        steps[0] = self.series_table.slope_top
+        slopes = np.subtract.accumulate(steps).tolist()
+        # the first step that meets the bar lies in (miss, meet]
+        miss, meet = -1, len(slopes)
+        while meet - miss > 1:
+            mid = (miss + meet) // 2
+            res = self.series_sum(0.0, slopes[mid])
+            if res.converged and res.err_estimate <= 2.0 * _REL_TOL * abs(res.value):
+                meet = mid
+            else:
+                miss = mid
+        return slopes[max(miss, 0)]
 
     def series_sum(self, const: float, slope: float) -> EvalResult:
         # meijer_g_series

@@ -388,9 +388,11 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
     bounded on the left (a pole of f*(1 - s) right of c) takes the line.
     The nodes are built for the one slope log p and not kept.
     By Cauchy's theorem any valid c gives the same value, which the
-    shift-invariance checks exercise. Every p is integrated; as p -> 0 the
-    accuracy falls, and where the sum misses its tolerance (gamma = 1/10 at
-    p = 1e-12, every Frechet image at p = 1e-30) it carries converged=False.
+    shift-invariance checks exercise. Small p is integrated too; a sum that
+    misses its tolerance carries converged=False (gamma = 1/10 at p = 1e-12,
+    every Frechet image at p = 1e-30, and at c = 0.5 the image of 1/1 from
+    about p = 75: 2.7e-7 at p = 1e3, for 3.4e-27). From about p = 2.2e3 that
+    path rises too far above its vertex (e^118 at p = 1e4): ContourError.
     An image that is not real on the real axis, where the engine sets step
     and window, raises DomainError: the engine's sum over the upper half of
     the path would not be the integral.

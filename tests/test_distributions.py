@@ -28,6 +28,7 @@ class TestShapes:
         s = RationalShape(4, 6)
         assert (s.l, s.k) == (2, 3)
         assert math.isclose(s.gamma, 2.0 / 3.0)
+        assert RationalShape(np.int64(4), 6) == s
 
     def test_rational_shape_swapped(self):
         assert RationalShape(2, 3).swapped() == RationalShape(3, 2)
@@ -35,6 +36,13 @@ class TestShapes:
     @pytest.mark.parametrize("l,k", [(0, 1), (1, 0), (-2, 3)])
     def test_rational_shape_validation(self, l, k):
         with pytest.raises(DomainError):
+            RationalShape(l, k)
+
+    @pytest.mark.parametrize("l,k", [(1.5, 2), (2.0, 4), (math.nan, 2), (2, math.inf), (2, "3")])
+    def test_rational_shape_needs_integers(self, l, k):
+        # MeijerSpec's check: anything but an int or a numpy integer is a
+        # DomainError, never math.gcd's TypeError
+        with pytest.raises(DomainError, match="integers"):
             RationalShape(l, k)
 
     @pytest.mark.parametrize("g", [0.0, -1.0, math.inf, math.nan])
@@ -289,41 +297,37 @@ class TestClosedFormModes:
             assert abs(peak - searched) <= 1e-15 * peak
 
 
-_EPS = np.finfo(float).eps
-
-
-def _within_float_calls(values, expected, terms):
-    # relative 2 eps (1 + sum |terms of the exponent|), and the subnormal
-    # spacing for a value rounded below the normal range
-    bound = 2.0 * _EPS * (1.0 + terms) * np.abs(expected) + 2.0 ** -1074
-    return bool((np.abs(values - expected) <= bound).all())
-
-
 class TestDensitiesOnArrays:
+    # each density has one numpy body: a float call is its array element,
+    # bit for bit, at the ends of the range as well as in between
+
     @pytest.mark.parametrize("g", [0.1, 1.0 / 3.0, 1.0, 2.5, 7.0])
     def test_frechet_pdf_within_float_calls(self, g):
-        x = np.geomspace(1e-4, 1e4, 20001)
-        expected = np.array([frechet_pdf(Shape(g), v) for v in x.tolist()])
-        # the exponent's terms log gamma, (1 + gamma) log x and x^-gamma, the
-        # last counted 1 + gamma |log x| times: it carries the rounding of
-        # log x, where numpy's log and math.log can differ by an ulp
-        lx = np.log(x)
-        terms = (abs(math.log(g)) + (1.0 + g) * np.abs(lx)
-                 + (1.0 + g * np.abs(lx)) * np.exp(-g * lx))
+        x = np.concatenate(([0.0, 1e-300, 1.0, 1e300], np.geomspace(1e-4, 1e4, 20001)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            expected = [frechet_pdf(Shape(g), v).hex() for v in x.tolist()]
             values = frechet_pdf(Shape(g), x)
         assert values.shape == x.shape
-        assert _within_float_calls(values, expected, terms)
+        assert [v.hex() for v in values.tolist()] == expected
 
     def test_levy_pdf_half_within_float_calls(self):
-        x = np.geomspace(1e-3, 1e6, 20001)
-        expected = np.array([levy_pdf_half(v) for v in x.tolist()])
-        terms = 1.5 * np.abs(np.log(x)) + 0.25 / x + math.log(2.0 * math.sqrt(math.pi))
+        x = np.concatenate(([1e-300, 1.0, 1e300], np.geomspace(1e-3, 1e6, 20001)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            expected = [levy_pdf_half(v).hex() for v in x.tolist()]
             values = levy_pdf_half(x)
-        assert _within_float_calls(values, expected, terms)
+        assert [v.hex() for v in values.tolist()] == expected
+
+    @pytest.mark.parametrize("density", [lambda x: frechet_pdf(Shape(2.0), x), levy_pdf_half],
+                             ids=["frechet_pdf", "levy_pdf_half"])
+    def test_return_types(self, density):
+        # a float gives a float; an ndarray, 0-d or not, an ndarray of its shape
+        for x in (1.5, 2, np.float64(1.5)):
+            assert type(density(x)) is float
+        for x in (np.array(1.5), np.array([1.5]), np.array([[0.5, 1.5], [2.0, 3.0]])):
+            out = density(x)
+            assert type(out) is np.ndarray and out.shape == x.shape
 
     def test_extreme_arguments_warn_nothing(self):
         with warnings.catch_warnings():

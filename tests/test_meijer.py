@@ -1064,20 +1064,28 @@ class TestMeijerG:
 
     @pytest.mark.parametrize("spec", [
         build_laplace_closed_form(RationalShape(l, k)).spec
-        for l, k in HAND_OVER_PAIRS + [(200, 1), (1, 200), (800, 1), (1, 800)]] + [_HALF_SPEC])
+        for l, k in HAND_OVER_PAIRS + [(200, 1), (1, 200), (800, 1), (1, 800)]] + [_HALF_SPEC] + [
+        build_laplace_closed_form(RationalShape(l, k)).spec
+        for l in range(1, 9) for k in range(1, 9)
+        if math.gcd(l, k) == 1 and (l, k) not in HAND_OVER_PAIRS])
     def test_hand_over_equals_the_scalar_scan(self, spec):
-        # the scan as a loop of one series sum per step: the table's s*,
-        # from every step summed at once, is the same slope bit for bit
+        # the scan as a loop of one series sum per step, down the whole grid:
+        # the verdict changes once, from missing the bar to meeting it, which
+        # is what the bisection assumes, and its s* is the last step that
+        # misses, bit for bit (the grid's last step if none meets it)
         evaluator = meijer._evaluator_of(spec)
         step = spec.m * math.log(2.0) / (2.0 * meijer._SERIES_PEAK)
-        hand_over = slope = evaluator.series_table.slope_top
+        slope = evaluator.series_table.slope_top
+        slopes, meets = [], []
         for _ in range(meijer._HAND_OVER_STEPS):
             res = evaluator.series_sum(0.0, slope)
-            if res.converged and res.err_estimate <= 2.0 * meijer._REL_TOL * abs(res.value):
-                break
-            hand_over = slope
+            slopes.append(slope)
+            meets.append(res.converged
+                         and res.err_estimate <= 2.0 * meijer._REL_TOL * abs(res.value))
             slope -= step
-        assert evaluator.hand_over == hand_over
+        first = meets.index(True) if True in meets else len(meets)
+        assert meets == [False] * first + [True] * (len(meets) - first)
+        assert evaluator.hand_over == slopes[max(first - 1, 0)]
 
     @pytest.mark.parametrize("spec,const", [
         (build_laplace_closed_form(RationalShape(1, 1)).spec, 0.0),

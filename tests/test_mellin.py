@@ -178,6 +178,23 @@ class TestLaplaceViaMellin:
             bound = 10.0 * (res.err_estimate + oracle.err_estimate) + 4e-16 * abs(oracle.value)
             assert abs(res.value - oracle.value) <= bound
 
+    def test_large_p_at_the_default_abscissa(self):
+        # the path through c = 0.5 does not serve large p: the image of 1/1
+        # is converged at p = 10, flagged converged=False at p = 100 and
+        # 1e3 (where it is 2.7e-7 for 3.4e-27), and from about 2.2e3 the path
+        # rises too far above its vertex (e^118 at 1e4), a ContourError
+        image = frechet_mellin_image(RationalShape(1, 1))
+        res, ref = laplace_via_mellin(image, 10.0), closed_form_contour(1, 1, 10.0)
+        assert res.converged
+        assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
+        assert not laplace_via_mellin(image, 100.0).converged
+        res, ref = laplace_via_mellin(image, 1e3), closed_form_contour(1, 1, 1e3)
+        assert not res.converged
+        assert res.value > 1e-7 and 1e-27 < ref.value < 1e-26
+        for p in (3e3, 1e4):
+            with pytest.raises(ContourError, match="rises"):
+                laplace_via_mellin(image, p)
+
     def test_image_that_underflows_to_zero(self):
         # an image value of 0 enters the log-space integrand as a finite log
         # whose node is 0: Gamma(s) flushed to 0 below 1e-9, which zeroes
