@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentMoment, DomainError
-from .numerics import _exp, _power
+from .numerics import _as_numbers, _exp, _power
 
 __all__ = [
     "Shape",
@@ -46,7 +46,9 @@ class Shape:
 
 @dataclass(frozen=True)
 class RationalShape:
-    """Shape gamma = l/k stored as a reduced fraction of positive integers."""
+    """Shape gamma = l/k stored as a reduced fraction of positive integers,
+    each at most 2**53: past that they stop being exact binary64 integers,
+    and the closed form's terms in l and k lose them."""
 
     l: int
     k: int
@@ -56,8 +58,11 @@ class RationalShape:
         if not (isinstance(l, _INTEGERS) and isinstance(k, _INTEGERS)) or l < 1 or k < 1:
             raise DomainError("numerator and denominator must be integers >= 1")
         g = math.gcd(l, k)
-        object.__setattr__(self, "l", l // g)
-        object.__setattr__(self, "k", k // g)
+        l, k = l // g, k // g
+        if l > 2**53 or k > 2**53:
+            raise DomainError("reduced numerator and denominator must be at most 2**53")
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "k", k)
 
     @property
     def gamma(self) -> float:
@@ -83,11 +88,12 @@ class LevyIndex:
 
 def frechet_pdf(shape: Shape, x):
     """Density gamma x^{-(1+gamma)} exp(-x^{-gamma}); 0 at x = 0 by the limit.
-    x is a float or an ndarray, evaluated in one numpy pass: a float call
-    gives a float, bit for bit that element of an array. DomainError unless
-    every x is finite and >= 0, and where a value overflows binary64."""
+    x is a float or an ndarray (a list is read as one), evaluated in one
+    numpy pass: a float call gives a float, bit for bit that element of an
+    array. DomainError unless every x is finite and >= 0, and where a value
+    overflows binary64; text is a DomainError too."""
     g = shape.gamma
-    v = np.asarray(x, dtype=float)
+    v = _as_numbers(x, float, "frechet_pdf")
     if not ((v >= 0.0) & (v < math.inf)).all():
         raise DomainError("frechet_pdf requires finite x >= 0")
     with np.errstate(all="ignore"):
@@ -98,7 +104,7 @@ def frechet_pdf(shape: Shape, x):
                        np.exp(math.log(g) - (1.0 + g) * lx - np.exp(neg_power)), 0.0)
     if not np.isfinite(out).all():
         raise DomainError(f"frechet_pdf overflows binary64 at gamma = {g}")
-    return out if isinstance(x, np.ndarray) else float(out)
+    return out if v.ndim or isinstance(x, np.ndarray) else float(out)
 
 
 def frechet_cdf(shape: Shape, x: float) -> float:
@@ -145,17 +151,18 @@ def levy_pdf_half(x):
     g(x) = x^{-3/2} exp(-1/(4x)) / (2 sqrt(pi)).
 
     Its defining property, L[g](p) = exp(-sqrt(p)), is what the test suite
-    pins it against. x is a float or an ndarray, evaluated in one numpy
-    pass: a float call gives a float, bit for bit that element of an array.
-    DomainError unless every x is > 0.
+    pins it against. x is a float or an ndarray (a list is read as one),
+    evaluated in one numpy pass: a float call gives a float, bit for bit
+    that element of an array. DomainError unless every x is > 0; text is a
+    DomainError too.
     """
-    v = np.asarray(x, dtype=float)
+    v = _as_numbers(x, float, "levy_pdf_half")
     if not (v > 0.0).all():
         raise DomainError("levy_pdf_half requires x > 0")
     with np.errstate(over="ignore"):  # 0.25 / x overflows to inf, and 0.0
         out = np.exp(-1.5 * np.log(v) - 0.25 / v - math.log(2.0 * math.sqrt(math.pi)))
     # np.exp of a 0-d array is a numpy scalar
-    return np.asarray(out) if isinstance(x, np.ndarray) else float(out)
+    return np.asarray(out) if v.ndim or isinstance(x, np.ndarray) else float(out)
 
 
 def levy_moment(idx: LevyIndex, mu: float) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import RationalShape, Shape
-from .errors import DomainError
+from .errors import DomainError, NonConvergence
 from .meijer import _closed_form, _within_tolerance
 from .numerics import EvalResult, bessel_k1, integrate_semi_infinite
 
@@ -50,7 +50,7 @@ def _meijer_path(shape: RationalShape, log_p: float) -> EvalResult:
     # the prefactor and the multiplication formula's constants cancel:
     # L(p) = l (1/2 pi i) int Gamma(ks + 1) Gamma(ls) p^{-ls} ds
     l = shape.l
-    return _closed_form(l, shape.k)._evaluator.meijer_g(math.log(l), l * log_p)
+    return _closed_form(l, shape.k).spec._meijer_g(math.log(l), l * log_p)
 
 
 def laplace_frechet(query: LaplaceQuery) -> EvalResult:
@@ -115,13 +115,17 @@ def laplace_symmetry_check(shape: RationalShape, p: float) -> tuple[float, float
     L[Fr(l, k, x); p] = L[Fr(k, l, x); p^{l/k}], each assembled from its own
     Meijer parameter list. The swapped variable p^{l/k} is taken as its log,
     (l/k) log p: it leaves binary64 where neither side does. The caller
-    asserts agreement."""
+    asserts agreement; NonConvergence where either side is not converged,
+    since an unconverged value is no side of the law."""
     if not 0 < p < math.inf:
         raise DomainError("laplace_symmetry_check requires finite p > 0")
     log_p = math.log(p)
-    lhs = _meijer_path(shape, log_p)
-    rhs = _meijer_path(shape.swapped(), shape.l / shape.k * log_p)
-    return lhs.value, rhs.value
+    sides = (_meijer_path(shape, log_p),
+             _meijer_path(shape.swapped(), shape.l / shape.k * log_p))
+    if not all(side.converged for side in sides):
+        raise NonConvergence(f"laplace_symmetry_check: a side of {shape.l}/{shape.k} "
+                             f"at p = {p} is not converged")
+    return sides[0].value, sides[1].value
 
 
 def laplace_frechet_bessel(p: float) -> float:

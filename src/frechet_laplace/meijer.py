@@ -7,19 +7,19 @@ multiplication formula collapses each run of the Mellin-Barnes integrand
 into one gamma factor:
 prod_{j<n} Gamma(s + (a+j)/n) = (2 pi)^{(n-1)/2} n^{1/2-a-ns} Gamma(ns + a).
 
-One evaluator per spec (_Evaluator, built once) holds both routes of that
-collapsed integrand, exp(const - s slope) prod_g Gamma(n_g s + a_g), taken
-as the pair (const, slope). The series sums its residues (Slater's theorem),
-for two runs with integer a, from a table of coefficients built on first
-use; it declines where its terms would leave binary64 or the table. The
-contour integrates along a parabola opening to the left from its vertex
-c > -min(b_j), for any spec, from a table of nodes per band of slopes: the
-log Gamma sum on a fixed path is a property of the spec. The hand-over
-takes the series where its estimate is within 1e-10 of its value, the
-contour elsewhere, and the contour alone past a slope s*, found by
-bisecting a grid of slopes on the series' own verdict. meijer_g_series,
-meijer_g_m0 and meijer_g call those methods; the closed form finds its
-evaluator in one lookup keyed on l and k.
+Each spec (MeijerSpec) holds both routes of that collapsed integrand,
+exp(const - s slope) prod_g Gamma(n_g s + a_g), taken as the pair
+(const, slope), and the tables they read. The series sums its residues
+(Slater's theorem), for two runs with integer a, from a table of
+coefficients built on first use; it declines where its terms would leave
+binary64 or the table. The contour integrates along a parabola opening to
+the left from its vertex c > -min(b_j), for any spec, from a table of nodes
+per band of slopes: the log Gamma sum on a fixed path is a property of the
+spec. The hand-over takes the series where its estimate is within 1e-10 of
+its value, the contour elsewhere, and the contour alone past a slope s*,
+found by bisecting a grid of slopes on the series' own verdict.
+meijer_g_series, meijer_g_m0 and meijer_g call the spec's methods; the
+closed form finds its spec in one lookup keyed on l and k.
 
 Everything runs in log space: a closed form passes const and slope with its
 constants cancelled analytically, so the closed form's prefactor
@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,39 +50,6 @@ __all__ = [
     "meijer_g_series",
     "build_laplace_closed_form",
 ]
-
-
-@dataclass(frozen=True)
-class MeijerSpec:
-    """Lower parameter list of a G^{m,0}_{0,m} instance as Delta(n, a) runs.
-    Each entry of b becomes a run (1, b_j), ahead of the given groups; the
-    b property derives the list from the runs."""
-
-    groups: tuple
-
-    def __init__(self, b: Sequence[float] = (), *, groups: Sequence = ()):
-        runs = tuple((1, v) for v in b) + tuple(groups)
-        if len(runs) < 1:
-            raise DomainError("MeijerSpec needs at least one lower parameter")
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n, _ in runs):
-            raise DomainError("MeijerSpec run lengths must be integers >= 1")
-        runs = tuple((int(n), float(a)) for n, a in runs)
-        if not all(math.isfinite(a) for _, a in runs):
-            raise DomainError("MeijerSpec parameters must be finite")
-        object.__setattr__(self, "groups", runs)
-        # the evaluator cache is keyed on the spec: its hash is taken once
-        object.__setattr__(self, "_hash", hash(runs))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @property
-    def b(self) -> tuple:
-        return tuple((a + j) / n for n, a in self.groups for j in range(n))
-
-    @functools.cached_property
-    def m(self) -> int:
-        return sum(n for n, _ in self.groups)
 
 
 # The contour tables. A band is a range of slopes that shares one table of
@@ -165,23 +131,50 @@ class _SeriesTable:
     tail_k1: float
 
 
-class _Evaluator:
-    """What the Meijer routes know of one spec, and never a value: b_min,
-    sum n log n (summed in run order), the runs' n and a as read-only
-    complex columns, the band scale 2 sqrt(m), the series table and s*
-    (built on first use) and the band tables."""
+@dataclass(frozen=True)
+class MeijerSpec:
+    """Lower parameter list of a G^{m,0}_{0,m} instance as Delta(n, a) runs.
+    Each entry of b becomes a run (1, b_j), ahead of the given groups; the
+    b property derives the list from the runs. The spec also holds what the
+    Meijer routes know of it, and never a value: the constants set below,
+    the series table and s* (built on first use), and band tables that equal
+    specs share."""
 
-    def __init__(self, spec: MeijerSpec):
-        self.spec = spec
-        # the smallest b_j of a run Delta(n, a) is a / n
-        self.b_min = min(a / n for n, a in spec.groups)
-        self.n_log_n = sum(n * math.log(n) for n, _ in spec.groups)
-        groups = np.array(spec.groups, dtype=complex)
-        groups.flags.writeable = False
-        self.n, self.a = groups[:, :1], groups[:, 1:]
-        self.scale = 2.0 * math.sqrt(spec.m)
+    groups: tuple
 
-    def saddle(self, slope: float) -> float:
+    def __init__(self, b: Sequence[float] = (), *, groups: Sequence = ()):
+        runs = tuple((1, v) for v in b) + tuple(groups)
+        if len(runs) < 1:
+            raise DomainError("MeijerSpec needs at least one lower parameter")
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n, _ in runs):
+            raise DomainError("MeijerSpec run lengths must be integers >= 1")
+        runs = tuple((int(n), float(a)) for n, a in runs)
+        if not all(math.isfinite(a) for _, a in runs):
+            raise DomainError("MeijerSpec parameters must be finite")
+        columns = np.array(runs, dtype=complex)
+        columns.flags.writeable = False
+        # the hash, taken once (the band tables are keyed on the spec), the
+        # smallest b_j (a / n of a run Delta(n, a)), sum n log n in run order,
+        # the runs' n and a as read-only complex columns, and the band scale
+        for name, value in (("groups", runs), ("_hash", hash(runs)),
+                            ("_b_min", min(a / n for n, a in runs)),
+                            ("_n_log_n", sum(n * math.log(n) for n, _ in runs)),
+                            ("_n", columns[:, :1]), ("_a", columns[:, 1:]),
+                            ("_scale", 2.0 * math.sqrt(sum(n for n, _ in runs)))):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @property
+    def b(self) -> tuple:
+        return tuple((a + j) / n for n, a in self.groups for j in range(n))
+
+    @functools.cached_property
+    def m(self) -> int:
+        return sum(n for n, _ in self.groups)
+
+    def _saddle(self, slope: float) -> float:
         """Abscissa minimizing the integrand magnitude on the real axis.
 
         On the real axis the integrand is exp(phi(c)) with, one term per run,
@@ -194,7 +187,7 @@ class _Evaluator:
         c = 2 e^300, which keeps it finite: where the saddle lies beyond
         (log z > 300 m), phi < -0.3 m c at the bracket end, far under the
         binary64 floor, so the vertex there builds no node and gives the
-        same converged zero. It runs once per band table (band_table), never
+        same converged zero. It runs once per band table (_band_table), never
         per value.
 
         Safeguarded Newton on phi'(c) = sum_g n_g psi(n_g c + a_g) - slope,
@@ -206,11 +199,11 @@ class _Evaluator:
         is concave, so Newton rises to the root from the left; phi' > 0 at
         the lower end makes that end the result.
         """
-        lo, hi = -self.b_min + 0.25, 2.0 * math.exp(300.0)
-        c = min(max(math.exp(min((slope - self.n_log_n) / self.spec.m, 300.0)), lo), hi)
+        lo, hi = -self._b_min + 0.25, 2.0 * math.exp(300.0)
+        c = min(max(math.exp(min((slope - self._n_log_n) / self.m, 300.0)), lo), hi)
         while True:
             d1, d2 = -slope, 0.0
-            for n, a in self.spec.groups:
+            for n, a in self.groups:
                 x = n * c + a
                 up, down = math.lgamma(1.00001 * x), math.lgamma(0.99999 * x)
                 d1 += n * (up - down) / (2e-5 * x)
@@ -226,69 +219,71 @@ class _Evaluator:
                 return step
             c = step
 
-    def log_gammas(self, x: float) -> float:
+    def _log_gammas(self, x: float) -> float:
         # sum_g log Gamma(n_g x + a_g) in plain floats, x right of every pole
         total = 0.0
-        for n, a in self.spec.groups:
+        for n, a in self.groups:
             total += math.lgamma(n * x + a)
         return total
 
-    def band_coordinate(self, slope: float) -> float:
+    def _band_coordinate(self, slope: float) -> float:
         # t of the slope (see _BAND_WIDTH)
-        u = min((slope - self.n_log_n) / self.spec.m, _BAND_LOG_C_MAX)
-        return self.scale * math.exp(0.5 * u) if u > 0.0 else self.scale * (1.0 + 0.5 * u)
+        u = min((slope - self._n_log_n) / self.m, _BAND_LOG_C_MAX)
+        return self._scale * math.exp(0.5 * u) if u > 0.0 else self._scale * (1.0 + 0.5 * u)
 
-    def band_slope(self, t: float) -> float:
-        # the inverse of band_coordinate
-        v = t / self.scale
+    def _band_slope(self, t: float) -> float:
+        # the inverse of _band_coordinate
+        v = t / self._scale
         u = 2.0 * math.log(v) if v > 1.0 else 2.0 * (v - 1.0)
-        return self.n_log_n + self.spec.m * u
+        return self._n_log_n + self.m * u
 
-    def nodes(self, c: float, slopes: tuple[float, float]):
+    def _nodes(self, c: float, slopes: tuple[float, float]):
         """Nodes of the collapsed integrand on the parabola with vertex c, for
         every slope in slopes: one log_gamma call on the (runs x nodes) array
         n s + a. Step and window come from the real-axis sum in plain floats
         (math.lgamma), with no log_gamma call."""
         def log_parts(s):
-            parts = log_gamma(self.n * s + self.a)
+            parts = log_gamma(self._n * s + self._a)
             return np.add.reduce(parts), np.add.reduce(np.abs(parts))
 
         def log_abs_real(x):
-            return np.array([self.log_gammas(v) for v in x.tolist()])
+            return np.array([self._log_gammas(v) for v in x.tolist()])
 
-        return contour_nodes(log_parts, log_abs_real, c, (c + self.b_min, math.inf), slopes)
+        return contour_nodes(log_parts, log_abs_real, c, (c + self._b_min, math.inf), slopes)
 
-    # one cache for every evaluator's bands, 256 tables in all
+    # one cache for every spec's bands, 256 tables in all, keyed on the
+    # spec's runs and the band
     @functools.lru_cache(maxsize=256)
-    def band_table(self, band: int):
+    def _band_table(self, band: int):
         """(vertex, log Gamma sum there, nodes) of the table that serves
         every slope of a band, built once, with one saddle search: a
         property of the spec and the band, never of a value. The vertex is
         the saddle of the band's centre; the top band also holds every slope
         past _BAND_LOG_C_MAX. nodes() builds the ContourNodes on its first
         call and keeps them."""
-        lo = self.band_slope(band * _BAND_WIDTH)
-        hi = self.band_slope((band + 1) * _BAND_WIDTH)
-        vertex = self.saddle(self.band_slope((band + 0.5) * _BAND_WIDTH))
-        return (vertex, self.log_gammas(vertex),
-                functools.cache(functools.partial(self.nodes, vertex, (lo, hi))))
+        lo = self._band_slope(band * _BAND_WIDTH)
+        hi = self._band_slope((band + 1) * _BAND_WIDTH)
+        vertex = self._saddle(self._band_slope((band + 0.5) * _BAND_WIDTH))
+        return (vertex, self._log_gammas(vertex),
+                functools.cache(functools.partial(self._nodes, vertex, (lo, hi))))
 
-    def contour(self, const: float, slope: float, c: float | None = None) -> EvalResult:
+    def _contour(self, const: float, slope: float, c: float | None = None) -> EvalResult:
         # meijer_g_m0: from the band's table, or from nodes at an explicit c
         if not (math.isfinite(const) and math.isfinite(slope)):
             raise DomainError("meijer_g_m0 requires finite const and slope")
         if c is None:
-            c, log_gammas, nodes = self.band_table(
-                math.floor(self.band_coordinate(slope) / _BAND_WIDTH))
-        elif -self.b_min < c < math.inf:
-            log_gammas, nodes = self.log_gammas(c), functools.partial(self.nodes, c, (slope, slope))
+            c, log_gammas, nodes = self._band_table(
+                math.floor(self._band_coordinate(slope) / _BAND_WIDTH))
+        elif -self._b_min < c < math.inf:
+            log_gammas = self._log_gammas(c)
+            nodes = functools.partial(self._nodes, c, (slope, slope))
         else:
             raise ContourError(
-                f"abscissa {c} does not separate poles: need {-self.b_min} < c < inf")
+                f"abscissa {c} does not separate poles: need {-self._b_min} < c < inf")
         return contour_integral(nodes, log_gammas + const - c * slope, const, slope)
 
     @functools.cached_property
-    def series_table(self) -> _SeriesTable:
+    def _series_table(self) -> _SeriesTable:
         """The residues of the collapsed integrand of a two-run spec, in order
         of the power x of e^slope they carry, built in O(terms).
 
@@ -311,9 +306,9 @@ class _Evaluator:
 
         DomainError for a spec other than two runs with integer a.
         """
-        if len(self.spec.groups) != 2 or not all(a.is_integer() for _, a in self.spec.groups):
+        if len(self.groups) != 2 or not all(a.is_integer() for _, a in self.groups):
             raise DomainError("meijer_g_series takes two runs with integer a")
-        (n1, a1), (n2, a2) = self.spec.groups
+        (n1, a1), (n2, a2) = self.groups
         a1, a2 = int(a1), int(a2)
         m, d = n1 + n2, n1 * n2
         slope_top = n1 * math.log(n1) + n2 * math.log(n2) + m * math.log(_SERIES_PEAK / m)
@@ -374,7 +369,7 @@ class _Evaluator:
                             tail_k0=0.5 * math.pi + (psi_bound + m) / d, tail_k1=1.0 / d)
 
     @functools.cached_property
-    def hand_over(self) -> float:
+    def _hand_over(self) -> float:
         """The hand-over slope s*: the least slope past which the series'
         const = 0 estimate stays above twice the 1e-10 bar, on the grid's steps
         down from slope_top, or slope_top where the series meets it there.
@@ -386,25 +381,25 @@ class _Evaluator:
         const, and past slope_top it declines.
 
         The slopes come by repeated subtraction, as a scan would step them.
-        series_sum's own verdict changes once on them on every spec the tests
+        _series_sum's own verdict changes once on them on every spec the tests
         scan, so a bisection finds the first slope that meets the bar in 9 sums."""
-        steps = np.full(_HAND_OVER_STEPS, self.spec.m * math.log(2.0) / (2.0 * _SERIES_PEAK))
-        steps[0] = self.series_table.slope_top
+        steps = np.full(_HAND_OVER_STEPS, self.m * math.log(2.0) / (2.0 * _SERIES_PEAK))
+        steps[0] = self._series_table.slope_top
         slopes = np.subtract.accumulate(steps).tolist()
         # the first step that meets the bar lies in (miss, meet]
         miss, meet = -1, len(slopes)
         while meet - miss > 1:
             mid = (miss + meet) // 2
-            res = self.series_sum(0.0, slopes[mid])
+            res = self._series_sum(0.0, slopes[mid])
             if res.converged and res.err_estimate <= 2.0 * _REL_TOL * abs(res.value):
                 meet = mid
             else:
                 miss = mid
         return slopes[max(miss, 0)]
 
-    def series_sum(self, const: float, slope: float) -> EvalResult:
+    def _series_sum(self, const: float, slope: float) -> EvalResult:
         # meijer_g_series
-        table = self.series_table
+        table = self._series_table
         if not (math.isfinite(const) and math.isfinite(slope)):
             raise DomainError("meijer_g_series requires finite const and slope")
         abs_slope, abs_const = abs(slope), abs(const)
@@ -414,7 +409,10 @@ class _Evaluator:
                + math.log1p(abs_slope))
         if slope > table.slope_top or top > _LOG_MAX or log_tail > _LOG_MAX:
             return EvalResult(0.0, math.inf, 0, False, "series")
-        terms = table.x * slope
+        # below slope -1e300 every x_j >= 0 (else top > _LOG_MAX), and a
+        # positive x_j is at least 1 / (n1 n2): its term is e^{-1e268} or
+        # less, 0.0 at the true slope or at -1e300, where x slope stays finite
+        terms = table.x * (slope if slope > -1e300 else -1e300)
         terms += table.log_c
         if const != 0.0:
             # t + 0.0 is t, and exp(-0.0) is 1: const = log 1 of the l = 1 forms
@@ -430,24 +428,14 @@ class _Evaluator:
         err = 2.0 * _EPS * roundoff + terms.size * _TINY + tail
         return EvalResult(value, err, terms.size, err <= _NOISE_REL_BOUND * abs(value), "series")
 
-    def meijer_g(self, const: float, slope: float) -> EvalResult:
+    def _meijer_g(self, const: float, slope: float) -> EvalResult:
         # the hand-over: the series up to s* where it meets the bar
-        if slope <= self.hand_over:
-            res = self.series_sum(const, slope)
+        if slope <= self._hand_over:
+            res = self._series_sum(const, slope)
             if _within_tolerance(res):
                 return res
         # by its module name, where perfbench/tracing.py rebinds it
-        return meijer_g_m0(self.spec, const=const, slope=slope)
-
-
-# Every evaluator comes from this cache. One it evicts can live on in a
-# closed form or a band table; a spec held there gets that same one back.
-_held_evaluators = weakref.WeakValueDictionary()
-
-
-@functools.lru_cache(maxsize=256)
-def _evaluator_of(spec: MeijerSpec) -> _Evaluator:
-    return _held_evaluators.get(spec) or _held_evaluators.setdefault(spec, _Evaluator(spec))
+        return meijer_g_m0(self, const=const, slope=slope)
 
 
 def _within_tolerance(res: EvalResult) -> bool:
@@ -486,7 +474,7 @@ def meijer_g_m0(spec: MeijerSpec, *, const: float, slope: float,
     from the saddle that the integrand on the path rises far above its
     vertex raises ContourError.
     """
-    return _evaluator_of(spec).contour(const, slope, c)
+    return spec._contour(const, slope, c)
 
 
 def meijer_g_series(spec: MeijerSpec, *, const: float, slope: float) -> EvalResult:
@@ -510,7 +498,7 @@ def meijer_g_series(spec: MeijerSpec, *, const: float, slope: float) -> EvalResu
     leave binary64: no term is formed there. DomainError for a spec other
     than two runs with integer a, or a non-finite const or slope.
     """
-    return _evaluator_of(spec).series_sum(const, slope)
+    return spec._series_sum(const, slope)
 
 
 def meijer_g(spec: MeijerSpec, *, const: float, slope: float) -> EvalResult:
@@ -523,7 +511,7 @@ def meijer_g(spec: MeijerSpec, *, const: float, slope: float) -> EvalResult:
     const, and is not summed. The route of the value returned is in its
     EvalResult.
     """
-    return _evaluator_of(spec).meijer_g(const, slope)
+    return spec._meijer_g(const, slope)
 
 
 @dataclass(frozen=True)
@@ -552,11 +540,6 @@ class LaplaceClosedForm:
         l, k = self.shape.l, self.shape.k
         return l * log_p - k * math.log(k) - l * math.log(l)
 
-    @functools.cached_property
-    def _evaluator(self) -> _Evaluator:
-        # the spec's evaluator, read off the form by laplace._meijer_path
-        return _evaluator_of(self.spec)
-
 
 def build_laplace_closed_form(shape: RationalShape) -> LaplaceClosedForm:
     """Assemble the log prefactor, the parameter list Delta(k,1) + Delta(l,0),
@@ -567,7 +550,7 @@ def build_laplace_closed_form(shape: RationalShape) -> LaplaceClosedForm:
 @functools.lru_cache(maxsize=256)
 def _closed_form(l: int, k: int) -> LaplaceClosedForm:
     # keyed on the integers l and k: a closed-form value that looks up its
-    # evaluator here hashes two ints, not a shape or a spec
+    # spec here hashes two ints, not a shape or a spec
     log_prefactor = 0.5 * math.log(k * l) - ((k + l) / 2.0 - 1.0) * math.log(2.0 * math.pi)
     return LaplaceClosedForm(shape=RationalShape(l, k), log_prefactor=log_prefactor,
                              spec=MeijerSpec(groups=((k, 1.0), (l, 0.0))))

@@ -37,6 +37,21 @@ class EvalResult:
     route: str
 
 
+def _as_numbers(x, dtype, name: str) -> np.ndarray:
+    """x as an ndarray of dtype, where np.asarray(x, dtype) would read text
+    as numbers ("2.0", b"1") or raise ValueError ("abc"): DomainError for
+    text, alone or in an array or list, and for anything else that is not a
+    number. A number converts with the bits np.asarray(x, dtype) gives it."""
+    arr = np.asarray(x)
+    if arr.dtype.kind in "SU" or (arr.dtype.kind == "O" and any(
+            isinstance(v, (str, bytes)) for v in arr.flat)):
+        raise DomainError(f"{name} takes numbers, not text")
+    try:
+        return arr.astype(dtype, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} takes numbers") from exc
+
+
 # The binary64-range guard for every power or exp that can overflow.
 def _power(x: float, y: float) -> float:
     """x ** y, with DomainError where it overflows binary64."""
@@ -134,14 +149,15 @@ def _log_gamma_array(z: np.ndarray) -> np.ndarray:
 def log_gamma(s):
     """Principal branch of log Gamma(s) for complex s, scalar or ndarray.
 
-    Raises PoleError when s is a nonpositive real integer. Relative accuracy
-    is a few 1e-16 for moderate arguments, comfortably inside the 1e-13
-    budget the contour integrals rely on. Each element gets the same bits
-    whether it comes alone or in an array of any shape or size. Arrays are
-    evaluated in blocks of 4096 elements, so the temporaries take about
-    1.4 MB beyond the result, whatever the input size.
+    Raises PoleError when s is a nonpositive real integer, and DomainError
+    for text or a non-finite s. Relative accuracy is a few 1e-16 for
+    moderate arguments, comfortably inside the 1e-13 budget the contour
+    integrals rely on. Each element gets the same bits whether it comes
+    alone or in an array of any shape or size. Arrays are evaluated in
+    blocks of 4096 elements, so the temporaries take about 1.4 MB beyond
+    the result, whatever the input size.
     """
-    arr = np.asarray(s, dtype=complex)
+    arr = _as_numbers(s, complex, "log_gamma")
     if not np.isfinite(arr).all():
         raise DomainError("log_gamma requires finite arguments")
     flat = arr.ravel()
@@ -371,8 +387,8 @@ def bessel_k1(z):
     shape in one pass, each element with the bits of its float call.
     DomainError unless every z is finite and positive, and where K1(z)
     overflows binary64 (z below about 5.6e-309); NonConvergence where the
-    rule misses its tolerance."""
-    arr = np.asarray(z, dtype=float)
+    rule misses its tolerance. Text is a DomainError too."""
+    arr = _as_numbers(z, float, "bessel_k1")
     if not ((arr > 0.0) & (arr < math.inf)).all():
         raise DomainError("bessel_k1 requires finite z > 0")
     flat = arr.ravel()

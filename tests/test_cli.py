@@ -66,6 +66,7 @@ class TestLaplaceCommand:
     @pytest.mark.parametrize("argv", [
         ["laplace", "--l", "1", "--p", "1"],              # missing k
         ["laplace", "--l", "0", "--k", "2", "--p", "1"],  # invalid shape
+        ["laplace", "--l", str(2**53 + 1), "--k", "1", "--p", "1", "--method", "meijer"],
         ["laplace", "--l", "1", "--k", "2", "--p", "-3"],
         ["laplace", "--l", "1", "--k", "2", "--p", "abc"],
         ["moment", "frechet", "--mu", "1"],               # missing gamma

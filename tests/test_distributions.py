@@ -12,6 +12,7 @@ from frechet_laplace.distributions import (LevyIndex, RationalShape, Shape,
                                            levy_asymptotic_rescaled,
                                            levy_moment, levy_pdf_half)
 from frechet_laplace.errors import DivergentMoment, DomainError
+from frechet_laplace.laplace import LaplaceQuery, Method, laplace_frechet
 from frechet_laplace.numerics import integrate_semi_infinite
 
 
@@ -44,6 +45,23 @@ class TestShapes:
         # DomainError, never math.gcd's TypeError
         with pytest.raises(DomainError, match="integers"):
             RationalShape(l, k)
+
+    @pytest.mark.parametrize("l,k", [(2**53 + 1, 1), (1, 2**53 + 1), (2 * (2**53 + 1), 2),
+                                     (10**20, 1), (10**30, 1), (1, 10**200), (10**400, 3)])
+    def test_rational_shape_is_capped_at_2_53(self, l, k):
+        # past 2**53 a reduced l or k is no exact binary64 integer: refused
+        # where the shape is built, before a route can hang or overflow on it
+        with pytest.raises(DomainError, match=r"2\*\*53"):
+            RationalShape(l, k)
+
+    @pytest.mark.parametrize("l,k", [(2**53, 1), (1, 2**53), (2**54, 2)])
+    @pytest.mark.parametrize("p", [1e-8, 1e4])
+    def test_rational_shape_at_the_cap_evaluates(self, l, k, p):
+        shape = RationalShape(l, k)
+        assert max(shape.l, shape.k) == 2**53
+        for method in Method:
+            res = laplace_frechet(LaplaceQuery(shape, p, method))
+            assert 0.0 <= res.value <= 1.0
 
     @pytest.mark.parametrize("g", [0.0, -1.0, math.inf, math.nan])
     def test_shape_validation(self, g):

@@ -5,7 +5,7 @@ import pytest
 
 from frechet_laplace import laplace
 from frechet_laplace.distributions import RationalShape, Shape
-from frechet_laplace.errors import DomainError
+from frechet_laplace.errors import DomainError, NonConvergence
 from frechet_laplace.laplace import (LaplaceQuery, Method, laplace_frechet,
                                      laplace_frechet_bessel,
                                      laplace_frechet_oracle,
@@ -223,6 +223,21 @@ class TestSymmetryLaw:
         lhs, rhs = laplace_symmetry_check(RationalShape(l, k), p)
         assert math.isfinite(lhs) and math.isfinite(rhs)
         assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
+
+    def test_unconverged_side_raises(self):
+        # 1/300 at p = 1e300: both sides are unconverged numbers (4.4e18 and
+        # 7.2e18, where the transform is at most 1), not sides of the law
+        with pytest.raises(NonConvergence):
+            laplace_symmetry_check(RationalShape(1, 300), 1e300)
+
+    def test_every_side_converges_on_the_small_shapes(self):
+        # coprime l, k <= 8 at 25 p on [1e-3, 1e3]: no side raises
+        for l in range(1, 9):
+            for k in range(1, 9):
+                if math.gcd(l, k) == 1:
+                    for p in np.geomspace(1e-3, 1e3, 25).tolist():
+                        lhs, rhs = laplace_symmetry_check(RationalShape(l, k), p)
+                        assert 0.0 <= lhs <= 1.0 and 0.0 <= rhs <= 1.0
 
     def test_involution(self):
         shape = RationalShape(2, 3)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -174,7 +175,7 @@ class TestGaussCollapse:
 
         monkeypatch.setattr(meijer, "log_gamma", counting)
         monkeypatch.setattr(mellin, "mellin_barnes_integral", counting_integral)
-        meijer._Evaluator.band_table.cache_clear()
+        meijer.MeijerSpec._band_table.cache_clear()
         form = build_laplace_closed_form(RationalShape(l, k))
         assert form.spec.m in (2, 31)
         # the closed form's collapsed pair at p = 1
@@ -198,7 +199,7 @@ def _integrand_and_abscissa(monkeypatch, spec, const, slope):
         return original(log_parts, log_abs_real, c, poles, slopes)
 
     monkeypatch.setattr(meijer, "contour_nodes", capture)
-    meijer._Evaluator.band_table.cache_clear()
+    meijer.MeijerSpec._band_table.cache_clear()
     meijer_g_m0(spec, const=const, slope=slope)
     return captured[0]
 
@@ -259,7 +260,7 @@ class TestConjugateMirror:
         # band's grid, once, and no other node; the table keeps a leading
         # part of them
         shapes, rules = _count_log_gamma(monkeypatch), _spy_rule(monkeypatch)
-        meijer._Evaluator.band_table.cache_clear()
+        meijer.MeijerSpec._band_table.cache_clear()
         form = build_laplace_closed_form(RationalShape(1, 1))
         res = meijer_g_m0(form.spec, const=0.0, slope=0.0)
         assert res.converged and res.value == pytest.approx(TWO_K1_OF_2, rel=1e-15)
@@ -324,7 +325,7 @@ class TestSaddleAbscissa:
         with mpmath.workdps(30):
             for log_z in log_zs.tolist():
                 slope = n_log_n + log_z
-                c = meijer._evaluator_of(spec).saddle(slope)
+                c = spec._saddle(slope)
                 assert math.isfinite(c) and lo <= c <= hi
                 left, right = math.log(lo), math.log(hi)
                 if dphi(left, slope) > 0:
@@ -347,7 +348,7 @@ class TestSaddleAbscissa:
         # not stop the search
         log_z = 2762.0
         slope = sum(n * math.log(n) for n, _ in _HALF_SPEC.groups) + log_z
-        c = meijer._evaluator_of(_HALF_SPEC).saddle(slope)
+        c = _HALF_SPEC._saddle(slope)
         assert abs(c - 2.0 * math.exp(300.0)) <= 1e-2 * c
 
 
@@ -359,22 +360,21 @@ class TestConstantsMemo:
             RationalShape(1, 2))
 
     def test_cached_arrays_are_read_only(self):
-        evaluator = meijer._evaluator_of(build_laplace_closed_form(RationalShape(2, 3)).spec)
-        for column in (evaluator.n, evaluator.a):
+        spec = build_laplace_closed_form(RationalShape(2, 3)).spec
+        for column in (spec._n, spec._a):
             with pytest.raises(ValueError):
                 column[0, 0] = 5.0
-        assert evaluator.n[0, 0] == 3.0
+        assert spec._n[0, 0] == 3.0
 
     def test_caches_are_bounded_and_hold_no_values(self):
-        # one per (l, k), one per spec, and the band tables, 256 in all
-        memos = (meijer._closed_form, meijer._evaluator_of, meijer._Evaluator.band_table)
+        # one per (l, k), and the band tables of every spec, 256 each
+        memos = (meijer._closed_form, meijer.MeijerSpec._band_table)
         for memo in memos:
-            assert memo.cache_info().maxsize is not None
-        assert meijer._Evaluator.band_table.cache_info().maxsize == 256
-        # a contour table is keyed on the evaluator and the band alone, and
+            assert memo.cache_info().maxsize == 256
+        # a contour table is keyed on the spec and the band alone, and
         # holds node arrays; the series table holds terms and bounds: no p
         # and no value
-        assert list(inspect.signature(meijer._Evaluator.band_table.__wrapped__).parameters) == [
+        assert list(inspect.signature(meijer.MeijerSpec._band_table.__wrapped__).parameters) == [
             "self", "band"]
         assert [field.name for field in dataclasses.fields(mellin.ContourNodes)] == [
             "logs", "sums"]
@@ -387,63 +387,68 @@ class TestConstantsMemo:
         shape = RationalShape(3, 7)
         for p in (1.0, 100.0, 250.0):
             laplace_frechet(LaplaceQuery(shape, p, Method.MEIJER_G))
-        evaluator = meijer._evaluator_of(build_laplace_closed_form(shape).spec)
+        spec = build_laplace_closed_form(shape).spec
         sizes = [memo.cache_info().currsize for memo in memos]
-        held = dict(vars(evaluator))
+        held = dict(vars(spec))
         results = [laplace_frechet(LaplaceQuery(shape, p, Method.MEIJER_G))
                    for p in (0.1, 0.2, 0.3, 200.0, 300.0)]
         assert {res.route for res in results} == {"series", "contour"}
         assert len({res.value for res in results}) == 5
         assert [memo.cache_info().currsize for memo in memos] == sizes
-        # the evaluator keeps its constants, its series table and s*, and
-        # gains nothing per value
-        assert sorted(held) == ["a", "b_min", "hand_over", "n", "n_log_n", "scale",
-                                "series_table", "spec"]
-        assert all(vars(evaluator)[name] is value for name, value in held.items())
-        assert sorted(vars(evaluator)) == sorted(held)
+        # the spec keeps its runs, its constants, its series table and s*,
+        # and gains nothing per value
+        assert sorted(held) == ["_a", "_b_min", "_hand_over", "_hash", "_n", "_n_log_n",
+                                "_scale", "_series_table", "groups", "m"]
+        assert all(vars(spec)[name] is value for name, value in held.items())
+        assert sorted(vars(spec)) == sorted(held)
 
-    def test_one_evaluator_per_closed_form(self):
+    def test_closed_form_tables_are_built_once(self):
         # meijer_g, meijer_g_series, meijer_g_m0 and laplace_frechet on one
-        # closed form share one evaluator, the closed form's
+        # closed form read its spec's tables. 299 other specs in between push
+        # its band tables out of the cache they share, but the closed form
+        # keeps its spec, whose series table and s* are the ones built first,
+        # and every value is the same
         meijer._closed_form.cache_clear()
-        meijer._evaluator_of.cache_clear()
         shape = RationalShape(5, 7)
         spec = build_laplace_closed_form(shape).spec
         const, slope = _closed_form_pair(shape, 2.0)
-        meijer_g(spec, const=const, slope=slope)
-        meijer_g_series(spec, const=const, slope=slope)
-        meijer_g_m0(spec, const=const, slope=slope)
-        laplace_frechet(LaplaceQuery(shape, 2.0, Method.MEIJER_G))
-        assert meijer._evaluator_of.cache_info().currsize == 1
-        assert build_laplace_closed_form(shape)._evaluator is meijer._evaluator_of(spec)
+        query = LaplaceQuery(shape, 2.0, Method.MEIJER_G)
 
-    def test_closed_form_keeps_its_evaluator_past_eviction(self):
-        # 299 other specs push 2/3's evaluator out of the per-spec cache,
-        # while its closed form still holds it: the cache hands that one
-        # back, not a second evaluator with its own tables
-        query = LaplaceQuery(RationalShape(2, 3), 1.0, Method.MEIJER_G)
-        first = laplace_frechet(query)
-        form = meijer._closed_form(2, 3)
-        held = form._evaluator
+        def values():
+            return (meijer_g(spec, const=const, slope=slope),
+                    meijer_g_series(spec, const=const, slope=slope),
+                    meijer_g_m0(spec, const=const, slope=slope), laplace_frechet(query))
+
+        first = values()
+        table, s_star = spec._series_table, spec._hand_over
         for i in range(299):
             meijer_g_m0(MeijerSpec([0.5 + i]), const=0.0, slope=1.0)
-        info = meijer._evaluator_of.cache_info()
+        info = meijer.MeijerSpec._band_table.cache_info()
         assert info.currsize == info.maxsize
-        assert laplace_frechet(query) == first
-        assert meijer._closed_form(2, 3)._evaluator is held
-        assert meijer._evaluator_of(form.spec) is held
-        assert meijer._evaluator_of(MeijerSpec(groups=((3, 1.0), (2, 0.0)))) is held
+        assert values() == first
+        assert build_laplace_closed_form(shape).spec is spec
+        assert spec._series_table is table and spec._hand_over is s_star
+
+    def test_equal_specs_share_band_tables(self):
+        # the band cache is keyed on the runs: a spec built anew finds the
+        # tables an equal spec built, and gives the same bits
+        meijer.MeijerSpec._band_table.cache_clear()
+        first = meijer_g_m0(MeijerSpec(groups=((3, 1.0), (2, 0.0))), const=0.0, slope=1.0)
+        again = meijer_g_m0(MeijerSpec(groups=((3, 1), (2, 0))), const=0.0, slope=1.0)
+        info = meijer.MeijerSpec._band_table.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert again == first
 
     def test_series_table_is_read_only(self):
         spec = build_laplace_closed_form(RationalShape(2, 3)).spec
-        table = meijer._evaluator_of(spec).series_table
+        table = spec._series_table
         for column in (table.x, table.log_c, table.sums):
             with pytest.raises(ValueError):
                 column[0] = 5.0
 
     def test_contour_table_is_read_only(self):
-        evaluator = meijer._evaluator_of(build_laplace_closed_form(RationalShape(2, 3)).spec)
-        _, _, table_nodes = evaluator.band_table(4)
+        spec = build_laplace_closed_form(RationalShape(2, 3)).spec
+        _, _, table_nodes = spec._band_table(4)
         nodes = table_nodes()
         assert table_nodes() is nodes
         for matrix in (nodes.logs, nodes.sums):
@@ -467,14 +472,14 @@ class TestContourTables:
         shape = RationalShape(l, k)
         spec = build_laplace_closed_form(shape).spec
         const, slope = _closed_form_pair(shape, p)
-        meijer._Evaluator.band_table.cache_clear()
+        meijer.MeijerSpec._band_table.cache_clear()
         cold = meijer_g_m0(spec, const=const, slope=slope)
         warm = meijer_g_m0(spec, const=const, slope=slope)
         # the same band's table built by a neighbouring argument
-        meijer._Evaluator.band_table.cache_clear()
+        meijer.MeijerSpec._band_table.cache_clear()
         meijer_g_m0(spec, const=const, slope=slope * (1.0 + 1e-9))
         neighbour = meijer_g_m0(spec, const=const, slope=slope)
-        assert meijer._Evaluator.band_table.cache_info().currsize == 1
+        assert meijer.MeijerSpec._band_table.cache_info().currsize == 1
         assert cold.converged and cold.route == "contour"
         assert cold == warm == neighbour
 
@@ -485,15 +490,15 @@ class TestContourTables:
         # give values within the sum of both estimates, for every edge from
         # about p = 2 to p_max
         shape = RationalShape(l, k)
-        evaluator = meijer._evaluator_of(build_laplace_closed_form(shape).spec)
+        spec = build_laplace_closed_form(shape).spec
         const = math.log(shape.l)
-        first = math.floor(evaluator.band_coordinate(shape.l * math.log(2.0)))
-        last = math.floor(evaluator.band_coordinate(shape.l * math.log(p_max)))
+        first = math.floor(spec._band_coordinate(shape.l * math.log(2.0)))
+        last = math.floor(spec._band_coordinate(shape.l * math.log(p_max)))
         assert last - first >= 2
         for band in range(first + 1, last + 1):
-            edge = evaluator.band_slope(band * meijer._BAND_WIDTH)
-            _, _, nodes_below = evaluator.band_table(band - 1)
-            _, _, nodes_above = evaluator.band_table(band)
+            edge = spec._band_slope(band * meijer._BAND_WIDTH)
+            _, _, nodes_below = spec._band_table(band - 1)
+            _, _, nodes_above = spec._band_table(band)
             below = mellin.mellin_barnes_integral(nodes_below(), const, edge)
             above = mellin.mellin_barnes_integral(nodes_above(), const, edge)
             assert below[3] and above[3]
@@ -509,15 +514,14 @@ class TestContourTables:
         mpmath = pytest.importorskip("mpmath")
         shape = RationalShape(l, k)
         spec = build_laplace_closed_form(shape).spec
-        evaluator = meijer._evaluator_of(spec)
-        first = math.floor(evaluator.band_coordinate(shape.l * math.log(2.0)))
-        last = math.floor(evaluator.band_coordinate(shape.l * math.log(p_max)))
+        first = math.floor(spec._band_coordinate(shape.l * math.log(2.0)))
+        last = math.floor(spec._band_coordinate(shape.l * math.log(p_max)))
         assert last - first >= 2
         for band in range(first, last):
             for f in (0.25, 0.5, 0.75):
-                p = math.exp(evaluator.band_slope((band + f) * meijer._BAND_WIDTH) / l)
+                p = math.exp(spec._band_slope((band + f) * meijer._BAND_WIDTH) / l)
                 const, slope = _closed_form_pair(shape, p)
-                assert math.floor(evaluator.band_coordinate(slope)) == band
+                assert math.floor(spec._band_coordinate(slope)) == band
                 res = meijer_g_m0(spec, const=const, slope=slope)
                 ref = _mpmath_laplace(mpmath, l, k, p)
                 assert res.converged and res.route == "contour"
@@ -530,27 +534,25 @@ class TestContourTables:
         # at every slope the band's vertex exceeds the integrand's minimum on
         # the real axis, at the slope's own saddle, by at most e^{1/4}, from
         # c near the poles to c ~ 1e5; and the band's range holds the slope
-        evaluator = meijer._evaluator_of(spec)
 
         def phi(c, slope):
-            return evaluator.log_gammas(c) - c * slope
+            return spec._log_gammas(c) - c * slope
 
         for u in np.linspace(-6.0, 12.0, 181).tolist():
-            slope = evaluator.n_log_n + spec.m * u
-            band = math.floor(evaluator.band_coordinate(slope) / meijer._BAND_WIDTH)
-            lo, centre, hi = (evaluator.band_slope((band + f) * meijer._BAND_WIDTH)
+            slope = spec._n_log_n + spec.m * u
+            band = math.floor(spec._band_coordinate(slope) / meijer._BAND_WIDTH)
+            lo, centre, hi = (spec._band_slope((band + f) * meijer._BAND_WIDTH)
                               for f in (0.0, 0.5, 1.0))
             assert lo - 1e-12 * abs(lo) <= slope <= hi + 1e-12 * abs(hi)
-            vertex = evaluator.saddle(centre)
-            own = evaluator.saddle(slope)
+            vertex = spec._saddle(centre)
+            own = spec._saddle(slope)
             assert phi(vertex, slope) - phi(own, slope) <= 0.25, u
 
 
 def _log_peak_at_saddle(spec, slope):
     # log of the integrand at the slope's own saddle, for const = 0
-    evaluator = meijer._evaluator_of(spec)
-    vertex = evaluator.saddle(slope)
-    return evaluator.log_gammas(vertex) - vertex * slope
+    vertex = spec._saddle(slope)
+    return spec._log_gammas(vertex) - vertex * slope
 
 
 def _laplace_by_quad(mpmath, l, k, p):
@@ -592,7 +594,7 @@ def _half_integral(slope):
     # quadrature, the integrand scaled by its value at c
     import mpmath
     with mpmath.workdps(20):
-        c = mpmath.mpf(meijer._evaluator_of(_HALF_SPEC).saddle(slope))
+        c = mpmath.mpf(_HALF_SPEC._saddle(slope))
 
         def log_f(s):
             return mpmath.loggamma(2 * s - 1) + mpmath.loggamma(s) - s * slope
@@ -646,19 +648,18 @@ class TestContourExits:
                              ids=[case[0] for case in EXIT_CASES])
     def test_exits_as_at_the_slope_own_saddle(self, spec, pairs, reference, monkeypatch):
         mpmath = pytest.importorskip("mpmath")
-        searches, original = [], meijer._Evaluator.saddle
+        searches, original = [], meijer.MeijerSpec._saddle
 
         def counting(*args):
             searches.append(args)
             return original(*args)
 
-        monkeypatch.setattr(meijer._Evaluator, "saddle", counting)
-        evaluator = meijer._evaluator_of(spec)
+        monkeypatch.setattr(meijer.MeijerSpec, "_saddle", counting)
         outside = 0
         for const, slope in pairs:
             const, slope = float(const), float(slope)
             # the band's table, with its one saddle search, built first
-            evaluator.band_table(math.floor(evaluator.band_coordinate(slope) / meijer._BAND_WIDTH))
+            spec._band_table(math.floor(spec._band_coordinate(slope) / meijer._BAND_WIDTH))
             searches.clear()
             res = meijer_g_m0(spec, const=const, slope=slope)
             assert not searches, (const, slope)
@@ -887,7 +888,7 @@ class TestMpmathOracle:
         assert res.converged and res.evaluations <= 120
         assert abs(res.value - ref) <= 1e-12 * ref
         # the closed form's own route, from a cold table
-        meijer._Evaluator.band_table.cache_clear()
+        meijer.MeijerSpec._band_table.cache_clear()
         closed = laplace_frechet(LaplaceQuery(RationalShape(1, 1), p, Method.MEIJER_G))
         assert closed.route == "contour" and closed.converged and closed.evaluations <= 120
         assert abs(closed.value - ref) <= 1e-12 * ref
@@ -1026,9 +1027,8 @@ class TestMeijerG:
         spec = build_laplace_closed_form(shape).spec
         # p from 0.5 to past the series table's slope_top, and densely
         # around the hand-over slope s*
-        evaluator = meijer._evaluator_of(spec)
-        table = evaluator.series_table
-        near = evaluator.hand_over + spec.m * np.linspace(-0.1, 0.02, 25)
+        table = spec._series_table
+        near = spec._hand_over + spec.m * np.linspace(-0.1, 0.02, 25)
         routes = set()
         for p in (np.geomspace(0.5, math.exp(1.2 * table.slope_top / l), 41).tolist()
                   + np.exp(near / l).tolist()):
@@ -1073,19 +1073,18 @@ class TestMeijerG:
         # the verdict changes once, from missing the bar to meeting it, which
         # is what the bisection assumes, and its s* is the last step that
         # misses, bit for bit (the grid's last step if none meets it)
-        evaluator = meijer._evaluator_of(spec)
         step = spec.m * math.log(2.0) / (2.0 * meijer._SERIES_PEAK)
-        slope = evaluator.series_table.slope_top
+        slope = spec._series_table.slope_top
         slopes, meets = [], []
         for _ in range(meijer._HAND_OVER_STEPS):
-            res = evaluator.series_sum(0.0, slope)
+            res = spec._series_sum(0.0, slope)
             slopes.append(slope)
             meets.append(res.converged
                          and res.err_estimate <= 2.0 * meijer._REL_TOL * abs(res.value))
             slope -= step
         first = meets.index(True) if True in meets else len(meets)
         assert meets == [False] * first + [True] * (len(meets) - first)
-        assert evaluator.hand_over == slopes[max(first - 1, 0)]
+        assert spec._hand_over == slopes[max(first - 1, 0)]
 
     @pytest.mark.parametrize("spec,const", [
         (build_laplace_closed_form(RationalShape(1, 1)).spec, 0.0),
@@ -1094,8 +1093,7 @@ class TestMeijerG:
     def test_no_series_past_the_hand_over(self, spec, const, monkeypatch):
         # past the spec's hand-over slope s* the series misses the bar for
         # every const: meijer_g sums no series there, and below s* it does
-        evaluator = meijer._evaluator_of(spec)
-        s_star, top = evaluator.hand_over, evaluator.series_table.slope_top
+        s_star, top = spec._hand_over, spec._series_table.slope_top
         past = (math.nextafter(s_star, math.inf), 0.5 * (s_star + top), top, top + 1.0)
         assert s_star < top
         for slope in past:
@@ -1109,13 +1107,23 @@ class TestMeijerG:
             return spy
 
         monkeypatch.setattr(meijer, "meijer_g_series", counting(meijer.meijer_g_series))
-        monkeypatch.setattr(meijer._Evaluator, "series_sum",
-                            counting(meijer._Evaluator.series_sum))
+        monkeypatch.setattr(meijer.MeijerSpec, "_series_sum",
+                            counting(meijer.MeijerSpec._series_sum))
         for slope in past:
             assert meijer_g(spec, const=const, slope=slope).route == "contour"
             assert not calls, slope
         meijer_g(spec, const=const, slope=s_star)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("slope", [-1e300, -1e301, -1e308, -sys.float_info.max])
+    def test_series_at_the_most_negative_slopes(self, slope):
+        # the 1/1 closed form's pair at p = e^slope -> 0 is 1: the terms past
+        # the first underflow to 0.0, with no overflow in x slope on the way
+        # (the suite turns a RuntimeWarning into an error)
+        spec = build_laplace_closed_form(RationalShape(1, 1)).spec
+        for route in (meijer_g_series, meijer_g):
+            res = route(spec, const=0.0, slope=slope)
+            assert (res.value, res.converged, res.route) == (1.0, True, "series")
 
 
 # (value, err_estimate, evaluations, converged) of the Meijer route,

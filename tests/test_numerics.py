@@ -7,7 +7,7 @@ import pytest
 
 from frechet_laplace.errors import DomainError, NonConvergence, PoleError
 from frechet_laplace import numerics
-from frechet_laplace.distributions import Shape
+from frechet_laplace.distributions import Shape, frechet_pdf, levy_pdf_half
 from frechet_laplace.laplace import laplace_frechet_oracle
 from frechet_laplace.numerics import bessel_k1, integrate_semi_infinite, log_gamma
 
@@ -546,3 +546,39 @@ class TestBesselK1Array:
         weights[weights.size // 2 + 8] = math.inf
         monkeypatch.setattr(numerics, "_DU_DT", weights)
         self._assert_rows_equal_calls(lambda u: np.exp(-u), self.SCALES)
+
+
+# Text is no number: each entry point that converts its input with numpy
+# refuses it, whether numpy would read it as a number ("2.0", b"1") or raise
+# ("abc"); numbers keep their bits, and a list reads as an array.
+ARRAY_ENTRY_POINTS = {
+    "frechet_pdf": lambda x: frechet_pdf(Shape(1.0), x),
+    "levy_pdf_half": levy_pdf_half,
+    "bessel_k1": bessel_k1,
+    "log_gamma": log_gamma,
+}
+TEXT = ["abc", "2.0", b"1", np.array(["1", "2"]), ["1", "2"], [1.0, "2"],
+        np.array(["1.5"], dtype=object), np.array([1.5, b"2"], dtype=object)]
+
+
+def _complex_hex(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+class TestTextInput:
+    @pytest.mark.parametrize("name", sorted(ARRAY_ENTRY_POINTS))
+    @pytest.mark.parametrize("x", TEXT, ids=[f"text{i}" for i in range(len(TEXT))])
+    def test_text_is_domain_error(self, name, x):
+        with pytest.raises(DomainError, match="text"):
+            ARRAY_ENTRY_POINTS[name](x)
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_ENTRY_POINTS))
+    def test_numbers_keep_their_bits(self, name):
+        f = ARRAY_ENTRY_POINTS[name]
+        x = [0.5, 1.0, 2.0, 3]
+        from_array = _complex_hex(f(np.array(x, dtype=float)).tolist())
+        assert _complex_hex(f(x).tolist()) == from_array
+        assert _complex_hex(f(v) for v in x) == from_array
+        # numpy scalars and a bool convert as before
+        assert _complex_hex(f(v) for v in (np.float32(0.5), np.int64(1), True)) == [
+            from_array[0], from_array[1], from_array[1]]

@@ -118,7 +118,7 @@ def test_benchmark_tracer_sees_one_log_gamma_per_integral(l, k, p, monkeypatch):
         return rules[-1]
 
     monkeypatch.setattr(mellin, "_contour_rule", spy)
-    meijer._Evaluator.band_table.cache_clear()
+    meijer.MeijerSpec._band_table.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:
