@@ -402,31 +402,39 @@ class TestConstantsMemo:
         assert all(vars(spec)[name] is value for name, value in held.items())
         assert sorted(vars(spec)) == sorted(held)
 
-    def test_closed_form_tables_are_built_once(self):
+    def test_one_evaluator_per_closed_form(self):
         # meijer_g, meijer_g_series, meijer_g_m0 and laplace_frechet on one
-        # closed form read its spec's tables. 299 other specs in between push
-        # its band tables out of the cache they share, but the closed form
-        # keeps its spec, whose series table and s* are the ones built first,
-        # and every value is the same
+        # closed form read one set of tables, its spec's: the series table
+        # and s* the first call builds are the ones every later call finds
         meijer._closed_form.cache_clear()
         shape = RationalShape(5, 7)
         spec = build_laplace_closed_form(shape).spec
         const, slope = _closed_form_pair(shape, 2.0)
-        query = LaplaceQuery(shape, 2.0, Method.MEIJER_G)
+        first = meijer_g(spec, const=const, slope=slope)
+        table, s_star = spec._series_table, spec._hand_over
+        meijer_g_series(spec, const=const, slope=slope)
+        meijer_g_m0(spec, const=const, slope=slope)
+        laplace_frechet(LaplaceQuery(shape, 2.0, Method.MEIJER_G))
+        assert meijer._closed_form.cache_info().currsize == 1
+        assert build_laplace_closed_form(shape).spec is spec
+        assert spec._series_table is table and spec._hand_over is s_star
+        assert meijer_g(spec, const=const, slope=slope) == first
 
-        def values():
-            return (meijer_g(spec, const=const, slope=slope),
-                    meijer_g_series(spec, const=const, slope=slope),
-                    meijer_g_m0(spec, const=const, slope=slope), laplace_frechet(query))
-
-        first = values()
+    def test_closed_form_keeps_its_evaluator_past_eviction(self):
+        # 299 other specs push 2/3's band tables out of the cache they
+        # share, while its closed form keeps its spec, whose series table
+        # and s* are the ones built first, and every value is the same
+        query = LaplaceQuery(RationalShape(2, 3), 1.0, Method.MEIJER_G)
+        first = laplace_frechet(query)
+        form = meijer._closed_form(2, 3)
+        spec = form.spec
         table, s_star = spec._series_table, spec._hand_over
         for i in range(299):
             meijer_g_m0(MeijerSpec([0.5 + i]), const=0.0, slope=1.0)
         info = meijer.MeijerSpec._band_table.cache_info()
         assert info.currsize == info.maxsize
-        assert values() == first
-        assert build_laplace_closed_form(shape).spec is spec
+        assert laplace_frechet(query) == first
+        assert meijer._closed_form(2, 3) is form and form.spec is spec
         assert spec._series_table is table and spec._hand_over is s_star
 
     def test_equal_specs_share_band_tables(self):
