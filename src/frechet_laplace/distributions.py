@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentMoment, DomainError
-from .numerics import _as_numbers, _exp, _power
+from .numerics import _as_numbers, _exp, _power, _refuse_text
 
 __all__ = [
     "Shape",
@@ -40,6 +40,7 @@ class Shape:
     gamma: float
 
     def __post_init__(self):
+        _refuse_text("Shape", self.gamma)
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise DomainError(f"shape parameter must be finite and > 0, got {self.gamma}")
 
@@ -82,6 +83,7 @@ class LevyIndex:
     alpha: float
 
     def __post_init__(self):
+        _refuse_text("LevyIndex", self.alpha)
         if not (0.0 < self.alpha < 1.0):
             raise DomainError(f"Levy index must lie in (0, 1), got {self.alpha}")
 
@@ -109,6 +111,7 @@ def frechet_pdf(shape: Shape, x):
 
 def frechet_cdf(shape: Shape, x: float) -> float:
     """Distribution function exp(-x^{-gamma}) for x > 0."""
+    _refuse_text("frechet_cdf", x)
     if not x > 0:
         raise DomainError("frechet_cdf requires x > 0")
     neg_power = -shape.gamma * math.log(x)
@@ -119,6 +122,7 @@ def frechet_cdf(shape: Shape, x: float) -> float:
 
 def frechet_quantile(shape: Shape, q: float) -> float:
     """Inverse of frechet_cdf: (-ln q)^{-1/gamma} on 0 < q < 1."""
+    _refuse_text("frechet_quantile", q)
     if not (0.0 < q < 1.0):
         raise DomainError("frechet_quantile requires 0 < q < 1")
     return _power(-math.log(q), -1.0 / shape.gamma)
@@ -140,6 +144,7 @@ def _gamma_ratio(a: float, b: float) -> float:
 
 def frechet_moment(shape: Shape, mu: float) -> float:
     """Power moment E[X^mu] = Gamma(1 - mu/gamma), finite only for mu < gamma."""
+    _refuse_text("frechet_moment", mu)
     g = shape.gamma
     if not mu < g:
         raise DivergentMoment(f"valid Frechet moment orders: -inf < mu < {g}, got {mu}")
@@ -168,6 +173,7 @@ def levy_pdf_half(x):
 def levy_moment(idx: LevyIndex, mu: float) -> float:
     """Power moment of the one-sided Levy law:
     Gamma(1 - mu/alpha) / Gamma(1 - mu), finite only for mu < alpha."""
+    _refuse_text("levy_moment", mu)
     a = idx.alpha
     if not mu < a:
         raise DivergentMoment(f"valid Levy moment orders: -inf < mu < {a}, got {mu}")
@@ -186,6 +192,7 @@ def levy_asymptotic(idx: LevyIndex, t: float) -> float:
     Frechet density an identity rather than merely an approximation.
     It is 0.0 where the tail's exp overflows: the tail outweighs the rest.
     """
+    _refuse_text("levy_asymptotic", t)
     if not t > 0:
         raise DomainError("levy_asymptotic requires t > 0")
     a = idx.alpha
@@ -209,6 +216,7 @@ def levy_asymptotic_rescaled(shape: Shape, x: float) -> float:
     Fr(gamma, x) / sqrt(2 pi); the test suite evaluates that right-hand side
     independently.
     """
+    _refuse_text("levy_asymptotic_rescaled", x)
     if not x > 0:
         raise DomainError("levy_asymptotic_rescaled requires x > 0")
     g = shape.gamma
@@ -244,6 +252,7 @@ def find_maximum(f, x_init: float = 1.0, arg_tol: float = 1e-10) -> tuple[float,
     golden-section search down to arg_tol in the argument. The tests use it
     as the oracle of the closed-form modes that normalize fig4's curves.
     """
+    _refuse_text("find_maximum", x_init, arg_tol)
     a, b, c = x_init / 2.0, x_init, x_init * 2.0
     fa, fb, fc = f(a), f(b), f(c)
     for _ in range(600):

@@ -12,12 +12,14 @@ exp(const - s slope) prod_g Gamma(n_g s + a_g), taken as the pair
 (const, slope), and the tables they read. The series sums its residues
 (Slater's theorem), for two runs with integer a, from a table of
 coefficients built on first use; it declines where its terms would leave
-binary64 or the table. The contour integrates along a parabola opening to
-the left from its vertex c > -min(b_j), for any spec, from a table of nodes
-per band of slopes: the log Gamma sum on a fixed path is a property of the
-spec. The hand-over takes the series where its estimate is within 1e-10 of
-its value, the contour elsewhere, and the contour alone past a slope s*,
-found by bisecting a grid of slopes on the series' own verdict.
+binary64 or the table, and is a converged 0.0 where they and its tail lie
+below half the smallest subnormal. The contour integrates along a parabola
+opening to the left from its vertex c > -min(b_j), for any spec, on one
+ContourPath per band of slopes, which keeps its nodes: the log Gamma sum on
+a fixed path is a property of the spec. The hand-over takes the series
+where its estimate is within 1e-10 of its value, the contour elsewhere, and
+the contour alone past a slope s*, found by bisecting a grid of slopes on
+the series' own verdict.
 meijer_g_series, meijer_g_m0 and meijer_g call the spec's methods; the
 closed form finds its spec in one lookup keyed on l and k.
 
@@ -37,10 +39,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import RationalShape
+from .distributions import _INTEGERS, RationalShape
 from .errors import ContourError, DomainError
-from .mellin import _NOISE_REL_BOUND, contour_integral, contour_nodes
-from .numerics import _LOG_PI, _REL_TOL, _TINY, EvalResult, log_gamma
+from .mellin import _NOISE_REL_BOUND, ContourPath, contour_integral
+from .numerics import _LOG_PI, _REL_TOL, _TINY, EvalResult, _refuse_text, log_gamma
 
 __all__ = [
     "MeijerSpec",
@@ -52,8 +54,8 @@ __all__ = [
 ]
 
 
-# The contour tables. A band is a range of slopes that shares one table of
-# nodes, on the parabola whose vertex is the saddle of the band's centre. At
+# The contour paths. A band is a range of slopes that shares one path and
+# its nodes, the parabola whose vertex is the saddle of the band's centre. At
 # a slope off that centre the vertex is off the slope's own saddle by dc,
 # where the integrand exceeds its minimum by about phi'' dc^2 / 2, and
 # phi'' ~ m / c at large c: bands of equal width _BAND_WIDTH in
@@ -61,7 +63,7 @@ __all__ = [
 # near e^{_BAND_WIDTH^2 / 8} at every scale (e^0.135 at most on the closed
 # forms' and the tests' specs). t is taken at c = exp((slope - sum n log n)
 # / m), the large-c saddle, and continued below c = 1 along its tangent,
-# linear in the slope. A band's table is about 6 kB.
+# linear in the slope. A band's nodes are about 6 kB.
 _BAND_WIDTH = 1.0
 # past this log c the saddle lies beyond its bracket, and no node is built
 _BAND_LOG_C_MAX = 700.0
@@ -74,6 +76,7 @@ _SERIES_PEAK = 25.0
 _SERIES_DEPTH = 60.0
 _EULER_GAMMA = 0.5772156649015329
 _LOG_MAX = math.log(sys.float_info.max)
+_LOG_HALF_TINY = -1075.0 * math.log(2.0)  # log of half the smallest subnormal
 _EPS = sys.float_info.epsilon
 # The hand-over's grid steps down from slope_top by m log 2 / (2 _SERIES_PEAK):
 # in the slopes where the series' estimate is not noise, its log ratio to
@@ -137,7 +140,7 @@ class MeijerSpec:
     Each entry of b becomes a run (1, b_j), ahead of the given groups; the
     b property derives the list from the runs. The spec also holds what the
     Meijer routes know of it, and never a value: the constants set below,
-    the series table and s* (built on first use), and band tables that equal
+    the series table and s* (built on first use), and band paths that equal
     specs share."""
 
     groups: tuple
@@ -146,8 +149,9 @@ class MeijerSpec:
         runs = tuple((1, v) for v in b) + tuple(groups)
         if len(runs) < 1:
             raise DomainError("MeijerSpec needs at least one lower parameter")
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n, _ in runs):
+        if not all(isinstance(n, _INTEGERS) and n >= 1 for n, _ in runs):
             raise DomainError("MeijerSpec run lengths must be integers >= 1")
+        _refuse_text("MeijerSpec", *(a for _, a in runs))
         runs = tuple((int(n), float(a)) for n, a in runs)
         if not all(math.isfinite(a) for _, a in runs):
             raise DomainError("MeijerSpec parameters must be finite")
@@ -187,7 +191,7 @@ class MeijerSpec:
         c = 2 e^300, which keeps it finite: where the saddle lies beyond
         (log z > 300 m), phi < -0.3 m c at the bracket end, far under the
         binary64 floor, so the vertex there builds no node and gives the
-        same converged zero. It runs once per band table (_band_table), never
+        same converged zero. It runs once per band path (_band_table), never
         per value.
 
         Safeguarded Newton on phi'(c) = sum_g n_g psi(n_g c + a_g) - slope,
@@ -219,13 +223,6 @@ class MeijerSpec:
                 return step
             c = step
 
-    def _log_gammas(self, x: float) -> float:
-        # sum_g log Gamma(n_g x + a_g) in plain floats, x right of every pole
-        total = 0.0
-        for n, a in self.groups:
-            total += math.lgamma(n * x + a)
-        return total
-
     def _band_coordinate(self, slope: float) -> float:
         # t of the slope (see _BAND_WIDTH)
         u = min((slope - self._n_log_n) / self.m, _BAND_LOG_C_MAX)
@@ -237,50 +234,48 @@ class MeijerSpec:
         u = 2.0 * math.log(v) if v > 1.0 else 2.0 * (v - 1.0)
         return self._n_log_n + self.m * u
 
-    def _nodes(self, c: float, slopes: tuple[float, float]):
-        """Nodes of the collapsed integrand on the parabola with vertex c, for
-        every slope in slopes: one log_gamma call on the (runs x nodes) array
-        n s + a. Step and window come from the real-axis sum in plain floats
-        (math.lgamma), with no log_gamma call."""
+    def _path(self, c: float, slopes: tuple[float, float]) -> ContourPath:
+        """The contour path of the collapsed integrand with vertex c, for
+        every slope in slopes: its nodes are one log_gamma call on the
+        (runs x nodes) array n s + a, and its real-axis probe sums the runs
+        in plain floats (math.lgamma), with no log_gamma call."""
         def log_parts(s):
             parts = log_gamma(self._n * s + self._a)
             return np.add.reduce(parts), np.add.reduce(np.abs(parts))
 
         def log_abs_real(x):
-            return np.array([self._log_gammas(v) for v in x.tolist()])
+            total = np.zeros(x.size)
+            for n, a in self.groups:
+                total += [math.lgamma(n * v + a) for v in x.tolist()]
+            return total
 
-        return contour_nodes(log_parts, log_abs_real, c, (c + self._b_min, math.inf), slopes)
+        return ContourPath(log_parts, log_abs_real, c, (c + self._b_min, math.inf), slopes)
 
-    # one cache for every spec's bands, 256 tables in all, keyed on the
+    # one cache for every spec's bands, 256 paths in all, keyed on the
     # spec's runs and the band
     @functools.lru_cache(maxsize=256)
-    def _band_table(self, band: int):
-        """(vertex, log Gamma sum there, nodes) of the table that serves
-        every slope of a band, built once, with one saddle search: a
-        property of the spec and the band, never of a value. The vertex is
-        the saddle of the band's centre; the top band also holds every slope
-        past _BAND_LOG_C_MAX. nodes() builds the ContourNodes on its first
-        call and keeps them."""
+    def _band_table(self, band: int) -> ContourPath:
+        """The path that serves every slope of a band, built once, with one
+        saddle search: a property of the spec and the band, never of a
+        value. Its vertex is the saddle of the band's centre; the top band
+        also holds every slope past _BAND_LOG_C_MAX. The path builds its
+        nodes on first use and keeps them."""
         lo = self._band_slope(band * _BAND_WIDTH)
         hi = self._band_slope((band + 1) * _BAND_WIDTH)
-        vertex = self._saddle(self._band_slope((band + 0.5) * _BAND_WIDTH))
-        return (vertex, self._log_gammas(vertex),
-                functools.cache(functools.partial(self._nodes, vertex, (lo, hi))))
+        return self._path(self._saddle(self._band_slope((band + 0.5) * _BAND_WIDTH)), (lo, hi))
 
     def _contour(self, const: float, slope: float, c: float | None = None) -> EvalResult:
-        # meijer_g_m0: from the band's table, or from nodes at an explicit c
+        # meijer_g_m0: on the band's path, or on a path through an explicit c
         if not (math.isfinite(const) and math.isfinite(slope)):
             raise DomainError("meijer_g_m0 requires finite const and slope")
         if c is None:
-            c, log_gammas, nodes = self._band_table(
-                math.floor(self._band_coordinate(slope) / _BAND_WIDTH))
+            path = self._band_table(math.floor(self._band_coordinate(slope) / _BAND_WIDTH))
         elif -self._b_min < c < math.inf:
-            log_gammas = self._log_gammas(c)
-            nodes = functools.partial(self._nodes, c, (slope, slope))
+            path = self._path(c, (slope, slope))
         else:
             raise ContourError(
                 f"abscissa {c} does not separate poles: need {-self._b_min} < c < inf")
-        return contour_integral(nodes, log_gammas + const - c * slope, const, slope)
+        return contour_integral(path, const, slope)
 
     @functools.cached_property
     def _series_table(self) -> _SeriesTable:
@@ -378,7 +373,7 @@ class MeijerSpec:
         to value stays above 2^{-1/4} of twice the bar. The |const| term of
         the estimate only adds to it, and the factor 2 covers the rounding of
         the terms for any const: past s* the series misses the bar for every
-        const, and past slope_top it declines.
+        const at which it forms a term, and past slope_top it declines.
 
         The slopes come by repeated subtraction, as a scan would step them.
         _series_sum's own verdict changes once on them on every spec the tests
@@ -409,6 +404,11 @@ class MeijerSpec:
                + math.log1p(abs_slope))
         if slope > table.slope_top or top > _LOG_MAX or log_tail > _LOG_MAX:
             return EvalResult(0.0, math.inf, 0, False, "series")
+        if top < _LOG_HALF_TINY and (
+                top + math.log(table.x.size) < _LOG_HALF_TINY and log_tail + math.log(
+                    table.tail_k0 + table.tail_k1 * abs_slope) < _LOG_HALF_TINY):
+            # every term and the tail lie below half the smallest subnormal
+            return EvalResult(0.0, _TINY, 0, True, "series")
         # below slope -1e300 every x_j >= 0 (else top > _LOG_MAX), and a
         # positive x_j is at least 1 / (n1 n2): its term is e^{-1e268} or
         # less, 0.0 at the true slope or at -1e300, where x slope stays finite
@@ -447,7 +447,7 @@ def _within_tolerance(res: EvalResult) -> bool:
 def meijer_g_m0(spec: MeijerSpec, *, const: float, slope: float,
                 c: float | None = None) -> EvalResult:
     """(1/2 pi i) int exp(const - s slope) prod_g Gamma(n_g s + a_g) ds, the
-    collapsed integrand meijer_g_series takes, along contour_nodes' parabola
+    collapsed integrand meijer_g_series takes, along ContourPath's parabola
     s(u) = c - mu u^2 + i u, which opens to the left from its vertex
     c > -min(b_j) and so leaves every pole on its left; the gamma factors
     decay super-exponentially along it.
@@ -462,18 +462,19 @@ def meijer_g_m0(spec: MeijerSpec, *, const: float, slope: float,
     two, and builds no node where the value lies far below the smallest
     subnormal.
 
-    With c = None the nodes come from the spec's table for the slope's
+    With c = None the nodes come from the spec's path for the slope's
     band, whose vertex is the saddle of the band's centre: that keeps full
     relative accuracy even where the function has decayed far below the
     fixed-abscissa integrand peak, any slope of a band costs what a repeated
-    one does, and a value is the same bit for bit whether its table was
+    one does, and a value is the same bit for bit whether its path was
     built by this call or earlier; no saddle is searched for per value. An
-    explicit abscissa pins the vertex exactly, with nodes for its one slope
-    that are not kept (Cauchy's theorem makes the result independent of any
+    explicit abscissa pins the vertex exactly, on a path for its one slope
+    that is not kept (Cauchy's theorem makes the result independent of any
     valid choice, which the shift-invariance tests exercise); one so far
     from the saddle that the integrand on the path rises far above its
     vertex raises ContourError.
     """
+    _refuse_text("meijer_g_m0", const, slope, c)
     return spec._contour(const, slope, c)
 
 
@@ -495,9 +496,12 @@ def meijer_g_series(spec: MeijerSpec, *, const: float, slope: float) -> EvalResu
 
     Declines (value 0.0, infinite err_estimate, converged=False) above the
     table's slope_top, and where a bound on the terms or on the tail would
-    leave binary64: no term is formed there. DomainError for a spec other
-    than two runs with integer a, or a non-finite const or slope.
+    leave binary64; where those bounds put every term and the tail below
+    half the smallest subnormal it is a converged 0.0 whose err_estimate is
+    the smallest subnormal. No term is formed there. DomainError for a spec
+    other than two runs with integer a, or a non-finite const or slope.
     """
+    _refuse_text("meijer_g_series", const, slope)
     return spec._series_sum(const, slope)
 
 
@@ -505,12 +509,13 @@ def meijer_g(spec: MeijerSpec, *, const: float, slope: float) -> EvalResult:
     """(1/2 pi i) int exp(const - s slope) Gamma(n1 s + a1) Gamma(n2 s + a2) ds
     for a two-run spec with integer a: meijer_g_series' value wherever it is
     converged with an estimate within 1e-10 of it (and the smallest
-    subnormal), and meijer_g_m0's (with the band's tabled nodes) elsewhere,
+    subnormal), and meijer_g_m0's (on the band's kept nodes) elsewhere,
     at larger slopes, where the residues cancel. Past the spec's hand-over
     slope s*, found once per spec, the series misses that bar for every
-    const, and is not summed. The route of the value returned is in its
+    const at which it forms a term, and is not summed. The route of the value returned is in its
     EvalResult.
     """
+    _refuse_text("meijer_g", const, slope)
     return spec._meijer_g(const, slope)
 
 

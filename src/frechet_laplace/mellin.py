@@ -2,7 +2,7 @@
 the Delta parameter-list builder, and a generic Laplace-from-Mellin operator
 realized by numerical Mellin-Barnes integration.
 
-The one contour engine is contour_nodes, contour_integral and
+The one contour engine is ContourPath, contour_integral and
 mellin_barnes_integral: every Mellin-Barnes integral the library integrates
 numerically (meijer_g_m0 and laplace_via_mellin) goes through it. It is a
 truncated trapezoidal rule on the left-opening parabola
@@ -11,19 +11,20 @@ and reaches where the gamma factors decay super-exponentially. Every
 integrand has the form exp(lam(s) + const - s slope), lam a log-space sum
 with real parameters, so lam(conj s) = conj lam(s): the engine evaluates lam
 on the upper half of the path only and counts each node off the real axis
-twice. contour_nodes fixes step and window in advance from plain-float
-values of lam on the real axis (the strip of analyticity and the curvature
-at the vertex, _contour_rule), for a whole range of slopes, and evaluates
-lam once per node in one pass, extended only where the edge terms have not
-decayed.
-mellin_barnes_integral then sums the nodes for one const and slope: one exp
-per node, and a noise floor from the sizes of the logs each node is summed
-from. contour_integral picks, from the integrand at the vertex, the power
-of two the sums are scaled by, and the one exit that builds no node.
+twice. A ContourPath is one path for a whole range of slopes: its
+constructor probes lam on the real axis once, in plain floats, for the log
+at the vertex and the step and window (the strip of analyticity and the
+curvature at the vertex); its nodes evaluate lam once per node in one pass,
+extended only where the edge terms have not decayed, on first use, and are
+kept. mellin_barnes_integral then sums the nodes for one const and slope:
+one exp per node, and a noise floor from the sizes of the logs each node is
+summed from. contour_integral picks, from the integrand at the vertex, the
+power of two the sums are scaled by, and the one exit that builds no node.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -33,14 +34,14 @@ import numpy as np
 
 from .distributions import RationalShape
 from .errors import ContourError, DomainError, NonConvergence
-from .numerics import _REL_TOL, _ROUNDOFF, _TINY, EvalResult, log_gamma
+from .numerics import _REL_TOL, _ROUNDOFF, _TINY, EvalResult, _refuse_text, log_gamma
 
 __all__ = [
     "MellinFunction",
     "frechet_mellin_image",
     "laplace_via_mellin",
     "ContourNodes",
-    "contour_nodes",
+    "ContourPath",
     "mellin_barnes_integral",
     "contour_integral",
 ]
@@ -65,7 +66,7 @@ _WINDOW_LIMIT = 3.85e3
 _STRIP_BUDGET = math.log(2.0 / _ROUNDOFF)
 # The strip half-width a is the best, by that h, of min(0.9 v, 1) 2^j <=
 # 0.9 v for j < _WIDTHS, where v is where the path first meets a pole (see
-# contour_nodes). A wider strip pays where c is large and the integrand is
+# ContourPath). A wider strip pays where c is large and the integrand is
 # smooth on the scale sqrt(c).
 _WIDTHS = 7
 # The parabola's curvature is mu = _MU_SCALE / max(1, c). Along it z^{-s}
@@ -205,75 +206,27 @@ def mellin_barnes_integral(nodes: ContourNodes, const: float, slope: float,
     return value, err, evaluations, converged
 
 
-def contour_nodes(log_parts, log_abs_real, c: float, poles: tuple[float, float],
-                  slopes: tuple[float, float]) -> ContourNodes:
-    """The trapezoid nodes of (1/2 pi i) * integral of
-    exp(lam(s) + const - s slope) ds along the parabola
-    s(u) = c - mu u^2 + i u, u real, which opens to the left, for every
-    slope in slopes = (lo, hi) and every const.
+class ContourPath:
+    """One Mellin-Barnes path: the parabola s(u) = c - mu u^2 + i u, u real,
+    which opens to the left, for (1/2 pi i) * integral of
+    exp(lam(s) + const - s slope) ds at every slope in slopes = (lo, hi) and
+    every const.
 
     log_parts maps a complex ndarray of path points to (lam, sigma): lam
     finite, with lam(conj s) = conj lam(s), and sigma the magnitudes of the
-    logs it is summed from. The engine hands it only path points with
-    Im s >= 0 (see mellin_barnes_integral). The singularities of the
-    integrand lie on the real axis, the nearest at distances
-    poles = (left, right) from c (math.inf for none). log_abs_real maps a
-    float ndarray of real points between them to Re lam (once, at _rule_points).
+    logs it is summed from. The path hands it only points with Im s >= 0
+    (see mellin_barnes_integral). The singularities of the integrand lie on
+    the real axis, the nearest at distances poles = (left, right) from c
+    (math.inf for none). log_abs_real maps a float ndarray of real points
+    between them to Re lam.
 
-    Path, step and window come from _contour_rule, before any complex
-    evaluation; the first log_parts call takes the upper nodes
-    u = 0, h, ..., n h of the window, n = 2 ceil(window / 2h). While the edge
-    node exceeds _TRUNCATION_TOL of the centre at either end of the range
-    the window doubles, and only the added nodes are evaluated; past
-    |u| = _WINDOW_LIMIT it raises NonConvergence. The nodes then end at the
-    first even count past the last node either end needs above that
-    tolerance. NonConvergence for a lam that is not finite, and ContourError,
-    naming c, for a node more than e^_NODE_HEADROOM above the vertex.
-    """
-    mu, step, window = _contour_rule(log_abs_real, c, poles, slopes)
-
-    def path_logs(u):
-        s = c - mu * u * u + 1j * u
-        lam, sigma = log_parts(s)
-        weight = np.log(1.0 + 2j * mu * u)
-        if not np.isfinite(lam).all():
-            raise NonConvergence(
-                f"contour integrand not finite within |u| <= {u[-1]:.4g}")
-        return s, lam + weight, sigma + np.abs(weight)
-
-    def levels(s, logs):
-        # log |G_j| / |G_0| over _TRUNCATION_TOL, at the larger end of the range
-        rel = logs.real - logs.real[0] - math.log(_TRUNCATION_TOL)
-        shift = s.real - c
-        return np.maximum(rel - shift * slopes[0], rel - shift * slopes[1])
-
-    n_half = 2 * math.ceil(window / (2.0 * step))
-    s, logs, sigma = path_logs(np.arange(n_half + 1) * step)
-    while levels(s, logs)[-1] > 0.0:
-        if n_half * step >= _WINDOW_LIMIT:
-            raise NonConvergence(f"contour integrand not decayed at |u| = {n_half * step:.4g}")
-        more = path_logs(np.arange(n_half + 1, 2 * n_half + 1) * step)
-        s, logs, sigma = (np.concatenate(pair) for pair in zip((s, logs, sigma), more))
-        n_half *= 2
-    level = levels(s, logs)
-    rise = float(level.max()) + math.log(_TRUNCATION_TOL)
-    if rise > _NODE_HEADROOM:
-        raise ContourError(f"the path through c = {c} rises e^{rise:.5g} above its vertex")
-    last = int(np.flatnonzero(level > 0.0)[-1])
-    n_half = 2 * (last // 2 + 1)
-    return _node_table(s[:n_half + 1], logs[:n_half + 1], sigma[:n_half + 1], step)
-
-
-def _contour_rule(log_abs_real, c: float, poles: tuple[float, float],
-                  slopes: tuple[float, float]) -> tuple[float, float, float]:
-    """(mu, step, window) of contour_nodes' path through c, from one
-    log_abs_real call on the real axis, for every slope in slopes.
-
-    With no singularity right of c, the integrand is taken to decay
-    super-exponentially to the left, as products of Gamma(n s + a) do, and
-    mu = _MU_SCALE / max(1, c) (Weideman & Trefethen, Math. Comp. 76 (2007)
-    1341). Otherwise it need not decay there (Gamma(s) Gamma(1 - s) does
-    not), and mu = 0: the vertical line.
+    The constructor makes the path's one log_abs_real call, on real points
+    c first, and evaluates nothing complex: it sets c, log_vertex = Re lam(c),
+    mu, step and window. With no singularity right of c, the integrand is
+    taken to decay super-exponentially to the left, as products of
+    Gamma(n s + a) do, and mu = _MU_SCALE / max(1, c) (Weideman & Trefethen,
+    Math. Comp. 76 (2007) 1341). Otherwise it need not decay there
+    (Gamma(s) Gamma(1 - s) does not), and mu = 0: the vertical line.
     - strip: the path at u = i v meets the real axis at c + mu v^2 - v, so a
       pole at distance d on the left at v = 2d / (1 + sqrt(1 - 4 mu d)), or
       1 / (2 mu) if 4 mu d >= 1 (on the line, v = d).
@@ -286,40 +239,83 @@ def _contour_rule(log_abs_real, c: float, poles: tuple[float, float],
       the range.
     - window: see _WINDOW_MARGIN, with phi'' a central second difference
       (the slope drops out of it).
+    NonConvergence where Re lam is not finite at those points.
     """
-    mu, widths, points = _rule_points(c, poles)
-    phi = log_abs_real(points).tolist()
-    if not all(v < math.inf for v in phi):
-        raise NonConvergence(f"contour integrand not finite on the real axis near c = {c}")
-    eps, centre, n_w = 0.1 * widths[0], phi[0], len(widths)
-    step = max(min(math.pi * w / (_STRIP_BUDGET + max(
-        0.0, phi_l - centre + (w - mu * w * w) * slope + math.log(1.0 - 2.0 * mu * w),
-        phi_r - centre - (w + mu * w * w) * slope + math.log1p(2.0 * mu * w)))
-        for slope in slopes)
-        for w, phi_l, phi_r in zip(widths, phi[3:3 + n_w], phi[3 + n_w:]))
-    phi2 = (phi[1] - 2.0 * centre + phi[2]) / (eps * eps)
-    window = (_WINDOW_MARGIN * math.sqrt(-2.0 * math.log(_TRUNCATION_TOL) / phi2)
-              if phi2 > 0.0 else widths[0])
-    return mu, step, window
 
-
-def _rule_points(c: float, poles: tuple[float, float]):
-    """mu, the strip widths and the real-axis points, c first, of _contour_rule."""
-    left, right = poles
-    if right < math.inf:
-        mu, reach = 0.0, min(left, right)
-    else:
-        mu = _MU_SCALE / max(1.0, c)
-        if 4.0 * mu * left < 1.0:
-            reach = 2.0 * left / (1.0 + math.sqrt(1.0 - 4.0 * mu * left))
+    def __init__(self, log_parts, log_abs_real, c: float, poles: tuple[float, float],
+                 slopes: tuple[float, float]):
+        left, right = poles
+        if right < math.inf:
+            mu, reach = 0.0, min(left, right)
         else:
-            reach = 0.5 / mu
-    widths = [min(0.9 * reach, 1.0)]
-    while len(widths) < _WIDTHS and 2.0 * widths[-1] <= 0.9 * reach:
-        widths.append(2.0 * widths[-1])
-    eps = 0.1 * widths[0]
-    return mu, widths, np.array([c, c - eps, c + eps] + [c - w + mu * w * w for w in widths]
-                                + [c + w + mu * w * w for w in widths])
+            mu = _MU_SCALE / max(1.0, c)
+            if 4.0 * mu * left < 1.0:
+                reach = 2.0 * left / (1.0 + math.sqrt(1.0 - 4.0 * mu * left))
+            else:
+                reach = 0.5 / mu
+        widths = [min(0.9 * reach, 1.0)]
+        while len(widths) < _WIDTHS and 2.0 * widths[-1] <= 0.9 * reach:
+            widths.append(2.0 * widths[-1])
+        eps, n_w = 0.1 * widths[0], len(widths)
+        phi = log_abs_real(np.array([c, c - eps, c + eps] + [c - w + mu * w * w for w in widths]
+                                    + [c + w + mu * w * w for w in widths])).tolist()
+        if not all(v < math.inf for v in phi):
+            raise NonConvergence(f"contour integrand not finite on the real axis near c = {c}")
+        self.c, self.mu, self._log_parts, self._slopes = c, mu, log_parts, slopes
+        self.log_vertex = centre = phi[0]
+        self.step = max(min(math.pi * w / (_STRIP_BUDGET + max(
+            0.0, phi_l - centre + (w - mu * w * w) * slope + math.log(1.0 - 2.0 * mu * w),
+            phi_r - centre - (w + mu * w * w) * slope + math.log1p(2.0 * mu * w)))
+            for slope in slopes)
+            for w, phi_l, phi_r in zip(widths, phi[3:3 + n_w], phi[3 + n_w:]))
+        phi2 = (phi[1] - 2.0 * centre + phi[2]) / (eps * eps)
+        self.window = (_WINDOW_MARGIN * math.sqrt(-2.0 * math.log(_TRUNCATION_TOL) / phi2)
+                       if phi2 > 0.0 else widths[0])
+
+    @functools.cached_property
+    def nodes(self) -> ContourNodes:
+        """The path's trapezoid nodes, built on first use and kept. The
+        first log_parts call takes the upper nodes u = 0, h, ..., n h of the
+        window, n = 2 ceil(window / 2h). While the edge node exceeds
+        _TRUNCATION_TOL of the centre at either end of the slope range the
+        window doubles, and only the added nodes are evaluated; past
+        |u| = _WINDOW_LIMIT it raises NonConvergence. The nodes then end at
+        the first even count past the last node either end needs above that
+        tolerance. NonConvergence for a lam that is not finite, and
+        ContourError, naming c, for a node more than e^_NODE_HEADROOM above
+        the vertex."""
+        c, mu, step, slopes = self.c, self.mu, self.step, self._slopes
+
+        def path_logs(u):
+            s = c - mu * u * u + 1j * u
+            lam, sigma = self._log_parts(s)
+            weight = np.log(1.0 + 2j * mu * u)
+            if not np.isfinite(lam).all():
+                raise NonConvergence(
+                    f"contour integrand not finite within |u| <= {u[-1]:.4g}")
+            return s, lam + weight, sigma + np.abs(weight)
+
+        def levels(s, logs):
+            # log |G_j| / |G_0| over _TRUNCATION_TOL, at the larger end of the range
+            rel = logs.real - logs.real[0] - math.log(_TRUNCATION_TOL)
+            shift = s.real - c
+            return np.maximum(rel - shift * slopes[0], rel - shift * slopes[1])
+
+        n_half = 2 * math.ceil(self.window / (2.0 * step))
+        s, logs, sigma = path_logs(np.arange(n_half + 1) * step)
+        while levels(s, logs)[-1] > 0.0:
+            if n_half * step >= _WINDOW_LIMIT:
+                raise NonConvergence(f"contour integrand not decayed at |u| = {n_half * step:.4g}")
+            more = path_logs(np.arange(n_half + 1, 2 * n_half + 1) * step)
+            s, logs, sigma = (np.concatenate(pair) for pair in zip((s, logs, sigma), more))
+            n_half *= 2
+        level = levels(s, logs)
+        rise = float(level.max()) + math.log(_TRUNCATION_TOL)
+        if rise > _NODE_HEADROOM:
+            raise ContourError(f"the path through c = {c} rises e^{rise:.5g} above its vertex")
+        last = int(np.flatnonzero(level > 0.0)[-1])
+        n_half = 2 * (last // 2 + 1)
+        return _node_table(s[:n_half + 1], logs[:n_half + 1], sigma[:n_half + 1], step)
 
 
 def _node_table(s, logs, sigma, step: float) -> ContourNodes:
@@ -342,24 +338,23 @@ def _node_table(s, logs, sigma, step: float) -> ContourNodes:
     return ContourNodes(logs=logs, sums=sums)
 
 
-def contour_integral(nodes, log_peak: float, const: float = 0.0,
-                     slope: float = 0.0) -> EvalResult:
+def contour_integral(path: ContourPath, const: float = 0.0, slope: float = 0.0) -> EvalResult:
     """(1/2 pi i) * integral of exp(lam(s) + const - s slope) ds on the
-    trapezoid nodes that the callable nodes returns (see contour_nodes and
-    mellin_barnes_integral); log_peak is the log of the integrand at the
-    caller's vertex, its own saddle or abscissa.
+    path's trapezoid nodes (see ContourPath and mellin_barnes_integral).
 
-    log_peak alone decides the magnitude of the sums: inside _DIRECT_LOGS
-    the nodes are summed as they are, and elsewhere scaled by 2^-k,
-    k = round(log_peak / log 2), with value and estimate scaled back by 2^k.
-    Below _LOG_NO_NODE the value is a converged 0.0 whose err_estimate is
-    the smallest subnormal, without any complex evaluation or call of
-    nodes: the transforms evaluated here decay super-algebraically there. A
-    value past binary64 is 0.0 with converged=False and an infinite
-    err_estimate; so, with no node built, is a log_peak so large that the
-    roundoff of the logs alone keeps the noise floor past the bound of a
-    converged value.
+    The log of the integrand at the path's vertex,
+    log_peak = log_vertex + const - c slope, alone decides the magnitude of
+    the sums: inside _DIRECT_LOGS the nodes are summed as they are, and
+    elsewhere scaled by 2^-k, k = round(log_peak / log 2), with value and
+    estimate scaled back by 2^k. Below _LOG_NO_NODE the value is a converged
+    0.0 whose err_estimate is the smallest subnormal, without any complex
+    evaluation or node built: the transforms evaluated here decay
+    super-algebraically there. A value past binary64 is 0.0 with
+    converged=False and an infinite err_estimate; so, with no node built,
+    is a log_peak so large that the roundoff of the logs alone keeps the
+    noise floor past the bound of a converged value.
     """
+    log_peak = path.log_vertex + const - path.c * slope
     exponent = 0
     if not _DIRECT_LOGS[0] <= log_peak <= _DIRECT_LOGS[1]:
         if log_peak < _LOG_NO_NODE:
@@ -369,10 +364,10 @@ def contour_integral(nodes, log_peak: float, const: float = 0.0,
             # the noise floor past the bound of a converged value
             return EvalResult(0.0, math.inf, 0, False, "contour")
         if not math.isnan(log_peak):
-            # a NaN sums directly, and nodes() says what went wrong
+            # a NaN sums directly, and the sums say what went wrong
             exponent = round(log_peak / _LOG_2)
     try:
-        return EvalResult(*mellin_barnes_integral(nodes(), const, slope, exponent), "contour")
+        return EvalResult(*mellin_barnes_integral(path.nodes, const, slope, exponent), "contour")
     except OverflowError:
         return EvalResult(0.0, math.inf, 0, False, "contour")
 
@@ -384,9 +379,9 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
 
     Requires c > 0 with 1 - c inside the image strip. The Frechet images put
     no pole of the integrand right of Re(s) = 0, so 0.5 is a balanced default
-    and the path is contour_nodes' parabola; an image whose strip is
+    and the path is ContourPath's parabola; an image whose strip is
     bounded on the left (a pole of f*(1 - s) right of c) takes the line.
-    The nodes are built for the one slope log p and not kept.
+    The path is built for the one slope log p and not kept.
     By Cauchy's theorem any valid c gives the same value, which the
     shift-invariance checks exercise. Small p is integrated too; a sum that
     misses its tolerance carries converged=False (gamma = 1/10 at p = 1e-12,
@@ -397,6 +392,7 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
     and window, raises DomainError: the engine's sum over the upper half of
     the path would not be the integral.
     """
+    _refuse_text("laplace_via_mellin", p, c)
     if not 0 < p < math.inf:
         raise DomainError("laplace_via_mellin requires finite p > 0")
     if not c > 0:
@@ -432,8 +428,5 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
     # left, f*(1 - s) at 1 - sigma_min on the right
     lo, hi = mf.domain_strip
     poles = (c - max(0.0, 1.0 - hi), 1.0 - lo - c)
-    # the engine's one log_abs_real call takes these points, c first
-    phi = log_abs_real(_rule_points(c, poles)[2])
-    return contour_integral(
-        lambda: contour_nodes(log_parts, lambda x: phi, c, poles, (log_p, log_p)),
-        float(phi[0]) - c * log_p, slope=log_p)
+    return contour_integral(ContourPath(log_parts, log_abs_real, c, poles, (log_p, log_p)),
+                            slope=log_p)

@@ -37,6 +37,9 @@ class EvalResult:
     route: str
 
 
+_TEXT = (str, bytes)  # what every entry point refuses as no number
+
+
 def _as_numbers(x, dtype, name: str) -> np.ndarray:
     """x as an ndarray of dtype, where np.asarray(x, dtype) would read text
     as numbers ("2.0", b"1") or raise ValueError ("abc"): DomainError for
@@ -44,12 +47,21 @@ def _as_numbers(x, dtype, name: str) -> np.ndarray:
     number. A number converts with the bits np.asarray(x, dtype) gives it."""
     arr = np.asarray(x)
     if arr.dtype.kind in "SU" or (arr.dtype.kind == "O" and any(
-            isinstance(v, (str, bytes)) for v in arr.flat)):
+            isinstance(v, _TEXT) for v in arr.flat)):
         raise DomainError(f"{name} takes numbers, not text")
     try:
         return arr.astype(dtype, copy=False)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} takes numbers") from exc
+
+
+def _refuse_text(name: str, *values) -> None:
+    """DomainError where a numeric argument of a scalar entry point is text
+    (str or bytes), which would raise a raw TypeError there or be read as a
+    number. A float, the usual argument, costs one type test."""
+    for v in values:
+        if type(v) is not float and isinstance(v, _TEXT):
+            raise DomainError(f"{name} takes numbers, not text")
 
 
 # The binary64-range guard for every power or exp that can overflow.
@@ -230,6 +242,7 @@ def integrate_semi_infinite(f, lower: float, scale: float = 1.0) -> EvalResult:
     where a sum of finite terms, the value or its estimate overflows
     binary64.
     """
+    _refuse_text("integrate_semi_infinite", lower, scale)
     if not math.isfinite(lower):
         raise DomainError("lower limit must be finite")
     if not 0 < scale < math.inf:

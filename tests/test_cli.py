@@ -196,6 +196,13 @@ class TestTransformCommand:
         assert math.isclose(float(out), 0.5 * math.sqrt(math.pi) * 1e200 ** -1.5,
                             rel_tol=1e-12)
 
+    def test_frechet_half_below_the_smallest_subnormal_exits_0(self, capsys):
+        # about 1e-375 there: the residue series' bounds show every term
+        # below the smallest subnormal, and its converged zero prints as 0
+        code, out, _ = run(capsys, ["transform", "frechet-half", "--gamma", "1",
+                                    "--x", "1e250"])
+        assert (code, out.strip()) == (0, "0")
+
     @pytest.mark.parametrize("argv", [
         ["levy", "--alpha", "1.5", "--gamma", "1", "--x", "1"],
         ["frechet-half", "--gamma", "1", "--x", "-1"],

@@ -344,6 +344,20 @@ class TestHalfClosedForm:
         assert res.converged
         assert res.value == 0.0
 
+    def test_values_below_the_smallest_subnormal_are_converged_zeros(self):
+        # gamma in [0.05, 20] x x in [1e150, 1e307], log-spaced: wherever the
+        # residue series' bounds put every term and its tail below half the
+        # smallest subnormal (2,605 of 4,800 inputs), the value is a
+        # converged +0.0 within it, with no term formed, not a contour sum
+        # that cancels to noise
+        results = [frechet_transform_frechet_half(Shape(g), x)
+                   for g in np.geomspace(0.05, 20.0, 60).tolist()
+                   for x in np.geomspace(1e150, 1e307, 80).tolist()]
+        zeros = [res for res in results if res.route == "series" and res.evaluations == 0]
+        assert len(zeros) == 2605
+        assert all((res.value, res.err_estimate, res.converged) == (0.0, 2.0 ** -1074, True)
+                   and math.copysign(1.0, res.value) == 1.0 for res in zeros)
+
     @pytest.mark.parametrize("x", [1e170, 1e200, 1e230])
     def test_underflowing_prefactor_keeps_error_estimate(self, x):
         # x^{-2} underflows binary64 there, while G at z = 1/(4x) is huge

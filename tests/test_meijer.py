@@ -190,15 +190,15 @@ class TestGaussCollapse:
 
 
 def _integrand_and_abscissa(monkeypatch, spec, const, slope):
-    # the log Gamma sum meijer_g_m0 hands to the contour engine's node pass,
-    # and the vertex of the band's table
-    captured, original = [], meijer.contour_nodes
+    # the log Gamma sum meijer_g_m0 hands to the contour engine's path, and
+    # the vertex of the band's path
+    captured, original = [], meijer.ContourPath
 
     def capture(log_parts, log_abs_real, c, poles, slopes):
         captured.append((log_parts, c))
         return original(log_parts, log_abs_real, c, poles, slopes)
 
-    monkeypatch.setattr(meijer, "contour_nodes", capture)
+    monkeypatch.setattr(meijer, "ContourPath", capture)
     meijer.MeijerSpec._band_table.cache_clear()
     meijer_g_m0(spec, const=const, slope=slope)
     return captured[0]
@@ -218,23 +218,22 @@ def _count_log_gamma(monkeypatch, outputs=None):
     return shapes
 
 
-def _spy_rule(monkeypatch):
-    # (mu, step, window) of every path the node pass lays out: its first
-    # log_gamma call takes the upper nodes u = j step, j <= n_half,
+def _spy_paths(monkeypatch):
+    # every path laid out, with its mu, step and window: the first log_gamma
+    # call of its nodes takes the upper nodes u = j step, j <= n_half,
     # n_half = 2 ceil(window / (2 step))
-    rules, original = [], mellin._contour_rule
+    paths, init = [], mellin.ContourPath.__init__
 
-    def spy(*args):
-        rules.append(original(*args))
-        return rules[-1]
+    def spy(self, *args):
+        init(self, *args)
+        paths.append(self)
 
-    monkeypatch.setattr(mellin, "_contour_rule", spy)
-    return rules
+    monkeypatch.setattr(mellin.ContourPath, "__init__", spy)
+    return paths
 
 
-def _first_window(rule):
-    _, step, window = rule
-    return 2 * math.ceil(window / (2.0 * step))
+def _first_window(path):
+    return 2 * math.ceil(path.window / (2.0 * path.step))
 
 
 # The contour engine evaluates the integrand on the upper half of its path
@@ -259,13 +258,13 @@ class TestConjugateMirror:
         # (1, 1) at p = 1: log_gamma sees the n_half + 1 upper nodes of the
         # band's grid, once, and no other node; the table keeps a leading
         # part of them
-        shapes, rules = _count_log_gamma(monkeypatch), _spy_rule(monkeypatch)
+        shapes, paths = _count_log_gamma(monkeypatch), _spy_paths(monkeypatch)
         meijer.MeijerSpec._band_table.cache_clear()
         form = build_laplace_closed_form(RationalShape(1, 1))
         res = meijer_g_m0(form.spec, const=0.0, slope=0.0)
         assert res.converged and res.value == pytest.approx(TWO_K1_OF_2, rel=1e-15)
-        assert len(rules) == 1
-        n_half = _first_window(rules[0])
+        assert len(paths) == 1
+        n_half = _first_window(paths[0])
         assert shapes == [(2, n_half + 1)]
         assert res.evaluations <= 2 * n_half + 1
 
@@ -280,15 +279,15 @@ class TestConjugateMirror:
         form = build_laplace_closed_form(RationalShape(2, 3))
         const, slope = math.log(2.0), 0.0
         saddle = meijer_g_m0(form.spec, const=const, slope=slope)
-        outputs, rules = [], _spy_rule(monkeypatch)
+        outputs, paths = [], _spy_paths(monkeypatch)
         shapes = _count_log_gamma(monkeypatch, outputs)
         res = meijer_g_m0(form.spec, const=const, slope=slope, c=0.1)
         assert res.converged and abs(res.value - saddle.value) <= 1e-13
-        assert len(shapes) == 2 and len(rules) == 1
-        n_half = _first_window(rules[0])
+        assert len(shapes) == 2 and len(paths) == 1
+        n_half = _first_window(paths[0])
         assert shapes == [(2, n_half + 1), (2, n_half)]
         # |G_j| / |G_0| from the log_gamma values, the path weight and z^-s
-        mu, step, _ = rules[0]
+        mu, step = paths[0].mu, paths[0].step
         u = np.arange(2 * n_half + 1) * step
         s = 0.1 - mu * u * u + 1j * u
         lam = np.concatenate([value.sum(axis=0) for _, value in outputs])
@@ -456,9 +455,9 @@ class TestConstantsMemo:
 
     def test_contour_table_is_read_only(self):
         spec = build_laplace_closed_form(RationalShape(2, 3)).spec
-        _, _, table_nodes = spec._band_table(4)
-        nodes = table_nodes()
-        assert table_nodes() is nodes
+        path = spec._band_table(4)
+        nodes = path.nodes
+        assert path.nodes is nodes
         for matrix in (nodes.logs, nodes.sums):
             with pytest.raises(ValueError):
                 matrix[0, 0] = 5.0
@@ -505,10 +504,8 @@ class TestContourTables:
         assert last - first >= 2
         for band in range(first + 1, last + 1):
             edge = spec._band_slope(band * meijer._BAND_WIDTH)
-            _, _, nodes_below = spec._band_table(band - 1)
-            _, _, nodes_above = spec._band_table(band)
-            below = mellin.mellin_barnes_integral(nodes_below(), const, edge)
-            above = mellin.mellin_barnes_integral(nodes_above(), const, edge)
+            below = mellin.mellin_barnes_integral(spec._band_table(band - 1).nodes, const, edge)
+            above = mellin.mellin_barnes_integral(spec._band_table(band).nodes, const, edge)
             assert below[3] and above[3]
             assert abs(below[0] - above[0]) <= below[1] + above[1], band
 
@@ -544,7 +541,7 @@ class TestContourTables:
         # c near the poles to c ~ 1e5; and the band's range holds the slope
 
         def phi(c, slope):
-            return spec._log_gammas(c) - c * slope
+            return spec._path(c, (slope, slope)).log_vertex - c * slope
 
         for u in np.linspace(-6.0, 12.0, 181).tolist():
             slope = spec._n_log_n + spec.m * u
@@ -560,7 +557,7 @@ class TestContourTables:
 def _log_peak_at_saddle(spec, slope):
     # log of the integrand at the slope's own saddle, for const = 0
     vertex = spec._saddle(slope)
-    return spec._log_gammas(vertex) - vertex * slope
+    return spec._path(vertex, (slope, slope)).log_vertex - vertex * slope
 
 
 def _laplace_by_quad(mpmath, l, k, p):
@@ -1000,6 +997,21 @@ class TestResidueSeries:
         assert (res.value, res.err_estimate, res.evaluations, res.converged) == (
             0.0, math.inf, 0, False)
 
+    @pytest.mark.parametrize("l,k,const,slope", [(1, 1, -800.0, 0.0), (1, 1, -1000.0, -50.0),
+                                                 (2, 3, -900.0, 1.0)])
+    def test_all_terms_below_the_smallest_subnormal_are_a_converged_zero(self, l, k, const,
+                                                                          slope):
+        # where the bounds on the terms and the tail put both below half the
+        # smallest subnormal, no term is formed: a converged 0.0 within the
+        # smallest subnormal, as the contour gives there
+        spec = build_laplace_closed_form(RationalShape(l, k)).spec
+        res = meijer_g_series(spec, const=const, slope=slope)
+        assert (res.value, res.err_estimate, res.evaluations, res.converged, res.route) == (
+            0.0, 2.0 ** -1074, 0, True, "series")
+        assert meijer_g(spec, const=const, slope=slope) == res
+        contour = meijer_g_m0(spec, const=const, slope=slope)
+        assert contour.converged and abs(contour.value) <= 2.0 ** -1074
+
     @pytest.mark.parametrize("spec", [MeijerSpec([0.0]), MeijerSpec([0.0, 0.5]),
                                       MeijerSpec([0.0, 1.0, 2.0])])
     def test_other_specs_are_domain_errors(self, spec):
@@ -1105,7 +1117,14 @@ class TestMeijerG:
         past = (math.nextafter(s_star, math.inf), 0.5 * (s_star + top), top, top + 1.0)
         assert s_star < top
         for slope in past:
-            assert not _series_meets_the_bar(meijer_g_series(spec, const=const, slope=slope))
+            res = meijer_g_series(spec, const=const, slope=slope)
+            if res.evaluations == 0 and res.converged:
+                # every term below half the smallest subnormal: the contour
+                # meijer_g takes gives the same converged zero
+                assert meijer_g(spec, const=const, slope=slope) == dataclasses.replace(
+                    res, route="contour")
+            else:
+                assert not _series_meets_the_bar(res)
         calls = []
 
         def counting(original):

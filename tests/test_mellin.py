@@ -11,7 +11,7 @@ from frechet_laplace import meijer, mellin
 from frechet_laplace.ftransform import _HALF_SPEC
 from frechet_laplace.laplace import laplace_frechet_oracle
 from frechet_laplace.meijer import MeijerSpec
-from frechet_laplace.mellin import (MellinFunction, contour_integral, contour_nodes,
+from frechet_laplace.mellin import (ContourPath, MellinFunction, contour_integral,
                                     frechet_mellin_image, laplace_via_mellin,
                                     mellin_barnes_integral)
 from frechet_laplace.numerics import integrate_semi_infinite, log_gamma
@@ -127,13 +127,13 @@ class TestLaplaceViaMellin:
         # the engine sums the upper half of the path and mirrors it; over both
         # halves of a symmetric grid on the path (mu = 0.4 at c = 0.5) the
         # integrand's sum has an imaginary part of roundoff size
-        integrands, original = [], mellin.contour_nodes
+        integrands, original = [], mellin.ContourPath
 
         def capture(log_parts, log_abs_real, c, poles, slopes):
             integrands.append((log_parts, slopes[0]))
             return original(log_parts, log_abs_real, c, poles, slopes)
 
-        monkeypatch.setattr(mellin, "contour_nodes", capture)
+        monkeypatch.setattr(mellin, "ContourPath", capture)
         for p in (0.1, 1.0, 7.0):
             laplace_via_mellin(frechet_mellin_image(RationalShape(2, 1)), p)
         u = np.linspace(-8.0, 8.0, 161)
@@ -248,9 +248,8 @@ class TestContourIntegral:
 
     def integral(self, parts, real, log_shift=0.0):
         slope = math.log(self.X)
-        return contour_integral(
-            lambda: contour_nodes(parts, real, self.C, self.POLES, (slope, slope)),
-            math.lgamma(self.C) + log_shift - self.C * slope, log_shift, slope)
+        return contour_integral(ContourPath(parts, real, self.C, self.POLES, (slope, slope)),
+                                log_shift, slope)
 
     def test_real_value(self):
         res = self.integral(self.log_gamma_parts, self.real_log_gamma)
@@ -270,9 +269,7 @@ class TestContourIntegral:
         def never(*args):
             raise AssertionError("no node may be built below the node-free exit")
 
-        log_shift = math.log(1e-305) - 200.0
-        res = contour_integral(never, math.lgamma(self.C) + log_shift - self.C * math.log(self.X),
-                               log_shift, math.log(self.X))
+        res = self.integral(never, self.real_log_gamma, math.log(1e-305) - 200.0)
         assert (res.value, res.err_estimate, res.evaluations, res.converged) == (
             0.0, 2.0 ** -1074, 0, True)
 
@@ -287,7 +284,7 @@ class TestContourIntegral:
         def never(*args):
             raise AssertionError("no node may be built for an infinite integrand")
 
-        res = contour_integral(never, math.inf)
+        res = self.integral(never, self.real_log_gamma, math.inf)
         assert (res.value, res.err_estimate, res.evaluations, res.converged) == (
             0.0, math.inf, 0, False)
 
@@ -304,6 +301,95 @@ class TestContourIntegral:
         # finite there, but not on the path
         with pytest.raises(NonConvergence, match="not finite"):
             self.integral(nan, self.real_log_gamma)
+
+
+# A ContourPath probes the real axis once, when it is built, and builds its
+# nodes once, on first use: for a band's path, a path through an explicit c
+# and laplace_via_mellin's, and never for an exit that needs no node.
+def _spy_paths(monkeypatch):
+    # every path built, and the path of each log_abs_real call
+    paths, probes, init = [], [], ContourPath.__init__
+
+    def spy(self, log_parts, log_abs_real, *args):
+        def counted(x):
+            probes.append(self)
+            return log_abs_real(x)
+
+        init(self, log_parts, counted, *args)
+        paths.append(self)
+
+    monkeypatch.setattr(ContourPath, "__init__", spy)
+    return paths, probes
+
+
+def _count_node_tables(monkeypatch):
+    tables, original = [], mellin._node_table
+
+    def counting(*args):
+        tables.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mellin, "_node_table", counting)
+    return tables
+
+
+class TestContourPath:
+    SPEC = meijer.build_laplace_closed_form(RationalShape(2, 3)).spec
+    ROUTES = {
+        # three slopes of one band, and the same slope again
+        "band": lambda spec: [meijer.meijer_g_m0(spec, const=math.log(2.0), slope=slope)
+                              for slope in (5.0, 5.01, 5.02, 5.0)],
+        "explicit_c": lambda spec: [meijer.meijer_g_m0(spec, const=math.log(2.0), slope=5.0,
+                                                       c=1.5)],
+        "via_mellin": lambda spec: [laplace_via_mellin(
+            frechet_mellin_image(RationalShape(2, 3)), 3.0)],
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_one_probe_and_one_node_table_per_path(self, route, monkeypatch):
+        meijer.MeijerSpec._band_table.cache_clear()
+        paths, probes = _spy_paths(monkeypatch)
+        tables = _count_node_tables(monkeypatch)
+        results = self.ROUTES[route](self.SPEC)
+        assert all(res.converged and res.evaluations > 0 for res in results)
+        assert len(paths) == 1 and probes == paths
+        assert len(tables) == 1
+        path = paths[0]
+        assert path.nodes is path.nodes and len(tables) == 1
+
+    def test_every_slope_of_a_band_gets_one_path(self, monkeypatch):
+        spec = self.SPEC
+        seen, original = [], meijer.contour_integral
+
+        def capture(path, const, slope):
+            seen.append(path)
+            return original(path, const, slope)
+
+        monkeypatch.setattr(meijer, "contour_integral", capture)
+        band = 9
+        for f in (0.01, 0.1, 0.25, 0.5, 0.75, 0.99):
+            slope = spec._band_slope((band + f) * meijer._BAND_WIDTH)
+            assert math.floor(spec._band_coordinate(slope) / meijer._BAND_WIDTH) == band
+            assert meijer.meijer_g_m0(spec, const=0.0, slope=slope).converged
+        assert len(seen) == 6 and all(path is seen[0] for path in seen)
+        assert seen[0] is spec._band_table(band)
+
+    @pytest.mark.parametrize("const,expected", [(-2000.0, (0.0, 2.0 ** -1074, 0, True)),
+                                                (1e9, (0.0, math.inf, 0, False))])
+    def test_no_node_for_an_exit_without_nodes(self, const, expected):
+        # far below the smallest subnormal, and a vertex log whose roundoff
+        # alone passes the bound of a converged value: log_parts is never
+        # called, and the path holds no nodes
+        def never(s):
+            raise AssertionError("no node may be built for this exit")
+
+        path = ContourPath(never, TestContourIntegral.real_log_gamma, 0.7, (0.7, math.inf),
+                           (0.0, 1.0))
+        res = contour_integral(path, const, 0.5)
+        assert (res.value, res.err_estimate, res.evaluations, res.converged) == expected
+        assert "nodes" not in vars(path)
+        with pytest.raises(AssertionError, match="no node"):
+            contour_integral(path, 0.0, 0.5)
 
 
 def test_range_step_holds_at_every_slope():
@@ -323,9 +409,9 @@ def test_range_step_holds_at_every_slope():
             return np.interp(x, xs, ys)
 
         lo, hi = sorted(rng.uniform(-30.0, 30.0, 2).tolist())
-        step = mellin._contour_rule(real_logs, 0.0, (10.0, 10.0), (lo, hi))[1]
+        step = ContourPath(None, real_logs, 0.0, (10.0, 10.0), (lo, hi)).step
         for slope in np.linspace(lo, hi, 41).tolist():
-            single = mellin._contour_rule(real_logs, 0.0, (10.0, 10.0), (slope, slope))[1]
+            single = ContourPath(None, real_logs, 0.0, (10.0, 10.0), (slope, slope)).step
             assert step <= single * (1.0 + 1e-12), (lo, hi, slope)
 
 

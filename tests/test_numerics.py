@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+import frechet_laplace as fl
 from frechet_laplace.errors import DomainError, NonConvergence, PoleError
-from frechet_laplace import numerics
+from frechet_laplace import meijer, numerics
 from frechet_laplace.distributions import Shape, frechet_pdf, levy_pdf_half
 from frechet_laplace.laplace import laplace_frechet_oracle
 from frechet_laplace.numerics import bessel_k1, integrate_semi_infinite, log_gamma
@@ -582,3 +583,55 @@ class TestTextInput:
         # numpy scalars and a bool convert as before
         assert _complex_hex(f(v) for v in (np.float32(0.5), np.int64(1), True)) == [
             from_array[0], from_array[1], from_array[1]]
+
+
+# Each scalar entry point refuses text in any of its numeric arguments with a
+# DomainError, where its first comparison or math call raised a raw
+# TypeError, and MeijerSpec read text as a number.
+_ONE, _HALF = fl.Shape(1.0), fl.build_laplace_closed_form(fl.RationalShape(2, 3)).spec
+_TARGET = fl.TransformTarget(f=np.exp, laplace_of_f=lambda u: 1.0 / (1.0 + u))
+SCALAR_ENTRY_POINTS = {
+    "Shape": fl.Shape,
+    "LevyIndex": fl.LevyIndex,
+    "LaplaceQuery": lambda v: fl.LaplaceQuery(fl.RationalShape(1, 1), v),
+    "FrechetKernelParams.x": lambda v: fl.FrechetKernelParams(_ONE, v, 1.0),
+    "FrechetKernelParams.t": lambda v: fl.FrechetKernelParams(_ONE, 1.0, v),
+    "frechet_cdf": lambda v: fl.frechet_cdf(_ONE, v),
+    "frechet_quantile": lambda v: fl.frechet_quantile(_ONE, v),
+    "frechet_moment": lambda v: fl.frechet_moment(_ONE, v),
+    "levy_moment": lambda v: fl.levy_moment(fl.LevyIndex(0.5), v),
+    "levy_asymptotic": lambda v: fl.levy_asymptotic(fl.LevyIndex(0.5), v),
+    "levy_asymptotic_rescaled": lambda v: fl.levy_asymptotic_rescaled(_ONE, v),
+    "find_maximum.x_init": lambda v: fl.find_maximum(lambda x: x * math.exp(-x), v),
+    "find_maximum.arg_tol": lambda v: fl.find_maximum(lambda x: x * math.exp(-x), 1.0, v),
+    "laplace_frechet_oracle": lambda v: fl.laplace_frechet_oracle(_ONE, v),
+    "laplace_frechet_bessel": fl.laplace_frechet_bessel,
+    "laplace_symmetry_check": lambda v: fl.laplace_symmetry_check(fl.RationalShape(2, 3), v),
+    "laplace_via_mellin.p": lambda v: fl.laplace_via_mellin(
+        fl.frechet_mellin_image(fl.RationalShape(1, 1)), v),
+    "laplace_via_mellin.c": lambda v: fl.laplace_via_mellin(
+        fl.frechet_mellin_image(fl.RationalShape(1, 1)), 1.0, v),
+    "frechet_transform_quadrature": lambda v: fl.frechet_transform_quadrature(_TARGET, _ONE, v),
+    "frechet_transform_via_laplace": lambda v: fl.frechet_transform_via_laplace(
+        _TARGET, _ONE, v),
+    "frechet_transform_frechet_half": lambda v: fl.frechet_transform_frechet_half(_ONE, v),
+    "meijer_g_m0.const": lambda v: fl.meijer_g_m0(_HALF, const=v, slope=0.0),
+    "meijer_g_m0.slope": lambda v: fl.meijer_g_m0(_HALF, const=0.0, slope=v),
+    "meijer_g_m0.c": lambda v: fl.meijer_g_m0(_HALF, const=0.0, slope=0.0, c=v),
+    "meijer_g_series.const": lambda v: fl.meijer_g_series(_HALF, const=v, slope=0.0),
+    "meijer_g_series.slope": lambda v: fl.meijer_g_series(_HALF, const=0.0, slope=v),
+    "meijer_g.const": lambda v: meijer.meijer_g(_HALF, const=v, slope=0.0),
+    "meijer_g.slope": lambda v: meijer.meijer_g(_HALF, const=0.0, slope=v),
+    "integrate_semi_infinite.lower": lambda v: fl.integrate_semi_infinite(np.exp, v),
+    "integrate_semi_infinite.scale": lambda v: fl.integrate_semi_infinite(np.exp, 0.0, v),
+    "MeijerSpec.b": lambda v: fl.MeijerSpec([v]),
+    "MeijerSpec.groups": lambda v: fl.MeijerSpec(groups=((2, v),)),
+}
+TEXT_SCALARS = ["0.5", "abc", b"1", np.str_("0.5")]
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_ENTRY_POINTS))
+@pytest.mark.parametrize("v", TEXT_SCALARS, ids=[f"text{i}" for i in range(len(TEXT_SCALARS))])
+def test_scalar_text_is_domain_error(name, v):
+    with pytest.raises(DomainError, match="text"):
+        SCALAR_ENTRY_POINTS[name](v)

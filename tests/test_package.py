@@ -107,17 +107,17 @@ def test_benchmark_tracer_sees_the_contour_through_meijer_g():
 def test_benchmark_tracer_sees_one_log_gamma_per_integral(l, k, p, monkeypatch):
     # the per-layer metrics read log_gamma through its traced name: a contour
     # value on the closed-form grid is one contour integral, and its band's
-    # table, when it is built, one log_gamma call on the n_half + 1 upper
-    # nodes of its window (n_half = 2 ceil(window / 2 step)), for both
-    # runs; a value from a built table calls none
+    # path, when its nodes are built, one log_gamma call on the n_half + 1
+    # upper nodes of its window (n_half = 2 ceil(window / 2 step)), for both
+    # runs; a value on built nodes calls none
     tracing = _load_perfbench("tracing")
-    rules, rule = [], mellin._contour_rule
+    paths, init = [], mellin.ContourPath.__init__
 
-    def spy(*args):
-        rules.append(rule(*args))
-        return rules[-1]
+    def spy(self, *args):
+        init(self, *args)
+        paths.append(self)
 
-    monkeypatch.setattr(mellin, "_contour_rule", spy)
+    monkeypatch.setattr(mellin.ContourPath, "__init__", spy)
     meijer.MeijerSpec._band_table.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
@@ -127,9 +127,8 @@ def test_benchmark_tracer_sees_one_log_gamma_per_integral(l, k, p, monkeypatch):
     finally:
         tracer.uninstall()
     assert res.converged and again.converged
-    assert len(rules) == 1
-    _, step, window = rules[0]
-    n_half = 2 * math.ceil(window / (2.0 * step))
+    assert len(paths) == 1
+    n_half = 2 * math.ceil(paths[0].window / (2.0 * paths[0].step))
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["mellin.integrals"] == 2
     assert metrics["numerics.log_gamma.calls"] == 1
