@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentMoment, DomainError
-from .numerics import _as_numbers, _exp, _power, _refuse_text
+from .numerics import _BELOW_ONE, _as_numbers, _exp, _power, _real
 
 __all__ = [
     "Shape",
@@ -40,9 +40,7 @@ class Shape:
     gamma: float
 
     def __post_init__(self):
-        _refuse_text("Shape", self.gamma)
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise DomainError(f"shape parameter must be finite and > 0, got {self.gamma}")
+        object.__setattr__(self, "gamma", _real("Shape", self.gamma, 0.0))
 
 
 @dataclass(frozen=True)
@@ -83,17 +81,15 @@ class LevyIndex:
     alpha: float
 
     def __post_init__(self):
-        _refuse_text("LevyIndex", self.alpha)
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"Levy index must lie in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", _real("LevyIndex", self.alpha, 0.0, _BELOW_ONE))
 
 
 def frechet_pdf(shape: Shape, x):
     """Density gamma x^{-(1+gamma)} exp(-x^{-gamma}); 0 at x = 0 by the limit.
     x is a float or an ndarray (a list is read as one), evaluated in one
     numpy pass: a float call gives a float, bit for bit that element of an
-    array. DomainError unless every x is finite and >= 0, and where a value
-    overflows binary64; text is a DomainError too."""
+    array. DomainError unless every x is a finite real number >= 0, and
+    where a value overflows binary64."""
     g = shape.gamma
     v = _as_numbers(x, float, "frechet_pdf")
     if not ((v >= 0.0) & (v < math.inf)).all():
@@ -110,10 +106,8 @@ def frechet_pdf(shape: Shape, x):
 
 
 def frechet_cdf(shape: Shape, x: float) -> float:
-    """Distribution function exp(-x^{-gamma}) for x > 0."""
-    _refuse_text("frechet_cdf", x)
-    if not x > 0:
-        raise DomainError("frechet_cdf requires x > 0")
+    """Distribution function exp(-x^{-gamma}) for x > 0, 1.0 at x = inf."""
+    x = _real("frechet_cdf", x, 0.0, math.inf)
     neg_power = -shape.gamma * math.log(x)
     if neg_power > 709.0:
         return 0.0
@@ -122,9 +116,7 @@ def frechet_cdf(shape: Shape, x: float) -> float:
 
 def frechet_quantile(shape: Shape, q: float) -> float:
     """Inverse of frechet_cdf: (-ln q)^{-1/gamma} on 0 < q < 1."""
-    _refuse_text("frechet_quantile", q)
-    if not (0.0 < q < 1.0):
-        raise DomainError("frechet_quantile requires 0 < q < 1")
+    q = _real("frechet_quantile", q, 0.0, _BELOW_ONE)
     return _power(-math.log(q), -1.0 / shape.gamma)
 
 
@@ -144,7 +136,7 @@ def _gamma_ratio(a: float, b: float) -> float:
 
 def frechet_moment(shape: Shape, mu: float) -> float:
     """Power moment E[X^mu] = Gamma(1 - mu/gamma), finite only for mu < gamma."""
-    _refuse_text("frechet_moment", mu)
+    mu = _real("frechet_moment", mu, None)
     g = shape.gamma
     if not mu < g:
         raise DivergentMoment(f"valid Frechet moment orders: -inf < mu < {g}, got {mu}")
@@ -158,8 +150,8 @@ def levy_pdf_half(x):
     Its defining property, L[g](p) = exp(-sqrt(p)), is what the test suite
     pins it against. x is a float or an ndarray (a list is read as one),
     evaluated in one numpy pass: a float call gives a float, bit for bit
-    that element of an array. DomainError unless every x is > 0; text is a
-    DomainError too.
+    that element of an array. DomainError unless every x is a real
+    number > 0.
     """
     v = _as_numbers(x, float, "levy_pdf_half")
     if not (v > 0.0).all():
@@ -173,7 +165,7 @@ def levy_pdf_half(x):
 def levy_moment(idx: LevyIndex, mu: float) -> float:
     """Power moment of the one-sided Levy law:
     Gamma(1 - mu/alpha) / Gamma(1 - mu), finite only for mu < alpha."""
-    _refuse_text("levy_moment", mu)
+    mu = _real("levy_moment", mu, None)
     a = idx.alpha
     if not mu < a:
         raise DivergentMoment(f"valid Levy moment orders: -inf < mu < {a}, got {mu}")
@@ -190,11 +182,9 @@ def levy_asymptotic(idx: LevyIndex, t: float) -> float:
     At alpha = 1/2 this reproduces the exact elementary density, and the
     sqrt(1-alpha) factor is what makes the gamma/(1+gamma) rescaling onto the
     Frechet density an identity rather than merely an approximation.
-    It is 0.0 where the tail's exp overflows: the tail outweighs the rest.
+    It is 0.0 at t = inf and where the tail's exp overflows, which outweighs the rest.
     """
-    _refuse_text("levy_asymptotic", t)
-    if not t > 0:
-        raise DomainError("levy_asymptotic requires t > 0")
+    t = _real("levy_asymptotic", t, 0.0, math.inf)
     a = idx.alpha
     lt = math.log(t)
     try:
@@ -216,9 +206,7 @@ def levy_asymptotic_rescaled(shape: Shape, x: float) -> float:
     Fr(gamma, x) / sqrt(2 pi); the test suite evaluates that right-hand side
     independently.
     """
-    _refuse_text("levy_asymptotic_rescaled", x)
-    if not x > 0:
-        raise DomainError("levy_asymptotic_rescaled requires x > 0")
+    x = _real("levy_asymptotic_rescaled", x, 0.0, math.inf)
     g = shape.gamma
     alpha = g / (1.0 + g)
     t = g * x / (1.0 + g) ** (1.0 + 1.0 / g)
@@ -248,11 +236,13 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def find_maximum(f, x_init: float = 1.0, arg_tol: float = 1e-10) -> tuple[float, float]:
     """Locate the maximum of a unimodal positive function on (0, inf).
 
-    Brackets the mode by geometric expansion from x_init, then runs a
-    golden-section search down to arg_tol in the argument. The tests use it
-    as the oracle of the closed-form modes that normalize fig4's curves.
+    Brackets the mode by geometric expansion from x_init (finite, > 0),
+    then runs a golden-section search down to arg_tol (> 0) in the
+    argument, or until the bracket stops shrinking. The tests use it as the
+    oracle of the closed-form modes that normalize fig4's curves.
     """
-    _refuse_text("find_maximum", x_init, arg_tol)
+    x_init = _real("find_maximum x_init", x_init, 0.0)
+    arg_tol = _real("find_maximum arg_tol", arg_tol, 0.0, math.inf)
     a, b, c = x_init / 2.0, x_init, x_init * 2.0
     fa, fb, fc = f(a), f(b), f(c)
     for _ in range(600):
@@ -271,7 +261,9 @@ def find_maximum(f, x_init: float = 1.0, arg_tol: float = 1e-10) -> tuple[float,
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > arg_tol:
+    width = math.inf
+    while arg_tol < hi - lo < width:
+        width = hi - lo
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)

@@ -15,7 +15,7 @@ import numpy as np
 from .distributions import LevyIndex, Shape, frechet_pdf
 from .errors import DomainError, MissingLaplace
 from .meijer import MeijerSpec
-from .numerics import EvalResult, _power, _refuse_text, integrate_semi_infinite
+from .numerics import EvalResult, _power, _real, integrate_semi_infinite
 
 __all__ = [
     "FrechetKernelParams",
@@ -35,9 +35,8 @@ class FrechetKernelParams:
     t: float
 
     def __post_init__(self):
-        _refuse_text("FrechetKernelParams", self.x, self.t)
-        if not (0 < self.x < math.inf and 0 < self.t < math.inf):
-            raise DomainError("kernel arguments x and t must be finite and positive")
+        object.__setattr__(self, "x", _real("FrechetKernelParams x", self.x, 0.0))
+        object.__setattr__(self, "t", _real("FrechetKernelParams t", self.t, 0.0))
 
 
 @dataclass(frozen=True)
@@ -84,9 +83,7 @@ def frechet_transform_quadrature(target: TransformTarget, gamma: Shape, x: float
     on an ndarray of t, as a scalar-only f does."""
     if target.f is None:
         raise MissingLaplace("quadrature transform needs the function itself")
-    _refuse_text("frechet_transform_quadrature", x)
-    if not 0 < x < math.inf:
-        raise DomainError("transform argument x must be finite and positive")
+    x = _real("frechet_transform_quadrature", x, 0.0)
     g = gamma.gamma
     kernel, f = _kernel(g, x), target.f
 
@@ -114,9 +111,7 @@ def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape,
     a target without laplace_of_f, whose transform frechet_transform_quadrature
     takes from f directly.
     """
-    _refuse_text("frechet_transform_via_laplace", x)
-    if not 0 < x < math.inf:
-        raise DomainError("transform argument x must be finite and positive")
+    x = _real("frechet_transform_via_laplace", x, 0.0)
     g = gamma.gamma
     u = _power(x, -g)
     if u == 0.0:
@@ -171,9 +166,7 @@ def frechet_transform_frechet_half(gamma: Shape, x: float) -> EvalResult:
     large gamma |log x| while the product, about x^{-1-gamma/2} at large x,
     is still a normal float.
     """
-    _refuse_text("frechet_transform_frechet_half", x)
-    if not 0 < x < math.inf:
-        raise DomainError("transform argument x must be finite and positive")
+    x = _real("frechet_transform_frechet_half", x, 0.0)
     g = gamma.gamma
     log_x = math.log(x)
     return _HALF_SPEC._meijer_g(math.log(g) - (1.0 + g) * log_x, -g * log_x)

@@ -14,7 +14,7 @@ import numpy as np
 from .distributions import RationalShape, Shape
 from .errors import DomainError, NonConvergence
 from .meijer import _closed_form, _within_tolerance
-from .numerics import EvalResult, _refuse_text, bessel_k1, integrate_semi_infinite
+from .numerics import _TINY, EvalResult, _real, bessel_k1, integrate_semi_infinite
 
 __all__ = [
     "Method",
@@ -42,9 +42,7 @@ class LaplaceQuery:
         if not isinstance(self.shape, RationalShape):
             raise DomainError(f"LaplaceQuery takes a RationalShape l/k, got {self.shape!r}; "
                               "laplace_frechet_oracle takes a real Shape")
-        _refuse_text("LaplaceQuery", self.p)
-        if not 0 < self.p < math.inf:
-            raise DomainError(f"Laplace variable must be finite and positive, got {self.p}")
+        object.__setattr__(self, "p", _real("LaplaceQuery", self.p, 0.0))
 
 
 def _meijer_path(shape: RationalShape, log_p: float) -> EvalResult:
@@ -89,9 +87,7 @@ def laplace_frechet_oracle(shape: Shape, p: float) -> EvalResult:
     Meijer G route it checks. The quadrature is centred on the saddle of the
     exponent, or on 1 if that lies lower.
     """
-    _refuse_text("laplace_frechet_oracle", p)
-    if not 0 <= p < math.inf:
-        raise DomainError("laplace_frechet_oracle requires finite p >= 0")
+    p = _real("laplace_frechet_oracle", p, -_TINY)  # p >= 0, -0.0 too
     if p == 0.0:
         return EvalResult(value=1.0, err_estimate=0.0, evaluations=0, converged=True,
                           route="quadrature")
@@ -119,9 +115,7 @@ def laplace_symmetry_check(shape: RationalShape, p: float) -> tuple[float, float
     (l/k) log p: it leaves binary64 where neither side does. The caller
     asserts agreement; NonConvergence where either side is not converged,
     since an unconverged value is no side of the law."""
-    _refuse_text("laplace_symmetry_check", p)
-    if not 0 < p < math.inf:
-        raise DomainError("laplace_symmetry_check requires finite p > 0")
+    p = _real("laplace_symmetry_check", p, 0.0)
     log_p = math.log(p)
     sides = (_meijer_path(shape, log_p),
              _meijer_path(shape.swapped(), shape.l / shape.k * log_p))
@@ -135,8 +129,6 @@ def laplace_frechet_bessel(p: float) -> float:
     """The gamma = 1 special case in standard special functions:
     L[Fr(1, 1, x); p] = 2 sqrt(p) K1(2 sqrt(p)). NonConvergence where
     bessel_k1 misses its tolerance."""
-    _refuse_text("laplace_frechet_bessel", p)
-    if not 0 < p < math.inf:
-        raise DomainError("laplace_frechet_bessel requires finite p > 0")
+    p = _real("laplace_frechet_bessel", p, 0.0)
     root = 2.0 * math.sqrt(p)
     return root * bessel_k1(root)

@@ -42,7 +42,7 @@ import numpy as np
 from .distributions import _INTEGERS, RationalShape
 from .errors import ContourError, DomainError
 from .mellin import _NOISE_REL_BOUND, ContourPath, contour_integral
-from .numerics import _LOG_PI, _REL_TOL, _TINY, EvalResult, _refuse_text, log_gamma
+from .numerics import _LOG_PI, _REL_TOL, _TINY, EvalResult, _real, log_gamma
 
 __all__ = [
     "MeijerSpec",
@@ -151,10 +151,7 @@ class MeijerSpec:
             raise DomainError("MeijerSpec needs at least one lower parameter")
         if not all(isinstance(n, _INTEGERS) and n >= 1 for n, _ in runs):
             raise DomainError("MeijerSpec run lengths must be integers >= 1")
-        _refuse_text("MeijerSpec", *(a for _, a in runs))
-        runs = tuple((int(n), float(a)) for n, a in runs)
-        if not all(math.isfinite(a) for _, a in runs):
-            raise DomainError("MeijerSpec parameters must be finite")
+        runs = tuple((int(n), _real("MeijerSpec", a)) for n, a in runs)
         columns = np.array(runs, dtype=complex)
         columns.flags.writeable = False
         # the hash, taken once (the band tables are keyed on the spec), the
@@ -266,8 +263,6 @@ class MeijerSpec:
 
     def _contour(self, const: float, slope: float, c: float | None = None) -> EvalResult:
         # meijer_g_m0: on the band's path, or on a path through an explicit c
-        if not (math.isfinite(const) and math.isfinite(slope)):
-            raise DomainError("meijer_g_m0 requires finite const and slope")
         if c is None:
             path = self._band_table(math.floor(self._band_coordinate(slope) / _BAND_WIDTH))
         elif -self._b_min < c < math.inf:
@@ -395,8 +390,6 @@ class MeijerSpec:
     def _series_sum(self, const: float, slope: float) -> EvalResult:
         # meijer_g_series
         table = self._series_table
-        if not (math.isfinite(const) and math.isfinite(slope)):
-            raise DomainError("meijer_g_series requires finite const and slope")
         abs_slope, abs_const = abs(slope), abs(const)
         log_tail = table.tail_log + const + table.tail_x * slope
         # the larger of x_min slope and tail_x slope (x_min <= tail_x)
@@ -474,8 +467,8 @@ def meijer_g_m0(spec: MeijerSpec, *, const: float, slope: float,
     from the saddle that the integrand on the path rises far above its
     vertex raises ContourError.
     """
-    _refuse_text("meijer_g_m0", const, slope, c)
-    return spec._contour(const, slope, c)
+    const, slope = _real("meijer_g_m0 const", const), _real("meijer_g_m0 slope", slope)
+    return spec._contour(const, slope, None if c is None else _real("meijer_g_m0 c", c, None))
 
 
 def meijer_g_series(spec: MeijerSpec, *, const: float, slope: float) -> EvalResult:
@@ -501,7 +494,7 @@ def meijer_g_series(spec: MeijerSpec, *, const: float, slope: float) -> EvalResu
     the smallest subnormal. No term is formed there. DomainError for a spec
     other than two runs with integer a, or a non-finite const or slope.
     """
-    _refuse_text("meijer_g_series", const, slope)
+    const, slope = _real("meijer_g_series const", const), _real("meijer_g_series slope", slope)
     return spec._series_sum(const, slope)
 
 
@@ -515,8 +508,7 @@ def meijer_g(spec: MeijerSpec, *, const: float, slope: float) -> EvalResult:
     const at which it forms a term, and is not summed. The route of the value returned is in its
     EvalResult.
     """
-    _refuse_text("meijer_g", const, slope)
-    return spec._meijer_g(const, slope)
+    return spec._meijer_g(_real("meijer_g const", const), _real("meijer_g slope", slope))
 
 
 @dataclass(frozen=True)
@@ -540,8 +532,7 @@ class LaplaceClosedForm:
 
     def log_argument(self, log_p: float) -> float:
         """Map log p to the log of the G-function argument p^l/(k^k l^l)."""
-        if not math.isfinite(log_p):
-            raise DomainError("Laplace variable must be finite and positive")
+        log_p = _real("LaplaceClosedForm.log_argument", log_p)
         l, k = self.shape.l, self.shape.k
         return l * log_p - k * math.log(k) - l * math.log(l)
 

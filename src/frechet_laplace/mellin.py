@@ -34,7 +34,7 @@ import numpy as np
 
 from .distributions import RationalShape
 from .errors import ContourError, DomainError, NonConvergence
-from .numerics import _REL_TOL, _ROUNDOFF, _TINY, EvalResult, _refuse_text, log_gamma
+from .numerics import _REL_TOL, _ROUNDOFF, _TINY, EvalResult, _real, log_gamma
 
 __all__ = [
     "MellinFunction",
@@ -114,7 +114,7 @@ class MellinFunction:
     domain_strip: Tuple[float, float]
 
     def __post_init__(self):
-        lo, hi = self.domain_strip
+        lo, hi = (_real("MellinFunction", v, None) for v in self.domain_strip)
         if not lo < hi:
             raise DomainError("domain strip must satisfy sigma_min < sigma_max")
 
@@ -392,9 +392,7 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
     and window, raises DomainError: the engine's sum over the upper half of
     the path would not be the integral.
     """
-    _refuse_text("laplace_via_mellin", p, c)
-    if not 0 < p < math.inf:
-        raise DomainError("laplace_via_mellin requires finite p > 0")
+    p, c = _real("laplace_via_mellin p", p, 0.0), _real("laplace_via_mellin c", c, None)
     if not c > 0:
         raise ContourError(f"contour abscissa must be positive, got {c}")
     if not mf.contains(1.0 - c):

@@ -9,6 +9,7 @@ Everything here works in plain binary64; no arbitrary-precision arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,31 +38,42 @@ class EvalResult:
     route: str
 
 
-_TEXT = (str, bytes)  # what every entry point refuses as no number
+# The one gate on numeric arguments, an allow-list: numpy's bool, int, uint
+# and float kinds are real numbers; text, None, complex numbers and other
+# objects, alone or in an array or list, are not. _NOT_REAL names a refusal.
+_REAL_KINDS = "biuf"
+_NOT_REAL = {"S": "text", "U": "text", "O": "text or other objects", "c": "complex numbers"}
+_MAX = sys.float_info.max
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def _as_numbers(x, dtype, name: str) -> np.ndarray:
-    """x as an ndarray of dtype, where np.asarray(x, dtype) would read text
-    as numbers ("2.0", b"1") or raise ValueError ("abc"): DomainError for
-    text, alone or in an array or list, and for anything else that is not a
-    number. A number converts with the bits np.asarray(x, dtype) gives it."""
-    arr = np.asarray(x)
-    if arr.dtype.kind in "SU" or (arr.dtype.kind == "O" and any(
-            isinstance(v, _TEXT) for v in arr.flat)):
-        raise DomainError(f"{name} takes numbers, not text")
+    """x as an ndarray of dtype, with DomainError unless its numpy kind is a
+    real number's, or complex too where dtype is complex. A number converts
+    with the bits np.asarray(x, dtype) gives it."""
     try:
-        return arr.astype(dtype, copy=False)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(x)
+    except ValueError as exc:  # a ragged list
         raise DomainError(f"{name} takes numbers") from exc
+    kind = arr.dtype.kind
+    if kind not in _REAL_KINDS and not (kind == "c" and dtype is complex):
+        raise DomainError(f"{name} takes real numbers, not {_NOT_REAL.get(kind, arr.dtype)}")
+    return arr.astype(dtype, copy=False)
 
 
-def _refuse_text(name: str, *values) -> None:
-    """DomainError where a numeric argument of a scalar entry point is text
-    (str or bytes), which would raise a raw TypeError there or be read as a
-    number. A float, the usual argument, costs one type test."""
-    for v in values:
-        if type(v) is not float and isinstance(v, _TEXT):
-            raise DomainError(f"{name} takes numbers, not text")
+def _real(name: str, v, lo: float | None = -math.inf, hi: float = _MAX) -> float:
+    """v as a float where it is one real number with lo < v <= hi: finite by
+    default, and any, NaN and the infinities included, for lo None. Else
+    DomainError, for an array or anything _as_numbers refuses too. A float
+    costs one type test and one chained comparison."""
+    if type(v) is not float:
+        arr = _as_numbers(v, float, name)
+        if arr.ndim:
+            raise DomainError(f"{name} takes a real number, not an array")
+        v = float(arr)
+    if lo is not None and not lo < v <= hi:
+        raise DomainError(f"{name} requires {lo} < value <= {hi}, got {v}")
+    return v
 
 
 # The binary64-range guard for every power or exp that can overflow.
@@ -162,7 +174,7 @@ def log_gamma(s):
     """Principal branch of log Gamma(s) for complex s, scalar or ndarray.
 
     Raises PoleError when s is a nonpositive real integer, and DomainError
-    for text or a non-finite s. Relative accuracy is a few 1e-16 for
+    for a non-finite s or no number. Relative accuracy is a few 1e-16 for
     moderate arguments, comfortably inside the 1e-13 budget the contour
     integrals rely on. Each element gets the same bits whether it comes
     alone or in an array of any shape or size. Arrays are evaluated in
@@ -242,11 +254,8 @@ def integrate_semi_infinite(f, lower: float, scale: float = 1.0) -> EvalResult:
     where a sum of finite terms, the value or its estimate overflows
     binary64.
     """
-    _refuse_text("integrate_semi_infinite", lower, scale)
-    if not math.isfinite(lower):
-        raise DomainError("lower limit must be finite")
-    if not 0 < scale < math.inf:
-        raise DomainError("scale must be finite and positive")
+    lower = _real("integrate_semi_infinite lower", lower)
+    scale = _real("integrate_semi_infinite scale", scale, 0.0)
 
     def on_lattice(nodes: slice):
         # u on a slice of the lattice; a zero lower adds nothing: u >= +0.0
@@ -398,9 +407,9 @@ def bessel_k1(z):
     for every z. Independent of the Mellin-Barnes path, so that each checks
     the other. z is a float or an ndarray; an ndarray gives an array of its
     shape in one pass, each element with the bits of its float call.
-    DomainError unless every z is finite and positive, and where K1(z)
+    DomainError unless every z is a finite real number > 0, and where K1(z)
     overflows binary64 (z below about 5.6e-309); NonConvergence where the
-    rule misses its tolerance. Text is a DomainError too."""
+    rule misses its tolerance."""
     arr = _as_numbers(z, float, "bessel_k1")
     if not ((arr > 0.0) & (arr < math.inf)).all():
         raise DomainError("bessel_k1 requires finite z > 0")

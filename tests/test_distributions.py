@@ -315,6 +315,33 @@ class TestClosedFormModes:
             assert abs(peak - searched) <= 1e-15 * peak
 
 
+class TestFindMaximumArguments:
+    # x e^{-x} peaks at 1. A tolerance of 0 or below never ended the
+    # golden-section loop, nor did one below binary64's resolution at the
+    # peak; NaN skipped the loop and returned the bracket's midpoint, 1.25;
+    # x_init = 0 returned (0.0, 0.0), outside (0, inf)
+    @staticmethod
+    def peaked(x):
+        return x * math.exp(-x)
+
+    @pytest.mark.parametrize("arg_tol", [0.0, -1.0, -math.inf, math.nan])
+    def test_tolerance_must_be_positive(self, arg_tol):
+        with pytest.raises(DomainError):
+            find_maximum(self.peaked, 1.0, arg_tol)
+
+    @pytest.mark.parametrize("x_init", [0.0, -0.0, -1.0, math.inf, math.nan])
+    def test_start_must_be_finite_and_positive(self, x_init):
+        with pytest.raises(DomainError):
+            find_maximum(self.peaked, x_init)
+
+    @pytest.mark.parametrize("arg_tol", [1e-300, 2.0**-1074, 1e-17])
+    def test_tolerance_below_the_resolution_ends(self, arg_tol):
+        # the loop ends once the bracket stops shrinking, near the peak
+        x_star, peak = find_maximum(self.peaked, 1.0, arg_tol)
+        assert abs(x_star - 1.0) <= 1e-7
+        assert abs(peak - math.exp(-1.0)) <= 1e-16
+
+
 class TestDensitiesOnArrays:
     # each density has one numpy body: a float call is its array element,
     # bit for bit, at the ends of the range as well as in between

@@ -557,6 +557,8 @@ ARRAY_ENTRY_POINTS = {
     "levy_pdf_half": levy_pdf_half,
     "bessel_k1": bessel_k1,
     "log_gamma": log_gamma,
+    "frechet_transform_levy": lambda x: fl.frechet_transform_levy(fl.LevyIndex(0.5),
+                                                                  Shape(2.0), x),
 }
 TEXT = ["abc", "2.0", b"1", np.array(["1", "2"]), ["1", "2"], [1.0, "2"],
         np.array(["1.5"], dtype=object), np.array([1.5, b"2"], dtype=object)]
@@ -626,6 +628,10 @@ SCALAR_ENTRY_POINTS = {
     "integrate_semi_infinite.scale": lambda v: fl.integrate_semi_infinite(np.exp, 0.0, v),
     "MeijerSpec.b": lambda v: fl.MeijerSpec([v]),
     "MeijerSpec.groups": lambda v: fl.MeijerSpec(groups=((2, v),)),
+    "MellinFunction.lo": lambda v: fl.MellinFunction(np.exp, (v, 1.0)),
+    "MellinFunction.hi": lambda v: fl.MellinFunction(np.exp, (-1.0, v)),
+    "LaplaceClosedForm.log_argument": lambda v: fl.build_laplace_closed_form(
+        fl.RationalShape(2, 3)).log_argument(v),
 }
 TEXT_SCALARS = ["0.5", "abc", b"1", np.str_("0.5")]
 
@@ -635,3 +641,77 @@ TEXT_SCALARS = ["0.5", "abc", b"1", np.str_("0.5")]
 def test_scalar_text_is_domain_error(name, v):
     with pytest.raises(DomainError, match="text"):
         SCALAR_ENTRY_POINTS[name](v)
+
+
+# One allow-list gate (numerics._real) decides what a number is: numpy's
+# bool, int, uint and float kinds, and nothing else. None, a list, a complex
+# number and other objects are DomainErrors at every scalar entry point, where
+# text alone was refused and the rest raised a raw TypeError (a ragged list,
+# which numpy cannot read, a raw ValueError). None is meijer_g_m0's default
+# c (the band's path), so it is no case there.
+NON_NUMBERS = [None, [1.0], 1 + 0j, object(), {}, [[1.0], [1.0, 2.0]]]
+_NON_NUMBER_IDS = ["None", "list", "complex", "object", "dict", "ragged"]
+
+
+@pytest.mark.parametrize("name, v", [
+    pytest.param(name, v, id=f"{name}-{tag}")
+    for name in sorted(SCALAR_ENTRY_POINTS) for v, tag in zip(NON_NUMBERS, _NON_NUMBER_IDS)
+    if (name, tag) != ("meijer_g_m0.c", "None")])
+def test_scalar_non_number_is_domain_error(name, v):
+    with pytest.raises(DomainError):
+        SCALAR_ENTRY_POINTS[name](v)
+
+
+# The public callables of the package that take no number of their own, or
+# whose numbers another entry point's sweep covers. Every other one is named
+# in SCALAR_ENTRY_POINTS or ARRAY_ENTRY_POINTS.
+TAKES_NO_NUMBER = {
+    "RationalShape": "takes integers: its own int or numpy-integer check, tested in "
+                     "test_distributions.py",
+    "EvalResult": "a result record the library fills",
+    "Method": "an enum of routes",
+    "TransformTarget": "holds two callables",
+    "laplace_frechet": "takes a LaplaceQuery, whose p is swept",
+    "frechet_kernel": "takes FrechetKernelParams, whose x and t are swept",
+    "frechet_mode": "takes a Shape, whose gamma is swept",
+    "levy_asymptotic_mode": "takes a LevyIndex, whose alpha is swept",
+    "frechet_mellin_image": "takes a RationalShape",
+    "build_laplace_closed_form": "takes a RationalShape",
+}
+
+
+def test_every_public_entry_point_taking_a_number_is_swept():
+    public = {name for name in fl.__all__ if callable(getattr(fl, name))
+              and not (isinstance(getattr(fl, name), type)
+                       and issubclass(getattr(fl, name), Exception))}
+    swept = {name.split(".")[0] for name in SCALAR_ENTRY_POINTS} | set(ARRAY_ENTRY_POINTS)
+    assert not swept & set(TAKES_NO_NUMBER)
+    assert public - swept == set(TAKES_NO_NUMBER)
+
+
+# A real array entry point refuses a complex input, where numpy's cast
+# dropped its imaginary part with only a ComplexWarning: bessel_k1(1 + 1j)
+# was K1(1). log_gamma takes complex numbers.
+@pytest.mark.parametrize("name", sorted(set(ARRAY_ENTRY_POINTS) - {"log_gamma"}))
+@pytest.mark.parametrize("z", [1 + 1j, np.array([1 + 3j])], ids=["scalar", "array"])
+def test_real_array_entry_point_refuses_complex(name, z):
+    with pytest.raises(DomainError, match="complex"):
+        ARRAY_ENTRY_POINTS[name](z)
+
+
+# Edges of each domain that the gate keeps as they were: an infinite
+# argument where the value has a limit, p = +-0 for the oracle, and NaN
+# where a class other than DomainError decides the domain.
+_IMAGE = fl.frechet_mellin_image(fl.RationalShape(1, 1))
+
+
+def test_edges_the_gate_keeps():
+    assert fl.frechet_cdf(_ONE, math.inf) == 1.0
+    assert fl.levy_asymptotic(fl.LevyIndex(0.5), math.inf) == 0.0
+    assert fl.levy_asymptotic_rescaled(_ONE, math.inf) == 0.0
+    for p in (0.0, -0.0):
+        assert fl.laplace_frechet_oracle(_ONE, p).value == 1.0
+    with pytest.raises(fl.DivergentMoment):
+        fl.frechet_moment(_ONE, math.nan)
+    with pytest.raises(fl.ContourError):
+        fl.laplace_via_mellin(_IMAGE, 1.0, c=math.nan)
