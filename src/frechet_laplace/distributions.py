@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentMoment, DomainError
-from .numerics import _BELOW_ONE, _as_numbers, _exp, _power, _real
+from .numerics import _BELOW_ONE, _as_numbers, _exp, _instance, _power, _real
 
 __all__ = [
     "Shape",
@@ -29,7 +29,6 @@ __all__ = [
     "find_maximum",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INTEGERS = (int, np.integer)  # MeijerSpec's run lengths pass the same check
 
 
@@ -74,6 +73,10 @@ class RationalShape:
         return RationalShape(self.k, self.l)
 
 
+# what a real shape argument takes: a RationalShape's gamma is l/k
+_SHAPES = (Shape, RationalShape)
+
+
 @dataclass(frozen=True)
 class LevyIndex:
     """Stability index alpha of a one-sided Levy law, 0 < alpha < 1."""
@@ -90,7 +93,7 @@ def frechet_pdf(shape: Shape, x):
     numpy pass: a float call gives a float, bit for bit that element of an
     array. DomainError unless every x is a finite real number >= 0, and
     where a value overflows binary64."""
-    g = shape.gamma
+    g = _instance("frechet_pdf shape", shape, _SHAPES).gamma
     v = _as_numbers(x, float, "frechet_pdf")
     if not ((v >= 0.0) & (v < math.inf)).all():
         raise DomainError("frechet_pdf requires finite x >= 0")
@@ -108,7 +111,7 @@ def frechet_pdf(shape: Shape, x):
 def frechet_cdf(shape: Shape, x: float) -> float:
     """Distribution function exp(-x^{-gamma}) for x > 0, 1.0 at x = inf."""
     x = _real("frechet_cdf", x, 0.0, math.inf)
-    neg_power = -shape.gamma * math.log(x)
+    neg_power = -_instance("frechet_cdf shape", shape, _SHAPES).gamma * math.log(x)
     if neg_power > 709.0:
         return 0.0
     return math.exp(-math.exp(neg_power))
@@ -117,7 +120,7 @@ def frechet_cdf(shape: Shape, x: float) -> float:
 def frechet_quantile(shape: Shape, q: float) -> float:
     """Inverse of frechet_cdf: (-ln q)^{-1/gamma} on 0 < q < 1."""
     q = _real("frechet_quantile", q, 0.0, _BELOW_ONE)
-    return _power(-math.log(q), -1.0 / shape.gamma)
+    return _power(-math.log(q), -1.0 / _instance("frechet_quantile shape", shape, _SHAPES).gamma)
 
 
 def _gamma_ratio(a: float, b: float) -> float:
@@ -137,7 +140,7 @@ def _gamma_ratio(a: float, b: float) -> float:
 def frechet_moment(shape: Shape, mu: float) -> float:
     """Power moment E[X^mu] = Gamma(1 - mu/gamma), finite only for mu < gamma."""
     mu = _real("frechet_moment", mu, None)
-    g = shape.gamma
+    g = _instance("frechet_moment shape", shape, _SHAPES).gamma
     if not mu < g:
         raise DivergentMoment(f"valid Frechet moment orders: -inf < mu < {g}, got {mu}")
     return _gamma_ratio(1.0 - mu / g, 1.0)
@@ -166,7 +169,7 @@ def levy_moment(idx: LevyIndex, mu: float) -> float:
     """Power moment of the one-sided Levy law:
     Gamma(1 - mu/alpha) / Gamma(1 - mu), finite only for mu < alpha."""
     mu = _real("levy_moment", mu, None)
-    a = idx.alpha
+    a = _instance("levy_moment idx", idx, LevyIndex).alpha
     if not mu < a:
         raise DivergentMoment(f"valid Levy moment orders: -inf < mu < {a}, got {mu}")
     return _gamma_ratio(1.0 - mu / a, 1.0 - mu)
@@ -185,7 +188,7 @@ def levy_asymptotic(idx: LevyIndex, t: float) -> float:
     It is 0.0 at t = inf and where the tail's exp overflows, which outweighs the rest.
     """
     t = _real("levy_asymptotic", t, 0.0, math.inf)
-    a = idx.alpha
+    a = _instance("levy_asymptotic idx", idx, LevyIndex).alpha
     lt = math.log(t)
     try:
         tail = (1.0 - a) * a ** (a / (1.0 - a)) * math.exp(-a / (1.0 - a) * lt)
@@ -207,7 +210,7 @@ def levy_asymptotic_rescaled(shape: Shape, x: float) -> float:
     independently.
     """
     x = _real("levy_asymptotic_rescaled", x, 0.0, math.inf)
-    g = shape.gamma
+    g = _instance("levy_asymptotic_rescaled shape", shape, _SHAPES).gamma
     alpha = g / (1.0 + g)
     t = g * x / (1.0 + g) ** (1.0 + 1.0 / g)
     return levy_asymptotic(LevyIndex(alpha), t)
@@ -216,14 +219,14 @@ def levy_asymptotic_rescaled(shape: Shape, x: float) -> float:
 def frechet_mode(shape: Shape) -> float:
     """Mode (gamma / (1+gamma))^{1/gamma} of the Frechet density, where
     d/dx log Fr = (gamma x^{-gamma} - 1 - gamma) / x vanishes."""
-    g = shape.gamma
+    g = _instance("frechet_mode shape", shape, _SHAPES).gamma
     return (g / (1.0 + g)) ** (1.0 / g)
 
 
 def levy_asymptotic_mode(idx: LevyIndex) -> float:
     """Mode (A beta / q)^{1/beta} of levy_asymptotic ~ t^{-q} exp(-A t^{-beta}),
     beta = alpha/(1-alpha), q = (2-alpha)/(2-2 alpha), A = (1-alpha) alpha^beta."""
-    a = idx.alpha
+    a = _instance("levy_asymptotic_mode idx", idx, LevyIndex).alpha
     beta = a / (1.0 - a)
     q = (2.0 - a) / (2.0 - 2.0 * a)
     amp = (1.0 - a) * a ** beta
@@ -241,6 +244,7 @@ def find_maximum(f, x_init: float = 1.0, arg_tol: float = 1e-10) -> tuple[float,
     argument, or until the bracket stops shrinking. The tests use it as the
     oracle of the closed-form modes that normalize fig4's curves.
     """
+    _instance("find_maximum f", f, callable)
     x_init = _real("find_maximum x_init", x_init, 0.0)
     arg_tol = _real("find_maximum arg_tol", arg_tol, 0.0, math.inf)
     a, b, c = x_init / 2.0, x_init, x_init * 2.0

@@ -12,10 +12,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import LevyIndex, Shape, frechet_pdf
+from .distributions import _SHAPES, LevyIndex, Shape, frechet_pdf
 from .errors import DomainError, MissingLaplace
 from .meijer import MeijerSpec
-from .numerics import EvalResult, _power, _real, integrate_semi_infinite
+from .numerics import EvalResult, _instance, _power, _real, integrate_semi_infinite
 
 __all__ = [
     "FrechetKernelParams",
@@ -35,6 +35,7 @@ class FrechetKernelParams:
     t: float
 
     def __post_init__(self):
+        _instance("FrechetKernelParams gamma", self.gamma, _SHAPES)
         object.__setattr__(self, "x", _real("FrechetKernelParams x", self.x, 0.0))
         object.__setattr__(self, "t", _real("FrechetKernelParams t", self.t, 0.0))
 
@@ -46,6 +47,11 @@ class TransformTarget:
 
     f: Optional[Callable] = None
     laplace_of_f: Optional[Callable] = None
+
+    def __post_init__(self):
+        for name, fn in (("f", self.f), ("laplace_of_f", self.laplace_of_f)):
+            if fn is not None:
+                _instance(f"TransformTarget {name}", fn, callable)
 
 
 def _kernel(g: float, x: float):
@@ -64,6 +70,7 @@ def _kernel(g: float, x: float):
 def frechet_kernel(params: FrechetKernelParams) -> float:
     """Kernel sigma_gamma(x, t) = gamma t x^{-(1+gamma)} exp(-t x^{-gamma});
     as a function of x it is the Frechet density rescaled by t^{1/gamma}."""
+    _instance("frechet_kernel params", params, FrechetKernelParams)
     return float(_kernel(params.gamma.gamma, params.x)(params.t))
 
 
@@ -81,10 +88,10 @@ def frechet_transform_quadrature(target: TransformTarget, gamma: Shape, x: float
     DomainError where x^gamma or x^{-gamma} overflows: f cannot be sampled
     where the kernel mass sits; also where f raises TypeError or ValueError
     on an ndarray of t, as a scalar-only f does."""
-    if target.f is None:
+    if _instance("frechet_transform_quadrature target", target, TransformTarget).f is None:
         raise MissingLaplace("quadrature transform needs the function itself")
     x = _real("frechet_transform_quadrature", x, 0.0)
-    g = gamma.gamma
+    g = _instance("frechet_transform_quadrature gamma", gamma, _SHAPES).gamma
     kernel, f = _kernel(g, x), target.f
 
     def integrand(t):
@@ -112,10 +119,11 @@ def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape,
     takes from f directly.
     """
     x = _real("frechet_transform_via_laplace", x, 0.0)
-    g = gamma.gamma
+    g = _instance("frechet_transform_via_laplace gamma", gamma, _SHAPES).gamma
     u = _power(x, -g)
     if u == 0.0:
         raise DomainError(f"x^-gamma underflows binary64 at x = {x}")
+    target = _instance("frechet_transform_via_laplace target", target, TransformTarget)
     laplace = target.laplace_of_f
     if laplace is None:
         raise MissingLaplace("the Laplace-derivative transform needs laplace_of_f; "
@@ -142,7 +150,8 @@ def frechet_transform_via_laplace(target: TransformTarget, gamma: Shape,
 def frechet_transform_levy(alpha: LevyIndex, gamma: Shape, x: float) -> float:
     """Closed form of the transform of a one-sided Levy law: the transform of
     g_alpha through the gamma-kernel is exactly Fr(gamma * alpha, x)."""
-    composed = Shape(gamma.gamma * alpha.alpha)
+    composed = Shape(_instance("frechet_transform_levy gamma", gamma, _SHAPES).gamma
+                     * _instance("frechet_transform_levy alpha", alpha, LevyIndex).alpha)
     return frechet_pdf(composed, x)
 
 
@@ -167,6 +176,6 @@ def frechet_transform_frechet_half(gamma: Shape, x: float) -> EvalResult:
     is still a normal float.
     """
     x = _real("frechet_transform_frechet_half", x, 0.0)
-    g = gamma.gamma
+    g = _instance("frechet_transform_frechet_half gamma", gamma, _SHAPES).gamma
     log_x = math.log(x)
     return _HALF_SPEC._meijer_g(math.log(g) - (1.0 + g) * log_x, -g * log_x)

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import RationalShape, Shape
-from .errors import DomainError, NonConvergence
+from .distributions import _SHAPES, RationalShape, Shape
+from .errors import NonConvergence
 from .meijer import _closed_form, _within_tolerance
-from .numerics import _TINY, EvalResult, _real, bessel_k1, integrate_semi_infinite
+from .numerics import _TINY, EvalResult, _instance, _real, bessel_k1, integrate_semi_infinite
 
 __all__ = [
     "Method",
@@ -39,10 +39,10 @@ class LaplaceQuery:
     method: Method = Method.AUTO
 
     def __post_init__(self):
-        if not isinstance(self.shape, RationalShape):
-            raise DomainError(f"LaplaceQuery takes a RationalShape l/k, got {self.shape!r}; "
-                              "laplace_frechet_oracle takes a real Shape")
+        # a real Shape goes to laplace_frechet_oracle
+        _instance("LaplaceQuery shape", self.shape, RationalShape)
         object.__setattr__(self, "p", _real("LaplaceQuery", self.p, 0.0))
+        _instance("LaplaceQuery method", self.method, Method)
 
 
 def _meijer_path(shape: RationalShape, log_p: float) -> EvalResult:
@@ -65,7 +65,7 @@ def laplace_frechet(query: LaplaceQuery) -> EvalResult:
     1e-10 of it plus the smallest subnormal (so a converged 0.0 stays).
     The route of the value returned is in its EvalResult.
     """
-    method = query.method
+    method = _instance("laplace_frechet query", query, LaplaceQuery).method
     if method is Method.QUADRATURE:
         return laplace_frechet_oracle(query.shape.as_shape(), query.p)
     res = _meijer_path(query.shape, math.log(query.p))
@@ -88,10 +88,10 @@ def laplace_frechet_oracle(shape: Shape, p: float) -> EvalResult:
     exponent, or on 1 if that lies lower.
     """
     p = _real("laplace_frechet_oracle", p, -_TINY)  # p >= 0, -0.0 too
+    g = _instance("laplace_frechet_oracle shape", shape, _SHAPES).gamma
     if p == 0.0:
         return EvalResult(value=1.0, err_estimate=0.0, evaluations=0, converged=True,
                           route="quadrature")
-    g = shape.gamma
     if g < 1.0:
         g, p = 1.0 / g, p ** g
     inv_gamma = 1.0 / g
@@ -116,6 +116,7 @@ def laplace_symmetry_check(shape: RationalShape, p: float) -> tuple[float, float
     asserts agreement; NonConvergence where either side is not converged,
     since an unconverged value is no side of the law."""
     p = _real("laplace_symmetry_check", p, 0.0)
+    _instance("laplace_symmetry_check shape", shape, RationalShape)
     log_p = math.log(p)
     sides = (_meijer_path(shape, log_p),
              _meijer_path(shape.swapped(), shape.l / shape.k * log_p))

@@ -41,8 +41,8 @@ import numpy as np
 
 from .distributions import _INTEGERS, RationalShape
 from .errors import ContourError, DomainError
-from .mellin import _NOISE_REL_BOUND, ContourPath, contour_integral
-from .numerics import _LOG_PI, _REL_TOL, _TINY, EvalResult, _real, log_gamma
+from .mellin import _NOISE_REL_BOUND, ContourPath
+from .numerics import _LOG_PI, _REL_TOL, _TINY, EvalResult, _instance, _real, log_gamma
 
 __all__ = [
     "MeijerSpec",
@@ -146,7 +146,10 @@ class MeijerSpec:
     groups: tuple
 
     def __init__(self, b: Sequence[float] = (), *, groups: Sequence = ()):
-        runs = tuple((1, v) for v in b) + tuple(groups)
+        try:
+            runs = tuple((1, v) for v in b) + tuple((n, a) for n, a in groups)
+        except (TypeError, ValueError):  # not a sequence, or a group not a pair
+            raise DomainError("MeijerSpec takes a sequence b and (n, a) pairs as groups") from None
         if len(runs) < 1:
             raise DomainError("MeijerSpec needs at least one lower parameter")
         if not all(isinstance(n, _INTEGERS) and n >= 1 for n, _ in runs):
@@ -270,7 +273,7 @@ class MeijerSpec:
         else:
             raise ContourError(
                 f"abscissa {c} does not separate poles: need {-self._b_min} < c < inf")
-        return contour_integral(path, const, slope)
+        return path.integral(const, slope)
 
     @functools.cached_property
     def _series_table(self) -> _SeriesTable:
@@ -451,7 +454,7 @@ def meijer_g_m0(spec: MeijerSpec, *, const: float, slope: float,
     a closed form passes the pair with its own constants cancelled
     analytically. Neither e^const nor e^-slope has to be a binary64 number:
     only their product with the gamma factors at the vertex decides the
-    magnitude, from which contour_integral scales the sums by a power of
+    magnitude, from which ContourPath.integral scales the sums by a power of
     two, and builds no node where the value lies far below the smallest
     subnormal.
 
@@ -465,9 +468,10 @@ def meijer_g_m0(spec: MeijerSpec, *, const: float, slope: float,
     that is not kept (Cauchy's theorem makes the result independent of any
     valid choice, which the shift-invariance tests exercise); one so far
     from the saddle that the integrand on the path rises far above its
-    vertex raises ContourError.
+    vertex, or within 1e-3 of a pole, raises ContourError.
     """
     const, slope = _real("meijer_g_m0 const", const), _real("meijer_g_m0 slope", slope)
+    spec = _instance("meijer_g_m0 spec", spec, MeijerSpec)
     return spec._contour(const, slope, None if c is None else _real("meijer_g_m0 c", c, None))
 
 
@@ -495,7 +499,7 @@ def meijer_g_series(spec: MeijerSpec, *, const: float, slope: float) -> EvalResu
     other than two runs with integer a, or a non-finite const or slope.
     """
     const, slope = _real("meijer_g_series const", const), _real("meijer_g_series slope", slope)
-    return spec._series_sum(const, slope)
+    return _instance("meijer_g_series spec", spec, MeijerSpec)._series_sum(const, slope)
 
 
 def meijer_g(spec: MeijerSpec, *, const: float, slope: float) -> EvalResult:
@@ -508,7 +512,8 @@ def meijer_g(spec: MeijerSpec, *, const: float, slope: float) -> EvalResult:
     const at which it forms a term, and is not summed. The route of the value returned is in its
     EvalResult.
     """
-    return spec._meijer_g(_real("meijer_g const", const), _real("meijer_g slope", slope))
+    const, slope = _real("meijer_g const", const), _real("meijer_g slope", slope)
+    return _instance("meijer_g spec", spec, MeijerSpec)._meijer_g(const, slope)
 
 
 @dataclass(frozen=True)
@@ -534,12 +539,16 @@ class LaplaceClosedForm:
         """Map log p to the log of the G-function argument p^l/(k^k l^l)."""
         log_p = _real("LaplaceClosedForm.log_argument", log_p)
         l, k = self.shape.l, self.shape.k
-        return l * log_p - k * math.log(k) - l * math.log(l)
+        log_z = l * log_p - k * math.log(k) - l * math.log(l)
+        if not math.isfinite(log_z):
+            raise DomainError(f"the argument's log at log p = {log_p} leaves binary64")
+        return log_z
 
 
 def build_laplace_closed_form(shape: RationalShape) -> LaplaceClosedForm:
     """Assemble the log prefactor, the parameter list Delta(k,1) + Delta(l,0),
     and the argument map for the given reduced shape l/k, once per shape."""
+    shape = _instance("build_laplace_closed_form shape", shape, RationalShape)
     return _closed_form(shape.l, shape.k)
 
 

@@ -2,12 +2,12 @@
 the Delta parameter-list builder, and a generic Laplace-from-Mellin operator
 realized by numerical Mellin-Barnes integration.
 
-The one contour engine is ContourPath, contour_integral and
-mellin_barnes_integral: every Mellin-Barnes integral the library integrates
-numerically (meijer_g_m0 and laplace_via_mellin) goes through it. It is a
-truncated trapezoidal rule on the left-opening parabola
-s(u) = c - mu u^2 + i u, which leaves the poles on the real axis to its left
-and reaches where the gamma factors decay super-exponentially. Every
+The one contour engine is ContourPath: every Mellin-Barnes integral the
+library integrates numerically (meijer_g_m0 and laplace_via_mellin) goes
+through its integral method. It is a truncated trapezoidal rule on the
+left-opening parabola s(u) = c - mu u^2 + i u, which leaves the poles on the
+real axis to its left and reaches where the gamma factors decay
+super-exponentially. Every
 integrand has the form exp(lam(s) + const - s slope), lam a log-space sum
 with real parameters, so lam(conj s) = conj lam(s): the engine evaluates lam
 on the upper half of the path only and counts each node off the real axis
@@ -16,10 +16,10 @@ constructor probes lam on the real axis once, in plain floats, for the log
 at the vertex and the step and window (the strip of analyticity and the
 curvature at the vertex); its nodes evaluate lam once per node in one pass,
 extended only where the edge terms have not decayed, on first use, and are
-kept. mellin_barnes_integral then sums the nodes for one const and slope:
-one exp per node, and a noise floor from the sizes of the logs each node is
-summed from. contour_integral picks, from the integrand at the vertex, the
-power of two the sums are scaled by, and the one exit that builds no node.
+kept. Its integral picks, from the integrand at the vertex, the power of
+two the sums are scaled by, and the exits that build no node;
+mellin_barnes_integral sums the nodes for one const and slope: one exp per
+node, and a noise floor from the sizes of the logs each node is summed from.
 """
 
 from __future__ import annotations
@@ -34,16 +34,14 @@ import numpy as np
 
 from .distributions import RationalShape
 from .errors import ContourError, DomainError, NonConvergence
-from .numerics import _REL_TOL, _ROUNDOFF, _TINY, EvalResult, _real, log_gamma
+from .numerics import _REL_TOL, _ROUNDOFF, _TINY, EvalResult, _instance, _real, log_gamma
 
 __all__ = [
     "MellinFunction",
     "frechet_mellin_image",
     "laplace_via_mellin",
-    "ContourNodes",
     "ContourPath",
     "mellin_barnes_integral",
-    "contour_integral",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -59,6 +57,11 @@ _TRUNCATION_TOL = 1e-16
 # |u| = _WINDOW_LIMIT.
 _WINDOW_MARGIN = 1.6
 _WINDOW_LIMIT = 3.85e3
+# The nearest a pole may lie to c. The strip, and so the step, shrinks with
+# that distance d, and the nodes grow like 60 / d: 3,101 at d = 0.02, 59,297
+# at 1e-3 and 5.5 million at 1e-5 (2/3 at p = 1); near d = 1e-150 the
+# probe's own differences underflow.
+_MIN_POLE_DISTANCE = 1e-3
 # K in the step h = pi a / (K + log R). If the strip edges carry at most R times
 # the integral M of |F| on the path, the trapezoid error is below 2 R M /
 # (exp(2 pi a / h) - 1) (Trefethen & Weideman, SIAM Rev. 56 (2014), Thm 5.1):
@@ -73,11 +76,11 @@ _WIDTHS = 7
 # grows like exp(mu u^2 log z); the saddle c grows with log z, so the 1/c
 # keeps that growth bounded, where a fixed mu loses 1e-8 to 1e-6 at p = 20.
 _MU_SCALE = 0.4
-# contour_integral sums the nodes as they are where the log of the integrand
-# at the vertex lies in _DIRECT_LOGS: above its lower end the terms that
-# matter are normal numbers, and below its upper end neither a sum nor the
-# noise floor's weighted sum of them passes binary64. Elsewhere it sums them
-# scaled by the power of two nearest that integrand, and scales back.
+# ContourPath.integral sums the nodes as they are where the log of the
+# integrand at the vertex lies in _DIRECT_LOGS: above its lower end the terms
+# that matter are normal numbers, and below its upper end neither a sum nor
+# the noise floor's weighted sum of them passes binary64. Elsewhere it sums
+# them scaled by the power of two nearest that integrand, and scales back.
 _DIRECT_LOGS = (math.log(1e-300), 640.0)
 _LOG_2 = math.log(2.0)
 # Below this log at the vertex no node is built, and the result is a
@@ -114,7 +117,11 @@ class MellinFunction:
     domain_strip: Tuple[float, float]
 
     def __post_init__(self):
-        lo, hi = (_real("MellinFunction", v, None) for v in self.domain_strip)
+        _instance("MellinFunction f_star", self.f_star, callable)
+        try:
+            lo, hi = (_real("MellinFunction", v, None) for v in self.domain_strip)
+        except (TypeError, ValueError):  # not a pair
+            raise DomainError("MellinFunction domain_strip takes a pair of numbers") from None
         if not lo < hi:
             raise DomainError("domain strip must satisfy sigma_min < sigma_max")
 
@@ -127,33 +134,23 @@ def frechet_mellin_image(shape: RationalShape) -> MellinFunction:
     """Mellin image of Fr(l, k, x) as a MellinFunction ready for inversion:
     s -> Gamma(1 + k(1-s)/l) on the strip Re(s) < 1 + l/k. The normalization
     moment sits at s = 1, where the value is exactly 1."""
+    shape = _instance("frechet_mellin_image shape", shape, RationalShape)
     ratio = shape.k / shape.l
 
     def image(s):
-        return np.exp(log_gamma(1.0 + ratio * (1.0 - np.asarray(s, dtype=complex))))
+        # past binary64 the image is inf, and the contour engine refuses it
+        with np.errstate(over="ignore"):
+            return np.exp(log_gamma(1.0 + ratio * (1.0 - np.asarray(s, dtype=complex))))
 
     return MellinFunction(f_star=image, domain_strip=(-math.inf, 1.0 + shape.gamma))
 
 
-@dataclass(frozen=True)
-class ContourNodes:
-    """The upper half u_j = j h, j = 0..N (N even), of a trapezoid rule for
-    exp(lam(s) + const - s slope) on one path, for every const and every
-    slope in a range. `logs` (4(N + 1) x 3) times (-slope, const, 1) gives,
-    as (real, imaginary) pairs, log G_j for each node and then log |G_j|;
-    `sums` (2 x 3 x (N + 1), see mellin_barnes_integral) weighs the real
-    parts of their exp for every sum the rule needs. Both are read-only."""
-
-    logs: np.ndarray
-    sums: np.ndarray
-
-
-def mellin_barnes_integral(nodes: ContourNodes, const: float, slope: float,
+def mellin_barnes_integral(nodes: tuple[np.ndarray, np.ndarray], const: float, slope: float,
                            exponent: int = 0) -> tuple[float, float, int, bool]:
     """Trapezoidal evaluation of (1/2 pi) * integral of G(u) du over the real
     line, G(u) = exp(lam(s(u)) + const - s(u) slope) s'(u) / i, from the
-    nodes u >= 0 of a table whose slope range holds slope, with the nodes
-    scaled by 2^-exponent and the results scaled back by 2^exponent.
+    nodes u >= 0 of a path whose slope range holds slope, ContourPath.nodes,
+    scaled by 2^-exponent, with the results scaled back by 2^exponent.
 
     G(-u) = conj G(u), so the sum is h (G_0 + 2 Re sum_{j>0} G_j), a real
     number, and S_2h takes every other node. One product with the table's
@@ -176,18 +173,19 @@ def mellin_barnes_integral(nodes: ContourNodes, const: float, slope: float,
     subnormal is a converged 0.0, and a subnormal value adds the smallest
     subnormal to its estimate for its rounding. A sum, or the floor, that is
     not finite raises NonConvergence; a value or estimate past binary64
-    once scaled back raises OverflowError, which contour_integral turns
+    once scaled back raises OverflowError, which ContourPath.integral turns
     into an unconverged result.
 
     Returns (value, err_estimate, evaluations, converged), where evaluations
     counts the rule's 2N + 1 nodes.
     """
+    logs, sums = nodes
     shift = exponent * _LOG_2
     const -= shift
-    terms = np.dot(nodes.logs, np.array([-slope, const, 1.0])).view(complex)
+    terms = np.dot(logs, np.array([-slope, const, 1.0])).view(complex)
     np.exp(terms, out=terms)
     re = terms.real.reshape(2, 1, -1)
-    (s_h, s_2h, _), (weighted, by_s, total) = np.add.reduce(nodes.sums * re, axis=2).tolist()
+    (s_h, s_2h, _), (weighted, by_s, total) = np.add.reduce(sums * re, axis=2).tolist()
     noise_floor = _NODE_ROUNDOFF * (weighted + abs(slope) * by_s
                                     + (abs(const) + abs(shift)) * total)
     if not (math.isfinite(s_h) and math.isfinite(noise_floor)):
@@ -239,12 +237,16 @@ class ContourPath:
       the range.
     - window: see _WINDOW_MARGIN, with phi'' a central second difference
       (the slope drops out of it).
-    NonConvergence where Re lam is not finite at those points.
+    NonConvergence where Re lam is not finite at those points, and
+    ContourError for a pole nearer c than _MIN_POLE_DISTANCE.
     """
 
     def __init__(self, log_parts, log_abs_real, c: float, poles: tuple[float, float],
                  slopes: tuple[float, float]):
         left, right = poles
+        if not min(left, right) >= _MIN_POLE_DISTANCE:
+            raise ContourError(f"the path through c = {c} passes {min(left, right):.3g} "
+                               f"from a pole, nearer than {_MIN_POLE_DISTANCE}")
         if right < math.inf:
             mu, reach = 0.0, min(left, right)
         else:
@@ -273,17 +275,22 @@ class ContourPath:
                        if phi2 > 0.0 else widths[0])
 
     @functools.cached_property
-    def nodes(self) -> ContourNodes:
-        """The path's trapezoid nodes, built on first use and kept. The
-        first log_parts call takes the upper nodes u = 0, h, ..., n h of the
-        window, n = 2 ceil(window / 2h). While the edge node exceeds
-        _TRUNCATION_TOL of the centre at either end of the slope range the
-        window doubles, and only the added nodes are evaluated; past
-        |u| = _WINDOW_LIMIT it raises NonConvergence. The nodes then end at
-        the first even count past the last node either end needs above that
-        tolerance. NonConvergence for a lam that is not finite, and
-        ContourError, naming c, for a node more than e^_NODE_HEADROOM above
-        the vertex."""
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The upper half u_j = j h, j = 0..N (N even), of the path's
+        trapezoid rule for every const and every slope of its range, built
+        on first use and kept: the read-only pair (logs, sums). `logs`
+        (4(N + 1) x 3) times (-slope, const, 1) gives, as (real, imaginary)
+        pairs, log G_j for each node and then log |G_j|; `sums`
+        (2 x 3 x (N + 1), see mellin_barnes_integral) weighs the real parts
+        of their exp for every sum the rule needs. The first log_parts call
+        takes the upper nodes u = 0, h, ..., n h of the window,
+        n = 2 ceil(window / 2h). While the edge node exceeds _TRUNCATION_TOL
+        of the centre at either end of the slope range the window doubles,
+        and only the added nodes are evaluated; past |u| = _WINDOW_LIMIT it
+        raises NonConvergence. The nodes then end at the first even count
+        past the last node either end needs above that tolerance.
+        NonConvergence for a lam that is not finite, and ContourError,
+        naming c, for a node more than e^_NODE_HEADROOM above the vertex."""
         c, mu, step, slopes = self.c, self.mu, self.step, self._slopes
 
         def path_logs(u):
@@ -317,10 +324,45 @@ class ContourPath:
         n_half = 2 * (last // 2 + 1)
         return _node_table(s[:n_half + 1], logs[:n_half + 1], sigma[:n_half + 1], step)
 
+    def integral(self, const: float = 0.0, slope: float = 0.0) -> EvalResult:
+        """(1/2 pi i) * integral of exp(lam(s) + const - s slope) ds on the
+        path's trapezoid nodes (see mellin_barnes_integral).
 
-def _node_table(s, logs, sigma, step: float) -> ContourNodes:
-    """ContourNodes from the upper-half path points s_j at u_j = j step, the
-    logs lam_j + log(s'(u_j) / i) and their sizes sigma_j."""
+        The log of the integrand at the vertex,
+        log_peak = log_vertex + const - c slope, alone decides the magnitude
+        of the sums: inside _DIRECT_LOGS the nodes are summed as they are,
+        and elsewhere scaled by 2^-k, k = round(log_peak / log 2), with value
+        and estimate scaled back by 2^k. Below _LOG_NO_NODE the value is a
+        converged 0.0 whose err_estimate is the smallest subnormal, without
+        any complex evaluation or node built: the transforms evaluated here
+        decay super-algebraically there. A value past binary64 is 0.0 with
+        converged=False and an infinite err_estimate; so, with no node
+        built, is a log_peak so large that the roundoff of the logs alone
+        keeps the noise floor past the bound of a converged value.
+        """
+        log_peak = self.log_vertex + const - self.c * slope
+        exponent = 0
+        if not _DIRECT_LOGS[0] <= log_peak <= _DIRECT_LOGS[1]:
+            if log_peak < _LOG_NO_NODE:
+                return EvalResult(0.0, _TINY, 0, True, "contour")
+            if _NODE_ROUNDOFF * log_peak > _NOISE_REL_BOUND:
+                # the roundoff of a node summed from a log this size alone puts
+                # the noise floor past the bound of a converged value
+                return EvalResult(0.0, math.inf, 0, False, "contour")
+            if not math.isnan(log_peak):
+                # a NaN sums directly, and the sums say what went wrong
+                exponent = round(log_peak / _LOG_2)
+        try:
+            # by its module name, where perfbench/tracing.py rebinds it
+            return EvalResult(*mellin_barnes_integral(self.nodes, const, slope, exponent),
+                              "contour")
+        except OverflowError:
+            return EvalResult(0.0, math.inf, 0, False, "contour")
+
+
+def _node_table(s, logs, sigma, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """ContourPath.nodes from the upper-half path points s_j at u_j = j step,
+    the logs lam_j + log(s'(u_j) / i) and their sizes sigma_j."""
     n = s.size
     weights = np.full(n, 2.0 * step)
     weights[0] = step
@@ -335,41 +377,7 @@ def _node_table(s, logs, sigma, step: float) -> ContourNodes:
                      np.concatenate((logs, logs.real)).view(float)), axis=1)
     for matrix in (logs, sums):
         matrix.flags.writeable = False
-    return ContourNodes(logs=logs, sums=sums)
-
-
-def contour_integral(path: ContourPath, const: float = 0.0, slope: float = 0.0) -> EvalResult:
-    """(1/2 pi i) * integral of exp(lam(s) + const - s slope) ds on the
-    path's trapezoid nodes (see ContourPath and mellin_barnes_integral).
-
-    The log of the integrand at the path's vertex,
-    log_peak = log_vertex + const - c slope, alone decides the magnitude of
-    the sums: inside _DIRECT_LOGS the nodes are summed as they are, and
-    elsewhere scaled by 2^-k, k = round(log_peak / log 2), with value and
-    estimate scaled back by 2^k. Below _LOG_NO_NODE the value is a converged
-    0.0 whose err_estimate is the smallest subnormal, without any complex
-    evaluation or node built: the transforms evaluated here decay
-    super-algebraically there. A value past binary64 is 0.0 with
-    converged=False and an infinite err_estimate; so, with no node built,
-    is a log_peak so large that the roundoff of the logs alone keeps the
-    noise floor past the bound of a converged value.
-    """
-    log_peak = path.log_vertex + const - path.c * slope
-    exponent = 0
-    if not _DIRECT_LOGS[0] <= log_peak <= _DIRECT_LOGS[1]:
-        if log_peak < _LOG_NO_NODE:
-            return EvalResult(0.0, _TINY, 0, True, "contour")
-        if _NODE_ROUNDOFF * log_peak > _NOISE_REL_BOUND:
-            # the roundoff of a node summed from a log this size alone puts
-            # the noise floor past the bound of a converged value
-            return EvalResult(0.0, math.inf, 0, False, "contour")
-        if not math.isnan(log_peak):
-            # a NaN sums directly, and the sums say what went wrong
-            exponent = round(log_peak / _LOG_2)
-    try:
-        return EvalResult(*mellin_barnes_integral(path.nodes, const, slope, exponent), "contour")
-    except OverflowError:
-        return EvalResult(0.0, math.inf, 0, False, "contour")
+    return logs, sums
 
 
 def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResult:
@@ -387,12 +395,14 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
     misses its tolerance carries converged=False (gamma = 1/10 at p = 1e-12,
     every Frechet image at p = 1e-30, and at c = 0.5 the image of 1/1 from
     about p = 75: 2.7e-7 at p = 1e3, for 3.4e-27). From about p = 2.2e3 that
-    path rises too far above its vertex (e^118 at p = 1e4): ContourError.
+    path rises too far above its vertex (e^118 at p = 1e4): ContourError, as
+    for a c within 1e-3 of a pole.
     An image that is not real on the real axis, where the engine sets step
     and window, raises DomainError: the engine's sum over the upper half of
     the path would not be the integral.
     """
     p, c = _real("laplace_via_mellin p", p, 0.0), _real("laplace_via_mellin c", c, None)
+    _instance("laplace_via_mellin mf", mf, MellinFunction)
     if not c > 0:
         raise ContourError(f"contour abscissa must be positive, got {c}")
     if not mf.contains(1.0 - c):
@@ -426,5 +436,4 @@ def laplace_via_mellin(mf: MellinFunction, p: float, c: float = 0.5) -> EvalResu
     # left, f*(1 - s) at 1 - sigma_min on the right
     lo, hi = mf.domain_strip
     poles = (c - max(0.0, 1.0 - hi), 1.0 - lo - c)
-    return contour_integral(ContourPath(log_parts, log_abs_real, c, poles, (log_p, log_p)),
-                            slope=log_p)
+    return ContourPath(log_parts, log_abs_real, c, poles, (log_p, log_p)).integral(slope=log_p)

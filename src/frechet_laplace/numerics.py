@@ -76,6 +76,18 @@ def _real(name: str, v, lo: float | None = -math.inf, hi: float = _MAX) -> float
     return v
 
 
+def _instance(name: str, v, kind):
+    """v, with DomainError naming kind unless v is an instance of it: of one
+    of them for a tuple of types, and any callable for the builtin callable
+    (an isinstance check against collections.abc.Callable costs 0.4 us). The
+    gate on every argument that is an object."""
+    if not (callable(v) if kind is callable else isinstance(v, kind)):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise DomainError(f"{name} takes a {' or '.join(k.__name__ for k in kinds)}, "
+                          f"not {type(v).__name__}")
+    return v
+
+
 # The binary64-range guard for every power or exp that can overflow.
 def _power(x: float, y: float) -> float:
     """x ** y, with DomainError where it overflows binary64."""
@@ -254,6 +266,7 @@ def integrate_semi_infinite(f, lower: float, scale: float = 1.0) -> EvalResult:
     where a sum of finite terms, the value or its estimate overflows
     binary64.
     """
+    _instance("integrate_semi_infinite f", f, callable)
     lower = _real("integrate_semi_infinite lower", lower)
     scale = _real("integrate_semi_infinite scale", scale, 0.0)
 

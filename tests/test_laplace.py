@@ -129,6 +129,13 @@ class TestLaplaceFrechet:
         with pytest.raises(DomainError):
             laplace_frechet(LaplaceQuery(shape, 1.0, method))
 
+    @pytest.mark.parametrize("method", ["quadrature", "auto", None, 0])
+    def test_query_takes_a_method_member_only(self, method):
+        # laplace_frechet picks its route by identity with the members, so a
+        # route name would run AUTO silently ("quadrature" gives the series here)
+        with pytest.raises(DomainError, match="Method"):
+            LaplaceQuery(RationalShape(1, 3), 20.0, method)
+
 
 class TestOracle:
     def test_at_zero(self):

@@ -80,6 +80,21 @@ class TestMeijerGm0:
         with pytest.raises(ContourError, match=r"c = 3\.0"):
             meijer_g_m0(MeijerSpec([0.0]), const=0.0, slope=math.log(5e4), c=3.0)
 
+    def test_abscissa_next_to_a_pole(self):
+        # the nodes grow like 60 / d at a pole distance d: a path nearer
+        # than 1e-3 is refused before it is probed, where it hung (1e-150,
+        # 1e-8) or raised a raw ZeroDivisionError or ValueError; 2e-3 serves
+        spec = build_laplace_closed_form(RationalShape(2, 3)).spec
+        image = mellin.frechet_mellin_image(RationalShape(2, 3))
+        for c in (5e-324, 1e-300, 1e-150, 1e-8, 9e-4):
+            with pytest.raises(ContourError, match="from a pole"):
+                meijer_g_m0(spec, const=math.log(2.0), slope=0.0, c=c)
+            with pytest.raises(ContourError, match="from a pole"):
+                mellin.laplace_via_mellin(image, 1.0, c)
+        res = meijer_g_m0(spec, const=math.log(2.0), slope=0.0, c=2e-3)
+        assert res.converged and abs(res.value - laplace_frechet(
+            LaplaceQuery(RationalShape(2, 3), 1.0)).value) <= 1e-12
+
     def test_argument_domain(self):
         with pytest.raises(DomainError):
             meijer_g_m0(MeijerSpec([0.0]), const=0.0, slope=-math.inf)
@@ -375,8 +390,10 @@ class TestConstantsMemo:
         # and no value
         assert list(inspect.signature(meijer.MeijerSpec._band_table.__wrapped__).parameters) == [
             "self", "band"]
-        assert [field.name for field in dataclasses.fields(mellin.ContourNodes)] == [
-            "logs", "sums"]
+        nodes = build_laplace_closed_form(RationalShape(2, 3)).spec._band_table(4).nodes
+        logs, sums = nodes
+        n = sums.shape[-1]
+        assert type(nodes) is tuple and (logs.shape, sums.shape) == ((4 * n, 3), (2, 3, n))
         assert [field.name for field in dataclasses.fields(meijer._SeriesTable)] == [
             "x", "log_c", "sums", "log_c_max", "x_min", "slope_top", "tail_x", "tail_log",
             "tail_k0", "tail_k1"]
@@ -458,7 +475,7 @@ class TestConstantsMemo:
         path = spec._band_table(4)
         nodes = path.nodes
         assert path.nodes is nodes
-        for matrix in (nodes.logs, nodes.sums):
+        for matrix in nodes:
             with pytest.raises(ValueError):
                 matrix[0, 0] = 5.0
 

@@ -11,9 +11,8 @@ from frechet_laplace import meijer, mellin
 from frechet_laplace.ftransform import _HALF_SPEC
 from frechet_laplace.laplace import laplace_frechet_oracle
 from frechet_laplace.meijer import MeijerSpec
-from frechet_laplace.mellin import (ContourPath, MellinFunction, contour_integral,
-                                    frechet_mellin_image, laplace_via_mellin,
-                                    mellin_barnes_integral)
+from frechet_laplace.mellin import (ContourPath, MellinFunction, frechet_mellin_image,
+                                    laplace_via_mellin, mellin_barnes_integral)
 from frechet_laplace.numerics import integrate_semi_infinite, log_gamma
 
 TWO_K1_OF_2 = 0.27973176363304486  # 2 K1(2), from the series oracle
@@ -248,8 +247,8 @@ class TestContourIntegral:
 
     def integral(self, parts, real, log_shift=0.0):
         slope = math.log(self.X)
-        return contour_integral(ContourPath(parts, real, self.C, self.POLES, (slope, slope)),
-                                log_shift, slope)
+        return ContourPath(parts, real, self.C, self.POLES, (slope, slope)).integral(
+            log_shift, slope)
 
     def test_real_value(self):
         res = self.integral(self.log_gamma_parts, self.real_log_gamma)
@@ -359,13 +358,13 @@ class TestContourPath:
 
     def test_every_slope_of_a_band_gets_one_path(self, monkeypatch):
         spec = self.SPEC
-        seen, original = [], meijer.contour_integral
+        seen, original = [], ContourPath.integral
 
         def capture(path, const, slope):
             seen.append(path)
             return original(path, const, slope)
 
-        monkeypatch.setattr(meijer, "contour_integral", capture)
+        monkeypatch.setattr(ContourPath, "integral", capture)
         band = 9
         for f in (0.01, 0.1, 0.25, 0.5, 0.75, 0.99):
             slope = spec._band_slope((band + f) * meijer._BAND_WIDTH)
@@ -385,11 +384,11 @@ class TestContourPath:
 
         path = ContourPath(never, TestContourIntegral.real_log_gamma, 0.7, (0.7, math.inf),
                            (0.0, 1.0))
-        res = contour_integral(path, const, 0.5)
+        res = path.integral(const, 0.5)
         assert (res.value, res.err_estimate, res.evaluations, res.converged) == expected
         assert "nodes" not in vars(path)
         with pytest.raises(AssertionError, match="no node"):
-            contour_integral(path, 0.0, 0.5)
+            path.integral(0.0, 0.5)
 
 
 def test_range_step_holds_at_every_slope():

@@ -551,14 +551,16 @@ class TestBesselK1Array:
 
 # Text is no number: each entry point that converts its input with numpy
 # refuses it, whether numpy would read it as a number ("2.0", b"1") or raise
-# ("abc"); numbers keep their bits, and a list reads as an array.
+# ("abc"); numbers keep their bits, and a list reads as an array. An entry
+# that also takes a shape or a spec has it as the default of s, which the
+# edge sweep below replaces.
 ARRAY_ENTRY_POINTS = {
-    "frechet_pdf": lambda x: frechet_pdf(Shape(1.0), x),
+    "frechet_pdf": lambda x, s=Shape(1.0): frechet_pdf(s, x),
     "levy_pdf_half": levy_pdf_half,
     "bessel_k1": bessel_k1,
     "log_gamma": log_gamma,
-    "frechet_transform_levy": lambda x: fl.frechet_transform_levy(fl.LevyIndex(0.5),
-                                                                  Shape(2.0), x),
+    "frechet_transform_levy": lambda x, s=Shape(2.0): fl.frechet_transform_levy(
+        fl.LevyIndex(0.5), s, x),
 }
 TEXT = ["abc", "2.0", b"1", np.array(["1", "2"]), ["1", "2"], [1.0, "2"],
         np.array(["1.5"], dtype=object), np.array([1.5, b"2"], dtype=object)]
@@ -589,49 +591,55 @@ class TestTextInput:
 
 # Each scalar entry point refuses text in any of its numeric arguments with a
 # DomainError, where its first comparison or math call raised a raw
-# TypeError, and MeijerSpec read text as a number.
+# TypeError, and MeijerSpec read text as a number. A query or kernel record
+# is evaluated too (laplace_frechet, frechet_kernel), which the edge sweep
+# needs; a refused argument never gets that far.
 _ONE, _HALF = fl.Shape(1.0), fl.build_laplace_closed_form(fl.RationalShape(2, 3)).spec
 _TARGET = fl.TransformTarget(f=np.exp, laplace_of_f=lambda u: 1.0 / (1.0 + u))
+_ONE_ONE, _TWO_THREE = fl.RationalShape(1, 1), fl.RationalShape(2, 3)
 SCALAR_ENTRY_POINTS = {
     "Shape": fl.Shape,
     "LevyIndex": fl.LevyIndex,
-    "LaplaceQuery": lambda v: fl.LaplaceQuery(fl.RationalShape(1, 1), v),
-    "FrechetKernelParams.x": lambda v: fl.FrechetKernelParams(_ONE, v, 1.0),
-    "FrechetKernelParams.t": lambda v: fl.FrechetKernelParams(_ONE, 1.0, v),
-    "frechet_cdf": lambda v: fl.frechet_cdf(_ONE, v),
-    "frechet_quantile": lambda v: fl.frechet_quantile(_ONE, v),
-    "frechet_moment": lambda v: fl.frechet_moment(_ONE, v),
+    "LaplaceQuery": lambda v, s=_ONE_ONE: fl.laplace_frechet(fl.LaplaceQuery(s, v)),
+    "FrechetKernelParams.x": lambda v, s=_ONE: fl.frechet_kernel(
+        fl.FrechetKernelParams(s, v, 1.0)),
+    "FrechetKernelParams.t": lambda v, s=_ONE: fl.frechet_kernel(
+        fl.FrechetKernelParams(s, 1.0, v)),
+    "frechet_cdf": lambda v, s=_ONE: fl.frechet_cdf(s, v),
+    "frechet_quantile": lambda v, s=_ONE: fl.frechet_quantile(s, v),
+    "frechet_moment": lambda v, s=_ONE: fl.frechet_moment(s, v),
     "levy_moment": lambda v: fl.levy_moment(fl.LevyIndex(0.5), v),
     "levy_asymptotic": lambda v: fl.levy_asymptotic(fl.LevyIndex(0.5), v),
-    "levy_asymptotic_rescaled": lambda v: fl.levy_asymptotic_rescaled(_ONE, v),
+    "levy_asymptotic_rescaled": lambda v, s=_ONE: fl.levy_asymptotic_rescaled(s, v),
     "find_maximum.x_init": lambda v: fl.find_maximum(lambda x: x * math.exp(-x), v),
     "find_maximum.arg_tol": lambda v: fl.find_maximum(lambda x: x * math.exp(-x), 1.0, v),
-    "laplace_frechet_oracle": lambda v: fl.laplace_frechet_oracle(_ONE, v),
+    "laplace_frechet_oracle": lambda v, s=_ONE: fl.laplace_frechet_oracle(s, v),
     "laplace_frechet_bessel": fl.laplace_frechet_bessel,
-    "laplace_symmetry_check": lambda v: fl.laplace_symmetry_check(fl.RationalShape(2, 3), v),
-    "laplace_via_mellin.p": lambda v: fl.laplace_via_mellin(
-        fl.frechet_mellin_image(fl.RationalShape(1, 1)), v),
-    "laplace_via_mellin.c": lambda v: fl.laplace_via_mellin(
-        fl.frechet_mellin_image(fl.RationalShape(1, 1)), 1.0, v),
-    "frechet_transform_quadrature": lambda v: fl.frechet_transform_quadrature(_TARGET, _ONE, v),
-    "frechet_transform_via_laplace": lambda v: fl.frechet_transform_via_laplace(
-        _TARGET, _ONE, v),
-    "frechet_transform_frechet_half": lambda v: fl.frechet_transform_frechet_half(_ONE, v),
-    "meijer_g_m0.const": lambda v: fl.meijer_g_m0(_HALF, const=v, slope=0.0),
-    "meijer_g_m0.slope": lambda v: fl.meijer_g_m0(_HALF, const=0.0, slope=v),
-    "meijer_g_m0.c": lambda v: fl.meijer_g_m0(_HALF, const=0.0, slope=0.0, c=v),
-    "meijer_g_series.const": lambda v: fl.meijer_g_series(_HALF, const=v, slope=0.0),
-    "meijer_g_series.slope": lambda v: fl.meijer_g_series(_HALF, const=0.0, slope=v),
-    "meijer_g.const": lambda v: meijer.meijer_g(_HALF, const=v, slope=0.0),
-    "meijer_g.slope": lambda v: meijer.meijer_g(_HALF, const=0.0, slope=v),
+    "laplace_symmetry_check": lambda v, s=_TWO_THREE: fl.laplace_symmetry_check(s, v),
+    "laplace_via_mellin.p": lambda v, s=_ONE_ONE: fl.laplace_via_mellin(
+        fl.frechet_mellin_image(s), v),
+    "laplace_via_mellin.c": lambda v, s=_ONE_ONE: fl.laplace_via_mellin(
+        fl.frechet_mellin_image(s), 1.0, v),
+    "frechet_transform_quadrature": lambda v, s=_ONE: fl.frechet_transform_quadrature(
+        _TARGET, s, v),
+    "frechet_transform_via_laplace": lambda v, s=_ONE: fl.frechet_transform_via_laplace(
+        _TARGET, s, v),
+    "frechet_transform_frechet_half": lambda v, s=_ONE: fl.frechet_transform_frechet_half(s, v),
+    "meijer_g_m0.const": lambda v, s=_HALF: fl.meijer_g_m0(s, const=v, slope=0.0),
+    "meijer_g_m0.slope": lambda v, s=_HALF: fl.meijer_g_m0(s, const=0.0, slope=v),
+    "meijer_g_m0.c": lambda v, s=_HALF: fl.meijer_g_m0(s, const=0.0, slope=0.0, c=v),
+    "meijer_g_series.const": lambda v, s=_HALF: fl.meijer_g_series(s, const=v, slope=0.0),
+    "meijer_g_series.slope": lambda v, s=_HALF: fl.meijer_g_series(s, const=0.0, slope=v),
+    "meijer_g.const": lambda v, s=_HALF: meijer.meijer_g(s, const=v, slope=0.0),
+    "meijer_g.slope": lambda v, s=_HALF: meijer.meijer_g(s, const=0.0, slope=v),
     "integrate_semi_infinite.lower": lambda v: fl.integrate_semi_infinite(np.exp, v),
     "integrate_semi_infinite.scale": lambda v: fl.integrate_semi_infinite(np.exp, 0.0, v),
     "MeijerSpec.b": lambda v: fl.MeijerSpec([v]),
     "MeijerSpec.groups": lambda v: fl.MeijerSpec(groups=((2, v),)),
     "MellinFunction.lo": lambda v: fl.MellinFunction(np.exp, (v, 1.0)),
     "MellinFunction.hi": lambda v: fl.MellinFunction(np.exp, (-1.0, v)),
-    "LaplaceClosedForm.log_argument": lambda v: fl.build_laplace_closed_form(
-        fl.RationalShape(2, 3)).log_argument(v),
+    "LaplaceClosedForm.log_argument": lambda v, s=_TWO_THREE: fl.build_laplace_closed_form(
+        s).log_argument(v),
 }
 TEXT_SCALARS = ["0.5", "abc", b"1", np.str_("0.5")]
 
@@ -680,13 +688,157 @@ TAKES_NO_NUMBER = {
 }
 
 
+# the package's public callables, its error classes aside
+PUBLIC_CALLABLES = {name for name in fl.__all__ if callable(getattr(fl, name))
+                    and not (isinstance(getattr(fl, name), type)
+                             and issubclass(getattr(fl, name), Exception))}
+
+
 def test_every_public_entry_point_taking_a_number_is_swept():
-    public = {name for name in fl.__all__ if callable(getattr(fl, name))
-              and not (isinstance(getattr(fl, name), type)
-                       and issubclass(getattr(fl, name), Exception))}
     swept = {name.split(".")[0] for name in SCALAR_ENTRY_POINTS} | set(ARRAY_ENTRY_POINTS)
     assert not swept & set(TAKES_NO_NUMBER)
-    assert public - swept == set(TAKES_NO_NUMBER)
+    assert PUBLIC_CALLABLES - swept == set(TAKES_NO_NUMBER)
+
+
+# Aim 3's contract at the edges of the domain: every entry of both tables, at
+# each p or x in EDGES, returns a finite value (an EvalResult with a bool
+# converged and, where converged, a finite estimate) or raises a
+# FrechetLaplaceError, never a raw error, a NaN or an infinity. An entry that
+# takes a shape or a spec (the default of its s) runs at each gamma of
+# EDGE_GAMMAS, or each l/k of EDGE_RATIONALS, whose closed-form spec the
+# Meijer entries take.
+EDGES = [5e-324, 1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300]
+EDGE_GAMMAS = {"1/800": Shape(1 / 800), "1": Shape(1.0), "800": Shape(800.0)}
+EDGE_RATIONALS = {"1/2^53": fl.RationalShape(1, 2**53), "1/1": fl.RationalShape(1, 1),
+                  "2^53/1": fl.RationalShape(2**53, 1)}
+
+
+def _edge_cases():
+    for name, f in sorted({**SCALAR_ENTRY_POINTS, **ARRAY_ENTRY_POINTS}.items()):
+        default = (getattr(f, "__defaults__", None) or (None,))[0]
+        if isinstance(default, Shape):
+            shapes = EDGE_GAMMAS
+        elif isinstance(default, fl.RationalShape):
+            shapes = EDGE_RATIONALS
+        elif isinstance(default, fl.MeijerSpec):
+            shapes = {tag: fl.build_laplace_closed_form(r).spec
+                      for tag, r in EDGE_RATIONALS.items()}
+        else:
+            shapes = {"": None}
+        for tag, s in shapes.items():
+            yield pytest.param(f, s, id=f"{name}-{tag}" if tag else name)
+
+
+@pytest.mark.parametrize("f, s", _edge_cases())
+def test_edges_keep_the_contract(f, s):
+    for v in EDGES:
+        try:
+            out = f(v) if s is None else f(v, s)
+        except fl.FrechetLaplaceError:
+            continue
+        if isinstance(out, fl.EvalResult):
+            assert type(out.converged) is bool and math.isfinite(out.value), v
+            assert math.isfinite(out.err_estimate) or not out.converged, v
+        elif isinstance(out, (tuple, float, complex, np.ndarray)):
+            assert np.isfinite(out).all(), v
+
+
+# One gate (numerics._instance) decides what an object argument is: an
+# argument that is a None, a number or another object where a shape, index,
+# spec, query, record, callable or container belongs is a DomainError that
+# names the type it takes, where it raised a raw AttributeError, TypeError
+# or ValueError. A TransformTarget's callables are optional: None is valid.
+OBJECT_ENTRY_POINTS = {
+    "frechet_pdf": lambda v: fl.frechet_pdf(v, 1.0),
+    "frechet_cdf": lambda v: fl.frechet_cdf(v, 1.0),
+    "frechet_quantile": lambda v: fl.frechet_quantile(v, 0.5),
+    "frechet_moment": lambda v: fl.frechet_moment(v, 0.1),
+    "levy_moment": lambda v: fl.levy_moment(v, 0.1),
+    "levy_asymptotic": lambda v: fl.levy_asymptotic(v, 1.0),
+    "levy_asymptotic_rescaled": lambda v: fl.levy_asymptotic_rescaled(v, 1.0),
+    "frechet_mode": fl.frechet_mode,
+    "levy_asymptotic_mode": fl.levy_asymptotic_mode,
+    "find_maximum": fl.find_maximum,
+    "integrate_semi_infinite": lambda v: fl.integrate_semi_infinite(v, 0.0),
+    "MellinFunction.f_star": lambda v: fl.MellinFunction(v, (0.0, 1.0)),
+    "MellinFunction.domain_strip": lambda v: fl.MellinFunction(np.exp, v),
+    "frechet_mellin_image": fl.frechet_mellin_image,
+    "laplace_via_mellin": lambda v: fl.laplace_via_mellin(v, 1.0),
+    "MeijerSpec.b": fl.MeijerSpec,
+    "MeijerSpec.groups": lambda v: fl.MeijerSpec(groups=v),
+    "meijer_g_m0": lambda v: fl.meijer_g_m0(v, const=0.0, slope=0.0),
+    "meijer_g_series": lambda v: fl.meijer_g_series(v, const=0.0, slope=0.0),
+    "meijer_g": lambda v: meijer.meijer_g(v, const=0.0, slope=0.0),
+    "build_laplace_closed_form": fl.build_laplace_closed_form,
+    "LaplaceQuery.shape": lambda v: fl.LaplaceQuery(v, 1.0),
+    "LaplaceQuery.method": lambda v: fl.LaplaceQuery(_ONE_ONE, 1.0, v),
+    "laplace_frechet": fl.laplace_frechet,
+    "laplace_frechet_oracle": lambda v: fl.laplace_frechet_oracle(v, 1.0),
+    "laplace_symmetry_check": lambda v: fl.laplace_symmetry_check(v, 1.0),
+    "FrechetKernelParams": lambda v: fl.FrechetKernelParams(v, 1.0, 1.0),
+    "frechet_kernel": fl.frechet_kernel,
+    "TransformTarget.f": lambda v: fl.TransformTarget(f=v),
+    "TransformTarget.laplace_of_f": lambda v: fl.TransformTarget(laplace_of_f=v),
+    "frechet_transform_quadrature.target": lambda v: fl.frechet_transform_quadrature(
+        v, _ONE, 1.0),
+    "frechet_transform_quadrature.gamma": lambda v: fl.frechet_transform_quadrature(
+        _TARGET, v, 1.0),
+    "frechet_transform_via_laplace.target": lambda v: fl.frechet_transform_via_laplace(
+        v, _ONE, 1.0),
+    "frechet_transform_via_laplace.gamma": lambda v: fl.frechet_transform_via_laplace(
+        _TARGET, v, 1.0),
+    "frechet_transform_levy.alpha": lambda v: fl.frechet_transform_levy(v, _ONE, 1.0),
+    "frechet_transform_levy.gamma": lambda v: fl.frechet_transform_levy(
+        fl.LevyIndex(0.5), v, 1.0),
+    "frechet_transform_frechet_half": lambda v: fl.frechet_transform_frechet_half(v, 1.0),
+}
+NOT_OBJECTS = {"None": None, "float": 1.0, "object": object()}
+
+
+@pytest.mark.parametrize("name, v", [
+    pytest.param(name, v, id=f"{name}-{tag}")
+    for name in sorted(OBJECT_ENTRY_POINTS) for tag, v in NOT_OBJECTS.items()
+    if not (name.startswith("TransformTarget") and v is None)])
+def test_wrongly_typed_object_is_domain_error(name, v):
+    with pytest.raises(DomainError, match="takes a"):
+        OBJECT_ENTRY_POINTS[name](v)
+
+
+# a real shape where l and k are read, and a group or strip that is no pair
+@pytest.mark.parametrize("call", [
+    lambda: fl.laplace_symmetry_check(fl.Shape(0.5), 1.0),
+    lambda: fl.frechet_mellin_image(fl.Shape(0.5)),
+    lambda: fl.MeijerSpec(groups=(5,)),
+    lambda: fl.MeijerSpec(groups=((1, 0.0, 3),)),
+    lambda: fl.MellinFunction(np.exp, 5),
+    lambda: fl.MellinFunction(np.exp, (0, 1, 2)),
+], ids=["symmetry_shape", "image_shape", "group_int", "group_triple", "strip_int",
+        "strip_triple"])
+def test_malformed_object_is_domain_error(call):
+    with pytest.raises(DomainError, match="takes a"):
+        call()
+
+
+# The public callables that take no object of their own; every other one is
+# named in OBJECT_ENTRY_POINTS.
+TAKES_NO_OBJECT = {
+    "Shape": "takes a number",
+    "RationalShape": "takes integers",
+    "LevyIndex": "takes a number",
+    "levy_pdf_half": "takes numbers",
+    "log_gamma": "takes numbers",
+    "bessel_k1": "takes numbers",
+    "laplace_frechet_bessel": "takes a number",
+    "EvalResult": "a result record the library fills",
+    "Method": "an enum of routes; LaplaceQuery.method is swept",
+    "LaplaceClosedForm": "a record build_laplace_closed_form fills, whose shape is swept",
+}
+
+
+def test_every_public_entry_point_taking_an_object_is_swept():
+    swept = {name.split(".")[0] for name in OBJECT_ENTRY_POINTS}
+    assert not swept & set(TAKES_NO_OBJECT)
+    assert PUBLIC_CALLABLES - swept == set(TAKES_NO_OBJECT)
 
 
 # A real array entry point refuses a complex input, where numpy's cast
